@@ -17,6 +17,7 @@ from .errors import (
 )
 from .germ import Germ, Orbit, auto_radius
 from .cycles import Cycle, classify, cycles_to_csv, find_cycles, multiplier_of
+from .cycles import repelling_cycle, repelling_cycles
 from .koenigs import KoenigsChart, build_chart, critical_points, phi_iterative
 from .beltrami import (
     BeltramiField,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Germ", "Orbit", "auto_radius",
     "Cycle", "classify", "cycles_to_csv", "find_cycles", "multiplier_of",
+    "repelling_cycle", "repelling_cycles",
     "KoenigsChart", "build_chart", "critical_points", "phi_iterative",
     "BeltramiField", "FieldEntry", "TorusShear", "field_to_csv",
     "pullback_by_holomorphic", "shear_coefficient", "tau_of", "transport_forward",

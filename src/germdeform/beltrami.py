@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ShearError, SingularDerivativeError
+from .errors import DomainError, ShearError
 from .germ import Germ
 from .koenigs import KoenigsChart
 
@@ -97,16 +97,17 @@ def shear_coefficient(lam: complex, lam_prime: complex) -> TorusShear:
 
 def pullback_by_holomorphic(mu_val: complex, gprime_over_g_factor: complex) -> complex:
     """Beltrami pullback under a holomorphic map with derivative factor g':
-    mu -> mu * conj(g')/g'."""
-    if gprime_over_g_factor == 0:
+    mu -> mu * conj(g')/g'. Elementwise on arrays."""
+    if np.any(gprime_over_g_factor == 0):
         raise DomainError("pullback derivative factor must be nonzero")
     return mu_val * gprime_over_g_factor.conjugate() / gprime_over_g_factor
 
 
 def transport_forward(mu_val: complex, derivative_product: complex) -> complex:
     """Push a coefficient forward along an orbit with chain-rule product P:
-    mu -> mu * P/conj(P) (unimodular factor, |mu| is preserved)."""
-    if derivative_product == 0:
+    mu -> mu * P/conj(P) (unimodular factor, |mu| is preserved). Elementwise
+    on arrays."""
+    if np.any(derivative_product == 0):
         raise DomainError("transport needs a nonvanishing derivative product")
     return mu_val * derivative_product / derivative_product.conjugate()
 
@@ -142,56 +143,20 @@ class BeltramiField:
                         raise DomainError("field entries must sit on distinct cycles")
             centers.extend(e.chart.cycle.points)
 
-    def _chart_hit(self, w: complex):
-        for e in self.entries:
-            if abs(w - e.chart.center) <= e.chart.radius:
-                return e
-        return None
-
-    def _seed_value(self, entry: FieldEntry, w: complex) -> complex:
-        # chart-disk coefficient: constant torus value pulled back through
-        # xi = Log(phi)/(2*pi*i), whose derivative factor is phi'/(2*pi*i*phi)
-        c = entry.chart.center
-        if abs(w - c) < PUNCTURE_RADIUS:
-            d = w - c
-            d = d / abs(d) if d != 0 else 1.0 + 0j
-            w = c + PUNCTURE_RADIUS * d
-        ph = entry.chart.phi_raw(w)
-        dph = entry.chart.dphi_raw(w)
-        g = dph / (2j * math.pi * ph)
-        return pullback_by_holomorphic(entry.shear.mu, complex(g))
-
     def value(self, z: complex, diagnostics: dict[str, Any] | None = None) -> complex:
-        """Field coefficient at one point, by honest backward walking."""
+        """Field coefficient at one point: sample_grid on that point alone,
+        with its diagnostics counting the one walk."""
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise DomainError("point must be finite")
-        w = z
-        prod = 1.0 + 0j  # derivative of f^m along the walked-back orbit
-        for m in range(self.transport_depth + 1):
-            if abs(w) > self.germ.radius_U:
-                if diagnostics is not None:
-                    diagnostics["escaped"] = diagnostics.get("escaped", 0) + 1
-                return 0j
-            hit = self._chart_hit(w)
-            if hit is not None:
-                nu = self._seed_value(hit, w)
-                return complex(transport_forward(nu, prod))
-            try:
-                w_prev = self.germ.inverse_step(w, guess=w)
-            except (ConvergenceError, SingularDerivativeError):
-                if diagnostics is not None:
-                    diagnostics["stalled"] = diagnostics.get("stalled", 0) + 1
-                return 0j
-            prod *= self.germ.derivative_raw(w_prev)
-            w = w_prev
-        if diagnostics is not None:
-            diagnostics["depth_exhausted"] = diagnostics.get("depth_exhausted", 0) + 1
-        return 0j
+        return complex(self.sample_grid(np.array([z]), diagnostics)[0])
 
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
-        """Vectorized field over an array of points (same backward walk,
-        batched; points that stall or escape get 0)."""
+        """Field over an array of points by batched backward walking.
+
+        Points that escape, stall in the inverse step, or run out of depth
+        (unresolved) get 0.
+        """
         germ = self.germ
         w = np.array(z_grid, dtype=complex)
         shape = w.shape
@@ -199,7 +164,7 @@ class BeltramiField:
         mu = np.zeros_like(w)
         prod = np.ones_like(w)
         active = np.isfinite(w)
-        escaped_total = 0
+        escaped_total = stalled_total = 0
         for m in range(self.transport_depth + 1):
             if not active.any():
                 break
@@ -218,12 +183,14 @@ class BeltramiField:
                         unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
                         wh = wh.copy()
                         wh[tiny] = e.chart.center + PUNCTURE_RADIUS * unit
+                    # chart-disk coefficient: constant torus value pulled back
+                    # through xi = Log(phi)/(2*pi*i), derivative factor
+                    # phi'/(2*pi*i*phi)
                     ph = e.chart.phi_raw(wh)
                     dph = e.chart.dphi_raw(wh)
                     g = dph / (2j * math.pi * ph)
-                    nu = e.shear.mu * np.conj(g) / g
-                    p = prod[hit]
-                    mu[hit] = nu * p / np.conj(p)
+                    nu = pullback_by_holomorphic(e.shear.mu, g)
+                    mu[hit] = transport_forward(nu, prod[hit])
                     active &= ~hit
             if not active.any():
                 break
@@ -247,12 +214,14 @@ class BeltramiField:
             ok &= np.isfinite(zn)
             idx = np.flatnonzero(active)
             stalled = idx[~ok]
+            stalled_total += stalled.size
             active[stalled] = False
             good = idx[ok]
             w[good] = zn[ok]
             prod[good] = prod[good] * germ.derivative_raw(zn[ok])
         if diagnostics is not None:
             diagnostics["escaped"] = escaped_total
+            diagnostics["stalled"] = stalled_total
             diagnostics["unresolved"] = int(np.count_nonzero(active))
             diagnostics["max_abs"] = float(np.max(np.abs(mu))) if mu.size else 0.0
             diagnostics["support_fraction"] = float(np.mean(np.abs(mu) > 0))

@@ -17,7 +17,7 @@ from typing import Any
 
 from . import cremer as cremer_mod
 from .beltrami import field_to_csv
-from .cycles import cycles_to_csv, find_cycles
+from .cycles import cycles_to_csv, find_cycles, repelling_cycle
 from .errors import ConfigError, ToolkitError
 from .germ import Germ
 from .koenigs import build_chart
@@ -32,6 +32,7 @@ from .straighten import (
     DEFAULT_GRID,
     DEFAULT_PAD,
     MOTION_GRID,
+    MOTION_TOL,
     SOLVER_TOL,
 )
 
@@ -57,7 +58,9 @@ def _take(cfg: dict, key: str, kinds, default=_REQUIRED):
             raise ConfigError("missing config key %r" % key)
         return default
     val = cfg.pop(key)
-    if kinds is not None and not isinstance(val, kinds):
+    # JSON true/false are ints to isinstance, so only a bool key may take them
+    stray_bool = isinstance(val, bool) and kinds is not bool
+    if kinds is not None and (stray_bool or not isinstance(val, kinds)):
         raise ConfigError("config key %r has wrong type" % key)
     return val
 
@@ -112,6 +115,18 @@ def _deformations_from(cfg: dict) -> list[Deformation]:
     return out
 
 
+def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float, int]:
+    """grid, solver_tol and pad from the config; --grid and --tol win over it."""
+    n = _take(cfg, "grid", int, grid)
+    tol = _take(cfg, "solver_tol", (int, float), tol)
+    pad = _take(cfg, "pad", int, DEFAULT_PAD)
+    if args.grid is not None:
+        n = args.grid
+    if args.tol is not None:
+        tol = args.tol
+    return n, float(tol), pad
+
+
 def _write(out_dir: Path, name: str, payload) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -133,7 +148,7 @@ def _cmd_cycles(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     orders = _take(cfg, "orders", list)
     _finish(cfg)
-    if not orders or not all(isinstance(q, int) and q >= 1 for q in orders):
+    if not orders or not all(type(q) is int and q >= 1 for q in orders):
         raise ConfigError("orders must be a nonempty list of positive integers")
     all_cycles = []
     for q in orders:
@@ -160,13 +175,7 @@ def _cmd_koenigs(cfg: dict, out: Path, args) -> int:
     cycle_index = _take(cfg, "cycle_index", int, 0)
     base_index = _take(cfg, "base_index", int, 0)
     _finish(cfg)
-    reps = [c for c in find_cycles(germ, order) if c.kind == "repelling"]
-    if not (0 <= cycle_index < len(reps)):
-        raise ConfigError(
-            "cycle_index %d out of range, %d repelling cycles of order %d"
-            % (cycle_index, len(reps), order)
-        )
-    chart = build_chart(germ, reps[cycle_index], base_index)
+    chart = build_chart(germ, repelling_cycle(germ, order, cycle_index), base_index)
     _write(out, "chart.json", _dump_json(chart.to_json()))
     print(
         "koenigs: chart at %.6g%+.6gi, radius %.6g"
@@ -181,10 +190,7 @@ def _cmd_deform_local(cfg: dict, out: Path, args) -> int:
     cycle_index = _take(cfg, "cycle_index", int, 0)
     target = _complex_pair(_take(cfg, "target", list), "target")
     _finish(cfg)
-    reps = [c for c in find_cycles(germ, order) if c.kind == "repelling"]
-    if not (0 <= cycle_index < len(reps)):
-        raise ConfigError("cycle_index out of range")
-    lc = LocalConjugacy.build(germ, reps[cycle_index], target)
+    lc = LocalConjugacy.build(germ, repelling_cycle(germ, order, cycle_index), target)
     measured = measure_multiplier(lc)
     rel = abs(measured - target) / abs(target)
     r = lc.working_radius()
@@ -215,15 +221,9 @@ def _cmd_straighten(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     box = _box_from(cfg, germ)
-    n = _take(cfg, "grid", int, DEFAULT_GRID)
-    tol = _take(cfg, "solver_tol", (int, float), SOLVER_TOL)
-    pad = _take(cfg, "pad", int, DEFAULT_PAD)
+    n, tol, pad = _solver_settings(cfg, args, DEFAULT_GRID, SOLVER_TOL)
     _finish(cfg)
-    if args.grid is not None:
-        n = args.grid
-    if args.tol is not None:
-        tol = args.tol
-    dg = global_deform(germ, deformations, box=box, n=n, tol=float(tol), pad=pad)
+    dg = global_deform(germ, deformations, box=box, n=n, tol=tol, pad=pad)
     measured = []
     for i, d in enumerate(deformations):
         m = dg.measure_multiplier(i)
@@ -249,21 +249,15 @@ def _cmd_motion(cfg: dict, out: Path, args) -> int:
     t_values = [_complex_pair(v, "t value") for v in _take(cfg, "t_values", list)]
     points = [_complex_pair(v, "sample point") for v in _take(cfg, "points", list)]
     orders = _take(cfg, "orders", list, [1])
-    n = _take(cfg, "grid", int, MOTION_GRID)
-    tol = _take(cfg, "solver_tol", (int, float), 1e-10)
-    pad = _take(cfg, "pad", int, DEFAULT_PAD)
+    n, tol, pad = _solver_settings(cfg, args, MOTION_GRID, MOTION_TOL)
     _finish(cfg)
     if not t_values or not points:
         raise ConfigError("t_values and points must be nonempty")
-    if not all(isinstance(q, int) and q >= 1 for q in orders):
+    if not all(type(q) is int and q >= 1 for q in orders):
         raise ConfigError("orders must be positive integers")
-    if args.grid is not None:
-        n = args.grid
-    if args.tol is not None:
-        tol = args.tol
+    rows = motion_sample(germ, t_values, points, orders=orders, n=n, tol=tol, pad=pad)
     lines = ["t_re,t_im,point_re,point_im,image_re,image_im"]
-    for t in t_values:
-        images = motion_sample(germ, t, points, orders=orders, n=n, tol=float(tol), pad=pad)
+    for t, images in zip(t_values, rows):
         for p, im in zip(points, images):
             lines.append(
                 "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
@@ -321,23 +315,15 @@ def _cmd_render(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     box = _box_from(cfg, germ)
-    n = _take(cfg, "grid", int, 512)
-    tol = _take(cfg, "solver_tol", (int, float), SOLVER_TOL)
-    pad = _take(cfg, "pad", int, DEFAULT_PAD)
+    n, tol, pad = _solver_settings(cfg, args, 512, SOLVER_TOL)
     lines = _take(cfg, "lines", int, MESH_LINES)
     with_csv = _take(cfg, "field_csv", bool, False)
     _finish(cfg)
-    if args.grid is not None:
-        n = args.grid
-    if args.tol is not None:
-        tol = args.tol
-    dg = global_deform(germ, deformations, box=box, n=n, tol=float(tol), pad=pad)
-    nodes = box.nodes(n)
-    mu = dg.field.sample_grid(nodes)
-    _write(out, "field.ppm", to_ppm(field_magnitude_raster(mu)))
+    dg = global_deform(germ, deformations, box=box, n=n, tol=tol, pad=pad)
+    _write(out, "field.ppm", to_ppm(field_magnitude_raster(dg.mu)))
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))
     if with_csv:
-        _write(out, "field.csv", field_to_csv(nodes, mu))
+        _write(out, "field.csv", field_to_csv(box.nodes(n), dg.mu))
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
     return 0
 

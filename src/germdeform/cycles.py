@@ -200,6 +200,23 @@ def find_cycles(
     return cycles
 
 
+def repelling_cycles(germ: Germ, order: int) -> list[Cycle]:
+    """Repelling cycles of one order in canonical order; cycle_index counts here."""
+    return [c for c in find_cycles(germ, order) if c.kind == "repelling"]
+
+
+def repelling_cycle(germ: Germ, order: int, index: int) -> Cycle:
+    """Repelling cycle number index of the given order. The valid range comes
+    from the census, so an index past it is a DomainError, not a config error."""
+    reps = repelling_cycles(germ, order)
+    if not 0 <= index < len(reps):
+        raise DomainError(
+            "cycle_index %d out of range: %d repelling cycle(s) of order %d found"
+            % (index, len(reps), order)
+        )
+    return reps[index]
+
+
 def cycles_to_csv(cycles: list[Cycle]) -> str:
     """Deterministic CSV table, one row per cycle point."""
     lines = ["order,point_index,re,im,mult_re,mult_im,kind"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -36,15 +37,16 @@ DERIVATIVE_FLOOR = 1e-14
 ALPHA_MATCH_TOL = 1e-12
 
 
-def _horner(coeffs: Sequence[complex], z):
-    # coeffs are (c1, ..., cd); evaluates c1*z + ... + cd*z^d
+def horner(coeffs: Sequence[complex], z):
+    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), scalar or array z."""
     acc = np.zeros_like(np.asarray(z)) if isinstance(z, np.ndarray) else 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc * z
 
 
-def _horner_derivative(coeffs: Sequence[complex], z):
+def horner_derivative(coeffs: Sequence[complex], z):
+    """Derivative in z of horner(coeffs, z)."""
     acc = np.zeros_like(np.asarray(z)) if isinstance(z, np.ndarray) else 0j
     for k in range(len(coeffs), 0, -1):
         acc = acc * z + k * coeffs[k - 1]
@@ -54,7 +56,7 @@ def _horner_derivative(coeffs: Sequence[complex], z):
 def _min_boundary_derivative(coeffs: Sequence[complex], radius: float) -> float:
     theta = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
     ring = radius * np.exp(1j * theta)
-    return float(np.min(np.abs(_horner_derivative(coeffs, ring))))
+    return float(np.min(np.abs(horner_derivative(coeffs, ring))))
 
 
 def auto_radius(coeffs: Sequence[complex]) -> float:
@@ -96,7 +98,10 @@ class Germ:
         radius_U: float | None = None,
         alpha: float | None = None,
     ) -> "Germ":
-        cs = tuple(complex(c) for c in coeffs)
+        try:
+            cs = tuple(complex(c) for c in coeffs)
+        except (TypeError, ValueError) as exc:
+            raise DomainError("germ coefficients must be numbers") from exc
         if len(cs) < 2:
             raise DomainError("germ needs degree >= 2 (got %d coefficients)" % len(cs))
         if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
@@ -106,8 +111,8 @@ class Germ:
         if cs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
         if alpha is not None:
-            if not math.isfinite(alpha):
-                raise DomainError("rotation number must be finite")
+            if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+                raise DomainError("rotation number must be a finite real number")
             if abs(cs[0] - cmath.exp(2j * cmath.pi * alpha)) > ALPHA_MATCH_TOL:
                 raise DomainError(
                     "linear coefficient does not match exp(2*pi*i*alpha)"
@@ -115,7 +120,10 @@ class Germ:
         if radius_U is None:
             radius_U = auto_radius(cs)
         else:
-            radius_U = float(radius_U)
+            try:
+                radius_U = float(radius_U)
+            except (TypeError, ValueError) as exc:
+                raise DomainError("radius_U must be a number") from exc
             if not (math.isfinite(radius_U) and radius_U > 0):
                 raise DomainError("radius_U must be positive and finite")
             if _min_boundary_derivative(cs, radius_U) <= BOUNDARY_DERIV_FLOOR:
@@ -132,28 +140,26 @@ class Germ:
     def contains(self, z: complex) -> bool:
         return abs(z) <= self.radius_U
 
-    def eval(self, z: complex) -> complex:
+    def _checked(self, z: complex) -> complex:
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise DomainError("point must be finite")
         if not self.contains(z):
             raise DomainError("point %r outside working disk (radius %g)" % (z, self.radius_U))
-        return complex(_horner(self.coeffs, z))
+        return z
+
+    def eval(self, z: complex) -> complex:
+        return complex(horner(self.coeffs, self._checked(z)))
 
     def derivative(self, z: complex) -> complex:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("point must be finite")
-        if not self.contains(z):
-            raise DomainError("point %r outside working disk (radius %g)" % (z, self.radius_U))
-        return complex(_horner_derivative(self.coeffs, z))
+        return complex(horner_derivative(self.coeffs, self._checked(z)))
 
     # unchecked vectorized evaluation, for grid internals only
     def eval_raw(self, z):
-        return _horner(self.coeffs, z)
+        return horner(self.coeffs, z)
 
     def derivative_raw(self, z):
-        return _horner_derivative(self.coeffs, z)
+        return horner_derivative(self.coeffs, z)
 
     def iterate(self, z: complex, n: int) -> Orbit:
         """Run n forward steps, recording points and the chain rule product.
@@ -169,8 +175,8 @@ class Germ:
         points = [w]
         prod = 1.0 + 0j
         for k in range(n):
-            prod *= complex(_horner_derivative(self.coeffs, w))
-            w = complex(_horner(self.coeffs, w))
+            prod *= complex(horner_derivative(self.coeffs, w))
+            w = complex(horner(self.coeffs, w))
             if not (math.isfinite(w.real) and math.isfinite(w.imag)) or not self.contains(w):
                 raise EscapeError("orbit left working disk at step %d" % (k + 1), step=k + 1)
             points.append(w)
@@ -186,11 +192,11 @@ class Germ:
         z = complex(guess)
         scale = max(1.0, abs(w))
         for _ in range(NEWTON_MAX_ITERS):
-            fz = complex(_horner(self.coeffs, z))
+            fz = complex(horner(self.coeffs, z))
             r = fz - w
             if abs(r) <= tol * scale:
                 return z
-            d = complex(_horner_derivative(self.coeffs, z))
+            d = complex(horner_derivative(self.coeffs, z))
             if abs(d) < DERIVATIVE_FLOOR:
                 raise SingularDerivativeError("derivative vanished during inverse step")
             z = z - r / d
@@ -219,5 +225,8 @@ class Germ:
         for item in raw:
             if not (isinstance(item, list) and len(item) == 2):
                 raise DomainError("each coefficient must be a [re, im] pair")
-            coeffs.append(complex(float(item[0]), float(item[1])))
+            try:
+                coeffs.append(complex(float(item[0]), float(item[1])))
+            except (TypeError, ValueError) as exc:
+                raise DomainError("each coefficient must be a pair of numbers") from exc
         return cls.create(coeffs, radius_U=data.get("radius_U"), alpha=data.get("alpha"))

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChartError, DomainError, EscapeError
-from .germ import Germ
+from .germ import Germ, horner, horner_derivative
 from .cycles import Cycle
 
 SERIES_ORDER = 24
@@ -64,7 +64,6 @@ def _series_compose(outer: list[complex], inner: list[complex], order: int) -> l
     # both series have zero constant term; coefficients are for degrees 1..order
     acc = [0j] * order
     power = inner[:order] + [0j] * (order - len(inner))
-    power = power[:order]
     cur = list(power)
     for j, cj in enumerate(outer[:order], start=1):
         if j > 1:
@@ -90,20 +89,6 @@ def _series_mul(a: list[complex], b: list[complex], order: int) -> list[complex]
                 break
             out[di + dj - 1] += ai * bj
     return out
-
-
-def _series_eval(coeffs, u):
-    acc = np.zeros_like(np.asarray(u)) if isinstance(u, np.ndarray) else 0j
-    for c in reversed(coeffs):
-        acc = acc * u + c
-    return acc * u
-
-
-def _series_eval_derivative(coeffs, u):
-    acc = np.zeros_like(np.asarray(u)) if isinstance(u, np.ndarray) else 0j
-    for k in range(len(coeffs), 0, -1):
-        acc = acc * u + k * coeffs[k - 1]
-    return acc
 
 
 def _return_map_series(germ: Germ, points: tuple[complex, ...], base_index: int, order: int) -> list[complex]:
@@ -141,31 +126,31 @@ class KoenigsChart:
         z = complex(z)
         if abs(z - self.center) > self.radius:
             raise DomainError("point outside chart disk")
-        return complex(_series_eval(self.coeffs, z - self.center))
+        return complex(horner(self.coeffs, z - self.center))
 
     def dphi(self, z: complex) -> complex:
         z = complex(z)
         if abs(z - self.center) > self.radius:
             raise DomainError("point outside chart disk")
-        return complex(_series_eval_derivative(self.coeffs, z - self.center))
+        return complex(horner_derivative(self.coeffs, z - self.center))
 
     # vectorized, unchecked; grid samplers mask their own domains
     def phi_raw(self, z):
-        return _series_eval(self.coeffs, z - self.center)
+        return horner(self.coeffs, z - self.center)
 
     def dphi_raw(self, z):
-        return _series_eval_derivative(self.coeffs, z - self.center)
+        return horner_derivative(self.coeffs, z - self.center)
 
     def psi(self, w: complex) -> complex:
         """Inverse chart: series reversion estimate plus one Newton polish."""
         w = complex(w)
         if abs(w) > PSI_DOMAIN_FACTOR * self.radius:
             raise DomainError("coordinate outside inverse chart domain")
-        u = complex(_series_eval(self.inverse_coeffs, w))
+        u = complex(horner(self.inverse_coeffs, w))
         # one Newton step on phi(center+u) = w sharpens the truncation error
-        d = complex(_series_eval_derivative(self.coeffs, u))
+        d = complex(horner_derivative(self.coeffs, u))
         if d != 0:
-            u = u - (complex(_series_eval(self.coeffs, u)) - w) / d
+            u = u - (complex(horner(self.coeffs, u)) - w) / d
         return self.center + u
 
     def to_json(self) -> dict[str, Any]:
@@ -195,8 +180,8 @@ def _functional_residual(germ: Germ, chart_coeffs, center, lam, radius, q) -> fl
             return math.inf
         if abs(fz - center) > 4.0 * radius * max(1.0, abs(lam)):
             return math.inf
-        lhs = complex(_series_eval(chart_coeffs, fz - center))
-        rhs = lam * complex(_series_eval(chart_coeffs, z - center))
+        lhs = complex(horner(chart_coeffs, fz - center))
+        rhs = lam * complex(horner(chart_coeffs, z - center))
         scale = max(abs(rhs), 1e-300)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst

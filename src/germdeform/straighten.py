@@ -13,6 +13,7 @@ globally; sampling h along a parameter path gives the motion probe.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -20,19 +21,18 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .beltrami import BeltramiField, FieldEntry
-from .cycles import Cycle, find_cycles
+from .beltrami import BeltramiField, FieldEntry, shear_coefficient
+from .cycles import repelling_cycle, repelling_cycles
 from .errors import (
     ConvergenceError,
     DomainError,
-    EscapeError,
     InsufficientDataError,
-    ShearError,
     SingularDerivativeError,
     UnreliableEstimateError,
 )
 from .germ import Germ
-from .local_deform import LocalConjugacy, cauchy_cycle_derivative
+from .koenigs import build_chart
+from .local_deform import cauchy_cycle_derivative
 
 SOLVER_TOL = 1e-8
 MAX_SWEEPS = 200
@@ -110,6 +110,27 @@ def _checkerboards(n: int):
     return c1, c2, c3
 
 
+def _wirtinger_grid(s: np.ndarray, dx: float):
+    """(d, dbar) of grid samples by central differences. The stencil wraps
+    around, so the outermost rows and columns are not true differences."""
+    fx = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2 * dx)
+    fy = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) / (2 * dx)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def _spline_planes(a: np.ndarray):
+    """Cubic spline coefficients of the real and imaginary planes of a."""
+    return tuple(ndimage.spline_filter(p, order=3, mode="nearest") for p in (a.real, a.imag))
+
+
+def _spline_eval(planes, coords, shape) -> np.ndarray:
+    re, im = (
+        ndimage.map_coordinates(p, coords, order=3, prefilter=False, mode="nearest")
+        for p in planes
+    )
+    return (re + 1j * im).reshape(shape)
+
+
 _KERNEL_DBAR = (-0.5, -0.5j, -0.5)
 _KERNEL_D = (-0.5, +0.5j, -0.5)
 
@@ -140,11 +161,7 @@ class GridMap:
 
     def _displacement_interp(self):
         if self._interp is None:
-            disp = self.samples - self.box.nodes(self.n)
-            self._interp = (
-                ndimage.spline_filter(disp.real, order=3, mode="nearest"),
-                ndimage.spline_filter(disp.imag, order=3, mode="nearest"),
-            )
+            self._interp = _spline_planes(self.samples - self.box.nodes(self.n))
         return self._interp
 
     def _coords(self, z: np.ndarray):
@@ -165,43 +182,22 @@ class GridMap:
             or np.any(zz.imag < y0) or np.any(zz.imag > y1)
         ):
             raise DomainError("evaluation point outside grid box")
-        fre, fim = self._displacement_interp()
         coords, shape = self._coords(zz)
-        out = (
-            ndimage.map_coordinates(fre, coords, order=3, prefilter=False, mode="nearest")
-            + 1j * ndimage.map_coordinates(fim, coords, order=3, prefilter=False, mode="nearest")
-        ).reshape(shape) + zz
+        out = _spline_eval(self._displacement_interp(), coords, shape) + zz
         return complex(out[0]) if scalar else out
 
     # ---- derivatives and inversion --------------------------------------
 
     def _derivative_interps(self):
         if self._deriv is None:
-            dx = self.box.spacing(self.n)
-            s = self.samples
-            fx = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2 * dx)
-            fy = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) / (2 * dx)
-            d = 0.5 * (fx - 1j * fy)
-            db = 0.5 * (fx + 1j * fy)
-            self._deriv = tuple(
-                ndimage.spline_filter(a, order=3, mode="nearest")
-                for a in (d.real, d.imag, db.real, db.imag)
-            )
+            d, db = _wirtinger_grid(self.samples, self.box.spacing(self.n))
+            self._deriv = (_spline_planes(d), _spline_planes(db))
         return self._deriv
 
     def derivatives_at(self, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        dre, dim, bre, bim = self._derivative_interps()
         coords, shape = self._coords(z)
-        d = (
-            ndimage.map_coordinates(dre, coords, order=3, prefilter=False, mode="nearest")
-            + 1j * ndimage.map_coordinates(dim, coords, order=3, prefilter=False, mode="nearest")
-        ).reshape(shape)
-        db = (
-            ndimage.map_coordinates(bre, coords, order=3, prefilter=False, mode="nearest")
-            + 1j * ndimage.map_coordinates(bim, coords, order=3, prefilter=False, mode="nearest")
-        ).reshape(shape)
-        return d, db
+        return tuple(_spline_eval(planes, coords, shape) for planes in self._derivative_interps())
 
     def inverse(self, w, newton_steps: int = INVERSE_NEWTON_STEPS):
         """Preimage under h: nearest sampled value as seed, then Newton with
@@ -241,11 +237,8 @@ class GridMap:
         i = int(round((z.imag - y0) / dx))
         if not (2 <= i < self.n - 2 and 2 <= j < self.n - 2):
             raise DomainError("point too close to the grid border for a derivative readback")
-        s = self.samples
-        fx = (s[i, j + 1] - s[i, j - 1]) / (2 * dx)
-        fy = (s[i + 1, j] - s[i - 1, j]) / (2 * dx)
-        d = 0.5 * (fx - 1j * fy)
-        db = 0.5 * (fx + 1j * fy)
+        d, db = _wirtinger_grid(self.samples[i - 1 : i + 2, j - 1 : j + 2], dx)
+        d, db = d[1, 1], db[1, 1]
         if abs(d) < 1e-10:
             raise SingularDerivativeError("holomorphic derivative vanished at readback node")
         return complex(db / d)
@@ -253,21 +246,14 @@ class GridMap:
     # ---- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        import struct
-
-        head = struct.pack("<I", self.n) + struct.pack("<4d", *self.extents_for_io())
+        head = struct.pack("<I", self.n) + struct.pack("<4d", *self.box.extents())
         body = np.empty((self.n, self.n, 2), dtype="<f8")
         body[:, :, 0] = self.samples.real
         body[:, :, 1] = self.samples.imag
         return head + body.tobytes(order="C")
 
-    def extents_for_io(self):
-        return self.box.extents()
-
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridMap":
-        import struct
-
         if len(raw) < 4 + 32:
             raise DomainError("grid map blob too short")
         (n,) = struct.unpack_from("<I", raw, 0)
@@ -317,13 +303,10 @@ def solve_beltrami(
         raise DomainError("pad factor must be >= 1")
 
     frame = max(2, int(BORDER_FRACTION * n0))
-    clipped = 0
-    fr = mu.copy()
     interior = np.zeros_like(mu, dtype=bool)
     interior[frame:-frame, frame:-frame] = True
     clipped = int(np.count_nonzero(np.abs(mu[~interior]) > 0))
-    fr[~interior] = 0
-    mu = fr
+    mu[~interior] = 0
 
     n = n0 * pad
     work = np.zeros((n, n), dtype=complex)
@@ -388,11 +371,7 @@ def solve_beltrami(
     normalized = (h - h0) / scale
 
     # orientation must survive: discrete Jacobian positive at interior nodes
-    s = normalized
-    fx = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2 * dx)
-    fy = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) / (2 * dx)
-    d = 0.5 * (fx - 1j * fy)
-    db = 0.5 * (fx + 1j * fy)
+    d, db = _wirtinger_grid(normalized, dx)
     jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[2:-2, 2:-2]
     min_jac = float(np.min(jac))
     if min_jac <= 0:
@@ -425,27 +404,15 @@ class Deformation:
     cycle_index: int = 0
 
 
-def _select_cycle(germ: Germ, d: Deformation) -> Cycle:
-    reps = [c for c in find_cycles(germ, d.order) if c.kind == "repelling"]
-    if not reps:
-        raise InsufficientDataError("no repelling cycle of order %d in the working disk" % d.order)
-    if not (0 <= d.cycle_index < len(reps)):
-        raise DomainError(
-            "cycle_index %d out of range (%d repelling cycles of order %d)"
-            % (d.cycle_index, len(reps), d.order)
-        )
-    return reps[d.cycle_index]
-
-
 def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiField:
     """Invariant field realizing all requested retargets at once."""
     if not deformations:
         raise DomainError("need at least one deformation")
     entries = []
     for d in deformations:
-        cycle = _select_cycle(germ, d)
-        lc = LocalConjugacy.build(germ, cycle, d.target)
-        entries.append(FieldEntry(chart=lc.charts[0], shear=lc.shear))
+        cycle = repelling_cycle(germ, d.order, d.cycle_index)
+        shear = shear_coefficient(cycle.multiplier, d.target)
+        entries.append(FieldEntry(chart=build_chart(germ, cycle, 0), shear=shear))
     return BeltramiField(germ=germ, entries=tuple(entries))
 
 
@@ -453,13 +420,15 @@ class DeformedGerm:
     """The germ conjugated by the straightening of its invariant field.
 
     eval(z) computes h(f(h^{-1}(z))); the deformed cycles sit at the
-    h-images of the original ones and carry the target multipliers.
+    h-images of the original ones and carry the target multipliers. mu is
+    the sampled field the grid map was solved from.
     """
 
-    def __init__(self, germ: Germ, field: BeltramiField, grid_map: GridMap):
+    def __init__(self, germ: Germ, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
         self.germ = germ
         self.field = field
         self.grid_map = grid_map
+        self.mu = mu
 
     def eval(self, z: complex) -> complex:
         u = self.grid_map.inverse(complex(z))
@@ -516,21 +485,26 @@ def global_deform(
     mu = field.sample_grid(box.nodes(n), diagnostics=diag)
     gm = solve_beltrami(mu, box, tol=tol, pad=pad)
     gm.diagnostics["field"] = diag
-    return DeformedGerm(germ, field, gm)
+    return DeformedGerm(germ, field, gm, mu)
+
+
+def _motion_parameter(t: complex) -> complex:
+    t = complex(t)
+    if t == 0 or abs(t) >= 1.0:
+        raise DomainError("motion parameter must satisfy 0 < |t| < 1")
+    return t
 
 
 def motion_targets(germ: Germ, t: complex, orders: Sequence[int]) -> list[Deformation]:
     """The standard parameter slice: every repelling cycle of the listed
     orders is sent to multiplier 1/t, so t must sit in the punctured unit
     disk minus the degenerate rays."""
-    t = complex(t)
-    if t == 0 or abs(t) >= 1.0:
-        raise DomainError("motion parameter must satisfy 0 < |t| < 1")
-    out = []
-    for q in orders:
-        reps = [c for c in find_cycles(germ, q) if c.kind == "repelling"]
-        for i, _ in enumerate(reps):
-            out.append(Deformation(order=q, target=1.0 / t, cycle_index=i))
+    t = _motion_parameter(t)
+    out = [
+        Deformation(order=q, target=1.0 / t, cycle_index=i)
+        for q in orders
+        for i in range(len(repelling_cycles(germ, q)))
+    ]
     if not out:
         raise InsufficientDataError("no repelling cycles found for the requested orders")
     return out
@@ -538,14 +512,31 @@ def motion_targets(germ: Germ, t: complex, orders: Sequence[int]) -> list[Deform
 
 def motion_sample(
     germ: Germ,
-    t: complex,
+    t_values: Sequence[complex],
     points: Sequence[complex],
     orders: Sequence[int] = (1,),
     box: Box | None = None,
     n: int = MOTION_GRID,
     tol: float = MOTION_TOL,
     pad: int = DEFAULT_PAD,
-) -> list[complex]:
-    """h_t at the given points: one straightening per parameter value."""
-    dg = global_deform(germ, motion_targets(germ, t, orders), box=box, n=n, tol=tol, pad=pad)
-    return [complex(dg.grid_map(complex(p))) for p in points]
+) -> list[list[complex]]:
+    """h_t at the given points on the motion_targets slice: one row of
+    images and one straightening per t. Every t and shear is checked before
+    the first solve; the census and charts do not depend on t, so they are
+    built once and each t only swaps the shears."""
+    ts = [_motion_parameter(t) for t in t_values]
+    charts = [build_chart(germ, c, 0) for q in orders for c in repelling_cycles(germ, q)]
+    if not charts:
+        raise InsufficientDataError("no repelling cycles found for the requested orders")
+    fields = []
+    for t in ts:
+        entries = [FieldEntry(c, shear_coefficient(c.cycle.multiplier, 1.0 / t)) for c in charts]
+        fields.append(BeltramiField(germ, tuple(entries)))
+    if box is None:
+        box = box_for(germ)
+    rows = []
+    for field in fields:
+        gm = solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=tol, pad=pad)
+        rows.append([complex(gm(complex(p))) for p in points])
+        del gm  # free this grid map before the next solve allocates its own
+    return rows

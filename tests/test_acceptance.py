@@ -241,7 +241,7 @@ def test_criterion_08_holomorphic_parameter_dependence(capsys):
     points = [0.1 + 0j, 0.1j]
 
     def motion(t: complex) -> np.ndarray:
-        return np.asarray(gd.motion_sample(germ, t, points, n=256, tol=1e-10))
+        return np.asarray(gd.motion_sample(germ, [t], points, n=256, tol=1e-10)[0])
 
     base_t = 0.4 + 0j
     east = motion(base_t + step)

@@ -157,7 +157,7 @@ def test_field_stalls_at_critical_point(quad_germ_wide):
     diag = {}
     v = field.value(-1.0 + 0j, diagnostics=diag)
     assert v == 0
-    assert diag.get("stalled", 0) + diag.get("depth_exhausted", 0) == 1
+    assert diag.get("stalled", 0) + diag.get("unresolved", 0) == 1
 
 
 def test_sample_grid_matches_scalar(field_one_cycle):

@@ -206,6 +206,56 @@ def test_grid_flag_overrides_config(tmp_path):
     assert struct.unpack("<I", raw[:4])[0] == 64
 
 
+@pytest.mark.parametrize(
+    "germ",
+    [
+        {"coeffs": [["a", 0], [1, 0]]},
+        {"coeffs": [[2, 0], [1, 0]], "radius_U": "x"},
+        {"coeffs": [[2, 0], [1, 0]], "alpha": "x"},
+    ],
+)
+def test_non_numeric_germ_exits_2(tmp_path, capsys, germ):
+    rc, _ = run(tmp_path, "cycles", "g.json", {"germ": germ, "orders": [1]})
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: bad germ: ")
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("cycles", {"germ": QUAD, "orders": [True]}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [[0.1, 0]], "orders": [True]}),
+        ("cremer", {"preset": "golden", "degree": True}),
+        ("koenigs", {"germ": QUAD_TIGHT, "order": True}),
+        ("straighten", {"germ": QUAD_TIGHT, "deformations": [{"order": 1, "target": [3, 0]}], "grid": True}),
+    ],
+)
+def test_json_true_is_not_an_integer(tmp_path, command, cfg):
+    rc, _ = run(tmp_path, command, "b.json", cfg)
+    assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("koenigs", {"germ": QUAD_TIGHT, "order": 1, "cycle_index": 7}),
+        ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "cycle_index": 7, "target": [3.0, 0.0]}),
+        (
+            "straighten",
+            {"germ": QUAD_TIGHT, "deformations": [{"order": 1, "target": [3.0, 0.0], "cycle_index": 7}]},
+        ),
+    ],
+)
+def test_cycle_index_out_of_range_exits_3(tmp_path, capsys, command, cfg):
+    # the valid range comes from the computed census, so every command
+    # reports it as a domain failure with the same message
+    rc, _ = run(tmp_path, command, "ci.json", cfg)
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: cycle_index 7 out of range: 1 repelling cycle(s) of order 1 found\n"
+    )
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {"germ": QUAD, "orders": [1, 2]}
     _, out1 = run(tmp_path, "cycles", "da.json", cfg, out="run1")

@@ -83,6 +83,17 @@ def test_json_round_trip(quad_germ):
         gd.Germ.from_json({"coeffs": [[2, 0], [1, 0]], "extra": 1})
 
 
+def test_non_numeric_fields_raise_domain_error():
+    with pytest.raises(DomainError):
+        gd.Germ.from_json({"coeffs": [["a", 0], [1, 0]]})
+    with pytest.raises(DomainError):
+        gd.Germ.from_json({"coeffs": [[2, 0], [1, 0]], "radius_U": "x"})
+    with pytest.raises(DomainError):
+        gd.Germ.create([2, 1], alpha="x")
+    with pytest.raises(DomainError):
+        gd.Germ.create([2, None])
+
+
 @given(
     re=st.floats(-0.1, 0.1),
     im=st.floats(-0.1, 0.1),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import germdeform as gd
+from germdeform import cycles as cycles_mod
 from germdeform.straighten import Box, box_for
 
 
@@ -171,6 +172,23 @@ def test_motion_targets(quad_germ_wide):
         gd.motion_targets(quad_germ_wide, 0j, orders=(1,))
     with pytest.raises(gd.DomainError):
         gd.motion_targets(quad_germ_wide, 1.5 + 0j, orders=(1,))
+
+
+def test_motion_sample_runs_one_census_per_order(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j]
+    points = [0.1 + 0j, 0.05j]
+    separate = [gd.motion_sample(quad_germ, [t], points, orders=(1, 2), n=64)[0] for t in ts]
+    calls = []
+    census = cycles_mod.find_cycles
+
+    def counted(germ, order, *args, **kwargs):
+        calls.append(order)
+        return census(germ, order, *args, **kwargs)
+
+    monkeypatch.setattr(cycles_mod, "find_cycles", counted)
+    rows = gd.motion_sample(quad_germ, ts, points, orders=(1, 2), n=64)
+    assert sorted(calls) == [1, 2]
+    assert rows == separate
 
 
 def test_global_deform_small_grid(quad_germ):
