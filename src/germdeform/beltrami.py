@@ -154,8 +154,9 @@ class BeltramiField:
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
         """Field over an array of points by batched backward walking.
 
-        Points that escape, stall in the inverse step, or run out of depth
-        (unresolved) get 0.
+        Points that escape, stall in the inverse step (or land on a critical
+        point, where the derivative product vanishes), or run out of depth
+        (unresolved) get 0. Each point is classified from its own walk.
         """
         germ = self.germ
         w = np.array(z_grid, dtype=complex)
@@ -205,20 +206,23 @@ class BeltramiField:
                 if conv.all():
                     break
                 dfz = germ.derivative_raw(zn)
-                bad = np.abs(dfz) < 1e-14
-                ok &= ~bad
-                step = np.where(bad, 0, r / np.where(bad, 1, dfz))
-                zn = zn - np.where(conv, 0, step)
+                flat = np.abs(dfz) < 1e-14
+                ok &= conv | ~flat  # only a point still moving can fail here
+                hold = conv | flat
+                zn = zn - np.where(hold, 0, r / np.where(hold, 1, dfz))
             fz = germ.eval_raw(zn)
             ok &= np.abs(fz - wa) <= 1e-10 * np.maximum(1.0, np.abs(wa))
             ok &= np.isfinite(zn)
+            # a preimage on a critical point cannot carry the field forward
+            new_prod = prod[active] * germ.derivative_raw(zn)
+            ok &= new_prod != 0
             idx = np.flatnonzero(active)
             stalled = idx[~ok]
             stalled_total += stalled.size
             active[stalled] = False
             good = idx[ok]
             w[good] = zn[ok]
-            prod[good] = prod[good] * germ.derivative_raw(zn[ok])
+            prod[good] = new_prod[ok]
         if diagnostics is not None:
             diagnostics["escaped"] = escaped_total
             diagnostics["stalled"] = stalled_total

@@ -279,6 +279,9 @@ def _cmd_cremer(cfg: dict, out: Path, args) -> int:
     if (preset is None) == (quotients is None):
         raise ConfigError("give exactly one of preset or quotients")
     if preset is not None:
+        min_count = 2 if preset == "tower" else 1
+        if count < min_count:
+            raise ConfigError("count must be >= %d for preset %r" % (min_count, preset))
         if preset == "golden":
             quots = cremer_mod.golden_quotients(count)
         elif preset == "pell":

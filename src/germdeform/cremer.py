@@ -128,11 +128,7 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
     if count < 2:
         raise DomainError("tower needs at least two quotients")
     quots = [seed]
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for a in quots:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
+    q_prev, q = 1, seed  # q_0 and q_1 of [0; seed]
     while len(quots) < count:
         try:
             x = math.exp(2.0 * float(q))  # OverflowError once q is large
@@ -140,7 +136,6 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
         except (OverflowError, InsufficientDataError):
             break
         quots.append(a_next)
-        p_prev, p = p, a_next * p + p_prev
         q_prev, q = q, a_next * q + q_prev
     if len(quots) < 2:
         raise InsufficientDataError("tower construction produced no usable step")

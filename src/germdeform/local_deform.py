@@ -101,22 +101,22 @@ class LocalConjugacy:
 
 
 def cauchy_cycle_derivative(
-    step_fn: Callable[[complex], complex],
+    step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
     order: int,
     radius: float,
     n_points: int = MEASURE_POINTS,
 ) -> complex:
     """Derivative at a fixed point of the order-fold composition of step_fn,
-    by the trapezoid Cauchy integral on a circle."""
+    by the trapezoid Cauchy integral on a circle. step_fn maps an array of
+    points elementwise and is called once per composition step."""
     theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+    w = np.array([center + radius * cmath.exp(1j * t) for t in theta])
+    for _ in range(order):
+        w = step_fn(w)
     total = 0j
-    for t in theta:
-        z = center + radius * cmath.exp(1j * t)
-        w = z
-        for _ in range(order):
-            w = step_fn(w)
-        total += (w - center) * cmath.exp(-1j * t)
+    for wk, t in zip(w, theta):
+        total += (complex(wk) - center) * cmath.exp(-1j * t)
     return total / (n_points * radius)
 
 
@@ -150,8 +150,12 @@ def measure_multiplier(lc: LocalConjugacy, n_points: int = MEASURE_POINTS) -> co
     else:
         raise UnreliableEstimateError("no usable measuring radius found")
 
+    # each point runs the whole return map before the next starts, so a
+    # circle that leaves a chart fails at its first bad point
+    return_map = np.vectorize(lc.deformed_return_map, otypes=[complex])
+
     def attempt(r: float) -> complex:
-        return cauchy_cycle_derivative(lc.deformed_eval, center, lc.cycle.order, r, n_points)
+        return cauchy_cycle_derivative(return_map, center, 1, r, n_points)
 
     for _ in range(8):
         try:

@@ -67,12 +67,17 @@ class Box:
     def spacing(self, n: int) -> float:
         return 2.0 * self.half_width / n
 
-    def nodes(self, n: int) -> np.ndarray:
+    def nodes(self, n: int, flat_index: np.ndarray | None = None) -> np.ndarray:
+        """The n x n lattice (row i at y, column j at x), or only the nodes
+        at the given row-major flat indices."""
+        if flat_index is None:
+            i, j = np.ogrid[:n, :n]
+        else:
+            i, j = np.divmod(flat_index, n)
         dx = self.spacing(n)
-        xs = self.center.real - self.half_width + dx * np.arange(n)
-        ys = self.center.imag - self.half_width + dx * np.arange(n)
-        gx, gy = np.meshgrid(xs, ys, indexing="xy")
-        return gx + 1j * gy
+        xs = self.center.real - self.half_width + dx * j
+        ys = self.center.imag - self.half_width + dx * i
+        return xs + 1j * ys
 
     def extents(self) -> tuple[float, float, float, float]:
         return (
@@ -209,8 +214,7 @@ class GridMap:
             vals = self.samples.ravel()
             self._tree = cKDTree(np.column_stack([vals.real, vals.imag]))
         _, idx = self._tree.query(np.column_stack([ww.real, ww.imag]))
-        nodes = self.box.nodes(self.n).ravel()
-        z = nodes[idx].astype(complex)
+        z = self.box.nodes(self.n, idx)
         for _ in range(2):
             for _ in range(newton_steps):
                 r = self(z) - ww
@@ -285,8 +289,9 @@ def solve_beltrami(
     mu is sampled on box.nodes(n). A border frame is zeroed (the field is
     expected to be compactly supported well inside the box), the problem is
     embedded in a pad-times larger periodic grid to push wraparound images
-    away, and the fixed point iterates the derivative field with mean and
-    Nyquist-corner channels matched explicitly each sweep.
+    away, and the fixed point iterates the spectrum of the derivative field
+    with mean and Nyquist-corner channels matched explicitly each sweep: one
+    inverse and one forward transform per sweep.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -320,16 +325,22 @@ def solve_beltrami(
         s_mult = np.where(degenerate, 0, np.conj(sc) / sc)
         c_mult = np.where(degenerate, 0, -2j / sc)
     corners = _corner_bins(n)
-    boards = _checkerboards(n)
+    del sc, degenerate
 
-    rho = np.zeros((n, n), dtype=complex)
+    # The iterate is the masked spectrum of rho. s_mult vanishes at the mean
+    # and Nyquist-corner bins, so writing the affine and checkerboard channels
+    # there makes one inverse transform give 1 + S(rho) + the kernel terms.
+    rho_hat = np.zeros((n, n), dtype=complex)
     gam = np.zeros(3, dtype=complex)
     sweeps = 0
     change = math.inf
     for sweeps in range(1, max_sweeps + 1):
-        s_rho = np.fft.ifft2(np.fft.fft2(rho) * s_mult)
-        dh_extra = sum(g * dk * ck for g, dk, ck in zip(gam, _KERNEL_D, boards))
-        t = work * (1.0 + s_rho + dh_extra)
+        t = rho_hat * s_mult
+        t[0, 0] = n * n
+        for k, c in enumerate(corners):
+            t[c] = n * n * gam[k] * _KERNEL_D[k]
+        t = np.fft.ifft2(t)
+        t *= work
         th = np.fft.fft2(t)
         beta = th[0, 0] / (n * n)
         new_gam = np.array(
@@ -339,11 +350,10 @@ def solve_beltrami(
         th[0, 0] = 0
         for c in corners:
             th[c] = 0
-        rho_new = np.fft.ifft2(th)
-        change = float(np.sqrt(np.mean(np.abs(rho_new - rho) ** 2))) + float(
-            np.max(np.abs(new_gam - gam))
-        )
-        rho = rho_new
+        # Parseval: rms of the change in rho is the spectral 2-norm over n^2
+        rho_hat -= th
+        change = float(np.linalg.norm(rho_hat)) / (n * n) + float(np.max(np.abs(new_gam - gam)))
+        rho_hat = th
         gam = new_gam
         if change < tol:
             break
@@ -352,11 +362,13 @@ def solve_beltrami(
             "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, max_sweeps, change)
         )
 
+    del t, work, s_mult  # the final assembly below is the peak of the solve
     big_box = Box(box.center, box.half_width * pad)
     z_big = big_box.nodes(n) - box.center
-    corr = np.fft.ifft2(np.fft.fft2(rho) * c_mult)
+    corr = np.fft.ifft2(rho_hat * c_mult)
     h = z_big + beta * np.conj(z_big) + corr
     x_big, y_big = z_big.real, z_big.imag
+    boards = _checkerboards(n)
     h = h + gam[0] * x_big * boards[0] + gam[1] * y_big * boards[1] + gam[2] * x_big * boards[2]
     h = h + box.center
     h = h[off : off + n0, off : off + n0]
@@ -419,7 +431,8 @@ def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiFiel
 class DeformedGerm:
     """The germ conjugated by the straightening of its invariant field.
 
-    eval(z) computes h(f(h^{-1}(z))); the deformed cycles sit at the
+    eval(z) computes h(f(h^{-1}(z))) on a point or an array of points, with
+    one batched inversion per call; the deformed cycles sit at the
     h-images of the original ones and carry the target multipliers. mu is
     the sampled field the grid map was solved from.
     """
@@ -430,10 +443,13 @@ class DeformedGerm:
         self.grid_map = grid_map
         self.mu = mu
 
-    def eval(self, z: complex) -> complex:
-        u = self.grid_map.inverse(complex(z))
-        v = self.germ.eval(complex(u))
-        return complex(self.grid_map(v))
+    def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
+        u = self.grid_map.inverse(z)
+        uu = np.atleast_1d(u)
+        outside = ~(np.isfinite(uu) & (np.abs(uu) <= self.germ.radius_U))
+        if outside.any():
+            self.germ.eval(uu[outside][0])  # raises Germ.eval's DomainError
+        return self.grid_map(self.germ.eval_raw(u))
 
     def cycle_image(self, entry_index: int = 0) -> complex:
         c = self.field.entries[entry_index].chart.center

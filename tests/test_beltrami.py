@@ -160,6 +160,23 @@ def test_field_stalls_at_critical_point(quad_germ_wide):
     assert diag.get("stalled", 0) + diag.get("unresolved", 0) == 1
 
 
+def test_critical_point_counts_do_not_depend_on_batch(quad_germ_wide):
+    # z = -1 is a critical fixed point: its backward walk lands on a zero
+    # derivative and stalls there, whether or not other points walk with it
+    cycles = gd.find_cycles(quad_germ_wide, 1)
+    rep = [c for c in cycles if c.kind == "repelling"][0]
+    conj = gd.LocalConjugacy.build(quad_germ_wide, rep, 3.0 + 0j)
+    field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.charts[0], conj.shear),))
+    alone, batch = {}, {}
+    field.sample_grid(np.array([-1.0 + 0j]), diagnostics=alone)
+    field.sample_grid(np.array([-1.0 + 0j, 0.3 + 0.2j]), diagnostics=batch)
+    batch_other = {}
+    field.sample_grid(np.array([0.3 + 0.2j]), diagnostics=batch_other)
+    for key in ("escaped", "stalled", "unresolved"):
+        assert batch[key] == alone[key] + batch_other[key]
+    assert alone["stalled"] == 1
+
+
 def test_sample_grid_matches_scalar(field_one_cycle):
     xs = np.linspace(-0.15, 0.15, 7)
     zs = (xs[None, :] + 1j * xs[:, None]).ravel()

@@ -135,6 +135,17 @@ def test_cremer_tower_satisfied(tmp_path):
     assert rep["satisfied"] is True
 
 
+@pytest.mark.parametrize(
+    "preset,count", [("golden", -3), ("golden", 0), ("pell", 0), ("tower", 1)]
+)
+def test_cremer_count_too_small_exits_2(tmp_path, capsys, preset, count):
+    rc, _ = run(
+        tmp_path, "cremer", "cc.json", {"preset": preset, "degree": 2, "count": count}
+    )
+    assert rc == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_render_command(tmp_path):
     rc, out = run(
         tmp_path,

@@ -3,6 +3,7 @@ import pytest
 
 import germdeform as gd
 from germdeform import cycles as cycles_mod
+from germdeform import straighten as st
 from germdeform.straighten import Box, box_for
 
 
@@ -197,3 +198,114 @@ def test_global_deform_small_grid(quad_germ):
     m = dg.measure_multiplier()
     assert abs(m - 3.0) < 0.05
     assert "field" in dg.grid_map.diagnostics
+
+
+def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
+    """The Richardson sweep with four transforms per sweep: rho in the space
+    domain, the checkerboard channels added as products, the change as the
+    rms of the new rho against the old. Returns the normalized samples and
+    the sweep count."""
+    n0 = mu.shape[0]
+    mu = mu.copy()
+    frame = max(2, int(st.BORDER_FRACTION * n0))
+    interior = np.zeros(mu.shape, dtype=bool)
+    interior[frame:-frame, frame:-frame] = True
+    mu[~interior] = 0
+    n = n0 * pad
+    off = (n - n0) // 2
+    work = np.zeros((n, n), dtype=complex)
+    work[off : off + n0, off : off + n0] = mu
+    sc = st._central_symbols(n, box.spacing(n0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
+        c_mult = np.where(sc == 0, 0, -2j / sc)
+    corners = st._corner_bins(n)
+    boards = st._checkerboards(n)
+    rho = np.zeros((n, n), dtype=complex)
+    gam = np.zeros(3, dtype=complex)
+    for sweeps in range(1, st.MAX_SWEEPS + 1):
+        s_rho = np.fft.ifft2(np.fft.fft2(rho) * s_mult)
+        dh_extra = sum(g * d * b for g, d, b in zip(gam, st._KERNEL_D, boards))
+        th = np.fft.fft2(work * (1.0 + s_rho + dh_extra))
+        beta = th[0, 0] / (n * n)
+        new_gam = np.array([th[c] / (n * n) / st._KERNEL_DBAR[k] for k, c in enumerate(corners)])
+        th[0, 0] = 0
+        for c in corners:
+            th[c] = 0
+        rho_new = np.fft.ifft2(th)
+        change = np.sqrt(np.mean(np.abs(rho_new - rho) ** 2)) + np.max(np.abs(new_gam - gam))
+        rho, gam = rho_new, new_gam
+        if change < tol:
+            break
+    z = Box(box.center, box.half_width * pad).nodes(n) - box.center
+    h = z + beta * np.conj(z) + np.fft.ifft2(np.fft.fft2(rho) * c_mult)
+    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+    h = (h + box.center)[off : off + n0, off : off + n0]
+    raw = gd.GridMap(box, h)
+    h0 = raw(0j)
+    return (h - h0) / (raw(1.0 + 0j) - h0), sweeps
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_solver_matches_four_transform_sweep(quad_germ, n):
+    box = box_for(quad_germ)
+    field = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)])
+    mu = field.sample_grid(box.nodes(n))
+    want, sweeps = reference_solve(mu, box)
+    gm = gd.solve_beltrami(mu, box)
+    assert gm.diagnostics["sweeps"] == sweeps
+    assert np.abs(gm.samples - want).max() <= 1e-13
+
+
+def test_box_nodes_at_flat_index():
+    box = Box(0.5 + 0.25j, 2.0)
+    n = 48
+    idx = np.array([0, 1, n - 1, n, 7 * n + 13, n * n - 1, 5])
+    assert np.array_equal(box.nodes(n, idx), box.nodes(n).ravel()[idx])
+
+
+def test_inverse_seeds_are_nearest_sample_nodes(disk_solution, monkeypatch):
+    box, n, _, _, gm = disk_solution
+    w = gm(np.array([0.3 + 0.4j, -0.5 + 0.1j, 0.9 - 0.2j, -1.2 - 1.1j]))
+    seen = []
+    spline_eval = st._spline_eval
+
+    def record(planes, coords, shape):
+        if not seen:
+            seen.append(coords.copy())
+        return spline_eval(planes, coords, shape)
+
+    monkeypatch.setattr(st, "_spline_eval", record)
+    gm.inverse(w)
+    _, idx = gm._tree.query(np.column_stack([w.real, w.imag]))
+    x0, _, y0, _ = box.extents()
+    dx = box.spacing(n)
+    nodes = box.nodes(n).ravel()[idx]
+    assert np.array_equal(seen[0], np.vstack([(nodes.imag - y0) / dx, (nodes.real - x0) / dx]))
+
+
+@pytest.fixture(scope="module")
+def deformed_small(quad_germ):
+    return gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=128)
+
+
+def test_deformed_eval_batch_equals_points(deformed_small):
+    dg = deformed_small
+    center = dg.cycle_image()
+    ring = center + 0.05 * np.exp(2j * np.pi * np.arange(256) / 256)
+    batch = dg.eval(ring)
+    single = np.array([dg.eval(complex(z)) for z in ring])
+    assert batch.shape == ring.shape
+    assert np.abs(batch - single).max() <= 1e-14 * np.abs(single).max()
+
+
+def test_deformed_eval_batch_rejects_points_outside_disk(deformed_small):
+    dg = deformed_small
+    inside = dg.cycle_image()
+    edge = complex(dg.grid_map(0.44 + 0.0j))  # preimage just inside |u| <= 0.45
+    far = complex(dg.grid_map(-0.6 + 0.6j))  # preimage outside the working disk
+    with pytest.raises(gd.DomainError, match="outside working disk"):
+        dg.eval(np.array([inside, far]))
+    with pytest.raises(gd.DomainError, match="outside working disk"):
+        dg.eval(far)
+    assert np.isfinite(dg.eval(np.array([inside, edge]))).all()
