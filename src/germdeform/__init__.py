@@ -45,7 +45,6 @@ from .straighten import (
     build_field,
     global_deform,
     motion_sample,
-    motion_targets,
     solve_beltrami,
 )
 from .cremer import (
@@ -71,7 +70,7 @@ __all__ = [
     "LocalConjugacy", "cauchy_cycle_derivative", "holomorphy_residual", "measure_multiplier",
     "wirtinger_dbar", "wirtinger_pair",
     "Box", "DeformedGerm", "Deformation", "GridMap", "box_for", "build_field",
-    "global_deform", "motion_sample", "motion_targets", "solve_beltrami",
+    "global_deform", "motion_sample", "solve_beltrami",
     "ContinuedFraction", "cremer_margin", "golden_quotients", "growth_ratios",
     "margin_rows_csv", "pell_quotients", "tower_quotients",
     "field_magnitude_raster", "mesh_raster", "to_ppm",

@@ -72,8 +72,18 @@ def growth_ratios(cf: ContinuedFraction) -> list[tuple[int, int, float]]:
         q_next = convs[i + 1][1]
         if q_next < LOGLOG_MIN_Q:
             continue
-        out.append((i + 1, q_n, log_log(q_next) / q_n))
+        out.append((i + 1, q_n, _ratio(log_log(q_next), q_n)))
     return out
+
+
+def _ratio(x: float, q: int) -> float:
+    """x / q, also for q beyond the float range, where the exact integer
+    ratio of x is divided by q (int / int division is correctly rounded)."""
+    try:
+        return x / q
+    except OverflowError:
+        num, den = x.as_integer_ratio()
+        return num / (den * q)
 
 
 def cremer_margin(cf: ContinuedFraction, degree: int, window: int | None = None) -> float:
@@ -146,6 +156,12 @@ def margin_rows_csv(cf: ContinuedFraction, degree: int) -> str:
     """Deterministic per-index table: n, q_n, ratio, margin."""
     rows = growth_ratios(cf)
     logd = math.log(degree)
+    if rows:
+        n, q_max, _ = rows[-1]  # q_n grows with n
+        try:
+            str(q_max)
+        except ValueError as exc:  # past Python's int-to-str digit limit
+            raise DomainError("q_%d is too long to write in decimal: %s" % (n, exc)) from exc
     lines = ["n,q_n,ratio,margin"]
     for n, q_n, r in rows:
         lines.append("%d,%d,%.17g,%.17g" % (n, q_n, r, r - logd))

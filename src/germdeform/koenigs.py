@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ChartError, DomainError, EscapeError
+from .errors import ChartError, DomainError
 from .germ import Germ, horner, horner_derivative
 from .cycles import Cycle
 
@@ -39,75 +39,45 @@ def critical_points(germ: Germ) -> tuple[complex, ...]:
     return tuple(complex(r) for r in roots)
 
 
-def _shifted_series(germ: Germ, p: complex, order: int) -> list[complex]:
-    """Taylor coefficients of f(p+u) - f(p) in u, degrees 1..order.
-
-    Exact binomial shift of the polynomial, so the constant term drops out
-    with no numerical residue.
-    """
-    d = germ.degree
-    out = [0j] * (order + 1)
-    for k in range(1, d + 1):
-        ck = germ.coeffs[k - 1]
-        if ck == 0:
-            continue
-        binom = 1.0
-        # walk m = 0..min(k, order), maintaining C(k, m)
-        for m in range(0, min(k, order) + 1):
-            if m > 0:
-                out[m] += ck * binom * (p ** (k - m))
-            binom = binom * (k - m) / (m + 1)
-    return out[1:]
+# Series are complex arrays indexed by degree, constant term at index 0.
 
 
-def _series_compose(outer: list[complex], inner: list[complex], order: int) -> list[complex]:
-    # both series have zero constant term; coefficients are for degrees 1..order
-    acc = [0j] * order
-    power = inner[:order] + [0j] * (order - len(inner))
-    cur = list(power)
-    for j, cj in enumerate(outer[:order], start=1):
-        if j > 1:
-            cur = _series_mul(cur, power, order)
-        if cj != 0:
-            for i in range(order):
-                acc[i] += cj * cur[i]
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two series, truncated to the length of a."""
+    return np.convolve(a, b)[: len(a)]
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """outer(inner(u)) by Horner's rule, truncated to the length of inner."""
+    acc = np.zeros(len(inner), dtype=complex)
+    for c in outer[::-1]:
+        acc = _mul(acc, inner)
+        acc[0] += c
     return acc
 
 
-def _series_mul(a: list[complex], b: list[complex], order: int) -> list[complex]:
-    # inputs indexed by degree-1, zero constant terms assumed
-    out = [0j] * order
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        di = i + 1
-        if di >= order:
-            break
-        for j, bj in enumerate(b):
-            dj = j + 1
-            if di + dj > order:
-                break
-            out[di + dj - 1] += ai * bj
-    return out
-
-
-def _return_map_series(germ: Germ, points: tuple[complex, ...], base_index: int, order: int) -> list[complex]:
-    """Series of f^q(center + u) - center in u, degrees 1..order."""
+def _return_map_series(germ: Germ, points: tuple[complex, ...], base_index: int, order: int) -> np.ndarray:
+    """Series of f^q(center + u) - center in u, degrees 0..order."""
     q = len(points)
-    cur = [1.0 + 0j] + [0j] * (order - 1)
+    f = np.array((0j,) + germ.coeffs)
+    cur = np.zeros(order + 1, dtype=complex)
+    cur[1] = 1.0
     for step in range(q):
-        p = points[(base_index + step) % q]
-        shifted = _shifted_series(germ, p, order)
-        cur = _series_compose(shifted, cur, order)
+        shift = np.zeros(order + 1, dtype=complex)
+        shift[:2] = points[(base_index + step) % q], 1.0
+        # f(p + u) - f(p), with the constant term cancelled exactly
+        shifted = _compose(f, shift)
+        shifted[0] = 0
+        cur = _compose(shifted, cur)
     return cur
 
 
-def _reversion(a: list[complex], order: int) -> list[complex]:
-    """Series B with A(B(w)) = w for A(u) = u + a2 u^2 + ...; a[0] must be 1."""
-    b = [1.0 + 0j] + [0j] * (order - 1)
-    for k in range(2, order + 1):
-        comp = _series_compose(a, b, k)
-        b[k - 1] = -comp[k - 1]
+def _reversion(a: np.ndarray) -> np.ndarray:
+    """Series B with A(B(w)) = w for A(u) = u + a2 u^2 + ...; a[1] must be 1."""
+    b = np.zeros_like(a)
+    b[1] = 1.0
+    for k in range(2, len(a)):
+        b[k] = -_compose(a[: k + 1], b[: k + 1])[k]
     return b
 
 
@@ -171,20 +141,19 @@ def _ring(center: complex, radius: float, n: int = RING_SAMPLES):
 
 
 def _functional_residual(germ: Germ, chart_coeffs, center, lam, radius, q) -> float:
-    worst = 0.0
-    for z in _ring(center, radius):
-        z = complex(z)
-        try:
-            fz = germ.iterate(z, q).points[-1]
-        except EscapeError:
+    # the ring lies in U (radius <= 0.9 * (radius_U - |center|)); its images
+    # must stay there too, and a point that is not finite fails that test
+    z = _ring(center, radius)
+    fz = z
+    for _ in range(q):
+        fz = germ.eval_raw(fz)
+        if not np.all(np.abs(fz) <= germ.radius_U):
             return math.inf
-        if abs(fz - center) > 4.0 * radius * max(1.0, abs(lam)):
-            return math.inf
-        lhs = complex(horner(chart_coeffs, fz - center))
-        rhs = lam * complex(horner(chart_coeffs, z - center))
-        scale = max(abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    if np.any(np.abs(fz - center) > 4.0 * radius * max(1.0, abs(lam))):
+        return math.inf
+    lhs = horner(chart_coeffs, fz - center)
+    rhs = lam * horner(chart_coeffs, z - center)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
 
 
 def _roundtrip_residual(chart: KoenigsChart) -> float:
@@ -209,24 +178,26 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     center = cycle.points[base_index]
 
     fser = _return_map_series(germ, cycle.points, base_index, SERIES_ORDER)
-    lam = fser[0]
+    lam = complex(fser[1])
     if abs(lam - cycle.multiplier) > 1e-6 * max(1.0, abs(lam)):
         raise ChartError("series linear term disagrees with cycle multiplier")
 
     # phi coefficients from phi(F(u)) = lambda * phi(u), a1 = 1
-    a = [1.0 + 0j] + [0j] * (SERIES_ORDER - 1)
-    powers = [None, list(fser)]  # powers[j] = series of F^j, truncated
+    a = np.zeros(SERIES_ORDER + 1, dtype=complex)
+    a[1] = 1.0
+    powers = [None, fser]  # powers[j] = series of F^j, truncated
     for j in range(2, SERIES_ORDER + 1):
-        powers.append(_series_mul(powers[j - 1], fser, SERIES_ORDER))
+        powers.append(_mul(powers[j - 1], fser))
     for k in range(2, SERIES_ORDER + 1):
         denom = lam ** k - lam
         if abs(denom) < RESONANCE_TOL:
             raise ChartError("resonance at series degree %d" % k)
         s = 0j
         for j in range(1, k):
-            s += a[j - 1] * powers[j][k - 1]
-        a[k - 1] = -s / denom
-    b = _reversion(a, SERIES_ORDER)
+            s += a[j] * powers[j][k]
+        a[k] = -s / denom
+    coeffs = tuple(a[1:].tolist())
+    inverse_coeffs = tuple(_reversion(a)[1:].tolist())
 
     other = [cycle.points[i] for i in range(q) if i != base_index]
     crit = [c for c in critical_points(germ)]
@@ -239,16 +210,16 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
 
     radius = r0
     for _ in range(MAX_HALVINGS + 1):
-        if _functional_residual(germ, a, center, lam, radius, q) < CHART_RESIDUAL_TOL:
+        if _functional_residual(germ, coeffs, center, lam, radius, q) < CHART_RESIDUAL_TOL:
             chart = KoenigsChart(
                 germ=germ,
                 cycle=cycle,
                 base_index=base_index,
                 center=center,
-                multiplier=complex(lam),
+                multiplier=lam,
                 radius=radius,
-                coeffs=tuple(a),
-                inverse_coeffs=tuple(b),
+                coeffs=coeffs,
+                inverse_coeffs=inverse_coeffs,
             )
             if _roundtrip_residual(chart) < CHART_RESIDUAL_TOL:
                 return chart

@@ -33,6 +33,7 @@ from .errors import (
 from .germ import Germ
 from .koenigs import build_chart
 from .local_deform import cauchy_cycle_derivative
+from .numdiff import wirtinger_pair
 
 SOLVER_TOL = 1e-8
 MAX_SWEEPS = 200
@@ -159,7 +160,6 @@ class GridMap:
         self.samples = samples
         self.diagnostics = dict(diagnostics or {})
         self._interp = None
-        self._deriv = None
         self._tree = None
 
     # ---- evaluation ----------------------------------------------------
@@ -187,26 +187,20 @@ class GridMap:
             or np.any(zz.imag < y0) or np.any(zz.imag > y1)
         ):
             raise DomainError("evaluation point outside grid box")
-        coords, shape = self._coords(zz)
-        out = _spline_eval(self._displacement_interp(), coords, shape) + zz
+        out = self._eval_raw(zz)
         return complex(out[0]) if scalar else out
 
-    # ---- derivatives and inversion --------------------------------------
-
-    def _derivative_interps(self):
-        if self._deriv is None:
-            d, db = _wirtinger_grid(self.samples, self.box.spacing(self.n))
-            self._deriv = (_spline_planes(d), _spline_planes(db))
-        return self._deriv
-
-    def derivatives_at(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+    def _eval_raw(self, z: np.ndarray) -> np.ndarray:
+        # unchecked: outside the box the displacement continues its edge values
         coords, shape = self._coords(z)
-        return tuple(_spline_eval(planes, coords, shape) for planes in self._derivative_interps())
+        return _spline_eval(self._displacement_interp(), coords, shape) + z
+
+    # ---- inversion -------------------------------------------------------
 
     def inverse(self, w, newton_steps: int = INVERSE_NEWTON_STEPS):
         """Preimage under h: nearest sampled value as seed, then Newton with
-        the real-linear Wirtinger step."""
+        the real-linear Wirtinger step. The Wirtinger derivatives are
+        central differences of the spline one node apart."""
         w = np.asarray(w, dtype=complex)
         scalar = w.ndim == 0
         ww = np.atleast_1d(w).ravel()
@@ -215,10 +209,11 @@ class GridMap:
             self._tree = cKDTree(np.column_stack([vals.real, vals.imag]))
         _, idx = self._tree.query(np.column_stack([ww.real, ww.imag]))
         z = self.box.nodes(self.n, idx)
+        dx = self.box.spacing(self.n)
         for _ in range(2):
             for _ in range(newton_steps):
                 r = self(z) - ww
-                d, db = self.derivatives_at(z)
+                d, db = wirtinger_pair(self._eval_raw, z, dx)
                 det = np.abs(d) ** 2 - np.abs(db) ** 2
                 if np.any(np.abs(det) < 1e-14):
                     raise SingularDerivativeError("grid map inverse hit a degenerate cell")
@@ -363,15 +358,15 @@ def solve_beltrami(
         )
 
     del t, work, s_mult  # the final assembly below is the peak of the solve
-    big_box = Box(box.center, box.half_width * pad)
-    z_big = big_box.nodes(n) - box.center
-    corr = np.fft.ifft2(rho_hat * c_mult)
-    h = z_big + beta * np.conj(z_big) + corr
+    # assemble h on the n0 x n0 window of the padded grid only
+    window = np.s_[off : off + n0, off : off + n0]
+    rows, cols = np.ogrid[window]
+    z_big = Box(box.center, box.half_width * pad).nodes(n, rows * n + cols) - box.center
+    h = z_big + beta * np.conj(z_big) + np.fft.ifft2(rho_hat * c_mult)[window]
     x_big, y_big = z_big.real, z_big.imag
-    boards = _checkerboards(n)
+    boards = [b[window] for b in _checkerboards(n)]
     h = h + gam[0] * x_big * boards[0] + gam[1] * y_big * boards[1] + gam[2] * x_big * boards[2]
     h = h + box.center
-    h = h[off : off + n0, off : off + n0]
 
     gm = GridMap(box, h)
     # normalize: send 0 to 0 and 1 to 1 exactly
@@ -504,28 +499,6 @@ def global_deform(
     return DeformedGerm(germ, field, gm, mu)
 
 
-def _motion_parameter(t: complex) -> complex:
-    t = complex(t)
-    if t == 0 or abs(t) >= 1.0:
-        raise DomainError("motion parameter must satisfy 0 < |t| < 1")
-    return t
-
-
-def motion_targets(germ: Germ, t: complex, orders: Sequence[int]) -> list[Deformation]:
-    """The standard parameter slice: every repelling cycle of the listed
-    orders is sent to multiplier 1/t, so t must sit in the punctured unit
-    disk minus the degenerate rays."""
-    t = _motion_parameter(t)
-    out = [
-        Deformation(order=q, target=1.0 / t, cycle_index=i)
-        for q in orders
-        for i in range(len(repelling_cycles(germ, q)))
-    ]
-    if not out:
-        raise InsufficientDataError("no repelling cycles found for the requested orders")
-    return out
-
-
 def motion_sample(
     germ: Germ,
     t_values: Sequence[complex],
@@ -536,11 +509,14 @@ def motion_sample(
     tol: float = MOTION_TOL,
     pad: int = DEFAULT_PAD,
 ) -> list[list[complex]]:
-    """h_t at the given points on the motion_targets slice: one row of
-    images and one straightening per t. Every t and shear is checked before
+    """h_t at the given points on the standard parameter slice, where every
+    repelling cycle of the listed orders is sent to multiplier 1/t: one row
+    of images and one straightening per t. Every t and shear is checked before
     the first solve; the census and charts do not depend on t, so they are
     built once and each t only swaps the shears."""
-    ts = [_motion_parameter(t) for t in t_values]
+    ts = [complex(t) for t in t_values]
+    if any(t == 0 or abs(t) >= 1.0 for t in ts):
+        raise DomainError("motion parameter must satisfy 0 < |t| < 1")
     charts = [build_chart(germ, c, 0) for q in orders for c in repelling_cycles(germ, q)]
     if not charts:
         raise InsufficientDataError("no repelling cycles found for the requested orders")

@@ -146,6 +146,20 @@ def test_cremer_count_too_small_exits_2(tmp_path, capsys, preset, count):
     assert "count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [1500, 21000])
+def test_cremer_long_golden_exits_cleanly(tmp_path, capsys, count):
+    # q_n leaves the float range near count 1477 and passes Python's
+    # 4300-digit limit for int-to-str conversion near count 20576
+    rc, out = run(
+        tmp_path, "cremer", "long.json", {"preset": "golden", "degree": 2, "count": count}
+    )
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    if count == 1500:
+        assert rc == 0
+        assert read_csv(out / "cremer.csv")[-1][0] == "1499"
+
+
 def test_render_command(tmp_path):
     rc, out = run(
         tmp_path,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,17 @@ def test_growth_ratio_contents():
         assert r > 0
     # denominators are increasing Fibonacci numbers
     assert [q for _, q, _ in rows] == sorted(q for _, q, _ in rows)
+
+
+def test_growth_ratio_past_float_range():
+    # q_n of the golden mean leaves the float range near n = 1477; the
+    # ratio is then the correctly rounded quotient, deep in the subnormals
+    cf = gd.ContinuedFraction(gd.golden_quotients(1500))
+    n, q_n, r = gd.growth_ratios(cf)[-1]
+    q_next = cf.convergents()[n][1]
+    assert q_n > 2**1024
+    assert r == float(Fraction(math.log(math.log(q_next))) / q_n)
+    assert 0 < r < 1e-300
 
 
 def test_margin_window():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,9 @@ def test_chart_series_is_log1p(chart):
     # phi'(0) = 1, i.e. coefficients (-1)^(k+1)/k
     want = [(-1.0) ** (k + 1) / k for k in range(1, len(chart.coeffs) + 1)]
     assert np.allclose(chart.coeffs, want, rtol=0, atol=1e-12)
+    # its reversion is psi(w) = e^w - 1, coefficients 1/k!
+    want = [1.0 / math.factorial(k) for k in range(1, len(chart.inverse_coeffs) + 1)]
+    assert np.allclose(chart.inverse_coeffs, want, rtol=0, atol=1e-12)
 
 
 def test_chart_radius(chart):
@@ -59,18 +64,19 @@ def test_chart_rejects_non_repelling(quad_germ_wide):
         gd.build_chart(quad_germ_wide, attracting)
 
 
-def test_chart_at_two_cycle(quad_germ_wide):
-    two = gd.find_cycles(quad_germ_wide, 2)[0]
-    for idx in range(2):
-        ch = gd.build_chart(quad_germ_wide, two, base_index=idx)
-        assert ch.multiplier == pytest.approx(4.0)
-        assert ch.center == pytest.approx(two.points[idx])
-        # functional equation for the return map f^2
-        g = quad_germ_wide
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_chart_at_cycle_of_order(quad_germ_wide, order):
+    cycle = gd.repelling_cycle(quad_germ_wide, order, 0)
+    lam = 2.0 ** order
+    for idx in range(order):
+        ch = gd.build_chart(quad_germ_wide, cycle, base_index=idx)
+        assert ch.multiplier == pytest.approx(lam)
+        assert ch.center == pytest.approx(cycle.points[idx])
+        # functional equation for the return map f^q
         for t in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
-            z = ch.center + 0.8 * ch.radius * np.exp(1j * t)
-            w = g.eval(g.eval(complex(z)))
-            assert abs(ch.phi_raw(w) - 4.0 * ch.phi(complex(z))) < 1e-7 * abs(ch.phi(complex(z)))
+            z = complex(ch.center + 0.8 * ch.radius * np.exp(1j * t))
+            w = quad_germ_wide.iterate(z, order).points[-1]
+            assert abs(ch.phi_raw(w) - lam * ch.phi(z)) < 1e-7 * abs(ch.phi(z))
 
 
 def test_iterative_agrees_with_series(chart):

@@ -165,14 +165,26 @@ def test_select_cycle_errors(quad_germ_wide):
         )
 
 
-def test_motion_targets(quad_germ_wide):
-    defs = gd.motion_targets(quad_germ_wide, 0.4 + 0j, orders=(1,))
-    assert len(defs) == 1
-    assert defs[0].target == pytest.approx(2.5)
+@pytest.mark.parametrize("bad_t", [0j, 1.5 + 0j], ids=["zero", "outside"])
+def test_motion_sample_rejects_t_before_any_solve(monkeypatch, quad_germ_wide, bad_t):
+    solves = []
+    monkeypatch.setattr(st, "solve_beltrami", lambda *a, **k: solves.append(a))
     with pytest.raises(gd.DomainError):
-        gd.motion_targets(quad_germ_wide, 0j, orders=(1,))
-    with pytest.raises(gd.DomainError):
-        gd.motion_targets(quad_germ_wide, 1.5 + 0j, orders=(1,))
+        gd.motion_sample(quad_germ_wide, [0.4 + 0j, bad_t], [0.1 + 0j], n=32)
+    assert solves == []
+
+
+def test_motion_sample_sends_cycles_to_one_over_t(monkeypatch, quad_germ):
+    targets = []
+    shear = st.shear_coefficient
+
+    def recorded(multiplier, target):
+        targets.append(target)
+        return shear(multiplier, target)
+
+    monkeypatch.setattr(st, "shear_coefficient", recorded)
+    gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], n=32)
+    assert targets == [pytest.approx(2.5)]
 
 
 def test_motion_sample_runs_one_census_per_order(monkeypatch, quad_germ):
