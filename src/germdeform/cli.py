@@ -294,9 +294,9 @@ def _cmd_cremer(cfg: dict, out: Path, args) -> int:
         if not all(isinstance(a, int) for a in quotients):
             raise ConfigError("quotients must be integers")
         quots = tuple(quotients)
-    cf = cremer_mod.ContinuedFraction(quots)
-    margin = cremer_mod.cremer_margin(cf, degree, window)
-    _write(out, "cremer.csv", cremer_mod.margin_rows_csv(cf, degree))
+    ratios = cremer_mod.growth_ratios(cremer_mod.ContinuedFraction(quots))
+    margin = cremer_mod.cremer_margin(ratios, degree, window)
+    _write(out, "cremer.csv", cremer_mod.margin_rows_csv(ratios, degree))
     _write(
         out,
         "cremer.json",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError
 
@@ -63,6 +64,9 @@ def log_log(q: int) -> float:
     return math.log(math.log(q))
 
 
+GrowthRatios = Sequence[tuple[int, int, float]]
+
+
 def growth_ratios(cf: ContinuedFraction) -> list[tuple[int, int, float]]:
     """(index n, q_n, log log q_{n+1} / q_n) for every evaluable n."""
     convs = cf.convergents()
@@ -76,6 +80,10 @@ def growth_ratios(cf: ContinuedFraction) -> list[tuple[int, int, float]]:
     return out
 
 
+def _ratios_of(cf: ContinuedFraction | GrowthRatios) -> GrowthRatios:
+    return growth_ratios(cf) if isinstance(cf, ContinuedFraction) else cf
+
+
 def _ratio(x: float, q: int) -> float:
     """x / q, also for q beyond the float range, where the exact integer
     ratio of x is divided by q (int / int division is correctly rounded)."""
@@ -86,15 +94,19 @@ def _ratio(x: float, q: int) -> float:
         return num / (den * q)
 
 
-def cremer_margin(cf: ContinuedFraction, degree: int, window: int | None = None) -> float:
+def cremer_margin(
+    cf: ContinuedFraction | GrowthRatios, degree: int, window: int | None = None
+) -> float:
     """max over the window of log log q_{n+1}/q_n minus log(degree).
 
     Positive margin certifies the small-divisor condition for that degree.
     The window is the trailing count of evaluable indices; None means all.
+    cf may also be given as its growth_ratios, computed once by a caller
+    that needs them again.
     """
     if degree < 2:
         raise DomainError("degree must be >= 2")
-    ratios = growth_ratios(cf)
+    ratios = _ratios_of(cf)
     if window is not None:
         if window < 1:
             raise DomainError("window must be >= 1")
@@ -152,9 +164,10 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
     return tuple(quots)
 
 
-def margin_rows_csv(cf: ContinuedFraction, degree: int) -> str:
-    """Deterministic per-index table: n, q_n, ratio, margin."""
-    rows = growth_ratios(cf)
+def margin_rows_csv(cf: ContinuedFraction | GrowthRatios, degree: int) -> str:
+    """Deterministic per-index table: n, q_n, ratio, margin. cf may also be
+    given as its growth_ratios."""
+    rows = _ratios_of(cf)
     logd = math.log(degree)
     if rows:
         n, q_max, _ = rows[-1]  # q_n grows with n

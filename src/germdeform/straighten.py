@@ -6,8 +6,11 @@ the FFT. Central-difference Wirtinger operators make the sweep multiplier
 unimodular, so the iteration contracts whenever sup|mu| < 1. The four modes
 the central stencil cannot see (mean and the three Nyquist corners) are
 matched explicitly through an affine channel and three checkerboard kernel
-terms. Conjugating the germ by h realizes the requested multipliers
-globally; sampling h along a parameter path gives the motion probe.
+terms. mu lives on a block of rows and columns of the padded grid, so each
+2-D transform runs as its two 1-D passes and skips the lines that are zero
+or never read; the bits are those of the full 2-D transforms. Conjugating
+the germ by h realizes the requested multipliers globally; sampling h along
+a parameter path gives the motion probe.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ def _spline_eval(planes, coords, shape) -> np.ndarray:
         for p in planes
     )
     return (re + 1j * im).reshape(shape)
+
+
+def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
+    """First and one-past-last index of the True entries, shifted by off
+    ((off, off) when there are none)."""
+    idx = np.flatnonzero(nonzero)
+    return (off + int(idx[0]), off + int(idx[-1]) + 1) if idx.size else (off, off)
 
 
 _KERNEL_DBAR = (-0.5, -0.5j, -0.5)
@@ -287,6 +297,15 @@ def solve_beltrami(
     away, and the fixed point iterates the spectrum of the derivative field
     with mean and Nyquist-corner channels matched explicitly each sweep: one
     inverse and one forward transform per sweep.
+
+    The transforms are pruned to mu's support, rows r0:r1 and columns c0:c1
+    of the padded grid. The inverse runs along rows on all n rows, then
+    along columns on c0:c1 only, keeping rows r0:r1; the product with mu is
+    that block. The forward transform runs along rows on the r1 - r0 support
+    rows, then along columns on all n columns. The final correction is
+    inverted on the n0 x n0 window the same way. numpy's 2-D transforms do
+    these 1-D passes in this order, so every output bit is the same, at
+    2n + (r1 - r0) + (c1 - c0) length-n transforms per sweep instead of 4n.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -309,9 +328,12 @@ def solve_beltrami(
     mu[~interior] = 0
 
     n = n0 * pad
-    work = np.zeros((n, n), dtype=complex)
     off = (n - n0) // 2
-    work[off : off + n0, off : off + n0] = mu
+    r0, r1 = _support_span(mu.any(axis=1), off)
+    c0, c1 = _support_span(mu.any(axis=0), off)
+    work = mu[r0 - off : r1 - off, c0 - off : c1 - off]
+    lines = np.zeros((r1 - r0, n), dtype=complex)  # mu * dh on the support rows
+    spread = np.zeros((n, n), dtype=complex)  # their row transforms, zero elsewhere
 
     dx = box.spacing(n0)
     sc = _central_symbols(n, dx)
@@ -334,9 +356,10 @@ def solve_beltrami(
         t[0, 0] = n * n
         for k, c in enumerate(corners):
             t[c] = n * n * gam[k] * _KERNEL_D[k]
-        t = np.fft.ifft2(t)
-        t *= work
-        th = np.fft.fft2(t)
+        t = np.fft.ifftn(t, axes=(1,))
+        lines[:, c0:c1] = np.fft.ifftn(t[:, c0:c1], axes=(0,))[r0:r1] * work
+        spread[r0:r1] = np.fft.fftn(lines, axes=(1,))
+        th = np.fft.fftn(spread, axes=(0,))
         beta = th[0, 0] / (n * n)
         new_gam = np.array(
             [th[c] / (n * n) / _KERNEL_DBAR[k] for k, c in enumerate(corners)],
@@ -357,12 +380,13 @@ def solve_beltrami(
             "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, max_sweeps, change)
         )
 
-    del t, work, s_mult  # the final assembly below is the peak of the solve
+    del t, lines, spread, s_mult  # the final assembly below is the peak of the solve
     # assemble h on the n0 x n0 window of the padded grid only
     window = np.s_[off : off + n0, off : off + n0]
     rows, cols = np.ogrid[window]
     z_big = Box(box.center, box.half_width * pad).nodes(n, rows * n + cols) - box.center
-    h = z_big + beta * np.conj(z_big) + np.fft.ifft2(rho_hat * c_mult)[window]
+    corr = np.fft.ifftn(rho_hat * c_mult, axes=(1,))[:, off : off + n0]
+    h = z_big + beta * np.conj(z_big) + np.fft.ifftn(corr, axes=(0,))[off : off + n0]
     x_big, y_big = z_big.real, z_big.imag
     boards = [b[window] for b in _checkerboards(n)]
     h = h + gam[0] * x_big * boards[0] + gam[1] * y_big * boards[1] + gam[2] * x_big * boards[2]
@@ -529,6 +553,6 @@ def motion_sample(
     rows = []
     for field in fields:
         gm = solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=tol, pad=pad)
-        rows.append([complex(gm(complex(p))) for p in points])
+        rows.append(gm(np.asarray(points, dtype=complex)).tolist())
         del gm  # free this grid map before the next solve allocates its own
     return rows

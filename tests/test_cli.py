@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import germdeform as gd
+from germdeform import cremer as cremer_mod
 from germdeform.cli import main
 
 QUAD = {"coeffs": [[2, 0], [1, 0]], "radius_U": 3.0}
@@ -133,6 +134,18 @@ def test_cremer_tower_satisfied(tmp_path):
     assert rc == 0
     rep = json.loads((out / "cremer.json").read_text())
     assert rep["satisfied"] is True
+
+
+def test_cremer_computes_growth_ratios_once(tmp_path, monkeypatch):
+    calls = []
+    ratios = cremer_mod.growth_ratios
+    monkeypatch.setattr(cremer_mod, "growth_ratios", lambda cf: calls.append(cf) or ratios(cf))
+    rc, out = run(tmp_path, "cremer", "cr.json", {"preset": "golden", "degree": 2, "count": 40})
+    assert rc == 0
+    assert len(calls) == 1
+    cf = gd.ContinuedFraction(gd.golden_quotients(40))
+    assert (out / "cremer.csv").read_text(encoding="utf-8") == gd.margin_rows_csv(cf, 2)
+    assert json.loads((out / "cremer.json").read_text())["margin"] == gd.cremer_margin(cf, 2)
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,31 @@ def test_motion_sample_runs_one_census_per_order(monkeypatch, quad_germ):
     assert rows == separate
 
 
+def test_motion_rows_are_pointwise_grid_map_values(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.3 - 0.1j]
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    maps = []
+    solve = st.solve_beltrami
+
+    def kept(*args, **kwargs):
+        maps.append(solve(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(st, "solve_beltrami", kept)
+    calls = []
+    evaluate = st.GridMap.__call__
+
+    def counted(self, z):
+        calls.append(self)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(st.GridMap, "__call__", counted)
+    rows = gd.motion_sample(quad_germ, ts, points, n=64)
+    # one batched evaluation per t, equal to evaluating each point alone
+    assert [sum(c is gm for c in calls) for gm in maps] == [1, 1]
+    assert rows == [[evaluate(gm, p) for p in points] for gm in maps]
+
+
 def test_global_deform_small_grid(quad_germ):
     # coarse run end to end: the measured multiplier moves toward the target
     dg = gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=256)
@@ -267,6 +292,93 @@ def test_solver_matches_four_transform_sweep(quad_germ, n):
     gm = gd.solve_beltrami(mu, box)
     assert gm.diagnostics["sweeps"] == sweeps
     assert np.abs(gm.samples - want).max() <= 1e-13
+
+
+def full_grid_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
+    """The two-transform sweep on the whole padded grid: mu embedded in an
+    n x n array, one ifft2 and one fft2 per sweep, the correction by ifft2 of
+    the full spectrum. Same arithmetic as the pruned solver, so the result
+    must match it bit for bit. Returns the normalized samples, the sweep
+    count and the last change."""
+    n0 = mu.shape[0]
+    mu = mu.copy()
+    frame = max(2, int(st.BORDER_FRACTION * n0))
+    interior = np.zeros(mu.shape, dtype=bool)
+    interior[frame:-frame, frame:-frame] = True
+    mu[~interior] = 0
+    n = n0 * pad
+    off = (n - n0) // 2
+    work = np.zeros((n, n), dtype=complex)
+    work[off : off + n0, off : off + n0] = mu
+    sc = st._central_symbols(n, box.spacing(n0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
+        c_mult = np.where(sc == 0, 0, -2j / sc)
+    corners = st._corner_bins(n)
+    rho_hat = np.zeros((n, n), dtype=complex)
+    gam = np.zeros(3, dtype=complex)
+    for sweeps in range(1, st.MAX_SWEEPS + 1):
+        t = rho_hat * s_mult
+        t[0, 0] = n * n
+        for k, c in enumerate(corners):
+            t[c] = n * n * gam[k] * st._KERNEL_D[k]
+        th = np.fft.fft2(np.fft.ifft2(t) * work)
+        beta = th[0, 0] / (n * n)
+        new_gam = np.array(
+            [th[c] / (n * n) / st._KERNEL_DBAR[k] for k, c in enumerate(corners)], dtype=complex
+        )
+        th[0, 0] = 0
+        for c in corners:
+            th[c] = 0
+        rho_hat -= th
+        change = float(np.linalg.norm(rho_hat)) / (n * n) + float(np.max(np.abs(new_gam - gam)))
+        rho_hat, gam = th, new_gam
+        if change < tol:
+            break
+    window = np.s_[off : off + n0, off : off + n0]
+    rows, cols = np.ogrid[window]
+    z = Box(box.center, box.half_width * pad).nodes(n, rows * n + cols) - box.center
+    h = z + beta * np.conj(z) + np.fft.ifft2(rho_hat * c_mult)[window]
+    boards = [b[window] for b in st._checkerboards(n)]
+    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+    h = h + box.center
+    raw = gd.GridMap(box, h)
+    h0 = raw(0j)
+    return (h - h0) / (raw(1.0 + 0j) - h0), sweeps, change
+
+
+def _support_mu(kind: str) -> np.ndarray:
+    mu = np.zeros((64, 64), dtype=complex)
+    if kind == "rectangle-on-frame":
+        mu[0:20, 25:40] = 0.3 + 0.1j  # the frame clips it to start on the frame's edge
+    elif kind == "row":
+        mu[30, 10:50] = 0.4
+    elif kind == "column":
+        mu[8:56, 33] = -0.35j
+    else:
+        mu[40, 21] = 0.5 - 0.2j
+    return mu
+
+
+@pytest.mark.parametrize("kind", ["rectangle-on-frame", "row", "column", "node"])
+def test_pruned_sweep_is_bitwise_full_grid_sweep(kind):
+    box = Box(0.2 + 0.1j, 1.5)
+    mu = _support_mu(kind)
+    want, sweeps, change = full_grid_solve(mu, box)
+    gm = gd.solve_beltrami(mu, box)
+    assert (gm.diagnostics["sweeps"], gm.diagnostics["final_change"]) == (sweeps, change)
+    assert np.array_equal(gm.samples, want)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_pruned_sweep_is_bitwise_full_grid_sweep_on_germ_field(quad_germ, n):
+    box = box_for(quad_germ)
+    field = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)])
+    mu = field.sample_grid(box.nodes(n))
+    want, sweeps, change = full_grid_solve(mu, box)
+    gm = gd.solve_beltrami(mu, box)
+    assert (gm.diagnostics["sweeps"], gm.diagnostics["final_change"]) == (sweeps, change)
+    assert np.array_equal(gm.samples, want)
 
 
 def test_box_nodes_at_flat_index():
