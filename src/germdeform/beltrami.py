@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, ShearError
-from .germ import Germ
+from .germ import DERIVATIVE_FLOOR, Germ
 from .koenigs import KoenigsChart
 
 TWO_PI = 2.0 * math.pi
@@ -130,7 +130,6 @@ class BeltramiField:
 
     germ: Germ
     entries: tuple[FieldEntry, ...]
-    transport_depth: int = TRANSPORT_DEPTH
 
     def __post_init__(self):
         if not self.entries:
@@ -166,7 +165,7 @@ class BeltramiField:
         prod = np.ones_like(w)
         active = np.isfinite(w)
         escaped_total = stalled_total = 0
-        for m in range(self.transport_depth + 1):
+        for m in range(TRANSPORT_DEPTH + 1):
             if not active.any():
                 break
             esc = active & (np.abs(w) > germ.radius_U)
@@ -195,26 +194,16 @@ class BeltramiField:
                     active &= ~hit
             if not active.any():
                 break
-            # one batched Newton inverse step from the current position
+            # one batched Newton inverse step from the current position; a
+            # point that ran out of iterations still counts when its residual
+            # is within 1e-10 and it has not stopped on a flat derivative
             wa = w[active]
-            zn = wa.copy()
-            ok = np.ones(wa.shape, dtype=bool)
-            for _ in range(40):
-                fz = germ.eval_raw(zn)
-                r = fz - wa
-                conv = np.abs(r) <= 1e-12 * np.maximum(1.0, np.abs(wa))
-                if conv.all():
-                    break
-                dfz = germ.derivative_raw(zn)
-                flat = np.abs(dfz) < 1e-14
-                ok &= conv | ~flat  # only a point still moving can fail here
-                hold = conv | flat
-                zn = zn - np.where(hold, 0, r / np.where(hold, 1, dfz))
-            fz = germ.eval_raw(zn)
-            ok &= np.abs(fz - wa) <= 1e-10 * np.maximum(1.0, np.abs(wa))
-            ok &= np.isfinite(zn)
+            zn, ok = germ.preimages(wa, wa)
+            dz = germ.derivative_raw(zn)
+            close = np.abs(germ.eval_raw(zn) - wa) <= 1e-10 * np.maximum(1.0, np.abs(wa))
+            ok |= close & np.isfinite(zn) & (np.abs(dz) >= DERIVATIVE_FLOOR)
             # a preimage on a critical point cannot carry the field forward
-            new_prod = prod[active] * germ.derivative_raw(zn)
+            new_prod = prod[active] * dz
             ok &= new_prod != 0
             idx = np.flatnonzero(active)
             stalled = idx[~ok]

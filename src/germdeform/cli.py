@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -115,8 +116,16 @@ def _deformations_from(cfg: dict) -> list[Deformation]:
     return out
 
 
+def _orders_from(cfg: dict, default=_REQUIRED) -> list[int]:
+    orders = _take(cfg, "orders", list, default)
+    if not orders or not all(type(q) is int and q >= 1 for q in orders):
+        raise ConfigError("orders must be a nonempty list of positive integers")
+    return orders
+
+
 def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float, int]:
-    """grid, solver_tol and pad from the config; --grid and --tol win over it."""
+    """grid, solver_tol and pad from the config; --grid and --tol win over it.
+    A tolerance the sweeps can never reach is refused before any work."""
     n = _take(cfg, "grid", int, grid)
     tol = _take(cfg, "solver_tol", (int, float), tol)
     pad = _take(cfg, "pad", int, DEFAULT_PAD)
@@ -124,7 +133,10 @@ def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float
         n = args.grid
     if args.tol is not None:
         tol = args.tol
-    return n, float(tol), pad
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("solver_tol must be finite and > 0 (got %r)" % tol)
+    return n, tol, pad
 
 
 def _write(out_dir: Path, name: str, payload) -> Path:
@@ -146,10 +158,8 @@ def _dump_json(obj) -> str:
 
 def _cmd_cycles(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
-    orders = _take(cfg, "orders", list)
+    orders = _orders_from(cfg)
     _finish(cfg)
-    if not orders or not all(type(q) is int and q >= 1 for q in orders):
-        raise ConfigError("orders must be a nonempty list of positive integers")
     all_cycles = []
     for q in orders:
         all_cycles.extend(find_cycles(germ, q))
@@ -194,9 +204,7 @@ def _cmd_deform_local(cfg: dict, out: Path, args) -> int:
     measured = measure_multiplier(lc)
     rel = abs(measured - target) / abs(target)
     r = lc.working_radius()
-    res_deformed = holomorphy_residual(
-        lc.deformed_return_map, lc.cycle.base, r, auto_shrink=True
-    )
+    res_deformed = holomorphy_residual(lc.deformed_return_map, lc.cycle.base, r)
     report = {
         "germ": germ.to_json(),
         "order": order,
@@ -248,13 +256,11 @@ def _cmd_motion(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     t_values = [_complex_pair(v, "t value") for v in _take(cfg, "t_values", list)]
     points = [_complex_pair(v, "sample point") for v in _take(cfg, "points", list)]
-    orders = _take(cfg, "orders", list, [1])
+    orders = _orders_from(cfg, [1])
     n, tol, pad = _solver_settings(cfg, args, MOTION_GRID, MOTION_TOL)
     _finish(cfg)
     if not t_values or not points:
         raise ConfigError("t_values and points must be nonempty")
-    if not all(type(q) is int and q >= 1 for q in orders):
-        raise ConfigError("orders must be positive integers")
     rows = motion_sample(germ, t_values, points, orders=orders, n=n, tol=tol, pad=pad)
     lines = ["t_re,t_im,point_re,point_im,image_re,image_im"]
     for t, images in zip(t_values, rows):
@@ -322,6 +328,8 @@ def _cmd_render(cfg: dict, out: Path, args) -> int:
     lines = _take(cfg, "lines", int, MESH_LINES)
     with_csv = _take(cfg, "field_csv", bool, False)
     _finish(cfg)
+    if lines < 1:
+        raise ConfigError("lines must be >= 1 (got %d)" % lines)
     dg = global_deform(germ, deformations, box=box, n=n, tol=tol, pad=pad)
     _write(out, "field.ppm", to_ppm(field_magnitude_raster(dg.mu)))
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))
@@ -330,6 +338,9 @@ def _cmd_render(cfg: dict, out: Path, args) -> int:
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
     return 0
 
+
+# the subcommands that run the grid solve, and so take --grid and --tol
+_SOLVER_COMMANDS = ("straighten", "motion", "render")
 
 _COMMANDS = {
     "cycles": _cmd_cycles,
@@ -352,8 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid", type=int, default=None, help="override grid size")
-        p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
+        if name in _SOLVER_COMMANDS:
+            p.add_argument("--grid", type=int, default=None, help="override grid size")
+            p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
     return parser
 
 

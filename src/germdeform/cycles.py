@@ -22,7 +22,7 @@ DEDUP_EPS = 1e-9
 INDIFFERENT_BAND = 1e-9
 CRITICAL_FLOOR = 1e-14
 
-SEED_GRID_DEFAULT = 24
+SEED_GRID = 24
 SEED_RING_COUNT = 8
 SEED_RING_POINTS = 32
 
@@ -101,9 +101,9 @@ def _newton_periodic(germ: Germ, seed: complex, q: int) -> complex | None:
     return None
 
 
-def _seeds(germ: Germ, seed_grid: int):
+def _seeds(germ: Germ):
     r = germ.radius_U
-    xs = np.linspace(-r, r, seed_grid)
+    xs = np.linspace(-r, r, SEED_GRID)
     gx, gy = np.meshgrid(xs, xs)
     pts = (gx + 1j * gy).ravel()
     pts = pts[np.abs(pts) <= r]
@@ -144,7 +144,7 @@ def _canonical_rotation(points: tuple[complex, ...]) -> tuple[complex, ...]:
 def find_cycles(
     germ: Germ,
     order: int,
-    seed_grid: int = SEED_GRID_DEFAULT,
+    *,
     diagnostics: dict[str, Any] | None = None,
 ) -> list[Cycle]:
     """All primitive cycles of the given order inside the working disk.
@@ -157,7 +157,7 @@ def find_cycles(
         raise DomainError("cycle order must be >= 1")
     found: list[tuple[complex, ...]] = []
     attempted = converged = 0
-    for seed in _seeds(germ, seed_grid):
+    for seed in _seeds(germ):
         attempted += 1
         z = _newton_periodic(germ, complex(seed), order)
         if z is None:

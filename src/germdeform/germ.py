@@ -31,7 +31,7 @@ RADIUS_SHRINK = 0.9
 RADIUS_MIN = 1e-6
 
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITERS = 64
+NEWTON_MAX_ITERS = 40
 DERIVATIVE_FLOOR = 1e-14
 
 ALPHA_MATCH_TOL = 1e-12
@@ -182,26 +182,49 @@ class Germ:
             points.append(w)
         return Orbit(points=tuple(points), derivative_product=prod)
 
+    def preimages(
+        self, w: np.ndarray, guess: np.ndarray, tol: float = NEWTON_TOL
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched Newton solve of f(z) = w from the guesses, on 1-d arrays.
+
+        Returns (z, converged). A point leaves the batch once its residual
+        is within tol * max(1, |w|) (converged) or its derivative drops
+        below the floor (or is NaN); a point still moving after
+        NEWTON_MAX_ITERS steps keeps its last iterate.
+        """
+        w = np.asarray(w, dtype=complex)
+        z = np.array(guess, dtype=complex)
+        scale = np.maximum(1.0, np.abs(w))
+        converged = np.zeros(w.shape, dtype=bool)
+        live = np.arange(w.size)
+        for _ in range(NEWTON_MAX_ITERS):
+            zl = z[live]
+            r = horner(self.coeffs, zl) - w[live]
+            done = np.abs(r) <= tol * scale[live]
+            converged[live[done]] = True
+            d = horner_derivative(self.coeffs, zl)
+            step = ~done & (np.abs(d) >= DERIVATIVE_FLOOR)
+            live = live[step]
+            if not live.size:
+                break
+            z[live] = zl[step] - r[step] / d[step]
+        return z, converged
+
     def inverse_step(self, w: complex, guess: complex, tol: float = NEWTON_TOL) -> complex:
-        """Newton solve of f(z) = w from the given guess.
+        """Newton solve of f(z) = w from the given guess (preimages on one
+        point).
 
         Which preimage you get depends on the guess; near a repelling cycle
         the cycle point itself is a safe guess for the branch staying in U.
         """
-        w = complex(w)
-        z = complex(guess)
-        scale = max(1.0, abs(w))
-        for _ in range(NEWTON_MAX_ITERS):
-            fz = complex(horner(self.coeffs, z))
-            r = fz - w
-            if abs(r) <= tol * scale:
-                return z
-            d = complex(horner_derivative(self.coeffs, z))
-            if abs(d) < DERIVATIVE_FLOOR:
-                raise SingularDerivativeError("derivative vanished during inverse step")
-            z = z - r / d
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ConvergenceError("inverse step diverged")
+        z, ok = self.preimages(np.array([complex(w)]), np.array([complex(guess)]), tol)
+        z = complex(z[0])
+        if ok[0]:
+            return z
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ConvergenceError("inverse step diverged")
+        if abs(complex(horner_derivative(self.coeffs, z))) < DERIVATIVE_FLOOR:
+            raise SingularDerivativeError("derivative vanished during inverse step")
         raise ConvergenceError("inverse step did not converge in %d iterations" % NEWTON_MAX_ITERS)
 
     def to_json(self) -> dict[str, Any]:

@@ -168,13 +168,17 @@ def _roundtrip_residual(chart: KoenigsChart) -> float:
 def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     """Koenigs chart at one point of a repelling cycle.
 
-    Raises ChartError on resonance (|lambda^k - lambda| below the guard for
-    some series degree) or when no radius passes validation.
+    Raises DomainError when base_index is not in [0, order), and ChartError
+    on resonance (|lambda^k - lambda| below the guard for some series
+    degree) or when no radius passes validation.
     """
     if cycle.kind != "repelling":
         raise ChartError("chart requires a repelling cycle (got %s)" % cycle.kind)
     q = cycle.order
-    base_index %= q
+    if not 0 <= base_index < q:
+        raise DomainError(
+            "base_index %d out of range for a cycle of order %d" % (base_index, q)
+        )
     center = cycle.points[base_index]
 
     fser = _return_map_series(germ, cycle.points, base_index, SERIES_ORDER)
@@ -227,7 +231,7 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     raise ChartError("no chart radius passed validation after %d halvings" % MAX_HALVINGS)
 
 
-def phi_iterative(chart: KoenigsChart, z: complex, depth: int = ITERATIVE_DEPTH) -> complex:
+def phi_iterative(chart: KoenigsChart, z: complex) -> complex:
     """Koenigs coordinate by its defining limit, independent of the series.
 
     Walks the inverse branch of the return map toward the cycle point and
@@ -242,7 +246,7 @@ def phi_iterative(chart: KoenigsChart, z: complex, depth: int = ITERATIVE_DEPTH)
     cur_idx = i0
     est_prev = w - chart.center
     change_prev = math.inf
-    for n in range(1, depth + 1):
+    for n in range(1, ITERATIVE_DEPTH + 1):
         # one inverse step of f^q along the cycle, linearized guesses
         for s in range(q):
             src_idx = (cur_idx - 1) % q

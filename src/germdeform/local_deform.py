@@ -53,8 +53,8 @@ class LocalConjugacy:
     def target(self) -> complex:
         return self.shear.lam_prime
 
-    def working_radius(self, index: int = 0) -> float:
-        return WORKING_FACTOR * self.charts[index % self.cycle.order].radius
+    def working_radius(self) -> float:
+        return WORKING_FACTOR * self.charts[0].radius
 
     def _nearest_index(self, z: complex) -> int:
         pts = self.cycle.points
@@ -105,22 +105,21 @@ def cauchy_cycle_derivative(
     center: complex,
     order: int,
     radius: float,
-    n_points: int = MEASURE_POINTS,
 ) -> complex:
     """Derivative at a fixed point of the order-fold composition of step_fn,
     by the trapezoid Cauchy integral on a circle. step_fn maps an array of
     points elementwise and is called once per composition step."""
-    theta = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, MEASURE_POINTS, endpoint=False)
     w = np.array([center + radius * cmath.exp(1j * t) for t in theta])
     for _ in range(order):
         w = step_fn(w)
     total = 0j
     for wk, t in zip(w, theta):
         total += (complex(wk) - center) * cmath.exp(-1j * t)
-    return total / (n_points * radius)
+    return total / (MEASURE_POINTS * radius)
 
 
-def measure_multiplier(lc: LocalConjugacy, n_points: int = MEASURE_POINTS) -> complex:
+def measure_multiplier(lc: LocalConjugacy) -> complex:
     """Measured multiplier of the deformed cycle.
 
     The circle radius starts at an eighth of the chart radius and shrinks
@@ -155,7 +154,7 @@ def measure_multiplier(lc: LocalConjugacy, n_points: int = MEASURE_POINTS) -> co
     return_map = np.vectorize(lc.deformed_return_map, otypes=[complex])
 
     def attempt(r: float) -> complex:
-        return cauchy_cycle_derivative(return_map, center, 1, r, n_points)
+        return cauchy_cycle_derivative(return_map, center, 1, r)
 
     for _ in range(8):
         try:
@@ -173,40 +172,32 @@ def measure_multiplier(lc: LocalConjugacy, n_points: int = MEASURE_POINTS) -> co
 
 
 def holomorphy_residual(
-    fn: Callable[[complex], complex],
-    center: complex,
-    radius: float,
-    n_radii: int = RESIDUAL_RADII,
-    n_angles: int = RESIDUAL_ANGLES,
-    step_rel: float = RESIDUAL_STEP_REL,
-    auto_shrink: bool = False,
+    fn: Callable[[complex], complex], center: complex, radius: float
 ) -> float:
     """max |dbar fn| / |d fn| over a polar grid in the disk.
 
     Near zero for holomorphic maps (finite-difference noise only); of order
-    |mu| for a map with Beltrami coefficient mu. With auto_shrink the disk
-    is halved until every probe point is inside fn's domain; the ratio
-    itself does not depend on the disk size for the maps probed here.
+    |mu| for a map with Beltrami coefficient mu. The disk is halved until
+    every probe point is inside fn's domain; the ratio itself does not
+    depend on the disk size for the maps probed here.
     """
     if radius <= 0:
         raise DomainError("residual probe needs a positive radius")
-    for _ in range(20 if auto_shrink else 1):
-        h = step_rel * radius
+    for _ in range(20):
+        h = RESIDUAL_STEP_REL * radius
         worst = 0.0
         seen = False
         try:
-            for i in range(n_radii):
-                r = radius * (0.1 + 0.7 * i / max(1, n_radii - 1))
-                for j in range(n_angles):
-                    z = center + r * cmath.exp(2j * math.pi * j / n_angles)
+            for i in range(RESIDUAL_RADII):
+                r = radius * (0.1 + 0.7 * i / (RESIDUAL_RADII - 1))
+                for j in range(RESIDUAL_ANGLES):
+                    z = center + r * cmath.exp(2j * math.pi * j / RESIDUAL_ANGLES)
                     d, dbar = wirtinger_pair(fn, z, h)
                     if abs(d) < 1e-30:
                         continue
                     seen = True
                     worst = max(worst, abs(dbar) / abs(d))
         except DomainError:
-            if not auto_shrink:
-                raise
             radius *= 0.5
             continue
         if not seen:

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-DEFAULT_STEP = 1e-5
-
 
 def wirtinger_pair(
-    fn: Callable[[complex], complex], at: complex, step: float = DEFAULT_STEP
+    fn: Callable[[complex], complex], at: complex, step: float
 ) -> tuple[complex, complex]:
     """(d/dz, d/dzbar) of fn at a point, by 4-point central differences."""
     fe = fn(at + step)
@@ -20,7 +18,5 @@ def wirtinger_pair(
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def wirtinger_dbar(
-    fn: Callable[[complex], complex], at: complex, step: float = DEFAULT_STEP
-) -> complex:
+def wirtinger_dbar(fn: Callable[[complex], complex], at: complex, step: float) -> complex:
     return wirtinger_pair(fn, at, step)[1]

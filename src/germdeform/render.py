@@ -34,16 +34,12 @@ def field_magnitude_raster(mu_grid: np.ndarray) -> np.ndarray:
     return mag[::-1, :]
 
 
-def mesh_raster(
-    gm: GridMap,
-    lines: int = MESH_LINES,
-    samples: int = MESH_SAMPLES,
-) -> np.ndarray:
+def mesh_raster(gm: GridMap, lines: int = MESH_LINES) -> np.ndarray:
     """Image of a Cartesian mesh under the grid map, white on black."""
     n = gm.n
     canvas = np.zeros((n, n), dtype=float)
     x0, x1, y0, y1 = gm.box.extents()
-    span = np.linspace(0.0, 1.0, samples)
+    span = np.linspace(0.0, 1.0, MESH_SAMPLES)
     levels = np.linspace(0.05, 0.95, lines)
     segs = []
     for lv in levels:

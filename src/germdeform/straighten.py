@@ -127,17 +127,11 @@ def _wirtinger_grid(s: np.ndarray, dx: float):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def _spline_planes(a: np.ndarray):
-    """Cubic spline coefficients of the real and imaginary planes of a."""
-    return tuple(ndimage.spline_filter(p, order=3, mode="nearest") for p in (a.real, a.imag))
-
-
-def _spline_eval(planes, coords, shape) -> np.ndarray:
-    re, im = (
-        ndimage.map_coordinates(p, coords, order=3, prefilter=False, mode="nearest")
-        for p in planes
-    )
-    return (re + 1j * im).reshape(shape)
+def _spline_eval(coeffs: np.ndarray, coords, shape) -> np.ndarray:
+    """Cubic spline with the given (complex) coefficients at coords."""
+    return ndimage.map_coordinates(
+        coeffs, coords, order=3, prefilter=False, mode="nearest"
+    ).reshape(shape)
 
 
 def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
@@ -176,7 +170,9 @@ class GridMap:
 
     def _displacement_interp(self):
         if self._interp is None:
-            self._interp = _spline_planes(self.samples - self.box.nodes(self.n))
+            self._interp = ndimage.spline_filter(
+                self.samples - self.box.nodes(self.n), order=3, mode="nearest", output=complex
+            )
         return self._interp
 
     def _coords(self, z: np.ndarray):
@@ -207,7 +203,7 @@ class GridMap:
 
     # ---- inversion -------------------------------------------------------
 
-    def inverse(self, w, newton_steps: int = INVERSE_NEWTON_STEPS):
+    def inverse(self, w):
         """Preimage under h: nearest sampled value as seed, then Newton with
         the real-linear Wirtinger step. The Wirtinger derivatives are
         central differences of the spline one node apart."""
@@ -221,7 +217,7 @@ class GridMap:
         z = self.box.nodes(self.n, idx)
         dx = self.box.spacing(self.n)
         for _ in range(2):
-            for _ in range(newton_steps):
+            for _ in range(INVERSE_NEWTON_STEPS):
                 r = self(z) - ww
                 d, db = wirtinger_pair(self._eval_raw, z, dx)
                 det = np.abs(d) ** 2 - np.abs(db) ** 2
@@ -286,7 +282,6 @@ def solve_beltrami(
     mu: np.ndarray,
     box: Box,
     tol: float = SOLVER_TOL,
-    max_sweeps: int = MAX_SWEEPS,
     pad: int = DEFAULT_PAD,
 ) -> GridMap:
     """Normalized solution of dbar h = mu * d h on the box.
@@ -351,7 +346,7 @@ def solve_beltrami(
     gam = np.zeros(3, dtype=complex)
     sweeps = 0
     change = math.inf
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         t = rho_hat * s_mult
         t[0, 0] = n * n
         for k, c in enumerate(corners):
@@ -377,7 +372,7 @@ def solve_beltrami(
             break
     else:
         raise ConvergenceError(
-            "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, max_sweeps, change)
+            "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, MAX_SWEEPS, change)
         )
 
     del t, lines, spread, s_mult  # the final assembly below is the peak of the solve
@@ -474,12 +469,7 @@ class DeformedGerm:
         c = self.field.entries[entry_index].chart.center
         return complex(self.grid_map(c))
 
-    def measure_multiplier(
-        self,
-        entry_index: int = 0,
-        radius: float | None = None,
-        agreement: float | None = None,
-    ) -> complex:
+    def measure_multiplier(self, entry_index: int = 0) -> complex:
         """Cauchy-derivative measurement of the deformed cycle multiplier,
         gated on two-radius agreement. The larger-radius estimate wins: the
         integral damps interpolation noise linearly in the radius."""
@@ -487,14 +477,11 @@ class DeformedGerm:
         chart = entry.chart
         order = chart.cycle.order
         center = self.cycle_image(entry_index)
-        if radius is None:
-            radius = GLOBAL_MEASURE_FACTOR * chart.radius
-        if agreement is None:
-            # discretization error in h scales with grid spacing, so coarse
-            # grids get a proportionally looser gate
-            n = self.grid_map.samples.shape[0]
-            spacing = self.grid_map.box.spacing(n)
-            agreement = max(GLOBAL_AGREEMENT, 2.0 * spacing / radius)
+        radius = GLOBAL_MEASURE_FACTOR * chart.radius
+        # discretization error in h scales with grid spacing, so coarse
+        # grids get a proportionally looser gate
+        spacing = self.grid_map.box.spacing(self.grid_map.n)
+        agreement = max(GLOBAL_AGREEMENT, 2.0 * spacing / radius)
         m1 = cauchy_cycle_derivative(self.eval, center, order, radius)
         m2 = cauchy_cycle_derivative(self.eval, center, order, radius / 2.0)
         if abs(m1 - m2) > agreement * max(abs(m1), 1e-300):
@@ -528,7 +515,6 @@ def motion_sample(
     t_values: Sequence[complex],
     points: Sequence[complex],
     orders: Sequence[int] = (1,),
-    box: Box | None = None,
     n: int = MOTION_GRID,
     tol: float = MOTION_TOL,
     pad: int = DEFAULT_PAD,
@@ -548,8 +534,7 @@ def motion_sample(
     for t in ts:
         entries = [FieldEntry(c, shear_coefficient(c.cycle.multiplier, 1.0 / t)) for c in charts]
         fields.append(BeltramiField(germ, tuple(entries)))
-    if box is None:
-        box = box_for(germ)
+    box = box_for(germ)
     rows = []
     for field in fields:
         gm = solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=tol, pad=pad)

@@ -108,12 +108,12 @@ def test_criterion_04_holomorphy_controls(capsys):
     germ = gd.Germ.create([2, 1])
     rep = [c for c in gd.find_cycles(germ, 1) if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(germ, rep, 3.0 + 0j)
-    r = conj.working_radius(0)
+    r = conj.working_radius()
     res_deformed = gd.holomorphy_residual(
-        conj.deformed_return_map, conj.charts[0].center, r, auto_shrink=True
+        conj.deformed_return_map, conj.charts[0].center, r
     )
     res_k = gd.holomorphy_residual(
-        conj.k_eval, conj.charts[0].center, r, auto_shrink=True
+        conj.k_eval, conj.charts[0].center, r
     )
     floor = abs(conj.shear.mu) / 2
     dt = time.perf_counter() - t0

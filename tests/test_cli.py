@@ -294,6 +294,83 @@ def test_cycle_index_out_of_range_exits_3(tmp_path, capsys, command, cfg):
     )
 
 
+
+@pytest.mark.parametrize("base_index", [5, -1])
+def test_base_index_out_of_range_exits_3(tmp_path, capsys, base_index):
+    # the radius-3 disk holds one repelling 2-cycle, so only 0 and 1 are points of it
+    rc, out = run(tmp_path, "koenigs", "bi.json", {"germ": QUAD, "order": 2, "base_index": base_index})
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: base_index %d out of range for a cycle of order 2\n" % base_index
+    )
+    assert not (out / "chart.json").exists()
+
+
+@pytest.mark.parametrize("orders", [[], [0], [1, "2"]])
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("cycles", {"germ": QUAD}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [[0.1, 0]]}),
+    ],
+)
+def test_bad_orders_exit_2_with_one_message(tmp_path, capsys, command, cfg, orders):
+    rc, _ = run(tmp_path, command, "o.json", dict(cfg, orders=orders))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: orders must be a nonempty list of positive integers\n"
+    )
+
+
+STRAIGHTEN_64 = {
+    "germ": QUAD_TIGHT,
+    "deformations": [{"order": 1, "target": [3.0, 0.0]}],
+    "grid": 64,
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, extra",
+    [
+        (dict(STRAIGHTEN_64, solver_tol=0), ()),
+        (dict(STRAIGHTEN_64, solver_tol=-1), ()),
+        (dict(STRAIGHTEN_64, solver_tol=float("nan")), ()),
+        (STRAIGHTEN_64, ("--tol", "0")),
+    ],
+    ids=["zero", "negative", "nan", "flag-zero"],
+)
+def test_unreachable_solver_tol_exits_2_before_the_census(tmp_path, capsys, monkeypatch, cfg, extra):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the tolerance was checked")
+
+    monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
+    rc, out = run(tmp_path, "straighten", "tol.json", cfg, extra=extra)
+    assert rc == 2
+    assert "solver_tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [-1, 0])
+def test_render_lines_below_one_exits_2(tmp_path, capsys, lines):
+    rc, out = run(tmp_path, "render", "rl.json", dict(STRAIGHTEN_64, lines=lines))
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: lines must be >= 1 (got %d)\n" % lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra",
+    [
+        ("cycles", {"germ": QUAD, "orders": [1]}, ("--grid", "64")),
+        ("cremer", {"preset": "golden", "degree": 2}, ("--tol", "1e-3")),
+    ],
+)
+def test_solver_flags_only_on_solver_commands(tmp_path, command, cfg, extra):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "f.json", cfg, extra=extra)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {"germ": QUAD, "orders": [1, 2]}
     _, out1 = run(tmp_path, "cycles", "da.json", cfg, out="run1")

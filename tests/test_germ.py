@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +49,25 @@ def test_inverse_step_divergence_raises():
     with pytest.raises((ConvergenceError, gd.SingularDerivativeError)):
         g.inverse_step(3, guess=-1.0)
 
+
+
+def test_preimages_batch_is_pointwise_bitwise(quad_germ_wide):
+    w = np.array([3.0, 0.5 + 0.5j, -0.99 + 0.01j, 1e-8j, 2.5 - 1.0j, -1.0])
+    guess = np.array([0.9, 0.5 + 0.5j, -1.0 + 0.2j, 0.0, 2.5 - 1.0j, -1.0])
+    z, ok = quad_germ_wide.preimages(w, guess)
+    for k in range(w.size):
+        zk, okk = quad_germ_wide.preimages(w[k : k + 1], guess[k : k + 1])
+        assert z[k : k + 1].tobytes() == zk.tobytes()
+        assert ok[k] == okk[0]
+    assert ok.all()
+    assert np.all(np.abs(quad_germ_wide.eval_raw(z) - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+
+def test_preimages_flat_guess_is_not_converged(quad_germ_wide):
+    # f'(-1) = 0: the point leaves the batch at once and nothing raises
+    z, ok = quad_germ_wide.preimages(np.array([3.0 + 0j, 3.0 + 0j]), np.array([-1.0 + 0j, 0.9 + 0j]))
+    assert z[0] == -1.0 and not ok[0]
+    assert ok[1] and z[1] == pytest.approx(1.0, abs=1e-12)
 
 def test_validation_rules():
     with pytest.raises(DomainError):

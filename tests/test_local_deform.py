@@ -25,7 +25,7 @@ def test_identity_at_center(conj3):
 
 
 def test_k_round_trip(conj3):
-    r = conj3.working_radius(0)
+    r = conj3.working_radius()
     for t in np.linspace(0, 2 * math.pi, 12, endpoint=False):
         z = complex(0.6 * r * cmath.exp(1j * t))
         assert abs(conj3.k_inverse(conj3.k_eval(z)) - z) < 1e-10
@@ -45,14 +45,14 @@ def test_all_four_targets(quad_germ, repelling_fixed):
 
 
 def test_deformed_map_is_holomorphic(quad_germ, conj3):
-    r = conj3.working_radius(0)
-    res = gd.holomorphy_residual(conj3.deformed_return_map, 0j, r, auto_shrink=True)
+    r = conj3.working_radius()
+    res = gd.holomorphy_residual(conj3.deformed_return_map, 0j, r)
     assert res < 1e-5
 
 
 def test_k_is_not_holomorphic(conj3):
-    r = conj3.working_radius(0)
-    res = gd.holomorphy_residual(conj3.k_eval, 0j, r, auto_shrink=True)
+    r = conj3.working_radius()
+    res = gd.holomorphy_residual(conj3.k_eval, 0j, r)
     assert res > abs(conj3.shear.mu) / 2
 
 
