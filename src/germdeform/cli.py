@@ -25,9 +25,7 @@ from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
 from .straighten import (
-    Box,
     Deformation,
-    box_for,
     global_deform,
     motion_sample,
     DEFAULT_GRID,
@@ -88,17 +86,6 @@ def _germ_from(cfg: dict) -> Germ:
         raise ConfigError("bad germ: %s" % exc) from exc
 
 
-def _box_from(cfg: dict, germ: Germ) -> Box:
-    data = _take(cfg, "box", dict, None)
-    if data is None:
-        return box_for(germ)
-    data = dict(data)
-    center = _complex_pair(_take(data, "center", list, [0.0, 0.0]), "box center")
-    hw = _take(data, "half_width", (int, float))
-    _finish(data)
-    return Box(center, float(hw))
-
-
 def _deformations_from(cfg: dict) -> list[Deformation]:
     raw = _take(cfg, "deformations", list)
     if not raw:
@@ -125,7 +112,8 @@ def _orders_from(cfg: dict, default=_REQUIRED) -> list[int]:
 
 def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float, int]:
     """grid, solver_tol and pad from the config; --grid and --tol win over it.
-    A tolerance the sweeps can never reach is refused before any work."""
+    A grid or pad the solver refuses, or a tolerance the sweeps can never
+    reach, is refused before any work."""
     n = _take(cfg, "grid", int, grid)
     tol = _take(cfg, "solver_tol", (int, float), tol)
     pad = _take(cfg, "pad", int, DEFAULT_PAD)
@@ -134,6 +122,10 @@ def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float
     if args.tol is not None:
         tol = args.tol
     tol = float(tol)
+    if n < 16 or n % 2:
+        raise ConfigError("grid must be even and at least 16 (got %d)" % n)
+    if pad < 1:
+        raise ConfigError("pad must be >= 1 (got %d)" % pad)
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("solver_tol must be finite and > 0 (got %r)" % tol)
     return n, tol, pad
@@ -228,10 +220,9 @@ def _cmd_deform_local(cfg: dict, out: Path, args) -> int:
 def _cmd_straighten(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
-    box = _box_from(cfg, germ)
     n, tol, pad = _solver_settings(cfg, args, DEFAULT_GRID, SOLVER_TOL)
     _finish(cfg)
-    dg = global_deform(germ, deformations, box=box, n=n, tol=tol, pad=pad)
+    dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     measured = []
     for i, d in enumerate(deformations):
         m = dg.measure_multiplier(i)
@@ -323,18 +314,17 @@ def _cmd_cremer(cfg: dict, out: Path, args) -> int:
 def _cmd_render(cfg: dict, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
-    box = _box_from(cfg, germ)
     n, tol, pad = _solver_settings(cfg, args, 512, SOLVER_TOL)
     lines = _take(cfg, "lines", int, MESH_LINES)
     with_csv = _take(cfg, "field_csv", bool, False)
     _finish(cfg)
     if lines < 1:
         raise ConfigError("lines must be >= 1 (got %d)" % lines)
-    dg = global_deform(germ, deformations, box=box, n=n, tol=tol, pad=pad)
+    dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     _write(out, "field.ppm", to_ppm(field_magnitude_raster(dg.mu)))
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))
     if with_csv:
-        _write(out, "field.csv", field_to_csv(box.nodes(n), dg.mu))
+        _write(out, "field.csv", field_to_csv(dg.grid_map.box.nodes(n), dg.mu))
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
     return 0
 

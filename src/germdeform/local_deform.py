@@ -103,16 +103,13 @@ class LocalConjugacy:
 def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
-    order: int,
     radius: float,
 ) -> complex:
-    """Derivative at a fixed point of the order-fold composition of step_fn,
-    by the trapezoid Cauchy integral on a circle. step_fn maps an array of
-    points elementwise and is called once per composition step."""
+    """Derivative of step_fn at its fixed point center, by the trapezoid
+    Cauchy integral on a circle. step_fn maps an array of points
+    elementwise and is called once."""
     theta = np.linspace(0.0, 2.0 * math.pi, MEASURE_POINTS, endpoint=False)
-    w = np.array([center + radius * cmath.exp(1j * t) for t in theta])
-    for _ in range(order):
-        w = step_fn(w)
+    w = step_fn(np.array([center + radius * cmath.exp(1j * t) for t in theta]))
     total = 0j
     for wk, t in zip(w, theta):
         total += (complex(wk) - center) * cmath.exp(-1j * t)
@@ -154,7 +151,7 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     return_map = np.vectorize(lc.deformed_return_map, otypes=[complex])
 
     def attempt(r: float) -> complex:
-        return cauchy_cycle_derivative(return_map, center, 1, r)
+        return cauchy_cycle_derivative(return_map, center, r)
 
     for _ in range(8):
         try:

@@ -9,8 +9,10 @@ matched explicitly through an affine channel and three checkerboard kernel
 terms. mu lives on a block of rows and columns of the padded grid, so each
 2-D transform runs as its two 1-D passes and skips the lines that are zero
 or never read; the bits are those of the full 2-D transforms. Conjugating
-the germ by h realizes the requested multipliers globally; sampling h along
-a parameter path gives the motion probe.
+the germ by h realizes the requested multipliers globally, and a Cauchy
+integral over the h-image of a chart circle measures them from forward
+values of h alone; sampling h along a parameter path gives the motion
+probe.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Any, Sequence
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .beltrami import BeltramiField, FieldEntry, shear_coefficient
 from .cycles import repelling_cycle, repelling_cycles
@@ -35,8 +36,7 @@ from .errors import (
 )
 from .germ import Germ
 from .koenigs import build_chart
-from .local_deform import cauchy_cycle_derivative
-from .numdiff import wirtinger_pair
+from .local_deform import MEASURE_POINTS
 
 SOLVER_TOL = 1e-8
 MAX_SWEEPS = 200
@@ -44,9 +44,7 @@ DEFAULT_GRID = 1024
 DEFAULT_PAD = 2
 MU_SUP_CAP = 1.0 - 1e-3
 BORDER_FRACTION = 0.05
-INVERSE_NEWTON_STEPS = 6
-INVERSE_TOL = 1e-7
-GLOBAL_MEASURE_FACTOR = 0.45
+GLOBAL_MEASURE_FACTOR = 0.85
 GLOBAL_AGREEMENT = 1e-3
 MOTION_GRID = 256
 MOTION_TOL = 1e-10
@@ -91,6 +89,16 @@ class Box:
             self.center.imag + self.half_width,
         )
 
+    def check_inside(self, z) -> None:
+        """Raise DomainError unless every point lies in the closed box."""
+        z = np.asarray(z, dtype=complex)
+        x0, x1, y0, y1 = self.extents()
+        if (
+            np.any(z.real < x0) or np.any(z.real > x1)
+            or np.any(z.imag < y0) or np.any(z.imag > y1)
+        ):
+            raise DomainError("evaluation point outside grid box")
+
 
 def box_for(germ: Germ) -> Box:
     # keep the normalization point z = 1 strictly inside
@@ -127,13 +135,6 @@ def _wirtinger_grid(s: np.ndarray, dx: float):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def _spline_eval(coeffs: np.ndarray, coords, shape) -> np.ndarray:
-    """Cubic spline with the given (complex) coefficients at coords."""
-    return ndimage.map_coordinates(
-        coeffs, coords, order=3, prefilter=False, mode="nearest"
-    ).reshape(shape)
-
-
 def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
     """First and one-past-last index of the True entries, shifted by off
     ((off, off) when there are none)."""
@@ -146,8 +147,8 @@ _KERNEL_D = (-0.5, +0.5j, -0.5)
 
 
 class GridMap:
-    """Sampled straightening map with interpolation, inversion, and a
-    finite-difference Beltrami readback.
+    """Sampled straightening map with interpolation and a finite-difference
+    Beltrami readback.
 
     samples[i, j] is h at node (row i, col j) of box.nodes(n); h is already
     normalized to fix 0 and 1.
@@ -164,7 +165,6 @@ class GridMap:
         self.samples = samples
         self.diagnostics = dict(diagnostics or {})
         self._interp = None
-        self._tree = None
 
     # ---- evaluation ----------------------------------------------------
 
@@ -175,62 +175,19 @@ class GridMap:
             )
         return self._interp
 
-    def _coords(self, z: np.ndarray):
-        x0, _, y0, _ = self.box.extents()
-        dx = self.box.spacing(self.n)
-        col = (z.real - x0) / dx
-        row = (z.imag - y0) / dx
-        return np.vstack([row.ravel(), col.ravel()]), z.shape
-
     def __call__(self, z):
         """h at arbitrary points inside the box (bicubic in h - z)."""
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
-        x0, x1, y0, y1 = self.box.extents()
-        if (
-            np.any(zz.real < x0) or np.any(zz.real > x1)
-            or np.any(zz.imag < y0) or np.any(zz.imag > y1)
-        ):
-            raise DomainError("evaluation point outside grid box")
-        out = self._eval_raw(zz)
-        return complex(out[0]) if scalar else out
-
-    def _eval_raw(self, z: np.ndarray) -> np.ndarray:
-        # unchecked: outside the box the displacement continues its edge values
-        coords, shape = self._coords(z)
-        return _spline_eval(self._displacement_interp(), coords, shape) + z
-
-    # ---- inversion -------------------------------------------------------
-
-    def inverse(self, w):
-        """Preimage under h: nearest sampled value as seed, then Newton with
-        the real-linear Wirtinger step. The Wirtinger derivatives are
-        central differences of the spline one node apart."""
-        w = np.asarray(w, dtype=complex)
-        scalar = w.ndim == 0
-        ww = np.atleast_1d(w).ravel()
-        if self._tree is None:
-            vals = self.samples.ravel()
-            self._tree = cKDTree(np.column_stack([vals.real, vals.imag]))
-        _, idx = self._tree.query(np.column_stack([ww.real, ww.imag]))
-        z = self.box.nodes(self.n, idx)
+        self.box.check_inside(zz)
+        x0, _, y0, _ = self.box.extents()
         dx = self.box.spacing(self.n)
-        for _ in range(2):
-            for _ in range(INVERSE_NEWTON_STEPS):
-                r = self(z) - ww
-                d, db = wirtinger_pair(self._eval_raw, z, dx)
-                det = np.abs(d) ** 2 - np.abs(db) ** 2
-                if np.any(np.abs(det) < 1e-14):
-                    raise SingularDerivativeError("grid map inverse hit a degenerate cell")
-                z = z - (np.conj(d) * r - db * np.conj(r)) / det
-            res = np.max(np.abs(self(z) - ww) / np.maximum(1.0, np.abs(ww)))
-            if res <= INVERSE_TOL:
-                break
-        else:
-            raise ConvergenceError("grid map inversion stalled at residual %g" % res)
-        z = z.reshape(np.atleast_1d(w).shape)
-        return complex(z[0]) if scalar else z
+        coords = np.vstack([((zz.imag - y0) / dx).ravel(), ((zz.real - x0) / dx).ravel()])
+        out = ndimage.map_coordinates(
+            self._displacement_interp(), coords, order=3, prefilter=False, mode="nearest"
+        ).reshape(zz.shape) + zz
+        return complex(out[0]) if scalar else out
 
     def beltrami_at(self, z: complex) -> complex:
         """mu = dbar h / d h from raw central differences at the nearest
@@ -445,10 +402,10 @@ def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiFiel
 class DeformedGerm:
     """The germ conjugated by the straightening of its invariant field.
 
-    eval(z) computes h(f(h^{-1}(z))) on a point or an array of points, with
-    one batched inversion per call; the deformed cycles sit at the
-    h-images of the original ones and carry the target multipliers. mu is
-    the sampled field the grid map was solved from.
+    g = h o f o h^{-1} is holomorphic; its cycles sit at the h-images of the
+    original ones and carry the target multipliers. It is measured from
+    forward values of h only and never evaluated. mu is the sampled field
+    the grid map was solved from.
     """
 
     def __init__(self, germ: Germ, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
@@ -457,33 +414,40 @@ class DeformedGerm:
         self.grid_map = grid_map
         self.mu = mu
 
-    def eval(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        u = self.grid_map.inverse(z)
-        uu = np.atleast_1d(u)
-        outside = ~(np.isfinite(uu) & (np.abs(uu) <= self.germ.radius_U))
-        if outside.any():
-            self.germ.eval(uu[outside][0])  # raises Germ.eval's DomainError
-        return self.grid_map(self.germ.eval_raw(u))
-
     def cycle_image(self, entry_index: int = 0) -> complex:
         c = self.field.entries[entry_index].chart.center
         return complex(self.grid_map(c))
 
+    def _contour_multiplier(self, entry_index: int, radius: float) -> complex:
+        """g'(a) as the contour integral of (g(w) - a) / (w - a)^2 dw / (2 pi i)
+        over w = h(z), z = c + r e^{it}: there g(w) = h(f^q(z)) and a = h(c).
+        dh/dt is the FFT derivative of the periodic samples (Nyquist bin
+        zeroed); the trapezoid rule sums the integrand."""
+        chart = self.field.entries[entry_index].chart
+        a = self.cycle_image(entry_index)
+        t = 2.0 * math.pi * np.arange(MEASURE_POINTS) / MEASURE_POINTS
+        z = chart.center + radius * np.exp(1j * t)
+        fz = z
+        for _ in range(chart.cycle.order):
+            fz = self.germ.eval_raw(fz)
+        hz = self.grid_map(z)
+        k = np.fft.fftfreq(MEASURE_POINTS, 1.0 / MEASURE_POINTS)
+        k[MEASURE_POINTS // 2] = 0
+        dh = np.fft.ifft(1j * k * np.fft.fft(hz))
+        return complex(np.sum((self.grid_map(fz) - a) / (hz - a) ** 2 * dh) / (1j * MEASURE_POINTS))
+
     def measure_multiplier(self, entry_index: int = 0) -> complex:
-        """Cauchy-derivative measurement of the deformed cycle multiplier,
-        gated on two-radius agreement. The larger-radius estimate wins: the
-        integral damps interpolation noise linearly in the radius."""
-        entry = self.field.entries[entry_index]
-        chart = entry.chart
-        order = chart.cycle.order
-        center = self.cycle_image(entry_index)
-        radius = GLOBAL_MEASURE_FACTOR * chart.radius
+        """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral
+        over the h-image of a circle around the chart center c, gated on
+        two-radius agreement. The larger-radius estimate wins: the integral
+        damps interpolation noise linearly in the radius."""
+        radius = GLOBAL_MEASURE_FACTOR * self.field.entries[entry_index].chart.radius
         # discretization error in h scales with grid spacing, so coarse
         # grids get a proportionally looser gate
         spacing = self.grid_map.box.spacing(self.grid_map.n)
         agreement = max(GLOBAL_AGREEMENT, 2.0 * spacing / radius)
-        m1 = cauchy_cycle_derivative(self.eval, center, order, radius)
-        m2 = cauchy_cycle_derivative(self.eval, center, order, radius / 2.0)
+        m1 = self._contour_multiplier(entry_index, radius)
+        m2 = self._contour_multiplier(entry_index, radius / 2.0)
         if abs(m1 - m2) > agreement * max(abs(m1), 1e-300):
             raise UnreliableEstimateError(
                 "global multiplier estimates disagree: %r vs %r" % (m1, m2)
@@ -494,14 +458,13 @@ class DeformedGerm:
 def global_deform(
     germ: Germ,
     deformations: Sequence[Deformation],
-    box: Box | None = None,
     n: int = DEFAULT_GRID,
     tol: float = SOLVER_TOL,
     pad: int = DEFAULT_PAD,
 ) -> DeformedGerm:
-    """Full pipeline: census, charts, shears, field sampling, straightening."""
-    if box is None:
-        box = box_for(germ)
+    """Full pipeline: census, charts, shears, field sampling, straightening,
+    on the box box_for(germ)."""
+    box = box_for(germ)
     field = build_field(germ, deformations)
     diag: dict[str, Any] = {}
     mu = field.sample_grid(box.nodes(n), diagnostics=diag)
@@ -521,12 +484,15 @@ def motion_sample(
 ) -> list[list[complex]]:
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
-    of images and one straightening per t. Every t and shear is checked before
-    the first solve; the census and charts do not depend on t, so they are
-    built once and each t only swaps the shears."""
+    of images and one straightening per t. Every t, point and shear is
+    checked before the first solve; the census and charts do not depend on
+    t, so they are built once and each t only swaps the shears."""
     ts = [complex(t) for t in t_values]
     if any(t == 0 or abs(t) >= 1.0 for t in ts):
         raise DomainError("motion parameter must satisfy 0 < |t| < 1")
+    box = box_for(germ)
+    zs = np.asarray(points, dtype=complex)
+    box.check_inside(zs)
     charts = [build_chart(germ, c, 0) for q in orders for c in repelling_cycles(germ, q)]
     if not charts:
         raise InsufficientDataError("no repelling cycles found for the requested orders")
@@ -534,10 +500,9 @@ def motion_sample(
     for t in ts:
         entries = [FieldEntry(c, shear_coefficient(c.cycle.multiplier, 1.0 / t)) for c in charts]
         fields.append(BeltramiField(germ, tuple(entries)))
-    box = box_for(germ)
     rows = []
     for field in fields:
         gm = solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=tol, pad=pad)
-        rows.append(gm(np.asarray(points, dtype=complex)).tolist())
+        rows.append(gm(zs).tolist())
         del gm  # free this grid map before the next solve allocates its own
     return rows

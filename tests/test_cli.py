@@ -350,6 +350,45 @@ def test_unreachable_solver_tol_exits_2_before_the_census(tmp_path, capsys, monk
     assert not out.exists()
 
 
+MOTION_64 = {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [[0.1, 0]], "grid": 64}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [("straighten", STRAIGHTEN_64), ("motion", MOTION_64), ("render", STRAIGHTEN_64)],
+)
+@pytest.mark.parametrize(
+    "settings, extra, key",
+    [
+        ({"grid": 17}, (), "grid"),
+        ({"grid": 10}, (), "grid"),
+        ({}, ("--grid", "17"), "grid"),
+        ({"pad": 0}, (), "pad"),
+    ],
+    ids=["odd", "small", "flag-odd", "pad-zero"],
+)
+def test_unsolvable_grid_or_pad_exits_2_before_the_census(
+    tmp_path, capsys, monkeypatch, command, cfg, settings, extra, key
+):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the grid and pad were checked")
+
+    monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
+    monkeypatch.setattr("germdeform.straighten.repelling_cycles", no_census)
+    rc, out = run(tmp_path, command, "gp.json", dict(cfg, **settings), extra=extra)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: %s must be" % key)
+    assert not out.exists()
+
+
+def test_box_is_not_a_config_key(tmp_path, capsys):
+    # every solve runs on the germ's own box, which holds z = 1
+    rc, out = run(tmp_path, "straighten", "box.json", dict(STRAIGHTEN_64, box={"half_width": 0.5}))
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: ['box']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines", [-1, 0])
 def test_render_lines_below_one_exits_2(tmp_path, capsys, lines):
     rc, out = run(tmp_path, "render", "rl.json", dict(STRAIGHTEN_64, lines=lines))

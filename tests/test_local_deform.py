@@ -63,7 +63,7 @@ def test_cauchy_derivative_exact_for_polynomial():
     def step(z):
         return c + 3.0 * (z - c) + (z - c) ** 2
 
-    d = gd.cauchy_cycle_derivative(step, c, 1, 0.1)
+    d = gd.cauchy_cycle_derivative(step, c, 0.1)
     assert abs(d - 3.0) < 1e-12
 
 

@@ -76,17 +76,6 @@ def test_zero_field_gives_identity():
     assert np.abs(gm(z[inner]) - z[inner]).max() < 1e-10
 
 
-def test_inverse_accuracy(disk_solution):
-    _, _, _, _, gm = disk_solution
-    for z in (0.3 + 0.4j, -0.5 + 0.1j, 0.9 - 0.2j):
-        w = complex(gm(z))
-        back = gm.inverse(w)
-        # contract is a residual bound in image space; domain-side error
-        # can be a bit larger where the map contracts
-        assert abs(complex(gm(back)) - w) < 1e-7
-        assert abs(back - z) < 1e-5
-
-
 def test_beltrami_at_needs_interior_margin(disk_solution):
     box, n, _, _, gm = disk_solution
     with pytest.raises(gd.DomainError):
@@ -174,6 +163,16 @@ def test_motion_sample_rejects_t_before_any_solve(monkeypatch, quad_germ_wide, b
     assert solves == []
 
 
+def test_motion_sample_rejects_points_outside_the_box_before_any_solve(monkeypatch, quad_germ):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chart or solve ran before the points were checked")
+
+    monkeypatch.setattr(st, "build_chart", unreachable)
+    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    with pytest.raises(gd.DomainError, match="evaluation point outside grid box"):
+        gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, 5.0 + 0j])
+
+
 def test_motion_sample_sends_cycles_to_one_over_t(monkeypatch, quad_germ):
     targets = []
     shear = st.shear_coefficient
@@ -235,6 +234,24 @@ def test_global_deform_small_grid(quad_germ):
     m = dg.measure_multiplier()
     assert abs(m - 3.0) < 0.05
     assert "field" in dg.grid_map.diagnostics
+
+
+@pytest.mark.parametrize(
+    "target, n",
+    [
+        (1.5 + 0j, 512),
+        (2.5 + 1.5j, 512),
+        (5.0 + 0j, 1024),
+        # both pass the two-radius gate, but the N=512 solve itself sits
+        # 2.4e-3 and 3.9e-2 from the local route; nothing refuses them yet
+        pytest.param(1.2 + 0j, 512, marks=pytest.mark.xfail(strict=True)),
+        pytest.param(20.0 + 0j, 512, marks=pytest.mark.xfail(strict=True)),
+    ],
+)
+def test_global_route_matches_local_route(quad_germ, repelling_fixed, target, n):
+    local = gd.measure_multiplier(gd.LocalConjugacy.build(quad_germ, repelling_fixed, target))
+    dg = gd.global_deform(quad_germ, [gd.Deformation(1, target)], n=n)
+    assert abs(dg.measure_multiplier() - local) <= 1e-3
 
 
 def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
@@ -386,50 +403,3 @@ def test_box_nodes_at_flat_index():
     n = 48
     idx = np.array([0, 1, n - 1, n, 7 * n + 13, n * n - 1, 5])
     assert np.array_equal(box.nodes(n, idx), box.nodes(n).ravel()[idx])
-
-
-def test_inverse_seeds_are_nearest_sample_nodes(disk_solution, monkeypatch):
-    box, n, _, _, gm = disk_solution
-    w = gm(np.array([0.3 + 0.4j, -0.5 + 0.1j, 0.9 - 0.2j, -1.2 - 1.1j]))
-    seen = []
-    spline_eval = st._spline_eval
-
-    def record(planes, coords, shape):
-        if not seen:
-            seen.append(coords.copy())
-        return spline_eval(planes, coords, shape)
-
-    monkeypatch.setattr(st, "_spline_eval", record)
-    gm.inverse(w)
-    _, idx = gm._tree.query(np.column_stack([w.real, w.imag]))
-    x0, _, y0, _ = box.extents()
-    dx = box.spacing(n)
-    nodes = box.nodes(n).ravel()[idx]
-    assert np.array_equal(seen[0], np.vstack([(nodes.imag - y0) / dx, (nodes.real - x0) / dx]))
-
-
-@pytest.fixture(scope="module")
-def deformed_small(quad_germ):
-    return gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=128)
-
-
-def test_deformed_eval_batch_equals_points(deformed_small):
-    dg = deformed_small
-    center = dg.cycle_image()
-    ring = center + 0.05 * np.exp(2j * np.pi * np.arange(256) / 256)
-    batch = dg.eval(ring)
-    single = np.array([dg.eval(complex(z)) for z in ring])
-    assert batch.shape == ring.shape
-    assert np.abs(batch - single).max() <= 1e-14 * np.abs(single).max()
-
-
-def test_deformed_eval_batch_rejects_points_outside_disk(deformed_small):
-    dg = deformed_small
-    inside = dg.cycle_image()
-    edge = complex(dg.grid_map(0.44 + 0.0j))  # preimage just inside |u| <= 0.45
-    far = complex(dg.grid_map(-0.6 + 0.6j))  # preimage outside the working disk
-    with pytest.raises(gd.DomainError, match="outside working disk"):
-        dg.eval(np.array([inside, far]))
-    with pytest.raises(gd.DomainError, match="outside working disk"):
-        dg.eval(far)
-    assert np.isfinite(dg.eval(np.array([inside, edge]))).all()
