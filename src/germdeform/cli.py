@@ -37,6 +37,10 @@ from .straighten import (
 
 _REQUIRED = object()
 
+# largest padded grid pad * grid: the solve's memory grows with its square,
+# and its peak is about 0.45 GB at 2048 and 1.5 GB at 4096
+MAX_PADDED_GRID = 4096
+
 
 def _load_config(path: str) -> dict[str, Any]:
     try:
@@ -112,8 +116,8 @@ def _orders_from(cfg: dict, default=_REQUIRED) -> list[int]:
 
 def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float, int]:
     """grid, solver_tol and pad from the config; --grid and --tol win over it.
-    A grid or pad the solver refuses, or a tolerance the sweeps can never
-    reach, is refused before any work."""
+    A grid or pad the solver refuses or cannot allocate, or a tolerance the
+    sweeps can never reach, is refused before any work."""
     n = _take(cfg, "grid", int, grid)
     tol = _take(cfg, "solver_tol", (int, float), tol)
     pad = _take(cfg, "pad", int, DEFAULT_PAD)
@@ -126,6 +130,10 @@ def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float
         raise ConfigError("grid must be even and at least 16 (got %d)" % n)
     if pad < 1:
         raise ConfigError("pad must be >= 1 (got %d)" % pad)
+    if n * pad > MAX_PADDED_GRID:
+        raise ConfigError(
+            "grid * pad must be at most %d (got grid %d, pad %d)" % (MAX_PADDED_GRID, n, pad)
+        )
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError("solver_tol must be finite and > 0 (got %r)" % tol)
     return n, tol, pad
@@ -320,6 +328,8 @@ def _cmd_render(cfg: dict, out: Path, args) -> int:
     _finish(cfg)
     if lines < 1:
         raise ConfigError("lines must be >= 1 (got %d)" % lines)
+    if lines > n:
+        raise ConfigError("lines must be at most grid (got lines %d, grid %d)" % (lines, n))
     dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     _write(out, "field.ppm", to_ppm(field_magnitude_raster(dg.mu)))
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))

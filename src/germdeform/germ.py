@@ -248,8 +248,14 @@ class Germ:
         for item in raw:
             if not (isinstance(item, list) and len(item) == 2):
                 raise DomainError("each coefficient must be a [re, im] pair")
+            # JSON true/false are numbers to float(), so they are refused by name
+            if any(isinstance(x, bool) for x in item):
+                raise DomainError("germ coeffs must hold numbers, not booleans")
             try:
                 coeffs.append(complex(float(item[0]), float(item[1])))
             except (TypeError, ValueError) as exc:
                 raise DomainError("each coefficient must be a pair of numbers") from exc
+        for key in ("radius_U", "alpha"):
+            if isinstance(data.get(key), bool):
+                raise DomainError("germ %s must be a number, not a boolean" % key)
         return cls.create(coeffs, radius_U=data.get("radius_U"), alpha=data.get("alpha"))

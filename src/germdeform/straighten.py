@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .beltrami import BeltramiField, FieldEntry, shear_coefficient
 from .cycles import repelling_cycle, repelling_cycles
@@ -142,6 +141,28 @@ def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
     return (off + int(idx[0]), off + int(idx[-1]) + 1) if idx.size else (off, off)
 
 
+def _keys_stencil(u: np.ndarray, n: int):
+    """The four nodes around fractional grid coordinates u along one axis:
+    their weights in Keys' cubic convolution kernel with a = -1/2 (IEEE
+    Trans. ASSP 29(6), 1981), their indices clamped to 0..n-1, and how far,
+    in nodes, the weighted clamped nodes fall short of the unclamped ones.
+    At a node the weights are exactly 0, 1, 0, 0."""
+    base = np.floor(u)
+    t = u - base
+    t2 = t * t
+    t3 = t2 * t
+    weights = (
+        0.5 * (2.0 * t2 - t3 - t),
+        0.5 * (3.0 * t3 - 5.0 * t2 + 2.0),
+        0.5 * (4.0 * t2 - 3.0 * t3 + t),
+        0.5 * (t3 - t2),
+    )
+    idx = [base.astype(int) + k for k in (-1, 0, 1, 2)]
+    clamped = [np.clip(k, 0, n - 1) for k in idx]
+    shortfall = sum(w * (k - c) for w, k, c in zip(weights, idx, clamped))
+    return weights, clamped, shortfall
+
+
 _KERNEL_DBAR = (-0.5, -0.5j, -0.5)
 _KERNEL_D = (-0.5, +0.5j, -0.5)
 
@@ -164,30 +185,32 @@ class GridMap:
         self.n = samples.shape[0]
         self.samples = samples
         self.diagnostics = dict(diagnostics or {})
-        self._interp = None
 
     # ---- evaluation ----------------------------------------------------
 
-    def _displacement_interp(self):
-        if self._interp is None:
-            self._interp = ndimage.spline_filter(
-                self.samples - self.box.nodes(self.n), order=3, mode="nearest", output=complex
-            )
-        return self._interp
-
     def __call__(self, z):
-        """h at arbitrary points inside the box (bicubic in h - z)."""
+        """h at points of the closed box, by Keys' cubic convolution
+        (Catmull-Rom, a = -1/2) of the displacement h - z on the 4 x 4 nodes
+        around each point. Past the last node the displacement is held at
+        its edge value. The interpolant passes through the samples,
+        reproduces quadratics and is C^1; each point reads only its own 16
+        nodes."""
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        self.box.check_inside(zz)
+        self.box.check_inside(z)
         x0, _, y0, _ = self.box.extents()
         dx = self.box.spacing(self.n)
-        coords = np.vstack([((zz.imag - y0) / dx).ravel(), ((zz.real - x0) / dx).ravel()])
-        out = ndimage.map_coordinates(
-            self._displacement_interp(), coords, order=3, prefilter=False, mode="nearest"
-        ).reshape(zz.shape) + zz
-        return complex(out[0]) if scalar else out
+        wx, cols, short_x = _keys_stencil((z.real - x0) / dx, self.n)
+        wy, rows, short_y = _keys_stencil((z.imag - y0) / dx, self.n)
+        h = np.zeros(z.shape, dtype=complex)
+        for w_row, i in zip(wy, rows):
+            row = np.zeros(z.shape, dtype=complex)
+            for w_col, j in zip(wx, cols):
+                row += w_col * self.samples[i, j]
+            h += w_row * row
+        # the kernel reproduces z, so holding h - z at the clamped nodes adds
+        # back the distance they were moved
+        h += dx * (short_x + 1j * short_y)
+        return complex(h) if z.ndim == 0 else h
 
     def beltrami_at(self, z: complex) -> complex:
         """mu = dbar h / d h from raw central differences at the nearest

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,6 +262,21 @@ def test_non_numeric_germ_exits_2(tmp_path, capsys, germ):
 
 
 @pytest.mark.parametrize(
+    "germ, field",
+    [
+        ({"coeffs": [[True, 0], [1, False]]}, "coeffs"),
+        ({"coeffs": [[2, 0], [1, 0]], "radius_U": True}, "radius_U"),
+        ({"coeffs": [[1, 0], [1, 0]], "alpha": False}, "alpha"),
+    ],
+)
+def test_boolean_germ_field_exits_2(tmp_path, capsys, germ, field):
+    rc, out = run(tmp_path, "cycles", "g.json", {"germ": germ, "orders": [1]})
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: bad germ: germ %s must" % field)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, cfg",
     [
         ("cycles", {"germ": QUAD, "orders": [True]}),
@@ -379,6 +397,62 @@ def test_unsolvable_grid_or_pad_exits_2_before_the_census(
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: %s must be" % key)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [("straighten", STRAIGHTEN_64), ("motion", MOTION_64), ("render", STRAIGHTEN_64)],
+)
+@pytest.mark.parametrize(
+    "settings, extra",
+    [
+        ({"grid": 1048576}, ()),
+        ({"grid": 4096, "pad": 2}, ()),
+        ({"pad": 1000}, ()),
+        ({}, ("--grid", "8192")),
+    ],
+    ids=["huge-grid", "default-pad", "huge-pad", "flag"],
+)
+def test_unallocatable_grid_exits_2_before_the_census(
+    tmp_path, capsys, monkeypatch, command, cfg, settings, extra
+):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the grid size was checked")
+
+    monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
+    monkeypatch.setattr("germdeform.straighten.repelling_cycles", no_census)
+    rc, out = run(tmp_path, command, "big.json", dict(cfg, **settings), extra=extra)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: grid * pad must be at most 4096")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [65, 10**12])
+def test_render_lines_above_grid_exits_2_before_the_census(tmp_path, capsys, monkeypatch, lines):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before lines was checked")
+
+    monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
+    rc, out = run(tmp_path, "render", "rl.json", dict(STRAIGHTEN_64, lines=lines))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: lines must be at most grid (got lines %d, grid 64)\n" % lines
+    )
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, germdeform.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_box_is_not_a_config_key(tmp_path, capsys):

@@ -114,6 +114,20 @@ def test_non_numeric_fields_raise_domain_error():
         gd.Germ.create([2, None])
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"coeffs": [[True, 0], [1, False]]}, "coeffs"),
+        ({"coeffs": [[2, 0], [1, 0]], "radius_U": True}, "radius_U"),
+        ({"coeffs": [[1, 0], [1, 0]], "alpha": False}, "alpha"),
+    ],
+)
+def test_boolean_fields_raise_domain_error(data, field):
+    # JSON true/false convert to 1.0/0.0, so they are refused by name
+    with pytest.raises(DomainError, match="^germ %s must" % field):
+        gd.Germ.from_json(data)
+
+
 @given(
     re=st.floats(-0.1, 0.1),
     im=st.floats(-0.1, 0.1),

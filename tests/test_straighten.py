@@ -76,6 +76,60 @@ def test_zero_field_gives_identity():
     assert np.abs(gm(z[inner]) - z[inner]).max() < 1e-10
 
 
+def random_grid_map(box: Box, n: int, seed: int = 0) -> gd.GridMap:
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n, 2)) @ np.array([1.0, 1j])
+    return gd.GridMap(box, box.nodes(n) + 0.1 * noise)
+
+
+@pytest.mark.parametrize("box", [Box(0j, 1.25), Box(0.5 + 0.25j, 2.0)])
+def test_grid_map_is_exact_at_the_nodes(box):
+    # on these boxes a node's coordinates divide back to whole indices, so
+    # every weight is exactly 0 or 1 and the samples come back bit for bit
+    gm = random_grid_map(box, 64)
+    assert np.array_equal(gm(box.nodes(64)), gm.samples)
+
+
+def test_grid_map_reproduces_affine_maps():
+    box = Box(0.5 + 0.25j, 2.0)
+    n = 32
+    a, b, c = 1.2 - 0.3j, 0.2 + 0.1j, 0.05 - 0.02j
+    z = box.nodes(n)
+    gm = gd.GridMap(box, a * z + b * np.conj(z) + c)
+    # points whose 4 x 4 stencil lies inside the grid
+    rng = np.random.default_rng(1)
+    x0, x1, y0, y1 = box.extents()
+    dx = box.spacing(n)
+    p = rng.uniform(x0 + dx, x1 - 3 * dx, 400) + 1j * rng.uniform(y0 + dx, y1 - 3 * dx, 400)
+    assert np.abs(gm(p) - (a * p + b * np.conj(p) + c)).max() < 1e-12
+
+
+def test_grid_map_batch_equals_single_points():
+    box = Box(0j, 1.25)
+    gm = random_grid_map(box, 32, seed=2)
+    rng = np.random.default_rng(3)
+    # the closed box, its corners and edges included
+    p = np.concatenate(
+        [rng.uniform(-1.25, 1.25, (50, 2)) @ np.array([1.0, 1j]), [1.25 + 1.25j, -1.25 - 1.25j, 1.25, -1.25j]]
+    )
+    batch = gm(p)
+    assert batch.shape == p.shape
+    assert np.array_equal(batch, [gm(q) for q in p])
+    assert isinstance(gm(p[0]), complex)
+    assert np.array_equal(gm(p.reshape(6, 9)), batch.reshape(6, 9))
+
+
+def test_grid_map_holds_the_edge_displacement():
+    # past the last node the map moves with z, displaced as at the edge
+    box = Box(0j, 1.0)
+    n = 16
+    gm = random_grid_map(box, n, seed=4)
+    dx = box.spacing(n)
+    edge = gm.samples[5, n - 1]
+    z_edge = box.nodes(n)[5, n - 1]
+    assert gm(z_edge + dx) == pytest.approx(edge + dx, abs=1e-15)
+
+
 def test_beltrami_at_needs_interior_margin(disk_solution):
     box, n, _, _, gm = disk_solution
     with pytest.raises(gd.DomainError):
