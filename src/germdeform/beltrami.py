@@ -27,6 +27,7 @@ NEAR_DEGENERATE = 1.0 - 1e-9
 PUNCTURE_RADIUS = 1e-8
 TRANSPORT_DEPTH = 200
 REPELLING_FLOOR = 1.0 + 1e-9
+CSV_BLOCK = 8192  # rows of field_to_csv made at a time
 
 
 def tau_of(lam: complex) -> complex:
@@ -222,10 +223,19 @@ class BeltramiField:
 
 
 def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray) -> str:
-    """Flat deterministic table of sampled coefficients."""
-    lines = ["re,im,mu_re,mu_im"]
-    zf = np.asarray(z_grid).ravel()
-    mf = np.asarray(mu_grid).ravel()
-    for z, m in zip(zf, mf):
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (z.real, z.imag, m.real, m.imag))
-    return "\n".join(lines) + "\n"
+    """Flat deterministic table of sampled coefficients. The rows are made a
+    block at a time, so no temporary spans the whole table, and in each
+    block each distinct value of a column is formatted once; values are
+    told apart by their bits, so -0.0 keeps its sign."""
+    zf = np.asarray(z_grid, dtype=complex).ravel()
+    mf = np.asarray(mu_grid, dtype=complex).ravel()
+    parts = ["re,im,mu_re,mu_im\n"]
+    for start in range(0, zf.size, CSV_BLOCK):
+        block = np.s_[start : start + CSV_BLOCK]
+        columns = []
+        for col in (zf.real, zf.imag, mf.real, mf.imag):
+            bits, where = np.unique(np.ascontiguousarray(col[block]).view(np.int64), return_inverse=True)
+            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+            columns.append(text[where])
+        parts.append("".join(["%s,%s,%s,%s\n" % row for row in zip(*columns)]))
+    return "".join(parts)

@@ -6,13 +6,14 @@ the FFT. Central-difference Wirtinger operators make the sweep multiplier
 unimodular, so the iteration contracts whenever sup|mu| < 1. The four modes
 the central stencil cannot see (mean and the three Nyquist corners) are
 matched explicitly through an affine channel and three checkerboard kernel
-terms. mu lives on a block of rows and columns of the padded grid, so each
-2-D transform runs as its two 1-D passes and skips the lines that are zero
-or never read; the bits are those of the full 2-D transforms. Conjugating
-the germ by h realizes the requested multipliers globally, and a Cauchy
-integral over the h-image of a chart circle measures them from forward
-values of h alone; sampling h along a parameter path gives the motion
-probe.
+terms. mu lives on a block of rows and columns of the padded grid, and the
+sweep needs the iterate only there: the multiplier restricted to the block is
+a convolution with its periodic kernel at offsets inside the block, applied
+by one zero-padded FFT pair of about twice the block's size per sweep.
+Conjugating the germ by h realizes the requested multipliers globally, and a
+Cauchy integral over the h-image of a chart circle measures them from
+forward values of h alone; sampling h along a parameter path gives the
+motion probe.
 """
 
 from __future__ import annotations
@@ -118,12 +119,32 @@ def _corner_bins(n: int):
     return ((0, half), (half, 0), (half, half))
 
 
-def _checkerboards(n: int):
+def _checkerboards(n: int, rows: slice = slice(None), cols: slice = slice(None)):
+    """The three checkerboards of the n x n grid, on the given rows and
+    columns: alternating along x, along y, and both."""
     sign = (-1.0) ** np.arange(n)
-    c1 = np.broadcast_to(sign[None, :], (n, n))   # alternates along x
-    c2 = np.broadcast_to(sign[:, None], (n, n))   # alternates along y
-    c3 = c1 * c2
-    return c1, c2, c3
+    sx = sign[cols][None, :]
+    sy = sign[rows][:, None]
+    shape = (sy.shape[0], sx.shape[1])
+    return np.broadcast_to(sx, shape), np.broadcast_to(sy, shape), sy * sx
+
+
+def _smooth_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT runs fast on."""
+    best = 1
+    while best < m:
+        best *= 2
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _wirtinger_grid(s: np.ndarray, dx: float):
@@ -269,18 +290,23 @@ def solve_beltrami(
     mu is sampled on box.nodes(n). A border frame is zeroed (the field is
     expected to be compactly supported well inside the box), the problem is
     embedded in a pad-times larger periodic grid to push wraparound images
-    away, and the fixed point iterates the spectrum of the derivative field
-    with mean and Nyquist-corner channels matched explicitly each sweep: one
-    inverse and one forward transform per sweep.
+    away, and the fixed point iterates x = mu * dh on mu's support block,
+    rows r0:r1 and columns c0:c1 (R x C) of the padded grid, with mean and
+    Nyquist-corner channels matched explicitly each sweep.
 
-    The transforms are pruned to mu's support, rows r0:r1 and columns c0:c1
-    of the padded grid. The inverse runs along rows on all n rows, then
-    along columns on c0:c1 only, keeping rows r0:r1; the product with mu is
-    that block. The forward transform runs along rows on the r1 - r0 support
-    rows, then along columns on all n columns. The final correction is
-    inverted on the n0 x n0 window the same way. numpy's 2-D transforms do
-    these 1-D passes in this order, so every output bit is the same, at
-    2n + (r1 - r0) + (c1 - c0) length-n transforms per sweep instead of 4n.
+    The Beurling multiplier s_mult vanishes on those four channels, so on
+    the block dh = 1 + S(x) + the kernel terms, where S(x) is the periodic
+    convolution of x with k = ifft2(s_mult) at offsets in (-R, R) x (-C, C).
+    Those offsets, placed at their residues on an Lr x Lc grid (Lr the
+    smallest 5-smooth length >= 2R - 1, or n when that is shorter, and
+    likewise Lc), do not overlap, so each sweep applies S by one zero-padded
+    Lr x Lc transform pair. The change per sweep is the rms over the padded
+    grid of the change in rho, x with its mean and checkerboard components
+    removed, plus the largest change in a checkerboard coefficient. The
+    correction is the periodic inverse of dbar applied to rho: the forward
+    transform runs along rows on the R support rows, then along columns;
+    c_mult vanishes on the four channels; the inverse runs along rows on
+    all n rows, then along columns on the n0 window only.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -307,8 +333,9 @@ def solve_beltrami(
     r0, r1 = _support_span(mu.any(axis=1), off)
     c0, c1 = _support_span(mu.any(axis=0), off)
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off]
-    lines = np.zeros((r1 - r0, n), dtype=complex)  # mu * dh on the support rows
-    spread = np.zeros((n, n), dtype=complex)  # their row transforms, zero elsewhere
+    R, C = work.shape
+    Lr = min(n, _smooth_length(2 * R - 1))
+    Lc = min(n, _smooth_length(2 * C - 1))
 
     dx = box.spacing(n0)
     sc = _central_symbols(n, dx)
@@ -316,54 +343,61 @@ def solve_beltrami(
     with np.errstate(divide="ignore", invalid="ignore"):
         s_mult = np.where(degenerate, 0, np.conj(sc) / sc)
         c_mult = np.where(degenerate, 0, -2j / sc)
-    corners = _corner_bins(n)
     del sc, degenerate
 
-    # The iterate is the masked spectrum of rho. s_mult vanishes at the mean
-    # and Nyquist-corner bins, so writing the affine and checkerboard channels
-    # there makes one inverse transform give 1 + S(rho) + the kernel terms.
-    rho_hat = np.zeros((n, n), dtype=complex)
+    # k = ifft2(s_mult) at offsets (dr, dc): all n columns along y, then only
+    # the 2R - 1 needed rows along x. When 2R - 1 > n, Lr = n and offsets
+    # that share a residue carry the same value of the n-periodic k.
+    dr = np.arange(1 - R, R)
+    dc = np.arange(1 - C, C)
+    k = np.fft.ifftn(s_mult, axes=(0,))[dr % n]
+    del s_mult
+    kernel = np.zeros((Lr, Lc), dtype=complex)
+    kernel[np.ix_(dr % Lr, dc % Lc)] = np.fft.ifftn(k, axes=(1,))[:, dc % n]
+    kernel_hat = np.fft.fft2(kernel)
+    del k, kernel
+    boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
+
+    x = np.zeros((R, C), dtype=complex)
+    sums = np.zeros(4, dtype=complex)  # x against 1 and the three checkerboards
     gam = np.zeros(3, dtype=complex)
-    sweeps = 0
-    change = math.inf
+    history = []
     for sweeps in range(1, MAX_SWEEPS + 1):
-        t = rho_hat * s_mult
-        t[0, 0] = n * n
-        for k, c in enumerate(corners):
-            t[c] = n * n * gam[k] * _KERNEL_D[k]
-        t = np.fft.ifftn(t, axes=(1,))
-        lines[:, c0:c1] = np.fft.ifftn(t[:, c0:c1], axes=(0,))[r0:r1] * work
-        spread[r0:r1] = np.fft.fftn(lines, axes=(1,))
-        th = np.fft.fftn(spread, axes=(0,))
-        beta = th[0, 0] / (n * n)
-        new_gam = np.array(
-            [th[c] / (n * n) / _KERNEL_DBAR[k] for k, c in enumerate(corners)],
-            dtype=complex,
-        )
-        th[0, 0] = 0
-        for c in corners:
-            th[c] = 0
-        # Parseval: rms of the change in rho is the spectral 2-norm over n^2
-        rho_hat -= th
-        change = float(np.linalg.norm(rho_hat)) / (n * n) + float(np.max(np.abs(new_gam - gam)))
-        rho_hat = th
-        gam = new_gam
+        dh = np.fft.ifft2(np.fft.fft2(x, s=(Lr, Lc)) * kernel_hat)[:R, :C]
+        dh += 1.0 + sum(g * d * b for g, d, b in zip(gam, _KERNEL_D, boards))
+        new_x = work * dh
+        new_sums = np.array([new_x.sum()] + [np.sum(b * new_x) for b in boards])
+        new_gam = new_sums[1:] / (n * n) / _KERNEL_DBAR
+        # rho is x less its projection on the mean and the checkerboards,
+        # which are orthogonal with norm n on the padded grid
+        step = float(np.linalg.norm(new_x - x)) ** 2
+        step -= float(np.sum(np.abs(new_sums - sums) ** 2)) / (n * n)
+        change = math.sqrt(max(step, 0.0)) / n + float(np.max(np.abs(new_gam - gam)))
+        history.append(change)
+        x, sums, gam = new_x, new_sums, new_gam
         if change < tol:
             break
     else:
         raise ConvergenceError(
             "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, MAX_SWEEPS, change)
         )
+    beta = sums[0] / (n * n)
 
-    del t, lines, spread, s_mult  # the final assembly below is the peak of the solve
     # assemble h on the n0 x n0 window of the padded grid only
-    window = np.s_[off : off + n0, off : off + n0]
-    rows, cols = np.ogrid[window]
-    z_big = Box(box.center, box.half_width * pad).nodes(n, rows * n + cols) - box.center
-    corr = np.fft.ifftn(rho_hat * c_mult, axes=(1,))[:, off : off + n0]
-    h = z_big + beta * np.conj(z_big) + np.fft.ifftn(corr, axes=(0,))[off : off + n0]
+    spec = np.zeros((n, n), dtype=complex)
+    spec[r0:r1, c0:c1] = x
+    spec[r0:r1] = np.fft.fftn(spec[r0:r1], axes=(1,))
+    spec = np.fft.fftn(spec, axes=(0,))
+    spec *= c_mult
+    del c_mult
+    window = np.s_[off : off + n0]
+    corr = np.fft.ifftn(spec, axes=(1,))[:, window]
+    del spec
+    i, j = np.ogrid[window, window]
+    z_big = Box(box.center, box.half_width * pad).nodes(n, i * n + j) - box.center
+    h = z_big + beta * np.conj(z_big) + np.fft.ifftn(corr, axes=(0,))[window]
     x_big, y_big = z_big.real, z_big.imag
-    boards = [b[window] for b in _checkerboards(n)]
+    boards = _checkerboards(n, window, window)
     h = h + gam[0] * x_big * boards[0] + gam[1] * y_big * boards[1] + gam[2] * x_big * boards[2]
     h = h + box.center
 
@@ -386,6 +420,7 @@ def solve_beltrami(
     diag = {
         "sweeps": sweeps,
         "final_change": change,
+        "history": history,
         "beta": [beta.real, beta.imag],
         "gammas": [[g.real, g.imag] for g in gam],
         "mu_sup": sup,

@@ -193,3 +193,17 @@ def test_distinct_cycles_required(quad_germ):
     entry = gd.FieldEntry(conj.charts[0], sh)
     with pytest.raises(gd.DomainError):
         gd.BeltramiField(quad_germ, (entry, entry))
+
+
+@pytest.mark.parametrize("block", [7, 8192])
+def test_field_csv_equals_per_row_formatting(monkeypatch, block):
+    monkeypatch.setattr(gd.beltrami, "CSV_BLOCK", block)
+    rng = np.random.default_rng(3)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -2.5e17, math.pi, 5e-324])
+    z = rng.choice(values, (9, 9)) + 1j * rng.choice(values, (9, 9))
+    mu = rng.choice(values, (9, 9)) * rng.standard_normal((9, 9)) + 1j * rng.choice(values, (9, 9))
+    rows = ["re,im,mu_re,mu_im"]
+    for a, m in zip(z.ravel(), mu.ravel()):
+        rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
+    assert gd.field_to_csv(z, mu) == "\n".join(rows) + "\n"
+    assert "-0," in gd.field_to_csv(z, mu)

@@ -368,9 +368,8 @@ def test_solver_matches_four_transform_sweep(quad_germ, n):
 def full_grid_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
     """The two-transform sweep on the whole padded grid: mu embedded in an
     n x n array, one ifft2 and one fft2 per sweep, the correction by ifft2 of
-    the full spectrum. Same arithmetic as the pruned solver, so the result
-    must match it bit for bit. Returns the normalized samples, the sweep
-    count and the last change."""
+    the full spectrum. Returns the normalized samples, the sweep count and
+    the last change."""
     n0 = mu.shape[0]
     mu = mu.copy()
     frame = max(2, int(st.BORDER_FRACTION * n0))
@@ -426,30 +425,63 @@ def _support_mu(kind: str) -> np.ndarray:
         mu[30, 10:50] = 0.4
     elif kind == "column":
         mu[8:56, 33] = -0.35j
+    elif kind == "wide":
+        mu[4:60, 10:50] = 0.3 - 0.2j
+    elif kind == "tall":
+        mu[4:60, 30:34] = 0.45
     else:
         mu[40, 21] = 0.5 - 0.2j
     return mu
 
 
+def _assert_block_sweep_matches_full_grid_sweep(mu: np.ndarray, box: Box, pad: int = 2):
+    # the block convolution moves rounding only: same sweeps, samples within
+    # the four-transform gate, and the last change within 1e-6 relative
+    want, sweeps, change = full_grid_solve(mu, box, pad=pad)
+    gm = gd.solve_beltrami(mu, box, pad=pad)
+    assert gm.diagnostics["sweeps"] == sweeps
+    assert abs(gm.diagnostics["final_change"] - change) <= 1e-6 * change
+    assert np.abs(gm.samples - want).max() <= 1e-13
+
+
 @pytest.mark.parametrize("kind", ["rectangle-on-frame", "row", "column", "node"])
 def test_pruned_sweep_is_bitwise_full_grid_sweep(kind):
-    box = Box(0.2 + 0.1j, 1.5)
-    mu = _support_mu(kind)
-    want, sweeps, change = full_grid_solve(mu, box)
-    gm = gd.solve_beltrami(mu, box)
-    assert (gm.diagnostics["sweeps"], gm.diagnostics["final_change"]) == (sweeps, change)
-    assert np.array_equal(gm.samples, want)
+    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(0.2 + 0.1j, 1.5))
+
+
+@pytest.mark.parametrize("kind", ["wide", "tall", "node"])
+def test_block_sweep_at_pad_1_matches_full_grid_sweep(kind):
+    # "wide" spans more than half the period along both axes, so the kernel
+    # grid is the padded grid itself; "tall" does so along y only
+    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(0.2 + 0.1j, 1.5), pad=1)
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_pruned_sweep_is_bitwise_full_grid_sweep_on_germ_field(quad_germ, n):
     box = box_for(quad_germ)
     field = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)])
-    mu = field.sample_grid(box.nodes(n))
-    want, sweeps, change = full_grid_solve(mu, box)
-    gm = gd.solve_beltrami(mu, box)
-    assert (gm.diagnostics["sweeps"], gm.diagnostics["final_change"]) == (sweeps, change)
-    assert np.array_equal(gm.samples, want)
+    _assert_block_sweep_matches_full_grid_sweep(field.sample_grid(box.nodes(n)), box)
+
+
+def test_smooth_length_is_the_next_5_smooth_integer():
+    def smooth(v):
+        for p in (2, 3, 5):
+            while v % p == 0:
+                v //= p
+        return v == 1
+
+    for m in range(1, 2001):
+        assert st._smooth_length(m) == next(v for v in range(m, 2 * m + 1) if smooth(v))
+
+
+def test_solve_records_the_change_of_every_sweep(quad_germ):
+    box = box_for(quad_germ)
+    field = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
+    diag = gd.solve_beltrami(field.sample_grid(box.nodes(128)), box).diagnostics
+    history = diag["history"]
+    assert len(history) == diag["sweeps"]
+    assert history[-1] == diag["final_change"]
+    assert all(b < a for a, b in zip(history, history[1:]))
 
 
 def test_box_nodes_at_flat_index():
