@@ -159,21 +159,19 @@ class BeltramiField:
         (unresolved) get 0. Each point is classified from its own walk.
         """
         germ = self.germ
-        w = np.array(z_grid, dtype=complex)
-        shape = w.shape
-        w = w.ravel()
-        mu = np.zeros_like(w)
+        z = np.asarray(z_grid, dtype=complex)
+        mu = np.zeros(z.size, dtype=complex)
+        # the live points: flat index, current position, derivative product
+        idx = np.flatnonzero(np.isfinite(z))
+        w = z.ravel()[idx]
         prod = np.ones_like(w)
-        active = np.isfinite(w)
         escaped_total = stalled_total = 0
-        for m in range(TRANSPORT_DEPTH + 1):
-            if not active.any():
-                break
-            esc = active & (np.abs(w) > germ.radius_U)
-            escaped_total += int(np.count_nonzero(esc))
-            active &= ~esc
+        for _ in range(TRANSPORT_DEPTH + 1):
+            keep = np.abs(w) <= germ.radius_U
+            escaped_total += keep.size - int(np.count_nonzero(keep))
+            idx, w, prod = idx[keep], w[keep], prod[keep]
             for e in self.entries:
-                hit = active & (np.abs(w - e.chart.center) <= e.chart.radius)
+                hit = np.abs(w - e.chart.center) <= e.chart.radius
                 if hit.any():
                     wh = w[hit]
                     d = wh - e.chart.center
@@ -182,7 +180,6 @@ class BeltramiField:
                         dt = d[tiny]
                         adt = np.abs(dt)
                         unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
-                        wh = wh.copy()
                         wh[tiny] = e.chart.center + PUNCTURE_RADIUS * unit
                     # chart-disk coefficient: constant torus value pulled back
                     # through xi = Log(phi)/(2*pi*i), derivative factor
@@ -191,35 +188,30 @@ class BeltramiField:
                     dph = e.chart.dphi_raw(wh)
                     g = dph / (2j * math.pi * ph)
                     nu = pullback_by_holomorphic(e.shear.mu, g)
-                    mu[hit] = transport_forward(nu, prod[hit])
-                    active &= ~hit
-            if not active.any():
+                    mu[idx[hit]] = transport_forward(nu, prod[hit])
+                    keep = ~hit
+                    idx, w, prod = idx[keep], w[keep], prod[keep]
+            if not idx.size:
                 break
             # one batched Newton inverse step from the current position; a
             # point that ran out of iterations still counts when its residual
             # is within 1e-10 and it has not stopped on a flat derivative
-            wa = w[active]
-            zn, ok = germ.preimages(wa, wa)
+            zn, ok = germ.preimages(w, w)
             dz = germ.derivative_raw(zn)
-            close = np.abs(germ.eval_raw(zn) - wa) <= 1e-10 * np.maximum(1.0, np.abs(wa))
+            close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
             ok |= close & np.isfinite(zn) & (np.abs(dz) >= DERIVATIVE_FLOOR)
             # a preimage on a critical point cannot carry the field forward
-            new_prod = prod[active] * dz
-            ok &= new_prod != 0
-            idx = np.flatnonzero(active)
-            stalled = idx[~ok]
-            stalled_total += stalled.size
-            active[stalled] = False
-            good = idx[ok]
-            w[good] = zn[ok]
-            prod[good] = new_prod[ok]
+            prod = prod * dz
+            ok &= prod != 0
+            stalled_total += ok.size - int(np.count_nonzero(ok))
+            idx, w, prod = idx[ok], zn[ok], prod[ok]
         if diagnostics is not None:
             diagnostics["escaped"] = escaped_total
             diagnostics["stalled"] = stalled_total
-            diagnostics["unresolved"] = int(np.count_nonzero(active))
+            diagnostics["unresolved"] = int(idx.size)
             diagnostics["max_abs"] = float(np.max(np.abs(mu))) if mu.size else 0.0
             diagnostics["support_fraction"] = float(np.mean(np.abs(mu) > 0))
-        return mu.reshape(shape)
+        return mu.reshape(z.shape)
 
 
 def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray) -> str:

@@ -19,6 +19,7 @@ from .germ import Germ
 
 CYCLE_CLOSE_TOL = 1e-9
 DEDUP_EPS = 1e-9
+MULTIPLE_ROOT_EPS = 1e-6
 INDIFFERENT_BAND = 1e-9
 CRITICAL_FLOOR = 1e-14
 
@@ -151,7 +152,9 @@ def find_cycles(
 
     Newton on f^q(z) - z from a grid plus concentric rings of seeds. The
     output order is (|base|, arg base), stable across runs. A cycle through
-    a critical point is kept, flagged, and given multiplier 0.
+    a critical point is kept, flagged, and given multiplier 0. A root that
+    lands near a found cycle point (MULTIPLE_ROOT_EPS) without matching it
+    (DEDUP_EPS) marks a multiple root, and the census raises DomainError.
     """
     if order < 1:
         raise DomainError("cycle order must be >= 1")
@@ -171,10 +174,16 @@ def find_cycles(
         if any(abs(p) > germ.radius_U for p in pts):
             continue
         pts = _canonical_rotation(pts)
-        if any(
-            abs(pts[0] - p) < DEDUP_EPS for other in found for p in other
-        ):
+        gap = min((abs(pts[0] - p) for other in found for p in other), default=math.inf)
+        if gap < DEDUP_EPS:
             continue
+        if gap < MULTIPLE_ROOT_EPS:
+            # Newton converges only linearly to a multiple root, so its
+            # stopping points scatter around it instead of repeating
+            raise DomainError(
+                "Newton stalls on a multiple root of f^%d(z) - z near %r; "
+                "the census cannot separate its cycles" % (order, pts[0])
+            )
         found.append(pts)
     cycles = []
     for pts in found:

@@ -100,20 +100,29 @@ class LocalConjugacy:
         return w
 
 
+def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:
+    """g'(a) as the contour integral of (g(w) - a) / (w - a)^2 dw / (2 pi i)
+    over a closed curve around the fixed point a, sampled at equally spaced
+    parameters: dw/dt is the FFT derivative of the samples (Nyquist bin
+    zeroed), and the trapezoid rule sums the integrand."""
+    n = w.size
+    k = np.fft.fftfreq(n, 1.0 / n)
+    k[n // 2] = 0
+    dw = np.fft.ifft(1j * k * np.fft.fft(w))
+    return complex(np.sum((gw - a) / (w - a) ** 2 * dw) / (1j * n))
+
+
 def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
     radius: float,
 ) -> complex:
-    """Derivative of step_fn at its fixed point center, by the trapezoid
-    Cauchy integral on a circle. step_fn maps an array of points
-    elementwise and is called once."""
+    """Derivative of step_fn at its fixed point center, by the Cauchy
+    integral on a circle. step_fn maps an array of points elementwise and
+    is called once."""
     theta = np.linspace(0.0, 2.0 * math.pi, MEASURE_POINTS, endpoint=False)
-    w = step_fn(np.array([center + radius * cmath.exp(1j * t) for t in theta]))
-    total = 0j
-    for wk, t in zip(w, theta):
-        total += (complex(wk) - center) * cmath.exp(-1j * t)
-    return total / (MEASURE_POINTS * radius)
+    w = center + radius * np.exp(1j * theta)
+    return contour_multiplier(w, step_fn(w), center)
 
 
 def measure_multiplier(lc: LocalConjugacy) -> complex:

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .germ import Germ
 from .koenigs import build_chart
-from .local_deform import MEASURE_POINTS
+from .local_deform import MEASURE_POINTS, contour_multiplier
 
 SOLVER_TOL = 1e-8
 MAX_SWEEPS = 200
@@ -54,40 +54,26 @@ _BOX_MIN_HALF_WIDTH = 1.25
 
 @dataclass(frozen=True)
 class Box:
-    """Square window [cx - W, cx + W) x [cy - W, cy + W), sampled on an
-    N x N lattice with the right endpoint excluded (FFT convention)."""
+    """Square window [-W, W) x [-W, W) centered at 0, sampled on an N x N
+    lattice with the right endpoint excluded (FFT convention)."""
 
-    center: complex = 0j
     half_width: float = _BOX_MIN_HALF_WIDTH
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise DomainError("box half width must be positive and finite")
-        if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
-            raise DomainError("box center must be finite")
 
     def spacing(self, n: int) -> float:
         return 2.0 * self.half_width / n
 
-    def nodes(self, n: int, flat_index: np.ndarray | None = None) -> np.ndarray:
-        """The n x n lattice (row i at y, column j at x), or only the nodes
-        at the given row-major flat indices."""
-        if flat_index is None:
-            i, j = np.ogrid[:n, :n]
-        else:
-            i, j = np.divmod(flat_index, n)
-        dx = self.spacing(n)
-        xs = self.center.real - self.half_width + dx * j
-        ys = self.center.imag - self.half_width + dx * i
-        return xs + 1j * ys
+    def nodes(self, n: int) -> np.ndarray:
+        """The n x n lattice (row i at y, column j at x)."""
+        t = -self.half_width + self.spacing(n) * np.arange(n)
+        return t[None, :] + 1j * t[:, None]
 
     def extents(self) -> tuple[float, float, float, float]:
-        return (
-            self.center.real - self.half_width,
-            self.center.real + self.half_width,
-            self.center.imag - self.half_width,
-            self.center.imag + self.half_width,
-        )
+        w = self.half_width
+        return (-w, w, -w, w)
 
     def check_inside(self, z) -> None:
         """Raise DomainError unless every point lies in the closed box."""
@@ -102,7 +88,7 @@ class Box:
 
 def box_for(germ: Germ) -> Box:
     # keep the normalization point z = 1 strictly inside
-    return Box(0j, max(2.0 * germ.radius_U, _BOX_MIN_HALF_WIDTH))
+    return Box(max(2.0 * germ.radius_U, _BOX_MIN_HALF_WIDTH))
 
 
 def _central_symbols(n: int, dx: float):
@@ -131,20 +117,15 @@ def _checkerboards(n: int, rows: slice = slice(None), cols: slice = slice(None))
 
 def _smooth_length(m: int) -> int:
     """Smallest 2^a 3^b 5^c >= m, a length numpy's FFT runs fast on."""
-    best = 1
-    while best < m:
-        best *= 2
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    v = max(m, 1)
+    while True:
+        r = v
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return v
+        v += 1
 
 
 def _wirtinger_grid(s: np.ndarray, dx: float):
@@ -269,8 +250,9 @@ class GridMap:
             raise DomainError("grid map blob has wrong length for n = %d" % n)
         body = np.frombuffer(raw, dtype="<f8", offset=36).reshape(n, n, 2)
         samples = body[:, :, 0] + 1j * body[:, :, 1]
-        box = Box(complex((x0 + x1) / 2, (y0 + y1) / 2), (x1 - x0) / 2)
-        return cls(box, samples)
+        if (x0, y0, y1) != (-x1, -x1, x1):
+            raise DomainError("grid map blob box is not a square centered at 0")
+        return cls(Box(x1), samples)
 
     def sidecar(self) -> dict[str, Any]:
         x0, x1, y0, y1 = self.box.extents()
@@ -339,11 +321,13 @@ def solve_beltrami(
 
     dx = box.spacing(n0)
     sc = _central_symbols(n, dx)
-    degenerate = sc == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_mult = np.where(degenerate, 0, np.conj(sc) / sc)
-        c_mult = np.where(degenerate, 0, -2j / sc)
-    del sc, degenerate
+        s_mult = np.conj(sc) / sc
+        c_mult = -2j / sc
+    del sc
+    # the central symbol vanishes on the mean and the three Nyquist corners
+    for b in ((0, 0),) + _corner_bins(n):
+        s_mult[b] = c_mult[b] = 0
 
     # k = ifft2(s_mult) at offsets (dr, dc): all n columns along y, then only
     # the 2R - 1 needed rows along x. When 2R - 1 > n, Lr = n and offsets
@@ -393,13 +377,10 @@ def solve_beltrami(
     window = np.s_[off : off + n0]
     corr = np.fft.ifftn(spec, axes=(1,))[:, window]
     del spec
-    i, j = np.ogrid[window, window]
-    z_big = Box(box.center, box.half_width * pad).nodes(n, i * n + j) - box.center
-    h = z_big + beta * np.conj(z_big) + np.fft.ifftn(corr, axes=(0,))[window]
-    x_big, y_big = z_big.real, z_big.imag
+    z = box.nodes(n0)
+    h = z + beta * np.conj(z) + np.fft.ifftn(corr, axes=(0,))[window]
     boards = _checkerboards(n, window, window)
-    h = h + gam[0] * x_big * boards[0] + gam[1] * y_big * boards[1] + gam[2] * x_big * boards[2]
-    h = h + box.center
+    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
 
     gm = GridMap(box, h)
     # normalize: send 0 to 0 and 1 to 1 exactly
@@ -472,27 +453,17 @@ class DeformedGerm:
         self.grid_map = grid_map
         self.mu = mu
 
-    def cycle_image(self, entry_index: int = 0) -> complex:
-        c = self.field.entries[entry_index].chart.center
-        return complex(self.grid_map(c))
-
     def _contour_multiplier(self, entry_index: int, radius: float) -> complex:
-        """g'(a) as the contour integral of (g(w) - a) / (w - a)^2 dw / (2 pi i)
-        over w = h(z), z = c + r e^{it}: there g(w) = h(f^q(z)) and a = h(c).
-        dh/dt is the FFT derivative of the periodic samples (Nyquist bin
-        zeroed); the trapezoid rule sums the integrand."""
+        """g'(a) by the contour integral over w = h(z), z = c + r e^{it}:
+        there g(w) = h(f^q(z)) and a = h(c)."""
         chart = self.field.entries[entry_index].chart
-        a = self.cycle_image(entry_index)
+        a = complex(self.grid_map(chart.center))
         t = 2.0 * math.pi * np.arange(MEASURE_POINTS) / MEASURE_POINTS
         z = chart.center + radius * np.exp(1j * t)
         fz = z
         for _ in range(chart.cycle.order):
             fz = self.germ.eval_raw(fz)
-        hz = self.grid_map(z)
-        k = np.fft.fftfreq(MEASURE_POINTS, 1.0 / MEASURE_POINTS)
-        k[MEASURE_POINTS // 2] = 0
-        dh = np.fft.ifft(1j * k * np.fft.fft(hz))
-        return complex(np.sum((self.grid_map(fz) - a) / (hz - a) ** 2 * dh) / (1j * MEASURE_POINTS))
+        return contour_multiplier(self.grid_map(z), self.grid_map(fz), a)
 
     def measure_multiplier(self, entry_index: int = 0) -> complex:
         """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral

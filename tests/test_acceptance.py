@@ -157,7 +157,7 @@ def test_criterion_05_field_invariance(capsys):
 
 def test_criterion_06_solver_oracle(capsys):
     t0 = time.perf_counter()
-    box = Box(0j, 3.0)
+    box = Box(3.0)
     n = 1024
     m = -1.0 / 3.0
     disk_r = 1.5

@@ -185,6 +185,29 @@ def test_sample_grid_matches_scalar(field_one_cycle):
         assert abs(v - field_one_cycle.value(complex(z))) < 1e-12
 
 
+def test_weakly_repelling_walk_gives_each_point_its_batch_value():
+    # on e^{2 pi i alpha} z + z^2 with alpha = 1/3 + 1e-3 the 3-cycle is
+    # weakly repelling: on this grid the walks reach its chart after 2 to
+    # 139 backward steps, and 15 of the 49 points are still walking at
+    # TRANSPORT_DEPTH
+    alpha = 1.0 / 3.0 + 1e-3
+    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    lam = gd.repelling_cycle(germ, 3, 0).multiplier
+    field = gd.build_field(germ, [gd.Deformation(3, lam * abs(lam) ** 0.5)])
+    xs = np.linspace(-0.45, 0.45, 7)
+    zs = xs[None, :] + 1j * xs[:, None]
+    batch = {}
+    grid = field.sample_grid(zs, diagnostics=batch)
+    alone = dict.fromkeys(("escaped", "stalled", "unresolved"), 0)
+    for z, v in zip(zs.ravel(), grid.ravel()):
+        diag = {}
+        assert field.value(complex(z), diag) == v
+        for key in alone:
+            alone[key] += diag[key]
+    assert {key: batch[key] for key in alone} == alone
+    assert batch["unresolved"] > 0 and np.count_nonzero(grid) > 1
+
+
 def test_distinct_cycles_required(quad_germ):
     cycles = gd.find_cycles(quad_germ, 1)
     rep = [c for c in cycles if c.kind == "repelling"][0]

@@ -230,6 +230,15 @@ def test_numerical_failure_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_multiple_fixed_point_exits_3(tmp_path, capsys):
+    rc, out = run(tmp_path, "cycles", "mult.json", {"germ": {"coeffs": [[1, 0], [1, 0]]}, "orders": [1]})
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton stalls on a multiple root of f^1(z) - z near ")
+    assert "Traceback" not in err
+    assert not (out / "cycles.csv").exists()
+
+
 def test_grid_flag_overrides_config(tmp_path):
     rc, out = run(
         tmp_path,

@@ -57,6 +57,14 @@ def test_primitive_filter(quad_germ_wide):
             assert abs(p) > 1e-3 and abs(p + 1) > 1e-3
 
 
+def test_multiple_fixed_point_is_refused():
+    # z + z^2 has the double fixed point 0, where Newton converges only
+    # linearly: its stopping points scatter within 3.2e-7 of 0 and would
+    # enter the census as hundreds of distinct fixed points
+    with pytest.raises(gd.DomainError, match=r"multiple root of f\^1\(z\) - z near"):
+        gd.find_cycles(gd.Germ.create([1, 1]), 1)
+
+
 def test_census_is_deterministic(quad_germ_wide):
     a = gd.find_cycles(quad_germ_wide, 2)
     b = gd.find_cycles(quad_germ_wide, 2)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def shear_oracle(z: np.ndarray, m: complex, disk_radius: float) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def disk_solution():
-    box = Box(0j, 1.7)
+    box = Box(1.7)
     n = 256
     m = -1.0 / 3.0
     r = 0.6
@@ -68,7 +70,7 @@ def test_solver_orientation(disk_solution):
 
 
 def test_zero_field_gives_identity():
-    box = Box(0j, 1.5)
+    box = Box(1.5)
     mu = np.zeros((64, 64), dtype=complex)
     gm = gd.solve_beltrami(mu, box)
     z = box.nodes(64)
@@ -82,7 +84,7 @@ def random_grid_map(box: Box, n: int, seed: int = 0) -> gd.GridMap:
     return gd.GridMap(box, box.nodes(n) + 0.1 * noise)
 
 
-@pytest.mark.parametrize("box", [Box(0j, 1.25), Box(0.5 + 0.25j, 2.0)])
+@pytest.mark.parametrize("box", [Box(1.25), Box(2.0)])
 def test_grid_map_is_exact_at_the_nodes(box):
     # on these boxes a node's coordinates divide back to whole indices, so
     # every weight is exactly 0 or 1 and the samples come back bit for bit
@@ -91,7 +93,7 @@ def test_grid_map_is_exact_at_the_nodes(box):
 
 
 def test_grid_map_reproduces_affine_maps():
-    box = Box(0.5 + 0.25j, 2.0)
+    box = Box(2.0)
     n = 32
     a, b, c = 1.2 - 0.3j, 0.2 + 0.1j, 0.05 - 0.02j
     z = box.nodes(n)
@@ -105,7 +107,7 @@ def test_grid_map_reproduces_affine_maps():
 
 
 def test_grid_map_batch_equals_single_points():
-    box = Box(0j, 1.25)
+    box = Box(1.25)
     gm = random_grid_map(box, 32, seed=2)
     rng = np.random.default_rng(3)
     # the closed box, its corners and edges included
@@ -121,7 +123,7 @@ def test_grid_map_batch_equals_single_points():
 
 def test_grid_map_holds_the_edge_displacement():
     # past the last node the map moves with z, displaced as at the edge
-    box = Box(0j, 1.0)
+    box = Box(1.0)
     n = 16
     gm = random_grid_map(box, n, seed=4)
     dx = box.spacing(n)
@@ -153,8 +155,20 @@ def test_from_bytes_rejects_truncation(disk_solution):
         gd.GridMap.from_bytes(raw[:10])
 
 
+def test_from_bytes_rejects_an_off_center_box(disk_solution):
+    # a box is a square centered at 0, so a blob whose extents are shifted
+    # or not square names no box
+    _, _, _, _, gm = disk_solution
+    raw = gm.to_bytes()
+    x0, x1, y0, y1 = gm.box.extents()
+    for extents in ((x0 + 0.5, x1 + 0.5, y0, y1), (x0, x1, 2 * y0, 2 * y1)):
+        blob = raw[:4] + struct.pack("<4d", *extents) + raw[36:]
+        with pytest.raises(gd.DomainError, match="centered at 0"):
+            gd.GridMap.from_bytes(blob)
+
+
 def test_solver_input_validation():
-    box = Box(0j, 1.5)
+    box = Box(1.5)
     with pytest.raises(gd.DomainError):
         gd.solve_beltrami(np.zeros((31, 31), dtype=complex), box)
     with pytest.raises(gd.DomainError):
@@ -175,11 +189,11 @@ def test_solver_input_validation():
 
 def test_box_validation():
     with pytest.raises(gd.DomainError):
-        Box(0j, 0.0)
+        Box(0.0)
     with pytest.raises(gd.DomainError):
-        Box(0j, -2.0)
+        Box(-2.0)
     with pytest.raises(gd.DomainError):
-        Box(complex("nan"), 1.0)
+        Box(float("nan"))
 
 
 def test_box_for_germ(quad_germ):
@@ -190,10 +204,10 @@ def test_box_for_germ(quad_germ):
 
 
 def test_box_nodes_layout():
-    box = Box(0.5 + 0.25j, 2.0)
+    box = Box(2.0)
     z = box.nodes(16)
     assert z.shape == (16, 16)
-    assert z[0, 0] == pytest.approx(0.5 - 2.0 + 1j * (0.25 - 2.0))
+    assert z[0, 0] == -2.0 - 2.0j
     # row index moves the imaginary part, column the real part
     assert z[0, 1].real > z[0, 0].real
     assert z[1, 0].imag > z[0, 0].imag
@@ -345,10 +359,10 @@ def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
         rho, gam = rho_new, new_gam
         if change < tol:
             break
-    z = Box(box.center, box.half_width * pad).nodes(n) - box.center
+    z = Box(box.half_width * pad).nodes(n)
     h = z + beta * np.conj(z) + np.fft.ifft2(np.fft.fft2(rho) * c_mult)
     h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
-    h = (h + box.center)[off : off + n0, off : off + n0]
+    h = h[off : off + n0, off : off + n0]
     raw = gd.GridMap(box, h)
     h0 = raw(0j)
     return (h - h0) / (raw(1.0 + 0j) - h0), sweeps
@@ -406,12 +420,10 @@ def full_grid_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
         if change < tol:
             break
     window = np.s_[off : off + n0, off : off + n0]
-    rows, cols = np.ogrid[window]
-    z = Box(box.center, box.half_width * pad).nodes(n, rows * n + cols) - box.center
+    z = Box(box.half_width * pad).nodes(n)[window]
     h = z + beta * np.conj(z) + np.fft.ifft2(rho_hat * c_mult)[window]
     boards = [b[window] for b in st._checkerboards(n)]
     h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
-    h = h + box.center
     raw = gd.GridMap(box, h)
     h0 = raw(0j)
     return (h - h0) / (raw(1.0 + 0j) - h0), sweeps, change
@@ -446,14 +458,14 @@ def _assert_block_sweep_matches_full_grid_sweep(mu: np.ndarray, box: Box, pad: i
 
 @pytest.mark.parametrize("kind", ["rectangle-on-frame", "row", "column", "node"])
 def test_pruned_sweep_is_bitwise_full_grid_sweep(kind):
-    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(0.2 + 0.1j, 1.5))
+    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(1.5))
 
 
 @pytest.mark.parametrize("kind", ["wide", "tall", "node"])
 def test_block_sweep_at_pad_1_matches_full_grid_sweep(kind):
     # "wide" spans more than half the period along both axes, so the kernel
     # grid is the padded grid itself; "tall" does so along y only
-    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(0.2 + 0.1j, 1.5), pad=1)
+    _assert_block_sweep_matches_full_grid_sweep(_support_mu(kind), Box(1.5), pad=1)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -483,9 +495,3 @@ def test_solve_records_the_change_of_every_sweep(quad_germ):
     assert history[-1] == diag["final_change"]
     assert all(b < a for a, b in zip(history, history[1:]))
 
-
-def test_box_nodes_at_flat_index():
-    box = Box(0.5 + 0.25j, 2.0)
-    n = 48
-    idx = np.array([0, 1, n - 1, n, 7 * n + 13, n * n - 1, 5])
-    assert np.array_equal(box.nodes(n, idx), box.nodes(n).ravel()[idx])
