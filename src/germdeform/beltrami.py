@@ -120,6 +120,27 @@ class FieldEntry:
 
 
 @dataclass(frozen=True)
+class FieldWalk:
+    """The shear-free part of sampling a field: each point's backward walk.
+
+    landings[k] holds, for the k-th chart walked to, one (indices, g, prod)
+    chunk per walk step that landed points in its disk: their flat indices,
+    the chart factor g = phi'/(2*pi*i*phi) at the landing point and the
+    walk's derivative product. The chunks are kept apart because numpy may
+    round a scalar times a large temporary array differently (it reuses the
+    temporary in place), so the field is assembled chunk by chunk. The counts
+    classify the points that landed nowhere.
+    """
+
+    shape: tuple[int, ...]
+    charts: tuple[KoenigsChart, ...]
+    landings: tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]
+    escaped: int
+    stalled: int
+    unresolved: int
+
+
+@dataclass(frozen=True)
 class BeltramiField:
     """Invariant field built from shears at one or more repelling cycles.
 
@@ -152,15 +173,28 @@ class BeltramiField:
         return complex(self.sample_grid(np.array([z]), diagnostics)[0])
 
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
-        """Field over an array of points by batched backward walking.
+        """Field over an array of points: the backward walk, then the
+        assembly of this field's shears along it."""
+        z = np.asarray(z_grid, dtype=complex)
+        # allocated before the walk's temporaries: after them, a large field
+        # array reuses heap memory they freed, which must be zeroed (so all
+        # of it becomes resident) and is kept after the array is freed; at
+        # N=1024 that raised peak RSS by about 4 MB
+        mu = np.zeros(z.size, dtype=complex)
+        return self.assemble(self.walk(z), diagnostics, out=mu)
+
+    def walk(self, z_grid: np.ndarray) -> FieldWalk:
+        """Batched backward walk of every point to the chart disks.
 
         Points that escape, stall in the inverse step (or land on a critical
         point, where the derivative product vanishes), or run out of depth
-        (unresolved) get 0. Each point is classified from its own walk.
+        (unresolved) land nowhere. Each point is classified from its own
+        walk. The shears play no part, so one walk serves every field on the
+        same charts.
         """
         germ = self.germ
         z = np.asarray(z_grid, dtype=complex)
-        mu = np.zeros(z.size, dtype=complex)
+        landed = [[] for _ in self.entries]
         # the live points: flat index, current position, derivative product
         idx = np.flatnonzero(np.isfinite(z))
         w = z.ravel()[idx]
@@ -170,7 +204,7 @@ class BeltramiField:
             keep = np.abs(w) <= germ.radius_U
             escaped_total += keep.size - int(np.count_nonzero(keep))
             idx, w, prod = idx[keep], w[keep], prod[keep]
-            for e in self.entries:
+            for e, chunks in zip(self.entries, landed):
                 hit = np.abs(w - e.chart.center) <= e.chart.radius
                 if hit.any():
                     wh = w[hit]
@@ -181,14 +215,11 @@ class BeltramiField:
                         adt = np.abs(dt)
                         unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
                         wh[tiny] = e.chart.center + PUNCTURE_RADIUS * unit
-                    # chart-disk coefficient: constant torus value pulled back
-                    # through xi = Log(phi)/(2*pi*i), derivative factor
-                    # phi'/(2*pi*i*phi)
+                    # derivative factor of xi = Log(phi)/(2*pi*i), through
+                    # which the constant torus value is pulled back
                     ph = e.chart.phi_raw(wh)
                     dph = e.chart.dphi_raw(wh)
-                    g = dph / (2j * math.pi * ph)
-                    nu = pullback_by_holomorphic(e.shear.mu, g)
-                    mu[idx[hit]] = transport_forward(nu, prod[hit])
+                    chunks.append((idx[hit], dph / (2j * math.pi * ph), prod[hit]))
                     keep = ~hit
                     idx, w, prod = idx[keep], w[keep], prod[keep]
             if not idx.size:
@@ -205,13 +236,40 @@ class BeltramiField:
             ok &= prod != 0
             stalled_total += ok.size - int(np.count_nonzero(ok))
             idx, w, prod = idx[ok], zn[ok], prod[ok]
+        return FieldWalk(
+            shape=z.shape,
+            charts=tuple(e.chart for e in self.entries),
+            landings=tuple(tuple(chunks) for chunks in landed),
+            escaped=escaped_total,
+            stalled=stalled_total,
+            unresolved=int(idx.size),
+        )
+
+    def assemble(
+        self,
+        walk: FieldWalk,
+        diagnostics: dict[str, Any] | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The field on a walk of its own charts: at each landed point, the
+        entry's torus coefficient pulled back by g and carried forward by the
+        derivative product; 0 elsewhere. out, when given, is a flat zero
+        array of the walk's size to write into."""
+        if len(walk.charts) != len(self.entries) or any(
+            c is not e.chart for c, e in zip(walk.charts, self.entries)
+        ):
+            raise DomainError("walk was made on other charts than this field's")
+        mu = np.zeros(math.prod(walk.shape), dtype=complex) if out is None else out
+        for e, chunks in zip(self.entries, walk.landings):
+            for idx, g, prod in chunks:
+                mu[idx] = transport_forward(pullback_by_holomorphic(e.shear.mu, g), prod)
         if diagnostics is not None:
-            diagnostics["escaped"] = escaped_total
-            diagnostics["stalled"] = stalled_total
-            diagnostics["unresolved"] = int(idx.size)
+            diagnostics["escaped"] = walk.escaped
+            diagnostics["stalled"] = walk.stalled
+            diagnostics["unresolved"] = walk.unresolved
             diagnostics["max_abs"] = float(np.max(np.abs(mu))) if mu.size else 0.0
             diagnostics["support_fraction"] = float(np.mean(np.abs(mu) > 0))
-        return mu.reshape(z.shape)
+        return mu.reshape(walk.shape)
 
 
 def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray) -> str:

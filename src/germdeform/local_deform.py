@@ -31,6 +31,7 @@ MEASURE_AGREEMENT = 1e-5
 RESIDUAL_RADII = 8
 RESIDUAL_ANGLES = 8
 RESIDUAL_STEP_REL = 1e-5
+COLLAPSE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -130,15 +131,19 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
 
     The circle radius starts at an eighth of the chart radius and shrinks
     until the pulled-back circle sits well inside the chart (the inverse
-    conjugacy expands when the target multiplier is larger). Estimates at
-    the chosen radius and half of it must agree to 1e-5 relative; the
-    half-radius estimate is returned.
+    conjugacy expands when the target multiplier is larger). A pulled-back
+    circle within COLLAPSE_ULPS ulps of the center c is refused: there the
+    return map is constant in floating point (the inverse conjugacy
+    contracts like |z - c|^(log|lam|/log|target|), so this happens when
+    |target/lam| is small). Estimates at the chosen radius and half of it must agree to 1e-5
+    relative; the half-radius estimate is returned.
     """
     chart = lc.charts[0]
     center = chart.center
     rho = chart.radius / 8.0
     for _ in range(24):
         ok = True
+        spread = 0.0
         for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
             z = center + rho * cmath.exp(1j * t)
             try:
@@ -146,7 +151,8 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
             except DomainError:
                 ok = False
                 break
-            if abs(u - center) > chart.radius / 3.0:
+            spread = max(spread, abs(u - center))
+            if spread > chart.radius / 3.0:
                 ok = False
                 break
         if ok:
@@ -154,6 +160,12 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
         rho *= 0.5
     else:
         raise UnreliableEstimateError("no usable measuring radius found")
+    if spread <= COLLAPSE_ULPS * np.spacing(abs(center)):
+        raise UnreliableEstimateError(
+            "measuring circle collapses onto the chart center: the inverse conjugacy "
+            "sends radius %g to within %g of it (|target/multiplier| = %.3g)"
+            % (rho, spread, abs(lc.target / lc.cycle.multiplier))
+        )
 
     # each point runs the whole return map before the next starts, so a
     # circle that leaves a chart fails at its first bad point

@@ -261,11 +261,66 @@ class GridMap:
         return out
 
 
+class BeurlingKernel:
+    """The sweep operator of one padded grid, on mu's support block.
+
+    Made for a box, grid size n0 and pad factor; fit(block, s_mult) builds
+    the block's zero-padded Lr x Lc kernel spectrum and checkerboards from
+    the padded grid's Beurling multiplier. solve_beltrami makes s_mult only
+    when the block differs from the one the kernel holds. Nothing it keeps
+    is of the padded grid's size unless the block spans more than half of
+    it, so one kernel can serve every solve on the same grid.
+    """
+
+    def __init__(self, box: Box, n0: int, pad: int):
+        self.box = box
+        self.n0 = n0
+        self.pad = pad
+        self.block: tuple[int, int, int, int] | None = None
+
+    def fit(self, block: tuple[int, int, int, int], s_mult: list[np.ndarray]) -> None:
+        """Rows r0:r1 and columns c0:c1 of the padded grid, as (r0, r1, c0,
+        c1). s_mult is a one-element list, emptied here so that the n x n
+        multiplier is freed as soon as the kernel's rows are taken from it.
+
+        k = ifft2(s_mult) at offsets (dr, dc): all n columns along y, then
+        only the 2R - 1 needed rows along x. When 2R - 1 > n, Lr = n and
+        offsets that share a residue carry the same value of the n-periodic
+        k."""
+        r0, r1, c0, c1 = block
+        n = self.n0 * self.pad
+        R, C = r1 - r0, c1 - c0
+        self.Lr = min(n, _smooth_length(2 * R - 1))
+        self.Lc = min(n, _smooth_length(2 * C - 1))
+        dr = np.arange(1 - R, R)
+        dc = np.arange(1 - C, C)
+        mult = s_mult.pop()
+        k = np.fft.ifftn(mult, axes=(0,))[dr % n]
+        del mult
+        kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
+        kernel[np.ix_(dr % self.Lr, dc % self.Lc)] = np.fft.ifftn(k, axes=(1,))[:, dc % n]
+        self.kernel_hat = np.fft.fft2(kernel)
+        del k, kernel
+        self.boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
+        self.block = block
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The periodic Beurling transform of x, zero off the block, read on
+        the block: one forward transform of x zero-padded to Lr x Lc, and an
+        inverse that runs along rows on all Lr rows, then along columns on
+        the first C columns only (numpy's own axis order for ifft2, so the
+        bits are those of ifft2(...)[:R, :C])."""
+        R, C = x.shape
+        spec = np.fft.fft2(x, s=(self.Lr, self.Lc)) * self.kernel_hat
+        return np.fft.ifftn(np.fft.ifftn(spec, axes=(1,))[:, :C], axes=(0,))[:R]
+
+
 def solve_beltrami(
     mu: np.ndarray,
     box: Box,
     tol: float = SOLVER_TOL,
     pad: int = DEFAULT_PAD,
+    kernel: BeurlingKernel | None = None,
 ) -> GridMap:
     """Normalized solution of dbar h = mu * d h on the box.
 
@@ -282,13 +337,15 @@ def solve_beltrami(
     Those offsets, placed at their residues on an Lr x Lc grid (Lr the
     smallest 5-smooth length >= 2R - 1, or n when that is shorter, and
     likewise Lc), do not overlap, so each sweep applies S by one zero-padded
-    Lr x Lc transform pair. The change per sweep is the rms over the padded
-    grid of the change in rho, x with its mean and checkerboard components
-    removed, plus the largest change in a checkerboard coefficient. The
-    correction is the periodic inverse of dbar applied to rho: the forward
-    transform runs along rows on the R support rows, then along columns;
-    c_mult vanishes on the four channels; the inverse runs along rows on
-    all n rows, then along columns on the n0 window only.
+    Lr x Lc transform pair (BeurlingKernel; pass one to reuse it across
+    solves on the same box, grid and pad). The change per sweep is the rms
+    over the padded grid of the change in rho, x with its mean and
+    checkerboard components removed, plus the largest change in a
+    checkerboard coefficient. The correction is the periodic inverse of dbar
+    applied to rho: the forward transform runs along rows on the R support
+    rows, then along columns; c_mult vanishes on the four channels; the
+    inverse runs along rows on all n rows, then along columns on the n0
+    window only.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -303,6 +360,10 @@ def solve_beltrami(
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
     if pad < 1:
         raise DomainError("pad factor must be >= 1")
+    if kernel is None:
+        kernel = BeurlingKernel(box, n0, pad)
+    elif (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
+        raise DomainError("Beurling kernel was made for another box, grid or pad")
 
     frame = max(2, int(BORDER_FRACTION * n0))
     interior = np.zeros_like(mu, dtype=bool)
@@ -315,39 +376,28 @@ def solve_beltrami(
     r0, r1 = _support_span(mu.any(axis=1), off)
     c0, c1 = _support_span(mu.any(axis=0), off)
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off]
-    R, C = work.shape
-    Lr = min(n, _smooth_length(2 * R - 1))
-    Lc = min(n, _smooth_length(2 * C - 1))
-
+    block = (r0, r1, c0, c1)
     dx = box.spacing(n0)
     sc = _central_symbols(n, dx)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_mult = np.conj(sc) / sc
+        s_mult = [np.conj(sc) / sc] if block != kernel.block else []
         c_mult = -2j / sc
     del sc
     # the central symbol vanishes on the mean and the three Nyquist corners
     for b in ((0, 0),) + _corner_bins(n):
-        s_mult[b] = c_mult[b] = 0
+        c_mult[b] = 0
+        if s_mult:
+            s_mult[0][b] = 0
+    if s_mult:
+        kernel.fit(block, s_mult)
+    boards = kernel.boards
 
-    # k = ifft2(s_mult) at offsets (dr, dc): all n columns along y, then only
-    # the 2R - 1 needed rows along x. When 2R - 1 > n, Lr = n and offsets
-    # that share a residue carry the same value of the n-periodic k.
-    dr = np.arange(1 - R, R)
-    dc = np.arange(1 - C, C)
-    k = np.fft.ifftn(s_mult, axes=(0,))[dr % n]
-    del s_mult
-    kernel = np.zeros((Lr, Lc), dtype=complex)
-    kernel[np.ix_(dr % Lr, dc % Lc)] = np.fft.ifftn(k, axes=(1,))[:, dc % n]
-    kernel_hat = np.fft.fft2(kernel)
-    del k, kernel
-    boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
-
-    x = np.zeros((R, C), dtype=complex)
+    x = np.zeros(work.shape, dtype=complex)
     sums = np.zeros(4, dtype=complex)  # x against 1 and the three checkerboards
     gam = np.zeros(3, dtype=complex)
     history = []
     for sweeps in range(1, MAX_SWEEPS + 1):
-        dh = np.fft.ifft2(np.fft.fft2(x, s=(Lr, Lc)) * kernel_hat)[:R, :C]
+        dh = kernel.apply(x)
         dh += 1.0 + sum(g * d * b for g, d, b in zip(gam, _KERNEL_D, boards))
         new_x = work * dh
         new_sums = np.array([new_x.sum()] + [np.sum(b * new_x) for b in boards])
@@ -514,8 +564,10 @@ def motion_sample(
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
     of images and one straightening per t. Every t, point and shear is
-    checked before the first solve; the census and charts do not depend on
-    t, so they are built once and each t only swaps the shears."""
+    checked before the first walk; the census, the charts, the field's
+    backward walk and the Beurling kernel do not depend on t, so they are
+    made once and each t only swaps the shears. Each row is bitwise the row
+    of a call with that t alone."""
     ts = [complex(t) for t in t_values]
     if any(t == 0 or abs(t) >= 1.0 for t in ts):
         raise DomainError("motion parameter must satisfy 0 < |t| < 1")
@@ -529,9 +581,11 @@ def motion_sample(
     for t in ts:
         entries = [FieldEntry(c, shear_coefficient(c.cycle.multiplier, 1.0 / t)) for c in charts]
         fields.append(BeltramiField(germ, tuple(entries)))
+    walk = fields[0].walk(box.nodes(n))
+    kernel = BeurlingKernel(box, n, pad)
     rows = []
     for field in fields:
-        gm = solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=tol, pad=pad)
+        gm = solve_beltrami(field.assemble(walk), box, tol=tol, pad=pad, kernel=kernel)
         rows.append(gm(zs).tolist())
         del gm  # free this grid map before the next solve allocates its own
     return rows

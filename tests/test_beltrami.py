@@ -230,3 +230,82 @@ def test_field_csv_equals_per_row_formatting(monkeypatch, block):
         rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
     assert gd.field_to_csv(z, mu) == "\n".join(rows) + "\n"
     assert "-0," in gd.field_to_csv(z, mu)
+
+
+def single_pass_sample_grid(field, z_grid, diagnostics):
+    """The field by one backward walk that assembles each landing as it
+    happens: the pullback and transport applied to each step's landed
+    points at once."""
+    germ = field.germ
+    z = np.asarray(z_grid, dtype=complex)
+    mu = np.zeros(z.size, dtype=complex)
+    idx = np.flatnonzero(np.isfinite(z))
+    w = z.ravel()[idx]
+    prod = np.ones_like(w)
+    escaped_total = stalled_total = 0
+    for _ in range(gd.beltrami.TRANSPORT_DEPTH + 1):
+        keep = np.abs(w) <= germ.radius_U
+        escaped_total += keep.size - int(np.count_nonzero(keep))
+        idx, w, prod = idx[keep], w[keep], prod[keep]
+        for e in field.entries:
+            hit = np.abs(w - e.chart.center) <= e.chart.radius
+            if hit.any():
+                wh = w[hit]
+                d = wh - e.chart.center
+                tiny = np.abs(d) < gd.beltrami.PUNCTURE_RADIUS
+                if tiny.any():
+                    dt = d[tiny]
+                    adt = np.abs(dt)
+                    unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
+                    wh[tiny] = e.chart.center + gd.beltrami.PUNCTURE_RADIUS * unit
+                ph = e.chart.phi_raw(wh)
+                dph = e.chart.dphi_raw(wh)
+                g = dph / (2j * math.pi * ph)
+                nu = gd.pullback_by_holomorphic(e.shear.mu, g)
+                mu[idx[hit]] = gd.transport_forward(nu, prod[hit])
+                keep = ~hit
+                idx, w, prod = idx[keep], w[keep], prod[keep]
+        if not idx.size:
+            break
+        zn, ok = germ.preimages(w, w)
+        dz = germ.derivative_raw(zn)
+        close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
+        ok |= close & np.isfinite(zn) & (np.abs(dz) >= gd.germ.DERIVATIVE_FLOOR)
+        prod = prod * dz
+        ok &= prod != 0
+        stalled_total += ok.size - int(np.count_nonzero(ok))
+        idx, w, prod = idx[ok], zn[ok], prod[ok]
+    diagnostics.update(escaped=escaped_total, stalled=stalled_total, unresolved=int(idx.size))
+    return mu.reshape(z.shape)
+
+
+@pytest.mark.parametrize(
+    "radius_U, deformations",
+    [
+        (None, [gd.Deformation(1, 2.5 + 1.0j)]),
+        (3.0, [gd.Deformation(1, 3.0 + 0j), gd.Deformation(2, 5.0 + 1.0j)]),
+    ],
+    ids=["one-entry-auto-disk", "orders-1-2-radius-3"],
+)
+def test_walk_then_assembly_is_bitwise_the_single_pass_walk(radius_U, deformations):
+    # at N=512 one walk step lands more than 16384 points, where numpy
+    # reuses a scalar product's temporary in place and can round it apart
+    # from the same product on fewer points
+    germ = gd.Germ.create([2, 1]) if radius_U is None else gd.Germ.create([2, 1], radius_U=radius_U)
+    field = gd.build_field(germ, deformations)
+    z = gd.box_for(germ).nodes(512)
+    want_diag, got_diag = {}, {}
+    want = single_pass_sample_grid(field, z, want_diag)
+    got = field.sample_grid(z, diagnostics=got_diag)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert {key: got_diag[key] for key in want_diag} == want_diag
+    assert np.count_nonzero(got) > 0
+
+
+def test_assembly_refuses_a_walk_on_other_charts(quad_germ):
+    field = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
+    other = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
+    walk = field.walk(np.array([0.01 + 0j]))
+    assert other.assemble(other.walk(np.array([0.01 + 0j]))) == field.assemble(walk)
+    with pytest.raises(gd.DomainError, match="other charts"):
+        other.assemble(walk)

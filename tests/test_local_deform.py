@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 import germdeform as gd
+from germdeform.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,37 @@ def test_build_rejects_bad_target(quad_germ, repelling_fixed):
 def test_residual_requires_positive_radius(conj3):
     with pytest.raises(gd.DomainError):
         gd.holomorphy_residual(conj3.k_eval, 0j, 0.0)
+
+
+# seed 1, job local-20 of the local-census benchmark: |target/lambda| = 0.099
+COLLAPSE_TARGET = 0.8292629230822784 - 1.3502956612035348j
+
+
+def test_collapsed_measuring_circle_is_named_before_the_two_radius_check(monkeypatch, quad_germ_wide):
+    lc = gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, 4, 0), COLLAPSE_TARGET)
+    center = lc.charts[0].center
+    # the inverse conjugacy rounds the measuring circle onto the center
+    assert lc.k_inverse(center + lc.charts[0].radius / 8.0) == center
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a contour estimate ran on a collapsed circle")
+
+    monkeypatch.setattr(gd.local_deform, "cauchy_cycle_derivative", unreachable)
+    with pytest.raises(gd.UnreliableEstimateError, match="measuring circle collapses onto the chart center"):
+        gd.measure_multiplier(lc)
+
+
+def test_collapsed_measuring_circle_exits_3_naming_it(tmp_path, capsys):
+    cfg = {
+        "germ": {"coeffs": [[2, 0], [1, 0]], "radius_U": 3.0},
+        "order": 4,
+        "cycle_index": 0,
+        "target": [COLLAPSE_TARGET.real, COLLAPSE_TARGET.imag],
+    }
+    path = tmp_path / "collapse.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["deform-local", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "measuring circle collapses onto the chart center" in err
+    assert "disagree" not in err

@@ -271,6 +271,67 @@ def test_motion_sample_runs_one_census_per_order(monkeypatch, quad_germ):
     assert rows == separate
 
 
+def test_motion_sample_walks_once_and_builds_one_kernel(monkeypatch, quad_germ):
+    walks, fits = [], []
+    walk = gd.BeltramiField.walk
+    fit = st.BeurlingKernel.fit
+
+    def counted_walk(self, z):
+        walks.append(z.shape)
+        return walk(self, z)
+
+    def counted_fit(self, block, s_mult):
+        fits.append(block)
+        return fit(self, block, s_mult)
+
+    monkeypatch.setattr(gd.BeltramiField, "walk", counted_walk)
+    monkeypatch.setattr(st.BeurlingKernel, "fit", counted_fit)
+    gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j], n=64)
+    assert walks == [(64, 64)]
+    assert len(fits) == 1
+
+
+def test_motion_sample_refuses_a_shear_before_any_walk_or_solve(monkeypatch, quad_germ):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("walk or solve ran before every shear was checked")
+
+    monkeypatch.setattr(gd.BeltramiField, "walk", unreachable)
+    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    # |t| < 1, but 1/t is not repelling enough to shear to
+    with pytest.raises(gd.ShearError):
+        gd.motion_sample(quad_germ, [0.4 + 0j, 1.0 - 1e-10 + 0j], [0.1 + 0j], n=32)
+
+
+def test_kernel_refits_when_the_block_changes_and_refuses_another_grid():
+    box = Box(1.5)
+    kernel = st.BeurlingKernel(box, 64, 2)
+    for kind in ("row", "node", "row"):
+        mu = _support_mu(kind)
+        shared = gd.solve_beltrami(mu, box, kernel=kernel)
+        alone = gd.solve_beltrami(mu, box)
+        assert shared.samples.tobytes() == alone.samples.tobytes()
+        assert shared.diagnostics == alone.diagnostics
+    for other in (st.BeurlingKernel(Box(2.0), 64, 2), st.BeurlingKernel(box, 32, 2), st.BeurlingKernel(box, 64, 1)):
+        with pytest.raises(gd.DomainError, match="another box, grid or pad"):
+            gd.solve_beltrami(_support_mu("row"), box, kernel=other)
+
+
+def test_pruned_inverse_is_bitwise_ifft2():
+    rng = np.random.default_rng(5)
+    kernel = st.BeurlingKernel(Box(1.5), 256, 2)
+    sc = st._central_symbols(512, Box(1.5).spacing(256))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
+    # kernel grids 180 x 192, 360 x 360, and 512 x 120 (the padded grid's
+    # own length once the block spans more than half of it)
+    for r, c in ((90, 96), (180, 170), (300, 60)):
+        kernel.fit((100, 100 + r, 120, 120 + c), [s_mult])
+        x = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        want = np.fft.ifft2(np.fft.fft2(x, s=(kernel.Lr, kernel.Lc)) * kernel.kernel_hat)[:r, :c]
+        assert kernel.apply(x).tobytes() == want.tobytes()
+    assert (kernel.Lr, kernel.Lc) == (512, 120)
+
+
 def test_motion_rows_are_pointwise_grid_map_values(monkeypatch, quad_germ):
     ts = [0.4 + 0j, 0.3 - 0.1j]
     points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
