@@ -98,10 +98,13 @@ def shear_coefficient(lam: complex, lam_prime: complex) -> TorusShear:
 
 def pullback_by_holomorphic(mu_val: complex, gprime_over_g_factor: complex) -> complex:
     """Beltrami pullback under a holomorphic map with derivative factor g':
-    mu -> mu * conj(g')/g'. Elementwise on arrays."""
+    mu -> mu * conj(g')/g'. Elementwise on arrays, and each point's bits do
+    not depend on how many points come with it: numpy computes a scalar
+    times a large temporary array in place, with other rounding, so the
+    product is taken by np.multiply."""
     if np.any(gprime_over_g_factor == 0):
         raise DomainError("pullback derivative factor must be nonzero")
-    return mu_val * gprime_over_g_factor.conjugate() / gprime_over_g_factor
+    return np.multiply(mu_val, gprime_over_g_factor.conjugate()) / gprime_over_g_factor
 
 
 def transport_forward(mu_val: complex, derivative_product: complex) -> complex:
@@ -126,10 +129,8 @@ class FieldWalk:
     landings[k] holds, for the k-th chart walked to, one (indices, g, prod)
     chunk per walk step that landed points in its disk: their flat indices,
     the chart factor g = phi'/(2*pi*i*phi) at the landing point and the
-    walk's derivative product. The chunks are kept apart because numpy may
-    round a scalar times a large temporary array differently (it reuses the
-    temporary in place), so the field is assembled chunk by chunk. The counts
-    classify the points that landed nowhere.
+    walk's derivative product. The counts classify the points that landed
+    nowhere.
     """
 
     shape: tuple[int, ...]

@@ -9,7 +9,10 @@ matched explicitly through an affine channel and three checkerboard kernel
 terms. mu lives on a block of rows and columns of the padded grid, and the
 sweep needs the iterate only there: the multiplier restricted to the block is
 a convolution with its periodic kernel at offsets inside the block, applied
-by one zero-padded FFT pair of about twice the block's size per sweep.
+by one zero-padded FFT pair of about twice the block's size per sweep. That
+kernel is the d of the periodic Cauchy kernel, which also carries the
+converged iterate from the block to the window, so one inverse transform
+per grid and block gives both.
 Conjugating the germ by h realizes the requested multipliers globally, and a
 Cauchy integral over the h-image of a chart circle measures them from
 forward values of h alone; sampling h along a parameter path gives the
@@ -129,10 +132,10 @@ def _smooth_length(m: int) -> int:
 
 
 def _wirtinger_grid(s: np.ndarray, dx: float):
-    """(d, dbar) of grid samples by central differences. The stencil wraps
-    around, so the outermost rows and columns are not true differences."""
-    fx = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2 * dx)
-    fy = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) / (2 * dx)
+    """(d, dbar) of grid samples by central differences, on the interior
+    nodes only (one node in from every edge)."""
+    fx = (s[1:-1, 2:] - s[1:-1, :-2]) / (2 * dx)
+    fy = (s[2:, 1:-1] - s[:-2, 1:-1]) / (2 * dx)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -225,7 +228,7 @@ class GridMap:
         if not (2 <= i < self.n - 2 and 2 <= j < self.n - 2):
             raise DomainError("point too close to the grid border for a derivative readback")
         d, db = _wirtinger_grid(self.samples[i - 1 : i + 2, j - 1 : j + 2], dx)
-        d, db = d[1, 1], db[1, 1]
+        d, db = d[0, 0], db[0, 0]
         if abs(d) < 1e-10:
             raise SingularDerivativeError("holomorphic derivative vanished at readback node")
         return complex(db / d)
@@ -261,15 +264,24 @@ class GridMap:
         return out
 
 
-class BeurlingKernel:
-    """The sweep operator of one padded grid, on mu's support block.
+def _residue_offsets(m: int, size: int) -> np.ndarray:
+    """For each residue mod m, the offset in [1 - size, m - size] congruent
+    to it."""
+    return (np.arange(m) + size - 1) % m - (size - 1)
 
-    Made for a box, grid size n0 and pad factor; fit(block, s_mult) builds
-    the block's zero-padded Lr x Lc kernel spectrum and checkerboards from
-    the padded grid's Beurling multiplier. solve_beltrami makes s_mult only
-    when the block differs from the one the kernel holds. Nothing it keeps
-    is of the padded grid's size unless the block spans more than half of
-    it, so one kernel can serve every solve on the same grid.
+
+class BeurlingKernel:
+    """The periodic Cauchy kernel of one padded grid, between mu's support
+    block and the n0 x n0 window.
+
+    Made for a box, grid size n0 and pad factor; fit(block) takes the
+    inverse transform of the correction multiplier c_mult = -2i/s_c once, at
+    the offsets the block and the window need, and keeps two spectra of it:
+    corr_hat for the correction and kernel_hat for the sweep. Neither is of
+    the padded grid's size unless the window and the block together outspan
+    it (as at pad 1), so one kernel serves every solve on the same grid, and
+    a solve whose block it already holds transforms nothing larger than
+    those two grids.
     """
 
     def __init__(self, box: Box, n0: int, pad: int):
@@ -278,41 +290,76 @@ class BeurlingKernel:
         self.pad = pad
         self.block: tuple[int, int, int, int] | None = None
 
-    def fit(self, block: tuple[int, int, int, int], s_mult: list[np.ndarray]) -> None:
+    def fit(self, block: tuple[int, int, int, int]) -> None:
         """Rows r0:r1 and columns c0:c1 of the padded grid, as (r0, r1, c0,
-        c1). s_mult is a one-element list, emptied here so that the n x n
-        multiplier is freed as soon as the kernel's rows are taken from it.
+        c1).
 
-        k = ifft2(s_mult) at offsets (dr, dc): all n columns along y, then
-        only the 2R - 1 needed rows along x. When 2R - 1 > n, Lr = n and
-        offsets that share a residue carry the same value of the n-periodic
-        k."""
+        The correction reads g = ifft2(c_mult) at the offsets of window rows
+        from block rows, 1 - R to n0 - 1, and of columns likewise. They sit
+        at their residues on an Mr x Mc grid: Mr is the smallest 5-smooth
+        length >= n0 + R - 1, which keeps them apart, or n when that is
+        shorter, where offsets that share a residue carry the same value of
+        the n-periodic g. g is transformed along x on all n rows and keeps
+        Mc columns, then along y on those and keeps Mr rows.
+
+        The sweep's kernel is k = ifft2(conj(s_c)/s_c), and conj(s_c)/s_c =
+        (i/2) conj(s_c) c_mult, where (i/2) conj(s_c) is the symbol of the
+        central-difference d: so k is d of g, on the offsets (-R, R) x
+        (-C, C), placed on the Lr x Lc grid of apply. The frame of the solve
+        keeps the block off the window's edge, so g is at hand on the
+        offsets [-R, R] x [-C, C] that the differences read."""
         r0, r1, c0, c1 = block
-        n = self.n0 * self.pad
+        n0, n = self.n0, self.n0 * self.pad
+        off = (n - n0) // 2
         R, C = r1 - r0, c1 - c0
+        self.block = block
+        self.boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
+        if not R:  # mu == 0: nothing to convolve
+            self.corr_hat = self.kernel_hat = None
+            return
+        assert off < r0 and r1 < off + n0 and off < c0 and c1 < off + n0, block
+        dx = self.box.spacing(n0)
+        g = _central_symbols(n, dx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(-2j, g, out=g)
+        # the central symbol vanishes on the mean and the three Nyquist corners
+        for b in ((0, 0),) + _corner_bins(n):
+            g[b] = 0
+        Mr = min(n, _smooth_length(n0 + R - 1))
+        Mc = min(n, _smooth_length(n0 + C - 1))
+        g = np.take(np.fft.ifftn(g, axes=(1,)), _residue_offsets(Mc, C) + off - c0, axis=1, mode="wrap")
+        g = np.take(np.fft.ifftn(g, axes=(0,)), _residue_offsets(Mr, R) + off - r0, axis=0, mode="wrap")
+        self.corr_hat = np.fft.fft2(g)
+        near = np.ix_((np.arange(-R, R + 1) + r0 - off) % Mr, (np.arange(-C, C + 1) + c0 - off) % Mc)
+        k = _wirtinger_grid(g[near], dx)[0]
+        del g
         self.Lr = min(n, _smooth_length(2 * R - 1))
         self.Lc = min(n, _smooth_length(2 * C - 1))
-        dr = np.arange(1 - R, R)
-        dc = np.arange(1 - C, C)
-        mult = s_mult.pop()
-        k = np.fft.ifftn(mult, axes=(0,))[dr % n]
-        del mult
         kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
-        kernel[np.ix_(dr % self.Lr, dc % self.Lc)] = np.fft.ifftn(k, axes=(1,))[:, dc % n]
+        kernel[np.ix_(np.arange(1 - R, R) % self.Lr, np.arange(1 - C, C) % self.Lc)] = k
         self.kernel_hat = np.fft.fft2(kernel)
-        del k, kernel
-        self.boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
-        self.block = block
+
+    @staticmethod
+    def _convolve(x: np.ndarray, hat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
+        """The periodic convolution of x, zero-padded to hat's grid, read on
+        its first rows x cols: one forward transform, and an inverse that
+        runs along rows on all of hat's rows, then along columns on the
+        first cols columns only (numpy's own axis order for ifft2, so the
+        bits are those of ifft2(...)[:rows, :cols])."""
+        if hat is None:
+            return np.zeros((rows, cols), dtype=complex)
+        spec = np.fft.fft2(x, s=hat.shape) * hat
+        return np.fft.ifftn(np.fft.ifftn(spec, axes=(1,))[:, :cols], axes=(0,))[:rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The periodic Beurling transform of x, zero off the block, read on
-        the block: one forward transform of x zero-padded to Lr x Lc, and an
-        inverse that runs along rows on all Lr rows, then along columns on
-        the first C columns only (numpy's own axis order for ifft2, so the
-        bits are those of ifft2(...)[:R, :C])."""
-        R, C = x.shape
-        spec = np.fft.fft2(x, s=(self.Lr, self.Lc)) * self.kernel_hat
-        return np.fft.ifftn(np.fft.ifftn(spec, axes=(1,))[:, :C], axes=(0,))[:R]
+        the block."""
+        return self._convolve(x, self.kernel_hat, *x.shape)
+
+    def correct(self, x: np.ndarray) -> np.ndarray:
+        """The periodic inverse of dbar applied to x, zero off the block,
+        read on the n0 x n0 window."""
+        return self._convolve(x, self.corr_hat, self.n0, self.n0)
 
 
 def solve_beltrami(
@@ -337,15 +384,14 @@ def solve_beltrami(
     Those offsets, placed at their residues on an Lr x Lc grid (Lr the
     smallest 5-smooth length >= 2R - 1, or n when that is shorter, and
     likewise Lc), do not overlap, so each sweep applies S by one zero-padded
-    Lr x Lc transform pair (BeurlingKernel; pass one to reuse it across
-    solves on the same box, grid and pad). The change per sweep is the rms
-    over the padded grid of the change in rho, x with its mean and
-    checkerboard components removed, plus the largest change in a
-    checkerboard coefficient. The correction is the periodic inverse of dbar
-    applied to rho: the forward transform runs along rows on the R support
-    rows, then along columns; c_mult vanishes on the four channels; the
-    inverse runs along rows on all n rows, then along columns on the n0
-    window only.
+    Lr x Lc transform pair. The change per sweep is the rms over the padded
+    grid of the change in rho, x with its mean and checkerboard components
+    removed, plus the largest change in a checkerboard coefficient. The
+    correction is the periodic inverse of dbar applied to rho, read on the
+    n0 window: a convolution of x with g = ifft2(c_mult), applied by one
+    Mr x Mc transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
+    transform of c_mult gives both kernels (BeurlingKernel; pass one to
+    reuse it across solves on the same box, grid and pad).
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -377,19 +423,8 @@ def solve_beltrami(
     c0, c1 = _support_span(mu.any(axis=0), off)
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off]
     block = (r0, r1, c0, c1)
-    dx = box.spacing(n0)
-    sc = _central_symbols(n, dx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_mult = [np.conj(sc) / sc] if block != kernel.block else []
-        c_mult = -2j / sc
-    del sc
-    # the central symbol vanishes on the mean and the three Nyquist corners
-    for b in ((0, 0),) + _corner_bins(n):
-        c_mult[b] = 0
-        if s_mult:
-            s_mult[0][b] = 0
-    if s_mult:
-        kernel.fit(block, s_mult)
+    if block != kernel.block:
+        kernel.fit(block)
     boards = kernel.boards
 
     x = np.zeros(work.shape, dtype=complex)
@@ -418,17 +453,9 @@ def solve_beltrami(
     beta = sums[0] / (n * n)
 
     # assemble h on the n0 x n0 window of the padded grid only
-    spec = np.zeros((n, n), dtype=complex)
-    spec[r0:r1, c0:c1] = x
-    spec[r0:r1] = np.fft.fftn(spec[r0:r1], axes=(1,))
-    spec = np.fft.fftn(spec, axes=(0,))
-    spec *= c_mult
-    del c_mult
-    window = np.s_[off : off + n0]
-    corr = np.fft.ifftn(spec, axes=(1,))[:, window]
-    del spec
     z = box.nodes(n0)
-    h = z + beta * np.conj(z) + np.fft.ifftn(corr, axes=(0,))[window]
+    h = z + beta * np.conj(z) + kernel.correct(x)
+    window = np.s_[off : off + n0]
     boards = _checkerboards(n, window, window)
     h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
 
@@ -442,8 +469,8 @@ def solve_beltrami(
     normalized = (h - h0) / scale
 
     # orientation must survive: discrete Jacobian positive at interior nodes
-    d, db = _wirtinger_grid(normalized, dx)
-    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[2:-2, 2:-2]
+    d, db = _wirtinger_grid(normalized, box.spacing(n0))
+    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]
     min_jac = float(np.min(jac))
     if min_jac <= 0:
         raise ConvergenceError("straightening lost orientation (min Jacobian %g)" % min_jac)

@@ -302,6 +302,22 @@ def test_walk_then_assembly_is_bitwise_the_single_pass_walk(radius_U, deformatio
     assert np.count_nonzero(got) > 0
 
 
+def test_a_points_value_does_not_depend_on_its_batch():
+    # at N=512 one walk step lands more than 16384 points, where numpy
+    # computes a scalar times a temporary array in place, with other rounding
+    germ = gd.Germ.create([2, 1])
+    field = gd.build_field(germ, [gd.Deformation(1, 2.5 + 1.0j)])
+    z = gd.box_for(germ).nodes(512).ravel()
+    grid = field.sample_grid(z)
+    landed = np.flatnonzero(grid)
+    rng = np.random.default_rng(4)
+    for k in rng.choice(landed, 300, replace=False):
+        assert field.value(z[k]) == grid[k]
+    for size in (1, 100, 20000):
+        pick = rng.choice(landed, size, replace=False)
+        assert np.array_equal(field.sample_grid(z[pick]).view(np.int64), grid[pick].view(np.int64))
+
+
 def test_assembly_refuses_a_walk_on_other_charts(quad_germ):
     field = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
     other = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])

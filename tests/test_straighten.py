@@ -280,9 +280,9 @@ def test_motion_sample_walks_once_and_builds_one_kernel(monkeypatch, quad_germ):
         walks.append(z.shape)
         return walk(self, z)
 
-    def counted_fit(self, block, s_mult):
+    def counted_fit(self, block):
         fits.append(block)
-        return fit(self, block, s_mult)
+        return fit(self, block)
 
     monkeypatch.setattr(gd.BeltramiField, "walk", counted_walk)
     monkeypatch.setattr(st.BeurlingKernel, "fit", counted_fit)
@@ -318,18 +318,134 @@ def test_kernel_refits_when_the_block_changes_and_refuses_another_grid():
 
 def test_pruned_inverse_is_bitwise_ifft2():
     rng = np.random.default_rng(5)
-    kernel = st.BeurlingKernel(Box(1.5), 256, 2)
-    sc = st._central_symbols(512, Box(1.5).spacing(256))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
+    kernel = st.BeurlingKernel(Box(1.5), 512, 1)
     # kernel grids 180 x 192, 360 x 360, and 512 x 120 (the padded grid's
     # own length once the block spans more than half of it)
     for r, c in ((90, 96), (180, 170), (300, 60)):
-        kernel.fit((100, 100 + r, 120, 120 + c), [s_mult])
+        kernel.fit((100, 100 + r, 120, 120 + c))
         x = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
         want = np.fft.ifft2(np.fft.fft2(x, s=(kernel.Lr, kernel.Lc)) * kernel.kernel_hat)[:r, :c]
         assert kernel.apply(x).tobytes() == want.tobytes()
     assert (kernel.Lr, kernel.Lc) == (512, 120)
+
+
+def padded_grid_multipliers(n: int, dx: float):
+    sc = st._central_symbols(n, dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sc == 0, 0, np.conj(sc) / sc), np.where(sc == 0, 0, -2j / sc)
+
+
+def padded_grid_correction(x: np.ndarray, block, n0: int, pad: int, dx: float) -> np.ndarray:
+    """The correction as one n x n spectrum: x placed on its block of the
+    padded grid, forward along rows on the block's rows, then along columns,
+    times c_mult, and the inverse along rows on all n rows, then along
+    columns on the n0 window."""
+    r0, r1, c0, c1 = block
+    n = n0 * pad
+    off = (n - n0) // 2
+    c_mult = padded_grid_multipliers(n, dx)[1]
+    spec = np.zeros((n, n), dtype=complex)
+    spec[r0:r1, c0:c1] = x
+    spec[r0:r1] = np.fft.fftn(spec[r0:r1], axes=(1,))
+    spec = np.fft.fftn(spec, axes=(0,)) * c_mult
+    window = np.s_[off : off + n0]
+    return np.fft.ifftn(np.fft.ifftn(spec, axes=(1,))[:, window], axes=(0,))[window]
+
+
+def multiplier_kernel_hat(block, n0: int, pad: int, dx: float) -> np.ndarray:
+    """The sweep kernel's Lr x Lc spectrum from the n x n multiplier
+    conj(s_c)/s_c: its inverse transform along y on all n columns, along x
+    on the 2R - 1 needed rows, placed at the offsets' residues."""
+    r0, r1, c0, c1 = block
+    n = n0 * pad
+    R, C = r1 - r0, c1 - c0
+    Lr, Lc = min(n, st._smooth_length(2 * R - 1)), min(n, st._smooth_length(2 * C - 1))
+    dr, dc = np.arange(1 - R, R), np.arange(1 - C, C)
+    k = np.fft.ifftn(padded_grid_multipliers(n, dx)[0], axes=(0,))[dr % n]
+    kernel = np.zeros((Lr, Lc), dtype=complex)
+    kernel[np.ix_(dr % Lr, dc % Lc)] = np.fft.ifftn(k, axes=(1,))[:, dc % n]
+    return np.fft.fft2(kernel)
+
+
+# blocks of the 256 x 256 window at pad 2, and one at pad 1 whose
+# correction grid is the padded grid itself
+KERNEL_CASES = [
+    (256, 2, (140, 230, 150, 246)),
+    (256, 2, (140, 320, 150, 320)),
+    (64, 1, (4, 60, 10, 50)),
+]
+
+
+@pytest.mark.parametrize("n0, pad, block", KERNEL_CASES)
+def test_kernel_correction_matches_the_padded_grid_correction(n0, pad, block):
+    box = Box(1.5)
+    kernel = st.BeurlingKernel(box, n0, pad)
+    kernel.fit(block)
+    r0, r1, c0, c1 = block
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((r1 - r0, c1 - c0)) + 1j * rng.standard_normal((r1 - r0, c1 - c0))
+    want = padded_grid_correction(x, block, n0, pad, box.spacing(n0))
+    got = kernel.correct(x)
+    assert got.shape == (n0, n0)
+    assert np.abs(got - want).max() <= 1e-13
+    if pad == 1:
+        assert kernel.corr_hat.shape == (n0, n0)
+
+
+@pytest.mark.parametrize("n0, pad, block", KERNEL_CASES)
+def test_derived_sweep_kernel_matches_the_beurling_multiplier(n0, pad, block):
+    box = Box(1.5)
+    kernel = st.BeurlingKernel(box, n0, pad)
+    kernel.fit(block)
+    r0, r1, c0, c1 = block
+    R, C = r1 - r0, c1 - c0
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
+    hat = multiplier_kernel_hat(block, n0, pad, box.spacing(n0))
+    assert hat.shape == kernel.kernel_hat.shape
+    want = np.fft.ifft2(np.fft.fft2(x, s=hat.shape) * hat)[:R, :C]
+    assert np.abs(kernel.apply(x) - want).max() <= 1e-13
+
+
+def test_symbols_are_made_once_per_kernel_fit(monkeypatch, quad_germ):
+    calls = []
+    symbols = st._central_symbols
+
+    def counted(n, dx):
+        calls.append(n)
+        return symbols(n, dx)
+
+    monkeypatch.setattr(st, "_central_symbols", counted)
+    gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j], n=64)
+    assert calls == [128]
+    # a solve on a kernel already fitted to its block makes no padded-grid array
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)]).sample_grid(box.nodes(64))
+    kernel = st.BeurlingKernel(box, 64, 2)
+    gd.solve_beltrami(mu, box, kernel=kernel)
+    del calls[:]
+    gd.solve_beltrami(mu, box, kernel=kernel)
+    assert calls == []
+
+
+def roll_wirtinger(s: np.ndarray, dx: float):
+    """(d, dbar) by central differences with a wrapped stencil over the
+    whole grid."""
+    fx = (np.roll(s, -1, axis=1) - np.roll(s, 1, axis=1)) / (2 * dx)
+    fy = (np.roll(s, -1, axis=0) - np.roll(s, 1, axis=0)) / (2 * dx)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def test_interior_differences_are_bitwise_the_wrapped_stencil(disk_solution):
+    box, n, _, _, gm = disk_solution
+    dx = box.spacing(n)
+    d, db = roll_wirtinger(gm.samples, dx)
+    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[2:-2, 2:-2]
+    assert gm.diagnostics["min_jacobian"] == float(np.min(jac))
+    z = box.nodes(n)
+    for i, j in ((128, 128), (100, 150), (40, 200), (2, 253)):
+        want = db[i, j] / d[i, j]
+        assert gm.beltrami_at(z[i, j]) == want
 
 
 def test_motion_rows_are_pointwise_grid_map_values(monkeypatch, quad_germ):
