@@ -53,6 +53,10 @@ MOTION_GRID = 256
 MOTION_TOL = 1e-10
 
 _BOX_MIN_HALF_WIDTH = 1.25
+# rows or columns per pass of the kernel fit, the assembly of h and the
+# orientation check, so that none of them makes a temporary of the whole
+# padded grid or window
+_BAND = 64
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,19 @@ class Box:
 
     def nodes(self, n: int) -> np.ndarray:
         """The n x n lattice (row i at y, column j at x)."""
-        t = -self.half_width + self.spacing(n) * np.arange(n)
-        return t[None, :] + 1j * t[:, None]
+        return _node_rows(self, n, np.s_[:])
 
     def extents(self) -> tuple[float, float, float, float]:
         w = self.half_width
         return (-w, w, -w, w)
 
     def check_inside(self, z) -> None:
-        """Raise DomainError unless every point lies in the closed box."""
+        """Raise DomainError unless every point is finite and lies in the
+        closed box (no comparison with NaN is true, so NaN is named first)."""
         z = np.asarray(z, dtype=complex)
+        bad = z[~np.isfinite(z)]
+        if bad.size:
+            raise DomainError("evaluation point not finite: %s" % ", ".join(map(repr, bad[:3].tolist())))
         x0, x1, y0, y1 = self.extents()
         if (
             np.any(z.real < x0) or np.any(z.real > x1)
@@ -94,13 +101,20 @@ def box_for(germ: Germ) -> Box:
     return Box(max(2.0 * germ.radius_U, _BOX_MIN_HALF_WIDTH))
 
 
-def _central_symbols(n: int, dx: float):
+def _node_rows(box: Box, n: int, rows: slice) -> np.ndarray:
+    """The given rows of box.nodes(n)."""
+    t = -box.half_width + box.spacing(n) * np.arange(n)
+    return t[None, :] + 1j * t[rows, None]
+
+
+def _central_symbol(n: int, dx: float) -> np.ndarray:
+    """The central difference's symbol along one axis, exactly zero at
+    Nyquist. The 2-D symbol s_c is s[j] + i s[i] at row i, column j; the
+    dbar symbol is (i/2) s_c and the d symbol (i/2) conj(s_c)."""
     j = np.fft.fftfreq(n, d=1.0 / n)  # integer mode indices
     s = np.sin(2.0 * np.pi * j / n) / dx
-    s[np.abs(j.astype(int)) == n // 2] = 0.0  # exact zero at Nyquist
-    sx = s[None, :]
-    sy = s[:, None]
-    return sx + 1j * sy  # s_c; dbar symbol is (i/2) s_c, d symbol (i/2) conj(s_c)
+    s[np.abs(j.astype(int)) == n // 2] = 0.0
+    return s
 
 
 def _corner_bins(n: int):
@@ -137,6 +151,17 @@ def _wirtinger_grid(s: np.ndarray, dx: float):
     fx = (s[1:-1, 2:] - s[1:-1, :-2]) / (2 * dx)
     fy = (s[2:, 1:-1] - s[:-2, 1:-1]) / (2 * dx)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def _min_jacobian(s: np.ndarray, dx: float) -> float:
+    """Smallest |d|^2 - |dbar|^2 of grid samples by central differences, on
+    the nodes two in from every edge, over overlapping bands of rows."""
+    n = s.shape[0]
+    low = math.inf
+    for i in range(2, n - 2, _BAND):
+        d, db = _wirtinger_grid(s[i - 2 : min(i + _BAND, n - 2) + 2], dx)
+        low = min(low, float(np.min((np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1])))
+    return low
 
 
 def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
@@ -299,8 +324,10 @@ class BeurlingKernel:
         at their residues on an Mr x Mc grid: Mr is the smallest 5-smooth
         length >= n0 + R - 1, which keeps them apart, or n when that is
         shorter, where offsets that share a residue carry the same value of
-        the n-periodic g. g is transformed along x on all n rows and keeps
-        Mc columns, then along y on those and keeps Mr rows.
+        the n-periodic g. c_mult is made and transformed along x a band of
+        rows at a time, keeping Mc columns, then along y a band of those
+        columns at a time, keeping Mr rows: the same line transforms as on
+        the whole n x n grid, without one.
 
         The sweep's kernel is k = ifft2(conj(s_c)/s_c), and conj(s_c)/s_c =
         (i/2) conj(s_c) c_mult, where (i/2) conj(s_c) is the symbol of the
@@ -319,20 +346,30 @@ class BeurlingKernel:
             return
         assert off < r0 and r1 < off + n0 and off < c0 and c1 < off + n0, block
         dx = self.box.spacing(n0)
-        g = _central_symbols(n, dx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(-2j, g, out=g)
-        # the central symbol vanishes on the mean and the three Nyquist corners
-        for b in ((0, 0),) + _corner_bins(n):
-            g[b] = 0
+        s = _central_symbol(n, dx)
         Mr = min(n, _smooth_length(n0 + R - 1))
         Mc = min(n, _smooth_length(n0 + C - 1))
-        g = np.take(np.fft.ifftn(g, axes=(1,)), _residue_offsets(Mc, C) + off - c0, axis=1, mode="wrap")
-        g = np.take(np.fft.ifftn(g, axes=(0,)), _residue_offsets(Mr, R) + off - r0, axis=0, mode="wrap")
-        self.corr_hat = np.fft.fft2(g)
+        cols = _residue_offsets(Mc, C) + off - c0
+        rows = _residue_offsets(Mr, R) + off - r0
+        gx = np.empty((n, Mc), dtype=complex)
+        for i in range(0, n, _BAND):
+            band = s[None, :] + 1j * s[i : i + _BAND, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(-2j, band, out=band)
+            # the central symbol vanishes on the mean and the three Nyquist corners
+            for r, c in ((0, 0),) + _corner_bins(n):
+                if i <= r < i + _BAND:
+                    band[r - i, c] = 0
+            np.fft.ifft(band, axis=1, out=band)
+            gx[i : i + _BAND] = np.take(band, cols, axis=1, mode="wrap")
+        g = np.empty((Mr, Mc), dtype=complex)
+        for j in range(0, Mc, _BAND):
+            band = np.fft.ifft(gx[:, j : j + _BAND], axis=0)
+            g[:, j : j + _BAND] = np.take(band, rows, axis=0, mode="wrap")
+        del gx
         near = np.ix_((np.arange(-R, R + 1) + r0 - off) % Mr, (np.arange(-C, C + 1) + c0 - off) % Mc)
         k = _wirtinger_grid(g[near], dx)[0]
-        del g
+        self.corr_hat = np.fft.fft2(g, out=g)
         self.Lr = min(n, _smooth_length(2 * R - 1))
         self.Lc = min(n, _smooth_length(2 * C - 1))
         kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
@@ -345,11 +382,17 @@ class BeurlingKernel:
         its first rows x cols: one forward transform, and an inverse that
         runs along rows on all of hat's rows, then along columns on the
         first cols columns only (numpy's own axis order for ifft2, so the
-        bits are those of ifft2(...)[:rows, :cols])."""
+        bits are those of ifft2(...)[:rows, :cols]). Both passes run in
+        place on the forward transform's array, and the result is a view of
+        it."""
         if hat is None:
             return np.zeros((rows, cols), dtype=complex)
-        spec = np.fft.fft2(x, s=hat.shape) * hat
-        return np.fft.ifftn(np.fft.ifftn(spec, axes=(1,))[:, :cols], axes=(0,))[:rows]
+        spec = np.fft.fft2(x, s=hat.shape)
+        spec *= hat
+        np.fft.ifft(spec, axis=1, out=spec)
+        head = spec[:, :cols]
+        np.fft.ifft(head, axis=0, out=head)
+        return head[:rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The periodic Beurling transform of x, zero off the block, read on
@@ -391,7 +434,10 @@ def solve_beltrami(
     n0 window: a convolution of x with g = ifft2(c_mult), applied by one
     Mr x Mc transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
     transform of c_mult gives both kernels (BeurlingKernel; pass one to
-    reuse it across solves on the same box, grid and pad).
+    reuse it across solves on the same box, grid and pad). The kernel fit,
+    the assembly of h and its orientation check run a band of rows or
+    columns at a time, so no stage holds a padded-grid array or more than
+    about eight n0 x n0 ones.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -452,12 +498,20 @@ def solve_beltrami(
         )
     beta = sums[0] / (n * n)
 
-    # assemble h on the n0 x n0 window of the padded grid only
-    z = box.nodes(n0)
-    h = z + beta * np.conj(z) + kernel.correct(x)
+    # assemble h on the n0 x n0 window of the padded grid, a band of rows at a time
+    corr = kernel.correct(x)
+    h = np.empty((n0, n0), dtype=complex)
     window = np.s_[off : off + n0]
-    boards = _checkerboards(n, window, window)
-    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+    for i in range(0, n0, _BAND):
+        rows = np.s_[i : min(i + _BAND, n0)]
+        z = _node_rows(box, n0, rows)
+        hb = h[rows]
+        np.add(z + beta * np.conj(z), corr[rows], out=hb)
+        boards = _checkerboards(n, np.s_[off + rows.start : off + rows.stop], window)
+        hb += gam[0] * z.real * boards[0]
+        hb += gam[1] * z.imag * boards[1]
+        hb += gam[2] * z.real * boards[2]
+    del corr
 
     gm = GridMap(box, h)
     # normalize: send 0 to 0 and 1 to 1 exactly
@@ -466,12 +520,11 @@ def solve_beltrami(
     scale = h1 - h0
     if abs(scale) < 1e-12:
         raise ConvergenceError("normalization points collapsed")
-    normalized = (h - h0) / scale
+    h -= h0
+    h /= scale
 
     # orientation must survive: discrete Jacobian positive at interior nodes
-    d, db = _wirtinger_grid(normalized, box.spacing(n0))
-    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]
-    min_jac = float(np.min(jac))
+    min_jac = _min_jacobian(h, box.spacing(n0))
     if min_jac <= 0:
         raise ConvergenceError("straightening lost orientation (min Jacobian %g)" % min_jac)
 
@@ -489,7 +542,7 @@ def solve_beltrami(
         "min_jacobian": min_jac,
         "normalization": [[h0.real, h0.imag], [scale.real, scale.imag]],
     }
-    return GridMap(box, normalized, diag)
+    return GridMap(box, h, diag)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,16 @@ def test_motion_command(tmp_path):
         assert all(abs(float(v)) < 10 for v in row)
 
 
+def test_motion_refuses_a_nan_point(tmp_path, capsys):
+    cfg = {"germ": QUAD_TIGHT, "t_values": [[0.4, 0.0]], "points": [[float("nan"), 0.0]], "grid": 32}
+    rc, out = run(tmp_path, "motion", "m.json", cfg)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: evaluation point not finite: (nan+0j)")
+    assert "Traceback" not in err
+    assert not (out / "motion.csv").exists()
+
+
 def test_cremer_command(tmp_path):
     rc, out = run(
         tmp_path,

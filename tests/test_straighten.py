@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,23 @@ def test_motion_sample_rejects_points_outside_the_box_before_any_solve(monkeypat
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, 5.0 + 0j])
 
 
+def test_non_finite_points_are_refused_by_name(monkeypatch, quad_germ):
+    gm = random_grid_map(Box(1.5), 16)
+    for z in (complex(np.nan, 0.0), complex(0.1, np.inf)):
+        with pytest.raises(gd.DomainError, match="evaluation point not finite: .*(nan|inf)"):
+            gm(z)
+        with pytest.raises(gd.DomainError, match="not finite"):
+            gm(np.array([0.1 + 0j, z]))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chart or solve ran before the points were checked")
+
+    monkeypatch.setattr(st, "build_chart", unreachable)
+    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    with pytest.raises(gd.DomainError, match=r"evaluation point not finite: \(nan\+0j\)"):
+        gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, complex(np.nan, 0.0)])
+
+
 def test_motion_sample_sends_cycles_to_one_over_t(monkeypatch, quad_germ):
     targets = []
     shear = st.shear_coefficient
@@ -329,8 +347,17 @@ def test_pruned_inverse_is_bitwise_ifft2():
     assert (kernel.Lr, kernel.Lc) == (512, 120)
 
 
+def central_symbols(n: int, dx: float) -> np.ndarray:
+    """The n x n central-difference symbol s_c = s[j] + i s[i], exactly zero
+    at Nyquist, as one array."""
+    j = np.fft.fftfreq(n, d=1.0 / n)
+    s = np.sin(2.0 * np.pi * j / n) / dx
+    s[np.abs(j.astype(int)) == n // 2] = 0.0
+    return s[None, :] + 1j * s[:, None]
+
+
 def padded_grid_multipliers(n: int, dx: float):
-    sc = st._central_symbols(n, dx)
+    sc = central_symbols(n, dx)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(sc == 0, 0, np.conj(sc) / sc), np.where(sc == 0, 0, -2j / sc)
 
@@ -407,15 +434,119 @@ def test_derived_sweep_kernel_matches_the_beurling_multiplier(n0, pad, block):
     assert np.abs(kernel.apply(x) - want).max() <= 1e-13
 
 
+def whole_grid_fit(box: Box, n0: int, pad: int, block):
+    """corr_hat and kernel_hat as fitted on whole n x n arrays: c_mult made
+    at once, its inverse along x on all n rows, then along y on the Mc
+    kept columns."""
+    r0, r1, c0, c1 = block
+    n = n0 * pad
+    off = (n - n0) // 2
+    R, C = r1 - r0, c1 - c0
+    dx = box.spacing(n0)
+    g = central_symbols(n, dx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(-2j, g, out=g)
+    for b in ((0, 0),) + st._corner_bins(n):
+        g[b] = 0
+    Mr = min(n, st._smooth_length(n0 + R - 1))
+    Mc = min(n, st._smooth_length(n0 + C - 1))
+    g = np.take(np.fft.ifftn(g, axes=(1,)), st._residue_offsets(Mc, C) + off - c0, axis=1, mode="wrap")
+    g = np.take(np.fft.ifftn(g, axes=(0,)), st._residue_offsets(Mr, R) + off - r0, axis=0, mode="wrap")
+    corr_hat = np.fft.fft2(g)
+    near = np.ix_((np.arange(-R, R + 1) + r0 - off) % Mr, (np.arange(-C, C + 1) + c0 - off) % Mc)
+    k = st._wirtinger_grid(g[near], dx)[0]
+    Lr, Lc = min(n, st._smooth_length(2 * R - 1)), min(n, st._smooth_length(2 * C - 1))
+    kernel = np.zeros((Lr, Lc), dtype=complex)
+    kernel[np.ix_(np.arange(1 - R, R) % Lr, np.arange(1 - C, C) % Lc)] = k
+    return corr_hat, np.fft.fft2(kernel)
+
+
+# a padded grid of 200 rows, which the fit's 64-row bands do not divide
+@pytest.mark.parametrize("n0, pad, block", KERNEL_CASES + [(100, 2, (62, 131, 70, 141))])
+def test_banded_fit_is_bitwise_the_whole_grid_fit(n0, pad, block):
+    box = Box(1.5)
+    kernel = st.BeurlingKernel(box, n0, pad)
+    kernel.fit(block)
+    corr_hat, kernel_hat = whole_grid_fit(box, n0, pad, block)
+    assert kernel.corr_hat.tobytes() == corr_hat.tobytes()
+    assert kernel.kernel_hat.tobytes() == kernel_hat.tobytes()
+
+
+@pytest.mark.parametrize("n", [100, 128])
+def test_banded_assembly_and_check_are_bitwise_the_whole_window(monkeypatch, quad_germ, n):
+    corrections = []
+    correct = st.BeurlingKernel.correct
+
+    def kept(self, x):
+        corrections.append(correct(self, x).copy())
+        return corrections[-1]
+
+    monkeypatch.setattr(st.BeurlingKernel, "correct", kept)
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)]).sample_grid(box.nodes(n))
+    gm = gd.solve_beltrami(mu, box)
+    diag = gm.diagnostics
+    # h and its orientation check on whole n x n arrays, from the solve's
+    # correction, affine coefficient and checkerboard coefficients; beta is
+    # a numpy scalar as in the solve, since a Python complex on the left of
+    # an array product swaps the operands, which can round differently
+    beta = np.complex128(complex(*diag["beta"]))
+    gam = np.array([complex(*g) for g in diag["gammas"]])
+    window = np.s_[n // 2 : n // 2 + n]  # of the pad-2 grid
+    z = box.nodes(n)
+    h = z + beta * np.conj(z) + corrections[0]
+    boards = st._checkerboards(2 * n, window, window)
+    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+    raw = gd.GridMap(box, h)
+    h0 = raw(0j)
+    normalized = (h - h0) / (raw(1.0 + 0j) - h0)
+    d, db = st._wirtinger_grid(normalized, box.spacing(n))
+    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]
+    assert gm.samples.tobytes() == normalized.tobytes()
+    assert diag["min_jacobian"] == float(np.min(jac))
+
+
+def test_banded_orientation_check_reads_every_row():
+    # pulling one node of the identity left drops the Jacobian to 0.75 at its
+    # left neighbour only, so a row the bands skip shows
+    box = Box(1.5)
+    n = 100  # 64-row bands do not divide the 96 checked rows
+    dx = box.spacing(n)
+    for p in range(1, n - 1):
+        s = box.nodes(n)
+        s[p, n // 2] -= 0.5 * dx
+        d, db = st._wirtinger_grid(s, dx)
+        want = float(np.min((np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]))
+        assert st._min_jacobian(s, dx) == want
+        assert (want < 0.8) == (2 <= p < n - 2)
+
+
+def test_solve_peak_memory_is_bounded_in_window_arrays(quad_germ):
+    # the fit, the correction, the assembly and the check work in bands, so
+    # no stage holds about a dozen n0 x n0 arrays at once
+    n = 512
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)]).sample_grid(box.nodes(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gd.solve_beltrami(mu, box, pad=2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n * n * 16
+
+
 def test_symbols_are_made_once_per_kernel_fit(monkeypatch, quad_germ):
     calls = []
-    symbols = st._central_symbols
+    symbol = st._central_symbol
 
     def counted(n, dx):
         calls.append(n)
-        return symbols(n, dx)
+        return symbol(n, dx)
 
-    monkeypatch.setattr(st, "_central_symbols", counted)
+    monkeypatch.setattr(st, "_central_symbol", counted)
     gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j], n=64)
     assert calls == [128]
     # a solve on a kernel already fitted to its block makes no padded-grid array
@@ -514,7 +645,7 @@ def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
     off = (n - n0) // 2
     work = np.zeros((n, n), dtype=complex)
     work[off : off + n0, off : off + n0] = mu
-    sc = st._central_symbols(n, box.spacing(n0))
+    sc = central_symbols(n, box.spacing(n0))
     with np.errstate(divide="ignore", invalid="ignore"):
         s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
         c_mult = np.where(sc == 0, 0, -2j / sc)
@@ -571,7 +702,7 @@ def full_grid_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
     off = (n - n0) // 2
     work = np.zeros((n, n), dtype=complex)
     work[off : off + n0, off : off + n0] = mu
-    sc = st._central_symbols(n, box.spacing(n0))
+    sc = central_symbols(n, box.spacing(n0))
     with np.errstate(divide="ignore", invalid="ignore"):
         s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
         c_mult = np.where(sc == 0, 0, -2j / sc)
