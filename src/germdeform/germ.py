@@ -11,6 +11,7 @@ boundary check and nothing more.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,6 +52,19 @@ def horner_derivative(coeffs: Sequence[complex], z):
     for k in range(len(coeffs), 0, -1):
         acc = acc * z + k * coeffs[k - 1]
     return acc
+
+
+def pointwise(method):
+    """Let a method written for a 1-d complex array take a scalar or an
+    array of any shape; a scalar gets a Python complex back."""
+
+    @functools.wraps(method)
+    def wrapper(self, z):
+        a = np.asarray(z, dtype=complex)
+        out = method(self, a.reshape(-1))
+        return complex(out[0]) if a.ndim == 0 else out.reshape(a.shape)
+
+    return wrapper
 
 
 def _min_boundary_derivative(coeffs: Sequence[complex], radius: float) -> float:
@@ -140,19 +154,23 @@ class Germ:
     def contains(self, z: complex) -> bool:
         return abs(z) <= self.radius_U
 
-    def _checked(self, z: complex) -> complex:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    def _checked(self, z):
+        z = z if isinstance(z, np.ndarray) else complex(z)
+        if not np.all(np.isfinite(z)):
             raise DomainError("point must be finite")
-        if not self.contains(z):
-            raise DomainError("point %r outside working disk (radius %g)" % (z, self.radius_U))
+        outside = np.asarray(z)[np.abs(z) > self.radius_U]
+        if outside.size:
+            raise DomainError(
+                "point %r outside working disk (radius %g)" % (complex(outside[0]), self.radius_U)
+            )
         return z
 
-    def eval(self, z: complex) -> complex:
-        return complex(horner(self.coeffs, self._checked(z)))
+    # checked evaluation: a scalar gives a Python complex, an array an array
+    def eval(self, z):
+        return horner(self.coeffs, self._checked(z))
 
-    def derivative(self, z: complex) -> complex:
-        return complex(horner_derivative(self.coeffs, self._checked(z)))
+    def derivative(self, z):
+        return horner_derivative(self.coeffs, self._checked(z))
 
     # unchecked vectorized evaluation, for grid internals only
     def eval_raw(self, z):

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChartError, DomainError
-from .germ import Germ, horner, horner_derivative
+from .germ import Germ, horner, horner_derivative, pointwise
 from .cycles import Cycle
 
 SERIES_ORDER = 24
@@ -92,17 +92,20 @@ class KoenigsChart:
     coeffs: tuple[complex, ...]      # phi(center + u) = u + coeffs[1]*u^2 + ...
     inverse_coeffs: tuple[complex, ...]
 
-    def phi(self, z: complex) -> complex:
-        z = complex(z)
-        if abs(z - self.center) > self.radius:
+    def _disk_offsets(self, z: np.ndarray) -> np.ndarray:
+        u = z - self.center
+        # a NaN point fails the comparison and is refused with the rest
+        if not np.all(np.abs(u) <= self.radius):
             raise DomainError("point outside chart disk")
-        return complex(horner(self.coeffs, z - self.center))
+        return u
 
-    def dphi(self, z: complex) -> complex:
-        z = complex(z)
-        if abs(z - self.center) > self.radius:
-            raise DomainError("point outside chart disk")
-        return complex(horner_derivative(self.coeffs, z - self.center))
+    @pointwise
+    def phi(self, z: np.ndarray) -> np.ndarray:
+        return horner(self.coeffs, self._disk_offsets(z))
+
+    @pointwise
+    def dphi(self, z: np.ndarray) -> np.ndarray:
+        return horner_derivative(self.coeffs, self._disk_offsets(z))
 
     # vectorized, unchecked; grid samplers mask their own domains
     def phi_raw(self, z):
@@ -111,16 +114,16 @@ class KoenigsChart:
     def dphi_raw(self, z):
         return horner_derivative(self.coeffs, z - self.center)
 
-    def psi(self, w: complex) -> complex:
+    @pointwise
+    def psi(self, w: np.ndarray) -> np.ndarray:
         """Inverse chart: series reversion estimate plus one Newton polish."""
-        w = complex(w)
-        if abs(w) > PSI_DOMAIN_FACTOR * self.radius:
+        if not np.all(np.abs(w) <= PSI_DOMAIN_FACTOR * self.radius):
             raise DomainError("coordinate outside inverse chart domain")
-        u = complex(horner(self.inverse_coeffs, w))
+        u = horner(self.inverse_coeffs, w)
         # one Newton step on phi(center+u) = w sharpens the truncation error
-        d = complex(horner_derivative(self.coeffs, u))
-        if d != 0:
-            u = u - (complex(horner(self.coeffs, u)) - w) / d
+        d = horner_derivative(self.coeffs, u)
+        ok = d != 0
+        u[ok] -= (horner(self.coeffs, u[ok]) - w[ok]) / d[ok]
         return self.center + u
 
     def to_json(self) -> dict[str, Any]:
@@ -157,12 +160,9 @@ def _functional_residual(germ: Germ, chart_coeffs, center, lam, radius, q) -> fl
 
 
 def _roundtrip_residual(chart: KoenigsChart) -> float:
-    worst = 0.0
-    for z in _ring(chart.center, 0.5 * chart.radius):
-        z = complex(z)
-        back = chart.psi(chart.phi(z))
-        worst = max(worst, abs(back - z) / max(abs(z - chart.center), 1e-300))
-    return worst
+    z = _ring(chart.center, 0.5 * chart.radius)
+    back = chart.psi(chart.phi(z))
+    return float(np.max(np.abs(back - z) / np.maximum(np.abs(z - chart.center), 1e-300)))
 
 
 def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:

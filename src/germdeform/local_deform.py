@@ -5,12 +5,13 @@ explicit (non-holomorphic) local conjugacy k with k(f(z)) = f1(k(z)) near
 the cycle, where f1 has the target multiplier. The deformed return map is
 evaluated piecewise, one chart per cycle point, and its multiplier is
 measured by a Cauchy derivative on a small circle, with a two-radius
-agreement gate before the number is trusted.
+agreement gate before the number is trusted. The maps run on numpy arrays
+(a whole measuring circle or residual stencil per call) and take a scalar
+too; a call with any point outside its domain raises DomainError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,7 @@ import numpy as np
 from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
-from .germ import Germ
+from .germ import Germ, pointwise
 from .koenigs import KoenigsChart, build_chart
 from .numdiff import wirtinger_pair
 
@@ -57,48 +58,56 @@ class LocalConjugacy:
     def working_radius(self) -> float:
         return WORKING_FACTOR * self.charts[0].radius
 
-    def _nearest_index(self, z: complex) -> int:
-        pts = self.cycle.points
-        return min(range(len(pts)), key=lambda i: abs(z - pts[i]))
+    def _nearest_index(self, z: np.ndarray) -> np.ndarray:
+        pts = np.asarray(self.cycle.points)
+        return np.argmin(np.abs(z[:, None] - pts[None, :]), axis=1)
 
-    def _shear_in_chart(self, z: complex, index: int, inverse: bool) -> complex:
-        chart = self.charts[index]
-        z = complex(z)
-        if z == chart.center:
-            return chart.center
-        ph = chart.phi(z)
-        if ph == 0:
-            return chart.center
-        xi = cmath.log(ph) / TWO_PI_I
-        eta = self.shear.apply_inverse(xi) if inverse else self.shear.apply(xi)
-        w = cmath.exp(TWO_PI_I * eta)
-        return chart.psi(w)
+    def _shear_in_chart(self, z: np.ndarray, index: np.ndarray, inverse: bool) -> np.ndarray:
+        """psi(S(phi(z))) for the torus shear S (or its inverse), each point
+        in the chart of its index; a point at the center (phi = 0) stays there
+        exactly."""
+        out = np.empty_like(z)
+        for i in np.unique(index):
+            chart = self.charts[i]
+            sel = index == i
+            ph = chart.phi(z[sel])
+            moved = ph != 0
+            xi = np.log(ph[moved]) / TWO_PI_I
+            eta = self.shear.apply_inverse(xi) if inverse else self.shear.apply(xi)
+            w = np.full(ph.shape, chart.center)
+            w[moved] = chart.psi(np.exp(TWO_PI_I * eta))
+            out[sel] = w
+        return out
 
-    def k_eval(self, z: complex) -> complex:
+    @pointwise
+    def k_eval(self, z: np.ndarray) -> np.ndarray:
         """The straightening near its cycle point: maps the germ's local
         dynamics to the deformed model's."""
-        i = self._nearest_index(z)
-        return self._shear_in_chart(z, i, inverse=False)
+        return self._shear_in_chart(z, self._nearest_index(z), inverse=False)
 
-    def k_inverse(self, z: complex) -> complex:
-        i = self._nearest_index(z)
-        return self._shear_in_chart(z, i, inverse=True)
+    @pointwise
+    def k_inverse(self, z: np.ndarray) -> np.ndarray:
+        return self._shear_in_chart(z, self._nearest_index(z), inverse=True)
 
-    def deformed_eval(self, z: complex) -> complex:
+    def _step(self, z: np.ndarray) -> np.ndarray:
+        i = self._nearest_index(z)
+        u = self._shear_in_chart(z, i, inverse=True)
+        # refuses a pulled-back point that is not finite or leaves U
+        v = self.germ.eval(u)
+        return self._shear_in_chart(v, (i + 1) % self.cycle.order, inverse=False)
+
+    @pointwise
+    def deformed_eval(self, z: np.ndarray) -> np.ndarray:
         """One step of the deformed map f1 = k o f o k^{-1}, using the chart
         at the nearest cycle point on the way in and the next chart on the
         way out."""
-        i = self._nearest_index(z)
-        q = self.cycle.order
-        u = self._shear_in_chart(z, i, inverse=True)
-        v = self.germ.eval(u)
-        return self._shear_in_chart(v, (i + 1) % q, inverse=False)
+        return self._step(z)
 
-    def deformed_return_map(self, z: complex) -> complex:
-        w = complex(z)
+    @pointwise
+    def deformed_return_map(self, z: np.ndarray) -> np.ndarray:
         for _ in range(self.cycle.order):
-            w = self.deformed_eval(w)
-        return w
+            z = self._step(z)
+        return z
 
 
 def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:
@@ -141,21 +150,13 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     chart = lc.charts[0]
     center = chart.center
     rho = chart.radius / 8.0
+    scan = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
     for _ in range(24):
-        ok = True
-        spread = 0.0
-        for t in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-            z = center + rho * cmath.exp(1j * t)
-            try:
-                u = lc.k_inverse(z)
-            except DomainError:
-                ok = False
-                break
-            spread = max(spread, abs(u - center))
-            if spread > chart.radius / 3.0:
-                ok = False
-                break
-        if ok:
+        try:
+            spread = float(np.max(np.abs(lc.k_inverse(center + rho * scan) - center)))
+        except DomainError:
+            spread = math.inf
+        if spread <= chart.radius / 3.0:
             break
         rho *= 0.5
     else:
@@ -167,17 +168,12 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
             % (rho, spread, abs(lc.target / lc.cycle.multiplier))
         )
 
-    # each point runs the whole return map before the next starts, so a
-    # circle that leaves a chart fails at its first bad point
-    return_map = np.vectorize(lc.deformed_return_map, otypes=[complex])
-
-    def attempt(r: float) -> complex:
-        return cauchy_cycle_derivative(return_map, center, r)
-
+    # one return map call per circle: a circle with any point outside a
+    # chart raises DomainError
     for _ in range(8):
         try:
-            m1 = attempt(rho)
-            m2 = attempt(rho / 2.0)
+            m1 = cauchy_cycle_derivative(lc.deformed_return_map, center, rho)
+            m2 = cauchy_cycle_derivative(lc.deformed_return_map, center, rho / 2.0)
         except DomainError:
             rho *= 0.5
             continue
@@ -189,36 +185,47 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     raise UnreliableEstimateError("measuring circle could not be placed inside the chart")
 
 
-def holomorphy_residual(
-    fn: Callable[[complex], complex], center: complex, radius: float
-) -> float:
-    """max |dbar fn| / |d fn| over a polar grid in the disk.
+def residual_readings(
+    fn: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
+) -> tuple[float, float]:
+    """max |dbar fn| / |d fn| over a polar grid in the disk, read by the
+    4-point stencil at step RESIDUAL_STEP_REL * radius and at 100 times that
+    step, in one call of fn on an array.
 
-    Near zero for holomorphic maps (finite-difference noise only); of order
-    |mu| for a map with Beltrami coefficient mu. The disk is halved until
-    every probe point is inside fn's domain; the ratio itself does not
-    depend on the disk size for the maps probed here.
+    The disk is halved until every probe point is inside fn's domain (fn
+    raises DomainError on an array with any point outside it); the ratio
+    itself does not depend on the disk size for the maps probed here.
     """
     if radius <= 0:
         raise DomainError("residual probe needs a positive radius")
+    r = 0.1 + 0.7 * np.arange(RESIDUAL_RADII) / (RESIDUAL_RADII - 1)
+    unit = np.exp(2j * math.pi * np.arange(RESIDUAL_ANGLES) / RESIDUAL_ANGLES)
+    grid = np.outer(r, unit).ravel()
     for _ in range(20):
-        h = RESIDUAL_STEP_REL * radius
-        worst = 0.0
-        seen = False
+        h = RESIDUAL_STEP_REL * radius * np.array([1.0, 100.0])
+        at = center + radius * grid
         try:
-            for i in range(RESIDUAL_RADII):
-                r = radius * (0.1 + 0.7 * i / (RESIDUAL_RADII - 1))
-                for j in range(RESIDUAL_ANGLES):
-                    z = center + r * cmath.exp(2j * math.pi * j / RESIDUAL_ANGLES)
-                    d, dbar = wirtinger_pair(fn, z, h)
-                    if abs(d) < 1e-30:
-                        continue
-                    seen = True
-                    worst = max(worst, abs(dbar) / abs(d))
+            d, dbar = wirtinger_pair(fn, np.tile(at, 2), np.repeat(h, at.size))
         except DomainError:
             radius *= 0.5
             continue
-        if not seen:
+        d, dbar = np.abs(d).reshape(2, -1), np.abs(dbar).reshape(2, -1)
+        seen = d >= 1e-30
+        if not np.all(np.any(seen, axis=1)):
             raise DomainError("derivative vanished at every probe point")
-        return worst
+        ratio = np.divide(dbar, d, out=np.zeros_like(d), where=seen)
+        small, large = ratio.max(axis=1)
+        return float(small), float(large)
     raise DomainError("no probe radius fit inside the map's domain")
+
+
+def holomorphy_residual(
+    fn: Callable[[np.ndarray], np.ndarray], center: complex, radius: float
+) -> float:
+    """The smaller of the two residual_readings.
+
+    Near zero for holomorphic maps (finite-difference noise only, which
+    grows like 1/step, so the wider step reads it lower); of order |mu| at
+    both steps for a map with Beltrami coefficient mu.
+    """
+    return min(residual_readings(fn, center, radius))

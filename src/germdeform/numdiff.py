@@ -8,7 +8,10 @@ from typing import Callable
 def wirtinger_pair(
     fn: Callable[[complex], complex], at: complex, step: float
 ) -> tuple[complex, complex]:
-    """(d/dz, d/dzbar) of fn at a point, by 4-point central differences."""
+    """(d/dz, d/dzbar) of fn at a point, by 4-point central differences.
+
+    at and step may be arrays of one shape, for an fn that maps arrays
+    elementwise: one stencil per element, four calls of fn in all."""
     fe = fn(at + step)
     fw = fn(at - step)
     fn_ = fn(at + 1j * step)

@@ -649,7 +649,8 @@ def motion_sample(
     made once and each t only swaps the shears. Each row is bitwise the row
     of a call with that t alone."""
     ts = [complex(t) for t in t_values]
-    if any(t == 0 or abs(t) >= 1.0 for t in ts):
+    # a NaN t fails every comparison, so it is refused with the rest
+    if any(not 0 < abs(t) < 1.0 for t in ts):
         raise DomainError("motion parameter must satisfy 0 < |t| < 1")
     box = box_for(germ)
     zs = np.asarray(points, dtype=complex)

@@ -122,6 +122,16 @@ def test_motion_refuses_a_nan_point(tmp_path, capsys):
     assert not (out / "motion.csv").exists()
 
 
+def test_motion_refuses_a_nan_t(tmp_path, capsys):
+    cfg = {"germ": QUAD_TIGHT, "t_values": [[float("nan"), 0.0]], "points": [[0.1, 0.0]], "grid": 32}
+    rc, out = run(tmp_path, "motion", "m.json", cfg)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: motion parameter must satisfy 0 < |t| < 1")
+    assert "Traceback" not in err
+    assert not (out / "motion.csv").exists()
+
+
 def test_cremer_command(tmp_path):
     rc, out = run(
         tmp_path,

@@ -33,6 +33,13 @@ def test_eval_outside_disk_rejected(quad_germ):
         quad_germ.eval(0.5)
     with pytest.raises(DomainError):
         quad_germ.eval(complex("nan"))
+    # an array is refused as a whole when any of its points is
+    with pytest.raises(DomainError, match=r"point \(0\.5\+0j\) outside working disk"):
+        quad_germ.eval(np.array([0.1, 0.5]))
+    with pytest.raises(DomainError, match="point must be finite"):
+        quad_germ.eval(np.array([0.1, complex("nan")]))
+    z = np.array([0.1, 0.2j, -0.3 + 0.1j])
+    assert np.allclose(quad_germ.eval(z), [quad_germ.eval(complex(v)) for v in z], rtol=1e-15, atol=0)
 
 
 def test_inverse_step_picks_branch_near_guess(quad_germ_wide):

@@ -106,3 +106,30 @@ def test_phi_functional_equation_property(quad_germ, chart, s, t):
     if abs(w) >= chart.radius:
         return
     assert abs(chart.phi(w) - 2.0 * chart.phi(z)) <= 1e-9 * max(abs(chart.phi(z)), 1e-6)
+
+
+def test_scalar_and_array_evaluation_agree(quad_germ_wide):
+    ch = gd.build_chart(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, 3, 0), base_index=1)
+    theta = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    z = ch.center + 0.7 * ch.radius * np.exp(1j * theta)
+    w = 0.6 * ch.radius * np.exp(1j * theta)
+    for method, pts in ((ch.phi, z), (ch.dphi, z), (ch.psi, w)):
+        arr = method(pts)
+        assert arr.shape == pts.shape
+        for v, a in zip(pts, arr):
+            s = method(complex(v))
+            assert type(s) is complex
+            assert abs(s - a) <= 1e-14 * abs(a)
+    grid = z[:12].reshape(3, 4)
+    assert ch.phi(grid).shape == (3, 4)
+
+
+def test_array_domain_checks_keep_their_messages(chart):
+    inside = 0.5 * chart.radius * np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
+    for bad in (complex(1.5 * chart.radius), complex(np.nan, 0.0)):
+        with pytest.raises(gd.DomainError, match="point outside chart disk"):
+            chart.phi(np.append(inside, bad))
+        with pytest.raises(gd.DomainError, match="point outside chart disk"):
+            chart.dphi(bad)
+        with pytest.raises(gd.DomainError, match="coordinate outside inverse chart domain"):
+            chart.psi(np.append(0.5 * inside, bad))

@@ -7,6 +7,9 @@ import pytest
 
 import germdeform as gd
 from germdeform.cli import main
+from germdeform.germ import horner, horner_derivative
+from germdeform.koenigs import PSI_DOMAIN_FACTOR
+from germdeform.local_deform import TWO_PI_I, residual_readings
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +127,138 @@ def test_collapsed_measuring_circle_exits_3_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "measuring circle collapses onto the chart center" in err
     assert "disagree" not in err
+
+
+# The parent's scalar route, kept here as the reference for the array route:
+# one Python complex at a time, through the chart series directly.
+def scalar_shear_in_chart(lc, z, index, inverse):
+    chart = lc.charts[index]
+    z = complex(z)
+    if z == chart.center:
+        return chart.center
+    if abs(z - chart.center) > chart.radius:
+        raise gd.DomainError("point outside chart disk")
+    ph = complex(horner(chart.coeffs, z - chart.center))
+    if ph == 0:
+        return chart.center
+    xi = cmath.log(ph) / TWO_PI_I
+    eta = lc.shear.apply_inverse(xi) if inverse else lc.shear.apply(xi)
+    w = cmath.exp(TWO_PI_I * eta)
+    if abs(w) > PSI_DOMAIN_FACTOR * chart.radius:
+        raise gd.DomainError("coordinate outside inverse chart domain")
+    u = complex(horner(chart.inverse_coeffs, w))
+    d = complex(horner_derivative(chart.coeffs, u))
+    if d != 0:
+        u = u - (complex(horner(chart.coeffs, u)) - w) / d
+    return chart.center + u
+
+
+def scalar_return_map(lc, z):
+    pts = lc.cycle.points
+    q = lc.cycle.order
+    w = complex(z)
+    for _ in range(q):
+        i = min(range(q), key=lambda k: abs(w - pts[k]))
+        u = scalar_shear_in_chart(lc, w, i, inverse=True)
+        w = scalar_shear_in_chart(lc, lc.germ.eval(u), (i + 1) % q, inverse=False)
+    return w
+
+
+ROUTE_CASES = [(1, 3.0 + 0.5j), (2, 6.0 - 1.0j), (3, 5.0 + 7.0j), (4, 20.0 - 3.0j)]
+
+
+@pytest.fixture(scope="module", params=ROUTE_CASES, ids=["order1", "order2", "order3", "order4"])
+def route_case(request, quad_germ_wide):
+    order, target = request.param
+    return gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, order, 0), target)
+
+
+def measuring_circle(lc, rho):
+    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    return lc.charts[0].center + rho * np.exp(1j * theta)
+
+
+@pytest.mark.parametrize("fraction", [1.0 / 32, 1.0 / 128, 1.0 / 512])
+def test_array_route_matches_the_scalar_route_on_measuring_circles(route_case, fraction):
+    lc = route_case
+    center = lc.charts[0].center
+    z = measuring_circle(lc, fraction * lc.charts[0].radius)
+    got = lc.deformed_return_map(z)
+    want = np.array([scalar_return_map(lc, v) for v in z])
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+    inv = lc.k_inverse(z)
+    want = np.array([scalar_shear_in_chart(lc, v, 0, inverse=True) for v in z])
+    assert np.max(np.abs(inv - want) / np.abs(want - center)) < 1e-12
+
+
+def test_scalar_calls_return_python_complex_matching_the_array_route(route_case):
+    lc = route_case
+    z = measuring_circle(lc, lc.charts[0].radius / 64)[:8]
+    for method in (lc.k_eval, lc.k_inverse, lc.deformed_eval, lc.deformed_return_map):
+        arr = method(z)
+        for v, a in zip(z, arr):
+            s = method(complex(v))
+            assert type(s) is complex
+            assert abs(s - a) <= 1e-14 * abs(a - lc.charts[0].center)
+
+
+def test_center_maps_exactly_to_itself(route_case):
+    lc = route_case
+    c = lc.charts[0].center
+    z = measuring_circle(lc, lc.charts[0].radius / 64)
+    z[5] = c
+    for method in (lc.k_eval, lc.k_inverse):
+        assert method(z)[5] == c
+        assert method(c) == c
+    # on the way round the cycle f moves each center by its rounding only
+    assert abs(lc.deformed_return_map(z)[5] - scalar_return_map(lc, c)) < 1e-14
+
+
+def test_a_circle_with_one_point_outside_the_chart_is_refused(quad_germ_wide):
+    lc = gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, 2, 0), 6.0 + 0j)
+    chart = lc.charts[0]
+    away = chart.center - lc.cycle.points[1]
+    bad = chart.center + 1.01 * chart.radius * away / abs(away)
+    with pytest.raises(gd.DomainError):
+        scalar_return_map(lc, bad)
+    z = measuring_circle(lc, chart.radius / 16)
+    z[17] = bad
+    for method in (lc.k_eval, lc.k_inverse, lc.deformed_return_map):
+        with pytest.raises(gd.DomainError, match="outside chart disk"):
+            method(z)
+
+
+def test_a_nan_point_is_refused(conj3):
+    c = conj3.charts[0].center
+    nan = complex(np.nan, 0.0)
+    for method in (conj3.k_eval, conj3.k_inverse, conj3.deformed_eval, conj3.deformed_return_map):
+        with pytest.raises(gd.DomainError):
+            method(nan)
+        with pytest.raises(gd.DomainError):
+            method(np.array([c + 0.001, nan]))
+    with pytest.raises(gd.DomainError):
+        conj3.charts[0].psi(nan)
+
+
+def test_known_dbar_reads_its_coefficient_at_both_steps():
+    eps, c = 2e-5, 0.1 - 0.05j
+    readings = residual_readings(lambda z: z + eps * np.conj(z - c), c, 0.05)
+    for reading in readings:
+        assert abs(reading - eps) <= 0.01 * eps
+    # the smaller reading is still above the 1e-5 budget, so the check fails it
+    assert gd.holomorphy_residual(lambda z: z + eps * np.conj(z - c), c, 0.05) > 1e-5
+
+
+NOISY_ORDER, NOISY_INDEX = 3, 0
+NOISY_TARGET = -0.64403749506194 - 2.286575645805014j
+
+
+def test_residual_keeps_the_wider_step_when_rounding_dominates():
+    # seed 11, job local-48 of the local-census benchmark: at the 1e-5 step
+    # the stencil reads rounding noise just under the 1e-5 budget
+    germ = gd.Germ.create([2, 1], radius_U=3)
+    lc = gd.LocalConjugacy.build(germ, gd.repelling_cycle(germ, NOISY_ORDER, NOISY_INDEX), NOISY_TARGET)
+    small, wide = residual_readings(lc.deformed_return_map, lc.cycle.base, lc.working_radius())
+    assert wide < small / 10
+    assert gd.holomorphy_residual(lc.deformed_return_map, lc.cycle.base, lc.working_radius()) == wide

@@ -232,6 +232,16 @@ def test_motion_sample_rejects_t_before_any_solve(monkeypatch, quad_germ_wide, b
     assert solves == []
 
 
+def test_motion_sample_refuses_a_nan_t_before_any_chart(monkeypatch, quad_germ):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chart or solve ran before the motion parameter was checked")
+
+    monkeypatch.setattr(st, "build_chart", unreachable)
+    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    with pytest.raises(gd.DomainError, match="motion parameter"):
+        gd.motion_sample(quad_germ, [0.4 + 0j, complex(np.nan, 0.0)], [0.1 + 0j])
+
+
 def test_motion_sample_rejects_points_outside_the_box_before_any_solve(monkeypatch, quad_germ):
     def unreachable(*args, **kwargs):
         raise AssertionError("chart or solve ran before the points were checked")
