@@ -8,14 +8,13 @@ from .errors import (
     ConvergenceError,
     DegenerateCycleError,
     DomainError,
-    EscapeError,
     InsufficientDataError,
     ShearError,
     SingularDerivativeError,
     ToolkitError,
     UnreliableEstimateError,
 )
-from .germ import Germ, Orbit, auto_radius
+from .germ import Germ, auto_radius
 from .cycles import Cycle, classify, cycles_to_csv, find_cycles, multiplier_of
 from .cycles import repelling_cycle, repelling_cycles
 from .koenigs import KoenigsChart, build_chart, critical_points, phi_iterative
@@ -61,7 +60,7 @@ from .render import field_magnitude_raster, mesh_raster, to_ppm
 __version__ = "0.1.0"
 
 __all__ = [
-    "Germ", "Orbit", "auto_radius",
+    "Germ", "auto_radius",
     "Cycle", "classify", "cycles_to_csv", "find_cycles", "multiplier_of",
     "repelling_cycle", "repelling_cycles",
     "KoenigsChart", "build_chart", "critical_points", "phi_iterative",
@@ -74,7 +73,7 @@ __all__ = [
     "ContinuedFraction", "cremer_margin", "golden_quotients", "growth_ratios",
     "margin_rows_csv", "pell_quotients", "tower_quotients",
     "field_magnitude_raster", "mesh_raster", "to_ppm",
-    "ToolkitError", "ConfigError", "DomainError", "EscapeError", "ConvergenceError",
+    "ToolkitError", "ConfigError", "DomainError", "ConvergenceError",
     "SingularDerivativeError", "DegenerateCycleError", "ChartError", "ShearError",
     "UnreliableEstimateError", "InsufficientDataError",
 ]

@@ -1,8 +1,15 @@
 """Periodic orbit census inside the working disk.
 
-Cycles of a given order are located by Newton iteration on f^q(z) - z from
-a deterministic seed cloud, filtered down to primitive cycles, deduplicated,
-and put into a canonical orientation so repeated runs emit identical tables.
+Cycles of a given order are located by one batched Newton iteration on
+f^q(z) - z over a deterministic seed cloud. The roots' orbits form one
+(roots x q) array, on which the "inside U" and primitive tests run as
+masks; the survivors are deduplicated in seed order, so the first seed to
+reach a cycle supplies its points.
+
+The canonical orientation and order compare re and |base| on a DEDUP_EPS
+grid, so values that are equal up to rounding tie and im (or arg) decides:
+a self-conjugate cycle starts at its im < 0 point, and a conjugate pair
+lists its im < 0 base first. Repeated runs emit identical tables.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ _NEWTON_TOL = 1e-13
 @dataclass(frozen=True)
 class Cycle:
     """One periodic orbit: its points in forward order, starting at the
-    canonical point (lexicographic minimum by (re, im))."""
+    canonical point (minimum by re on the DEDUP_EPS grid, then im)."""
 
     points: tuple[complex, ...]
     order: int
@@ -59,47 +66,49 @@ def classify(multiplier: complex) -> str:
 def multiplier_of(germ: Germ, points: tuple[complex, ...]) -> complex:
     """Chain rule product around the orbit; degenerate if it hits a
     critical point."""
-    prod = 1.0 + 0j
-    for z in points:
-        d = germ.derivative_raw(z)
-        if abs(d) < CRITICAL_FLOOR:
-            raise DegenerateCycleError(
-                "cycle passes through a critical point at %r" % (z,)
-            )
-        prod *= d
-    return complex(prod)
+    z = np.asarray(points, dtype=complex)
+    d = germ.derivative_raw(z)
+    flat = np.abs(d) < CRITICAL_FLOOR
+    if flat.any():
+        raise DegenerateCycleError(
+            "cycle passes through a critical point at %r" % (complex(z[flat][0]),)
+        )
+    return complex(np.prod(d))
 
 
-def _composition_and_derivative(germ: Germ, z: complex, q: int):
-    w = z
-    prod = 1.0 + 0j
-    for _ in range(q):
-        prod *= germ.derivative_raw(w)
-        w = germ.eval_raw(w)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            return None, None
-        if abs(w) > 4.0 * germ.radius_U:
-            # hopeless seed, let Newton give up early
-            return None, None
-    return w, prod
+def _newton_periodic(germ: Germ, seeds: np.ndarray, q: int) -> np.ndarray:
+    """Batched Newton on f^q(z) - z from every seed; the roots of the
+    seeds that converged, in seed order.
 
-
-def _newton_periodic(germ: Germ, seed: complex, q: int) -> complex | None:
-    z = seed
-    for _ in range(_NEWTON_ITERS):
-        fq, dprod = _composition_and_derivative(germ, z, q)
-        if fq is None:
-            return None
-        res = fq - z
-        if abs(res) <= _NEWTON_TOL * max(1.0, abs(z)):
-            return z
-        denom = dprod - 1.0
-        if abs(denom) < 1e-16:
-            return None
-        z = z - res / denom
-        if abs(z) > 8.0 * germ.radius_U:
-            return None
-    return None
+    A seed leaves the live set once it converges, once its orbit leaves
+    4 * radius_U or is not finite, once (f^q)' - 1 is flat, or once its
+    step lands beyond 8 * radius_U; after _NEWTON_ITERS steps it fails.
+    """
+    z = seeds.copy()
+    root = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    # escaping orbits overflow before the 4 * radius_U test drops them
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            zl = z[live]
+            w = zl
+            prod = np.ones_like(zl)
+            ok = np.ones(zl.shape, dtype=bool)
+            for _ in range(q):
+                prod = prod * germ.derivative_raw(w)
+                w = germ.eval_raw(w)
+                ok &= np.abs(w) <= 4.0 * germ.radius_U
+            res = w - zl
+            done = ok & (np.abs(res) <= _NEWTON_TOL * np.maximum(1.0, np.abs(zl)))
+            root[live[done]] = True
+            denom = prod - 1.0
+            step = ok & ~done & (np.abs(denom) >= 1e-16)
+            live = live[step]
+            z[live] = zl[step] - res[step] / denom[step]
+            live = live[np.abs(z[live]) <= 8.0 * germ.radius_U]
+            if not live.size:
+                break
+    return z[root]
 
 
 def _seeds(germ: Germ):
@@ -116,30 +125,21 @@ def _seeds(germ: Germ):
     return np.concatenate([pts] + rings)
 
 
-def _is_primitive(germ: Germ, z: complex, q: int) -> bool:
-    for qq in range(1, q):
-        if q % qq:
-            continue
-        w = z
-        for _ in range(qq):
-            w = germ.eval_raw(w)
-        if abs(w - z) < CYCLE_CLOSE_TOL:
-            return False
-    return True
+def _on_grid(x):
+    # values that agree up to rounding land on one DEDUP_EPS grid step (short
+    # of a step boundary within a few ulps), so the next key breaks the tie
+    return np.round(x / DEDUP_EPS)
 
 
-def _orbit_points(germ: Germ, z: complex, q: int) -> tuple[complex, ...]:
-    pts = [z]
-    w = z
-    for _ in range(q - 1):
-        w = complex(germ.eval_raw(w))
-        pts.append(w)
-    return tuple(pts)
+def _order_key(base: complex):
+    return (_on_grid(abs(base)), cmath.phase(base))
 
 
-def _canonical_rotation(points: tuple[complex, ...]) -> tuple[complex, ...]:
-    i0 = min(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
-    return points[i0:] + points[:i0]
+def _canonical_rotation(orbits: np.ndarray) -> np.ndarray:
+    """Rotate each row to start at its minimum by (re on the grid, im)."""
+    q = orbits.shape[1]
+    first = np.lexsort((orbits.imag, _on_grid(orbits.real)), axis=1)[:, :1]
+    return np.take_along_axis(orbits, (first + np.arange(q)) % q, axis=1)
 
 
 def find_cycles(
@@ -150,31 +150,31 @@ def find_cycles(
 ) -> list[Cycle]:
     """All primitive cycles of the given order inside the working disk.
 
-    Newton on f^q(z) - z from a grid plus concentric rings of seeds. The
-    output order is (|base|, arg base), stable across runs. A cycle through
-    a critical point is kept, flagged, and given multiplier 0. A root that
+    Newton on f^q(z) - z from a grid plus concentric rings of seeds, run on
+    the whole seed cloud at once. The output order is (|base|, arg base)
+    with |base| compared on the DEDUP_EPS grid, so a conjugate pair lists
+    its im < 0 base first whatever the rounding. A cycle through a
+    critical point is kept, flagged, and given multiplier 0. A root that
     lands near a found cycle point (MULTIPLE_ROOT_EPS) without matching it
     (DEDUP_EPS) marks a multiple root, and the census raises DomainError.
     """
     if order < 1:
         raise DomainError("cycle order must be >= 1")
-    found: list[tuple[complex, ...]] = []
-    attempted = converged = 0
-    for seed in _seeds(germ):
-        attempted += 1
-        z = _newton_periodic(germ, complex(seed), order)
-        if z is None:
-            continue
-        converged += 1
-        if abs(z) > germ.radius_U:
-            continue
-        if not _is_primitive(germ, z, order):
-            continue
-        pts = _orbit_points(germ, z, order)
-        if any(abs(p) > germ.radius_U for p in pts):
-            continue
-        pts = _canonical_rotation(pts)
-        gap = min((abs(pts[0] - p) for other in found for p in other), default=math.inf)
+    seeds = _seeds(germ)
+    roots = _newton_periodic(germ, seeds, order)
+    # one forward orbit per root, as a row
+    orbits = np.empty((roots.size, order), dtype=complex)
+    orbits[:, 0] = roots
+    for k in range(1, order):
+        orbits[:, k] = germ.eval_raw(orbits[:, k - 1])
+    keep = np.all(np.abs(orbits) <= germ.radius_U, axis=1)
+    for qq in range(1, order):
+        if order % qq == 0:
+            keep &= np.abs(orbits[:, qq] - orbits[:, 0]) >= CYCLE_CLOSE_TOL
+    orbits = _canonical_rotation(orbits[keep])
+    found: list[int] = []
+    for k, base in enumerate(orbits[:, 0]):
+        gap = np.min(np.abs(orbits[found] - base)) if found else math.inf
         if gap < DEDUP_EPS:
             continue
         if gap < MULTIPLE_ROOT_EPS:
@@ -182,29 +182,21 @@ def find_cycles(
             # stopping points scatter around it instead of repeating
             raise DomainError(
                 "Newton stalls on a multiple root of f^%d(z) - z near %r; "
-                "the census cannot separate its cycles" % (order, pts[0])
+                "the census cannot separate its cycles" % (order, complex(base))
             )
-        found.append(pts)
+        found.append(k)
     cycles = []
-    for pts in found:
-        critical = any(abs(germ.derivative_raw(p)) < CRITICAL_FLOOR for p in pts)
-        if critical:
-            mult = 0j
-        else:
-            mult = multiplier_of(germ, pts)
-        cycles.append(
-            Cycle(
-                points=pts,
-                order=order,
-                multiplier=mult,
-                kind=classify(mult),
-                critical=critical,
-            )
-        )
-    cycles.sort(key=lambda c: (abs(c.base), cmath.phase(c.base)))
+    for row in orbits[found]:
+        pts = tuple(row.tolist())
+        try:
+            mult, critical = multiplier_of(germ, pts), False
+        except DegenerateCycleError:
+            mult, critical = 0j, True
+        cycles.append(Cycle(pts, order, mult, classify(mult), critical))
+    cycles.sort(key=lambda c: _order_key(c.base))
     if diagnostics is not None:
-        diagnostics["seeds_attempted"] = attempted
-        diagnostics["seeds_converged"] = converged
+        diagnostics["seeds_attempted"] = seeds.size
+        diagnostics["seeds_converged"] = roots.size
         diagnostics["cycles_found"] = len(cycles)
     return cycles
 

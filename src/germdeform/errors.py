@@ -19,17 +19,6 @@ class DomainError(ToolkitError):
     """Input outside the valid domain of an operation."""
 
 
-class EscapeError(DomainError):
-    """An orbit left the working disk.
-
-    Carries the iteration step at which the escape happened.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
-
 class ConvergenceError(ToolkitError):
     """An iterative scheme failed to converge within its budget."""
 

@@ -19,12 +19,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EscapeError,
-    SingularDerivativeError,
-)
+from .errors import DomainError
 
 BOUNDARY_SAMPLES = 64
 BOUNDARY_DERIV_FLOOR = 1e-3
@@ -38,17 +33,17 @@ DERIVATIVE_FLOOR = 1e-14
 ALPHA_MATCH_TOL = 1e-12
 
 
-def horner(coeffs: Sequence[complex], z):
-    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), scalar or array z."""
-    acc = np.zeros_like(np.asarray(z)) if isinstance(z, np.ndarray) else 0j
+def horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
+    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z."""
+    acc = np.zeros_like(z)
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc * z
 
 
-def horner_derivative(coeffs: Sequence[complex], z):
+def horner_derivative(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     """Derivative in z of horner(coeffs, z)."""
-    acc = np.zeros_like(np.asarray(z)) if isinstance(z, np.ndarray) else 0j
+    acc = np.zeros_like(z)
     for k in range(len(coeffs), 0, -1):
         acc = acc * z + k * coeffs[k - 1]
     return acc
@@ -85,18 +80,6 @@ def auto_radius(coeffs: Sequence[complex]) -> float:
             return r / 2.0
         r *= RADIUS_SHRINK
     raise DomainError("no working radius found above %g" % RADIUS_MIN)
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """A finite forward orbit and the chain-rule derivative along it.
-
-    points has n+1 entries (the start included); derivative_product is
-    f'(z_0) * ... * f'(z_{n-1}), the derivative of the n-fold composition.
-    """
-
-    points: tuple[complex, ...]
-    derivative_product: complex
 
 
 @dataclass(frozen=True)
@@ -151,25 +134,23 @@ class Germ:
     def degree(self) -> int:
         return len(self.coeffs)
 
-    def contains(self, z: complex) -> bool:
-        return abs(z) <= self.radius_U
-
-    def _checked(self, z):
-        z = z if isinstance(z, np.ndarray) else complex(z)
+    def _checked(self, z: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(z)):
             raise DomainError("point must be finite")
-        outside = np.asarray(z)[np.abs(z) > self.radius_U]
+        outside = z[np.abs(z) > self.radius_U]
         if outside.size:
             raise DomainError(
                 "point %r outside working disk (radius %g)" % (complex(outside[0]), self.radius_U)
             )
         return z
 
-    # checked evaluation: a scalar gives a Python complex, an array an array
-    def eval(self, z):
+    # checked evaluation: refuses the whole call if a point is outside U
+    @pointwise
+    def eval(self, z: np.ndarray) -> np.ndarray:
         return horner(self.coeffs, self._checked(z))
 
-    def derivative(self, z):
+    @pointwise
+    def derivative(self, z: np.ndarray) -> np.ndarray:
         return horner_derivative(self.coeffs, self._checked(z))
 
     # unchecked vectorized evaluation, for grid internals only
@@ -178,27 +159,6 @@ class Germ:
 
     def derivative_raw(self, z):
         return horner_derivative(self.coeffs, z)
-
-    def iterate(self, z: complex, n: int) -> Orbit:
-        """Run n forward steps, recording points and the chain rule product.
-
-        Raises EscapeError (with the offending step) as soon as an iterate
-        leaves the working disk.
-        """
-        if n < 0:
-            raise DomainError("iteration count must be >= 0")
-        w = complex(z)
-        if not self.contains(w):
-            raise EscapeError("start point outside working disk", step=0)
-        points = [w]
-        prod = 1.0 + 0j
-        for k in range(n):
-            prod *= complex(horner_derivative(self.coeffs, w))
-            w = complex(horner(self.coeffs, w))
-            if not (math.isfinite(w.real) and math.isfinite(w.imag)) or not self.contains(w):
-                raise EscapeError("orbit left working disk at step %d" % (k + 1), step=k + 1)
-            points.append(w)
-        return Orbit(points=tuple(points), derivative_product=prod)
 
     def preimages(
         self, w: np.ndarray, guess: np.ndarray, tol: float = NEWTON_TOL
@@ -227,23 +187,6 @@ class Germ:
                 break
             z[live] = zl[step] - r[step] / d[step]
         return z, converged
-
-    def inverse_step(self, w: complex, guess: complex, tol: float = NEWTON_TOL) -> complex:
-        """Newton solve of f(z) = w from the given guess (preimages on one
-        point).
-
-        Which preimage you get depends on the guess; near a repelling cycle
-        the cycle point itself is a safe guess for the branch staying in U.
-        """
-        z, ok = self.preimages(np.array([complex(w)]), np.array([complex(guess)]), tol)
-        z = complex(z[0])
-        if ok[0]:
-            return z
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ConvergenceError("inverse step diverged")
-        if abs(complex(horner_derivative(self.coeffs, z))) < DERIVATIVE_FLOOR:
-            raise SingularDerivativeError("derivative vanished during inverse step")
-        raise ConvergenceError("inverse step did not converge in %d iterations" % NEWTON_MAX_ITERS)
 
     def to_json(self) -> dict[str, Any]:
         return {

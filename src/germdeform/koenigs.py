@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ChartError, DomainError
+from .errors import ChartError, ConvergenceError, DomainError
 from .germ import Germ, horner, horner_derivative, pointwise
 from .cycles import Cycle
 
@@ -236,26 +236,28 @@ def phi_iterative(chart: KoenigsChart, z: complex) -> complex:
 
     Walks the inverse branch of the return map toward the cycle point and
     rescales: phi(z) = lim lambda^n * (F^{-n}(z) - center). Used to
-    cross-check the series route.
+    cross-check the series route; raises ConvergenceError when an inverse
+    step does not converge.
     """
     germ = chart.germ
-    pts = chart.cycle.points
+    pts = np.asarray(chart.cycle.points)
     q = chart.cycle.order
-    i0 = chart.base_index
-    w = complex(z)
-    cur_idx = i0
-    est_prev = w - chart.center
+    cur_idx = chart.base_index
+    w = np.array([complex(z)])
+    est_prev = complex(z) - chart.center
     change_prev = math.inf
     for n in range(1, ITERATIVE_DEPTH + 1):
         # one inverse step of f^q along the cycle, linearized guesses
         for s in range(q):
             src_idx = (cur_idx - 1) % q
-            target = pts[src_idx]
+            target = pts[src_idx : src_idx + 1]
             guess = target + (w - pts[cur_idx]) / germ.derivative_raw(target)
             # tight tolerance: the rescaling amplifies step errors by lambda^n
-            w = germ.inverse_step(w, guess, tol=1e-15)
+            w, ok = germ.preimages(w, guess, tol=1e-15)
+            if not ok[0]:
+                raise ConvergenceError("inverse step %d did not converge" % n)
             cur_idx = src_idx
-        est = (chart.multiplier ** n) * (w - chart.center)
+        est = (chart.multiplier ** n) * (complex(w[0]) - chart.center)
         change = abs(est - est_prev)
         if change < ITERATIVE_STOP * max(1.0, abs(est)):
             return complex(est)

@@ -5,27 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import germdeform as gd
-from germdeform.errors import ConvergenceError, DomainError, EscapeError
+from germdeform.errors import DomainError
 
 
 def test_auto_radius_quadratic():
     # boundary derivative check fails at r = 1 (critical point on the ring),
     # passes at 0.9, and the passing radius is halved
     assert gd.auto_radius([2, 1]) == pytest.approx(0.45)
-
-
-def test_orbit_values_and_chain_rule(quad_germ_wide):
-    orb = quad_germ_wide.iterate(0.1, 2)
-    assert orb.points == pytest.approx((0.1, 0.21, 0.4641))
-    # f'(0.1) * f'(0.21) = 2.2 * 2.42
-    assert orb.derivative_product == pytest.approx(5.324)
-
-
-def test_escape_reports_step(quad_germ):
-    # 0.1 -> 0.21 -> 0.4641 leaves the 0.45 disk on the second step
-    with pytest.raises(EscapeError) as err:
-        quad_germ.iterate(0.1, 2)
-    assert err.value.step == 2
 
 
 def test_eval_outside_disk_rejected(quad_germ):
@@ -42,22 +28,6 @@ def test_eval_outside_disk_rejected(quad_germ):
     assert np.allclose(quad_germ.eval(z), [quad_germ.eval(complex(v)) for v in z], rtol=1e-15, atol=0)
 
 
-def test_inverse_step_picks_branch_near_guess(quad_germ_wide):
-    # f(1) = 3 exactly; the other preimage is -3
-    z = quad_germ_wide.inverse_step(3, guess=0.9)
-    assert z == pytest.approx(1.0, abs=1e-9)
-    z2 = quad_germ_wide.inverse_step(3, guess=-2.9)
-    assert z2 == pytest.approx(-3.0, abs=1e-9)
-
-
-def test_inverse_step_divergence_raises():
-    g = gd.Germ.create([2, 1], radius_U=3)
-    # guess at the critical point: derivative vanishes immediately
-    with pytest.raises((ConvergenceError, gd.SingularDerivativeError)):
-        g.inverse_step(3, guess=-1.0)
-
-
-
 def test_preimages_batch_is_pointwise_bitwise(quad_germ_wide):
     w = np.array([3.0, 0.5 + 0.5j, -0.99 + 0.01j, 1e-8j, 2.5 - 1.0j, -1.0])
     guess = np.array([0.9, 0.5 + 0.5j, -1.0 + 0.2j, 0.0, 2.5 - 1.0j, -1.0])
@@ -68,6 +38,10 @@ def test_preimages_batch_is_pointwise_bitwise(quad_germ_wide):
         assert ok[k] == okk[0]
     assert ok.all()
     assert np.all(np.abs(quad_germ_wide.eval_raw(z) - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    # the guess picks the branch: f(1) = f(-3) = 3
+    z, ok = quad_germ_wide.preimages(np.array([3.0, 3.0]), np.array([0.9, -2.9]))
+    assert ok.all()
+    assert z == pytest.approx([1.0, -3.0], abs=1e-9)
 
 
 def test_preimages_flat_guess_is_not_converged(quad_germ_wide):
@@ -75,6 +49,7 @@ def test_preimages_flat_guess_is_not_converged(quad_germ_wide):
     z, ok = quad_germ_wide.preimages(np.array([3.0 + 0j, 3.0 + 0j]), np.array([-1.0 + 0j, 0.9 + 0j]))
     assert z[0] == -1.0 and not ok[0]
     assert ok[1] and z[1] == pytest.approx(1.0, abs=1e-12)
+
 
 def test_validation_rules():
     with pytest.raises(DomainError):
@@ -135,28 +110,11 @@ def test_boolean_fields_raise_domain_error(data, field):
         gd.Germ.from_json(data)
 
 
-@given(
-    re=st.floats(-0.1, 0.1),
-    im=st.floats(-0.1, 0.1),
-    n=st.integers(0, 3),
-)
-def test_orbit_consistency(quad_germ_wide, re, im, n):
-    # points recompute under eval, and the chain rule product matches a
-    # step-by-step recomputation
-    z = complex(re, im)
-    orb = quad_germ_wide.iterate(z, n)
-    prod = 1.0 + 0j
-    for a, b in zip(orb.points, orb.points[1:]):
-        assert quad_germ_wide.eval(a) == b
-        prod *= quad_germ_wide.derivative(a)
-    assert orb.derivative_product == pytest.approx(prod)
-
-
 @given(re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0))
-def test_inverse_step_is_a_preimage(quad_germ_wide, re, im):
+def test_preimages_is_a_preimage(quad_germ_wide, re, im):
+    # started at w itself: a converged point solves f(z) = w, and a point
+    # that did not converge is flagged instead of raising
     w = complex(re, im)
-    try:
-        z = quad_germ_wide.inverse_step(w, guess=w)
-    except (ConvergenceError, gd.SingularDerivativeError):
-        return
-    assert abs(quad_germ_wide.eval_raw(z) - w) < 1e-9 * max(1.0, abs(w))
+    z, ok = quad_germ_wide.preimages(np.array([w]), np.array([w]))
+    if ok[0]:
+        assert abs(quad_germ_wide.eval_raw(z)[0] - w) < 1e-9 * max(1.0, abs(w))
