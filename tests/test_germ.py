@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import germdeform as gd
-from germdeform.errors import DomainError
+from germdeform.errors import ConvergenceError, DomainError
 
 
 def test_auto_radius_quadratic():
@@ -38,10 +38,20 @@ def test_preimages_batch_is_pointwise_bitwise(quad_germ_wide):
         assert ok[k] == okk[0]
     assert ok.all()
     assert np.all(np.abs(quad_germ_wide.eval_raw(z) - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
-    # the guess picks the branch: f(1) = f(-3) = 3
+
+
+def test_inverse_step_picks_branch_near_guess(quad_germ_wide):
+    # f(1) = 3 exactly; the other preimage is -3
     z, ok = quad_germ_wide.preimages(np.array([3.0, 3.0]), np.array([0.9, -2.9]))
     assert ok.all()
     assert z == pytest.approx([1.0, -3.0], abs=1e-9)
+
+
+def test_inverse_step_divergence_raises(chart):
+    # from w = -2 the linearized guess at the fixed point 0 is the critical
+    # point -1, where the derivative vanishes: the walk raises a typed error
+    with pytest.raises(ConvergenceError, match="inverse step 1 did not converge"):
+        gd.phi_iterative(chart, -2.0)
 
 
 def test_preimages_flat_guess_is_not_converged(quad_germ_wide):
