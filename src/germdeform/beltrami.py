@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -27,7 +27,7 @@ NEAR_DEGENERATE = 1.0 - 1e-9
 PUNCTURE_RADIUS = 1e-8
 TRANSPORT_DEPTH = 200
 REPELLING_FLOOR = 1.0 + 1e-9
-CSV_BLOCK = 8192  # rows of field_to_csv made at a time
+CSV_BLOCK = 8192  # rows field_to_csv formats and writes at a time; its memory grows with this
 
 
 def tau_of(lam: complex) -> complex:
@@ -273,20 +273,29 @@ class BeltramiField:
         return mu.reshape(walk.shape)
 
 
-def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray) -> str:
-    """Flat deterministic table of sampled coefficients. The rows are made a
-    block at a time, so no temporary spans the whole table, and in each
-    block each distinct value of a column is formatted once; values are
-    told apart by their bits, so -0.0 keeps its sign."""
+def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray, out: BinaryIO) -> None:
+    """Write the flat table of sampled coefficients, one `%.17g` row
+    `re,im,mu_re,mu_im` per node, to the binary file `out`. The table is
+    streamed CSV_BLOCK rows at a time, so no string or array spans it. In
+    each block each distinct value of a column is formatted once (values
+    are told apart by their bits, so -0.0 keeps its sign); the rows are
+    gathered from those texts into one NUL-padded byte matrix with the
+    commas and the newline as their own columns, and the padding is
+    dropped."""
     zf = np.asarray(z_grid, dtype=complex).ravel()
     mf = np.asarray(mu_grid, dtype=complex).ravel()
-    parts = ["re,im,mu_re,mu_im\n"]
+    out.write(b"re,im,mu_re,mu_im\n")
     for start in range(0, zf.size, CSV_BLOCK):
         block = np.s_[start : start + CSV_BLOCK]
-        columns = []
+        cells = []
         for col in (zf.real, zf.imag, mf.real, mf.imag):
             bits, where = np.unique(np.ascontiguousarray(col[block]).view(np.int64), return_inverse=True)
-            text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-            columns.append(text[where])
-        parts.append("".join(["%s,%s,%s,%s\n" % row for row in zip(*columns)]))
-    return "".join(parts)
+            text = np.array([b"%.17g" % v for v in bits.view(np.float64).tolist()])
+            cells.append(text.view(np.uint8).reshape(text.size, text.itemsize)[where])
+        rows = np.zeros((len(cells[0]), sum(c.shape[1] for c in cells) + 4), dtype=np.uint8)
+        at = 0
+        for cell, sep in zip(cells, b",,,\n"):
+            rows[:, at : at + cell.shape[1]] = cell
+            rows[:, at + cell.shape[1]] = sep
+            at += cell.shape[1] + 1
+        out.write(rows[rows != 0].tobytes())

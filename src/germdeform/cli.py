@@ -2,18 +2,20 @@
 
 Every subcommand reads a strict JSON config (unknown keys are rejected so
 typos fail loudly), writes deterministic artifacts into --out, and prints a
-one-line summary. Exit codes: 0 success, 2 bad configuration, 3 numerical
-or domain failure.
+one-line summary. Exit codes: 0 success, 2 bad configuration or an --out
+that cannot be written, 3 numerical or domain failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO, Iterator
 
 
 from . import cremer as cremer_mod
@@ -139,14 +141,37 @@ def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float
     return n, tol, pad
 
 
-def _write(out_dir: Path, name: str, payload) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+@contextlib.contextmanager
+def _artifact(out_dir: Path, name: str) -> Iterator[BinaryIO]:
+    """Binary handle on out_dir/name, making out_dir first. Any OSError
+    while it is made, opened or written is a bad --out (exit 2), not a
+    traceback."""
     path = out_dir / name
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(payload, encoding="utf-8")
-    return path
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror or exc)) from exc
+
+
+def _write(out_dir: Path, name: str, payload) -> None:
+    with _artifact(out_dir, name) as fh:
+        fh.write(payload if isinstance(payload, bytes) else payload.encode("utf-8"))
+
+
+def _check_out(out_dir: Path) -> None:
+    """Refuse an --out that no artifact could be written into, before any
+    work: its nearest existing ancestor (itself, if it exists) must be a
+    writable directory. The directory is made at the first write, so a run
+    refused for its config leaves none behind."""
+    probe = out_dir
+    while not os.path.exists(probe):
+        probe = probe.parent
+    if not probe.is_dir():
+        raise ConfigError("cannot write into --out %s: %s is not a directory" % (out_dir, probe))
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise ConfigError("cannot write into --out %s: %s is not writable" % (out_dir, probe))
 
 
 def _dump_json(obj) -> str:
@@ -334,7 +359,8 @@ def _cmd_render(cfg: dict, out: Path, args) -> int:
     _write(out, "field.ppm", to_ppm(field_magnitude_raster(dg.mu)))
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))
     if with_csv:
-        _write(out, "field.csv", field_to_csv(dg.grid_map.box.nodes(n), dg.mu))
+        with _artifact(out, "field.csv") as fh:
+            field_to_csv(dg.grid_map.box.nodes(n), dg.mu, fh)
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
     return 0
 
@@ -371,9 +397,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
+        _check_out(out)
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, Path(args.out), args)
+        return _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
 import cmath
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,13 +225,44 @@ def test_field_csv_equals_per_row_formatting(monkeypatch, block):
     monkeypatch.setattr(gd.beltrami, "CSV_BLOCK", block)
     rng = np.random.default_rng(3)
     values = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -2.5e17, math.pi, 5e-324])
-    z = rng.choice(values, (9, 9)) + 1j * rng.choice(values, (9, 9))
-    mu = rng.choice(values, (9, 9)) * rng.standard_normal((9, 9)) + 1j * rng.choice(values, (9, 9))
-    rows = ["re,im,mu_re,mu_im"]
-    for a, m in zip(z.ravel(), mu.ravel()):
-        rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
-    assert gd.field_to_csv(z, mu) == "\n".join(rows) + "\n"
-    assert "-0," in gd.field_to_csv(z, mu)
+    # 81 rows, and 8193 = 8192 + 1: neither is a multiple of either block
+    for shape in [(9, 9), (3, 2731)]:
+        z = rng.choice(values, shape) + 1j * rng.choice(values, shape)
+        mu = rng.choice(values, shape) * rng.standard_normal(shape) + 1j * rng.choice(values, shape)
+        rows = ["re,im,mu_re,mu_im"]
+        for a, m in zip(z.ravel(), mu.ravel()):
+            rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
+        sink = io.BytesIO()
+        gd.field_to_csv(z, mu, sink)
+        assert sink.getvalue() == ("\n".join(rows) + "\n").encode()
+        assert b"-0," in sink.getvalue()
+
+
+class CountingSink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+
+def test_field_csv_streams_in_blocks():
+    # a 512 x 512 table of full-precision values is about 20 MB of text;
+    # written a block at a time, the writer holds a few copies of one
+    # block's rows of at most 4 * 24 + 4 bytes each
+    rng = np.random.default_rng(5)
+    pool = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    z = rng.choice(pool, (512, 512))
+    mu = 0.5 * rng.choice(pool, (512, 512))
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        gd.field_to_csv(z, mu, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 15e6
+    assert peak < 6 * 100 * gd.beltrami.CSV_BLOCK
 
 
 def single_pass_sample_grid(field, z_grid, diagnostics):

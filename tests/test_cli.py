@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import germdeform as gd
-from germdeform import cremer as cremer_mod
+from germdeform import cli, cremer as cremer_mod
 from germdeform.cli import main
 
 QUAD = {"coeffs": [[2, 0], [1, 0]], "radius_U": 3.0}
@@ -529,3 +529,55 @@ def test_determinism_byte_identical(tmp_path):
     _, s2 = run(tmp_path, "straighten", "sb.json", scfg, out="srun2")
     for name in ("gridmap.bin", "gridmap.json"):
         assert (s1 / name).read_bytes() == (s2 / name).read_bytes()
+
+
+# every command with a config it runs to exit 0, and the last artifact it writes
+COMMAND_RUNS = [
+    ("cycles", {"germ": QUAD, "orders": [1]}, "cycles.json"),
+    ("koenigs", {"germ": QUAD_TIGHT, "order": 1}, "chart.json"),
+    ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "target": [3.0, 0.0]}, "deform_local.json"),
+    ("straighten", STRAIGHTEN_64, "gridmap.json"),
+    ("motion", MOTION_64, "motion.csv"),
+    ("cremer", {"preset": "golden", "degree": 2}, "cremer.json"),
+    ("render", dict(STRAIGHTEN_64, field_csv=True), "field.csv"),
+]
+
+
+@pytest.mark.parametrize("command, cfg", [r[:2] for r in COMMAND_RUNS], ids=[r[0] for r in COMMAND_RUNS])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_2_before_dispatch(tmp_path, capsys, monkeypatch, command, cfg, under):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran with an unusable --out")
+
+    monkeypatch.setitem(cli._COMMANDS, command, no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "sub" if under else blocker
+    rc = main([command, "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "config error: cannot write into --out %s: %s is not a directory\n" % (out, blocker)
+
+
+@pytest.mark.parametrize("command, cfg, last", COMMAND_RUNS, ids=[r[0] for r in COMMAND_RUNS])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, command, cfg, last):
+    (tmp_path / "out" / last).mkdir(parents=True)
+    rc, out = run(tmp_path, command, "c.json", cfg)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: cannot write %s: " % (out / last))
+    assert "Traceback" not in err
+
+
+def test_render_field_csv_matches_per_row_formatting(tmp_path):
+    # the CLI's field.csv against the table formatted row by row from the
+    # same solve, not against another run of the CLI
+    cfg = dict(STRAIGHTEN_64, field_csv=True)
+    rc, out = run(tmp_path, "render", "r.json", cfg)
+    assert rc == 0
+    germ = gd.Germ.from_json(QUAD_TIGHT)
+    dg = gd.global_deform(germ, [gd.Deformation(order=1, target=3.0 + 0j)], n=64)
+    rows = ["re,im,mu_re,mu_im"]
+    for a, m in zip(dg.grid_map.box.nodes(64).ravel(), dg.mu.ravel()):
+        rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
+    assert (out / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
