@@ -289,8 +289,11 @@ def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray, out: BinaryIO) -> None
         block = np.s_[start : start + CSV_BLOCK]
         cells = []
         for col in (zf.real, zf.imag, mf.real, mf.imag):
-            bits, where = np.unique(np.ascontiguousarray(col[block]).view(np.int64), return_inverse=True)
-            text = np.array([b"%.17g" % v for v in bits.view(np.float64).tolist()])
+            bits = np.ascontiguousarray(col[block]).view(np.int64)
+            distinct = np.sort(bits)
+            distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+            where = np.searchsorted(distinct, bits)
+            text = np.array([b"%.17g" % v for v in distinct.view(np.float64).tolist()])
             cells.append(text.view(np.uint8).reshape(text.size, text.itemsize)[where])
         rows = np.zeros((len(cells[0]), sum(c.shape[1] for c in cells) + 4), dtype=np.uint8)
         at = 0

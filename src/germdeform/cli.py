@@ -40,7 +40,7 @@ from .straighten import (
 _REQUIRED = object()
 
 # largest padded grid pad * grid: the solve's memory grows with its square,
-# and a straighten run peaks at about 0.17 GB at 2048 and 0.55 GB at 4096
+# and a straighten run peaks at about 0.16 GB at 2048 and 0.48 GB at 4096
 MAX_PADDED_GRID = 4096
 
 

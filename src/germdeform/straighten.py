@@ -21,7 +21,9 @@ motion probe.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -53,10 +55,24 @@ MOTION_GRID = 256
 MOTION_TOL = 1e-10
 
 _BOX_MIN_HALF_WIDTH = 1.25
-# rows or columns per pass of the kernel fit, the assembly of h and the
-# orientation check, so that none of them makes a temporary of the whole
-# padded grid or window
+# rows per pass of the kernel fit, the assembly of h and the orientation
+# check, so that none of them makes a temporary of the whole padded grid or
+# window
 _BAND = 64
+# the CPUs this process may run on; each line transform of the solve is split
+# into one chunk of lines per CPU
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this platform
+    _CPUS = os.cpu_count() or 1
+# points below which a line transform runs as one call. Measured on 2 CPUs:
+# split in two, 64 lines of 1024 took as long as one call and 64 lines of
+# 2048 about a fifth less; below this run, for instance, the sweep
+# transforms of a 256 grid
+_SPLIT_POINTS = 1 << 17
+# chunks start on multiples of this many lines, so that numpy's FFT groups
+# the lines for SIMD as it does in one call
+_LINE_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -289,6 +305,42 @@ class GridMap:
         return out
 
 
+@functools.cache
+def _pool():
+    """The threads that run all but the caller's chunk of a split line
+    transform, started at the first split."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="germdeform-fft")
+
+
+def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None = None) -> None:
+    """transform(src, n, axis, out=out), np.fft.fft or ifft along axis 1 (the
+    rows are the lines) or axis 0 (the columns are), into the caller's out,
+    which may be src itself. The lines are split into one contiguous chunk
+    per CPU: the caller transforms the first and the pool the rest. numpy's
+    FFT releases the GIL and transforms each line on its own, so the bits are
+    those of the one call, which runs instead on one CPU or below
+    _SPLIT_POINTS points of out. Raises what any chunk raised, once every
+    chunk has finished."""
+    lines = out.shape[1 - axis]
+    if _CPUS == 1 or out.size < _SPLIT_POINTS:
+        transform(src, n, axis, out=out)
+        return
+    step = -(-lines // _CPUS)
+    step = -(-step // _LINE_ALIGN) * _LINE_ALIGN
+    # a cut takes rows when the lines are rows, columns when they are columns
+    cuts = [(slice(None),) * (1 - axis) + (slice(a, a + step),) for a in range(0, lines, step)]
+    futures = [_pool().submit(transform, src[c], n, axis, None, out[c]) for c in cuts[1:]]
+    try:
+        transform(src[cuts[0]], n, axis, out=out[cuts[0]])
+    finally:
+        for f in futures:
+            f.exception()  # waits until that chunk is done with the arrays
+    for f in futures:
+        f.result()
+
+
 def _residue_offsets(m: int, size: int) -> np.ndarray:
     """For each residue mod m, the offset in [1 - size, m - size] congruent
     to it."""
@@ -307,6 +359,12 @@ class BeurlingKernel:
     it (as at pad 1), so one kernel serves every solve on the same grid, and
     a solve whose block it already holds transforms nothing larger than
     those two grids.
+
+    Every line transform of the fit, apply and correct from _SPLIT_POINTS
+    points up is split into one chunk of lines per CPU the process may run
+    on (os.sched_getaffinity, or os.cpu_count() where that is missing) and
+    run on a thread pool; each line is transformed on its own, so the bits
+    do not depend on the count.
     """
 
     def __init__(self, box: Box, n0: int, pad: int):
@@ -325,9 +383,9 @@ class BeurlingKernel:
         length >= n0 + R - 1, which keeps them apart, or n when that is
         shorter, where offsets that share a residue carry the same value of
         the n-periodic g. c_mult is made and transformed along x a band of
-        rows at a time, keeping Mc columns, then along y a band of those
-        columns at a time, keeping Mr rows: the same line transforms as on
-        the whole n x n grid, without one.
+        rows at a time, keeping Mc columns, then along y in place on those
+        columns, keeping Mr rows: the same line transforms as on the whole
+        n x n grid, without one.
 
         The sweep's kernel is k = ifft2(conj(s_c)/s_c), and conj(s_c)/s_c =
         (i/2) conj(s_c) c_mult, where (i/2) conj(s_c) is the symbol of the
@@ -360,38 +418,45 @@ class BeurlingKernel:
             for r, c in ((0, 0),) + _corner_bins(n):
                 if i <= r < i + _BAND:
                     band[r - i, c] = 0
-            np.fft.ifft(band, axis=1, out=band)
+            _lines(np.fft.ifft, band, band, 1)
             gx[i : i + _BAND] = np.take(band, cols, axis=1, mode="wrap")
-        g = np.empty((Mr, Mc), dtype=complex)
-        for j in range(0, Mc, _BAND):
-            band = np.fft.ifft(gx[:, j : j + _BAND], axis=0)
-            g[:, j : j + _BAND] = np.take(band, rows, axis=0, mode="wrap")
+        _lines(np.fft.ifft, gx, gx, 0)
+        g = np.take(gx, rows, axis=0, mode="wrap")
         del gx
         near = np.ix_((np.arange(-R, R + 1) + r0 - off) % Mr, (np.arange(-C, C + 1) + c0 - off) % Mc)
         k = _wirtinger_grid(g[near], dx)[0]
-        self.corr_hat = np.fft.fft2(g, out=g)
+        # fft2 in place, in numpy's axis order
+        _lines(np.fft.fft, g, g, 1)
+        _lines(np.fft.fft, g, g, 0)
+        self.corr_hat = g
         self.Lr = min(n, _smooth_length(2 * R - 1))
         self.Lc = min(n, _smooth_length(2 * C - 1))
         kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
         kernel[np.ix_(np.arange(1 - R, R) % self.Lr, np.arange(1 - C, C) % self.Lc)] = k
-        self.kernel_hat = np.fft.fft2(kernel)
+        _lines(np.fft.fft, kernel, kernel, 1)
+        _lines(np.fft.fft, kernel, kernel, 0)
+        self.kernel_hat = kernel
 
     @staticmethod
     def _convolve(x: np.ndarray, hat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
         """The periodic convolution of x, zero-padded to hat's grid, read on
-        its first rows x cols: one forward transform, and an inverse that
-        runs along rows on all of hat's rows, then along columns on the
-        first cols columns only (numpy's own axis order for ifft2, so the
-        bits are those of ifft2(...)[:rows, :cols]). Both passes run in
-        place on the forward transform's array, and the result is a view of
-        it."""
+        its first rows x cols. The forward transform runs along rows on x's
+        rows, into hat's grid with the other rows zero, then along columns;
+        the inverse runs along rows on all of hat's rows, then along columns
+        on the first cols columns only. That is numpy's own axis order for
+        fft2 and ifft2, so the bits are those of ifft2(fft2(x, s=hat.shape) *
+        hat)[:rows, :cols]. Every pass writes into one array of hat's shape,
+        and the result is a view of it."""
         if hat is None:
             return np.zeros((rows, cols), dtype=complex)
-        spec = np.fft.fft2(x, s=hat.shape)
+        spec = np.empty(hat.shape, dtype=complex)
+        _lines(np.fft.fft, x, spec[: x.shape[0]], 1, hat.shape[1])
+        spec[x.shape[0] :] = 0
+        _lines(np.fft.fft, spec, spec, 0)
         spec *= hat
-        np.fft.ifft(spec, axis=1, out=spec)
+        _lines(np.fft.ifft, spec, spec, 1)
         head = spec[:, :cols]
-        np.fft.ifft(head, axis=0, out=head)
+        _lines(np.fft.ifft, head, head, 0)
         return head[:rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -403,6 +468,18 @@ class BeurlingKernel:
         """The periodic inverse of dbar applied to x, zero off the block,
         read on the n0 x n0 window."""
         return self._convolve(x, self.corr_hat, self.n0, self.n0)
+
+
+def _add_kernel_terms(dh: np.ndarray, gam: np.ndarray, boards) -> None:
+    """dh += 1 + sum(gam * _KERNEL_D * boards), the identity's and the
+    checkerboards' share of d h on the block. The sum takes one value per row
+    and column parity, so it is made on the block's first 2 x 2 nodes, by
+    the same operations as on the whole block, and added to each parity's
+    nodes: the bits of the whole-block sum without its block-sized
+    temporaries."""
+    terms = 1.0 + sum(g * d * b[:2, :2] for g, d, b in zip(gam, _KERNEL_D, boards))
+    for (p, q), v in np.ndenumerate(terms):
+        dh[p::2, q::2] += v
 
 
 def solve_beltrami(
@@ -435,9 +512,13 @@ def solve_beltrami(
     Mr x Mc transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
     transform of c_mult gives both kernels (BeurlingKernel; pass one to
     reuse it across solves on the same box, grid and pad). The kernel fit,
-    the assembly of h and its orientation check run a band of rows or
-    columns at a time, so no stage holds a padded-grid array or more than
-    about eight n0 x n0 ones.
+    the assembly of h and its orientation check run a band of rows at a
+    time, so no stage holds a padded-grid array or more than about eight
+    n0 x n0 ones. Each large line transform is split over the CPUs the
+    process may run on (os.sched_getaffinity, or os.cpu_count() where that
+    is missing), with bits that do not depend on their count, and the change
+    per sweep is summed by numpy alone, so neither the samples nor the
+    diagnostics depend on the CPU or BLAS thread count.
     """
     mu = np.array(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
@@ -467,7 +548,11 @@ def solve_beltrami(
     off = (n - n0) // 2
     r0, r1 = _support_span(mu.any(axis=1), off)
     c0, c1 = _support_span(mu.any(axis=0), off)
-    work = mu[r0 - off : r1 - off, c0 - off : c1 - off]
+    # the sweeps read mu on its block alone, so the window-sized copy is
+    # freed before the kernel fit and the correction make their arrays
+    work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
+    support = float(np.mean(np.abs(mu) > 0))
+    del mu
     block = (r0, r1, c0, c1)
     if block != kernel.block:
         kernel.fit(block)
@@ -479,13 +564,14 @@ def solve_beltrami(
     history = []
     for sweeps in range(1, MAX_SWEEPS + 1):
         dh = kernel.apply(x)
-        dh += 1.0 + sum(g * d * b for g, d, b in zip(gam, _KERNEL_D, boards))
+        _add_kernel_terms(dh, gam, boards)
         new_x = work * dh
         new_sums = np.array([new_x.sum()] + [np.sum(b * new_x) for b in boards])
         new_gam = new_sums[1:] / (n * n) / _KERNEL_DBAR
         # rho is x less its projection on the mean and the checkerboards,
-        # which are orthogonal with norm n on the padded grid
-        step = float(np.linalg.norm(new_x - x)) ** 2
+        # which are orthogonal with norm n on the padded grid; the squared
+        # step is summed by numpy alone, so its bits do not depend on BLAS
+        step = float(np.sum(np.square((new_x - x).view(float))))
         step -= float(np.sum(np.abs(new_sums - sums) ** 2)) / (n * n)
         change = math.sqrt(max(step, 0.0)) / n + float(np.max(np.abs(new_gam - gam)))
         history.append(change)
@@ -535,7 +621,7 @@ def solve_beltrami(
         "beta": [beta.real, beta.imag],
         "gammas": [[g.real, g.imag] for g in gam],
         "mu_sup": sup,
-        "support_fraction": float(np.mean(np.abs(mu) > 0)),
+        "support_fraction": support,
         "frame_clipped": clipped,
         "pad": pad,
         "tol": tol,

@@ -531,6 +531,29 @@ def test_determinism_byte_identical(tmp_path):
         assert (s1 / name).read_bytes() == (s2 / name).read_bytes()
 
 
+def test_straighten_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # criterion 10 across processes: one BLAS thread against the default count
+    cfg = write_cfg(tmp_path, "s.json", dict(STRAIGHTEN_64, grid=512))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=src)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outs.append(tmp_path / ("blas-%s" % (threads or "default")))
+        subprocess.run(
+            [sys.executable, "-m", "germdeform.cli", "straighten", "--config", cfg, "--out", str(outs[-1])],
+            capture_output=True,
+            check=True,
+            env=env,
+            timeout=300,
+        )
+    for name in ("gridmap.bin", "gridmap.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 # every command with a config it runs to exit 0, and the last artifact it writes
 COMMAND_RUNS = [
     ("cycles", {"germ": QUAD, "orders": [1]}, "cycles.json"),

@@ -1,5 +1,9 @@
 import struct
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -813,3 +817,151 @@ def test_solve_records_the_change_of_every_sweep(quad_germ):
     assert history[-1] == diag["final_change"]
     assert all(b < a for a, b in zip(history, history[1:]))
 
+
+class SerialPool:
+    """Runs each submitted chunk at once, in the calling thread."""
+
+    def __init__(self):
+        self.chunks = 0
+
+    def submit(self, fn, *args):
+        self.chunks += 1
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class CountedThreads(ThreadPoolExecutor):
+    def __init__(self):
+        # more workers than the three chunks and than most machines' cores
+        super().__init__(4)
+        self.chunks = 0
+
+    def submit(self, fn, *args):
+        self.chunks += 1
+        return super().submit(fn, *args)
+
+
+def run_split(monkeypatch, execution: str, split_points: int, compute):
+    """compute() with every line transform of at least split_points points
+    split into up to three chunks of lines, the caller's and the rest run by
+    the pool: on threads, or one after another by a serial runner."""
+    pool = CountedThreads() if execution == "threads" else SerialPool()
+    interval = sys.getswitchinterval()
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 3)
+        m.setattr(st, "_SPLIT_POINTS", split_points)
+        m.setattr(st, "_pool", lambda: pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            result = compute()
+        finally:
+            sys.setswitchinterval(interval)
+            if execution == "threads":
+                pool.shutdown()
+    assert pool.chunks > 0
+    return result
+
+
+def run_one_call(monkeypatch, compute):
+    """compute() with every line transform as one numpy call, as on one CPU."""
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 1)
+        return compute()
+
+
+EXECUTIONS = ["threads", "serial"]
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("split_points", [1, st._SPLIT_POINTS])
+def test_split_kernel_fit_is_bitwise_one_call(monkeypatch, execution, split_points):
+    # at the default split size the transforms of g along y and corr_hat
+    # (512 x 432 and 450 x 432 points) are split, the row bands (64 x 512)
+    # and kernel_hat (360 x 360) are not; at 1 every one is
+    box = Box(1.5)
+
+    def fit():
+        kernel = st.BeurlingKernel(box, 256, 2)
+        kernel.fit((140, 320, 150, 320))
+        return kernel.corr_hat, kernel.kernel_hat
+
+    want = run_one_call(monkeypatch, fit)
+    got = run_split(monkeypatch, execution, split_points, fit)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("n", [64, 100])
+def test_split_solve_is_bitwise_one_call(monkeypatch, quad_germ, execution, n):
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)]).sample_grid(box.nodes(n))
+    want = run_one_call(monkeypatch, lambda: gd.solve_beltrami(mu, box))
+    got = run_split(monkeypatch, execution, 1, lambda: gd.solve_beltrami(mu, box))
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+def test_split_motion_rows_are_bitwise_one_call(monkeypatch, quad_germ, execution):
+    def rows():
+        return gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j, 0.05j], n=64)
+
+    assert run_split(monkeypatch, execution, 1, rows) == run_one_call(monkeypatch, rows)
+
+
+@pytest.mark.parametrize("faulty", ["worker", "caller"])
+def test_chunk_exception_reraises_in_the_caller_and_the_next_solve_runs(monkeypatch, quad_germ, faulty):
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)]).sample_grid(box.nodes(64))
+    want = gd.solve_beltrami(mu, box)
+    monkeypatch.setattr(st, "_CPUS", 2)
+    monkeypatch.setattr(st, "_SPLIT_POINTS", 1)
+    ifft = np.fft.ifft
+    finished = []
+
+    class ChunkFault(Exception):
+        pass
+
+    def chunk(*args, **kwargs):
+        in_worker = threading.current_thread() is not threading.main_thread()
+        if in_worker == (faulty == "worker"):
+            raise ChunkFault("chunk failed")
+        if in_worker:
+            time.sleep(0.05)  # still writing when the caller's chunk fails
+        out = ifft(*args, **kwargs)
+        finished.append(in_worker)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "ifft", chunk)
+        with pytest.raises(ChunkFault):
+            gd.solve_beltrami(mu, box)
+    if faulty == "caller":
+        # the fault reached the caller only after the worker's chunk was done
+        assert finished == [True]
+    got = gd.solve_beltrami(mu, box)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize(
+    "r0, c0, R, C, gam",
+    [
+        (140, 150, 90, 96, [0.3 - 0.2j, -1.5 + 0.25j, 2e-3 + 7j]),
+        (141, 150, 37, 1, [0.3 - 0.2j, -1.5 + 0.25j, 2e-3 + 7j]),
+        (140, 151, 1, 2, [1e-9 + 4j, 0.5, -3j]),
+        (3, 5, 2, 3, [0j, 0j, 0j]),  # the first sweep's
+    ],
+)
+def test_kernel_terms_by_parity_are_bitwise_the_whole_block(r0, c0, R, C, gam):
+    rng = np.random.default_rng(11)
+    boards = st._checkerboards(512, np.s_[r0 : r0 + R], np.s_[c0 : c0 + C])
+    gam = np.array(gam, dtype=complex)
+    dh = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
+    want = dh + (1.0 + sum(g * d * b for g, d, b in zip(gam, st._KERNEL_D, boards)))
+    st._add_kernel_terms(dh, gam, boards)
+    assert dh.tobytes() == want.tobytes()
