@@ -1,9 +1,11 @@
 """Command line front end.
 
-Every subcommand reads a strict JSON config (unknown keys are rejected so
-typos fail loudly), writes deterministic artifacts into --out, and prints a
-one-line summary. Exit codes: 0 success, 2 bad configuration or an --out
-that cannot be written, 3 numerical or domain failure.
+Every subcommand reads a strict JSON config through germ.Fields (numbers
+only where numbers go, never true/false or numeric strings; unknown keys
+are rejected so typos fail loudly), writes deterministic artifacts into
+--out, and prints a one-line summary. Exit codes: 0 success, 2 bad
+configuration or an --out that cannot be written, 3 numerical or domain
+failure.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator
+from typing import BinaryIO, Iterator
 
 
 from . import cremer as cremer_mod
 from .beltrami import field_to_csv
 from .cycles import cycles_to_csv, find_cycles, repelling_cycle
 from .errors import ConfigError, ToolkitError
-from .germ import Germ
+from .germ import BOOLEAN, INTEGER, INTEGERS, NUMBER, OBJECT, OBJECTS, ORDERS, PAIR, PAIRS, STRING
+from .germ import Fields, Germ
 from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
@@ -37,92 +40,48 @@ from .straighten import (
     SOLVER_TOL,
 )
 
-_REQUIRED = object()
-
 # largest padded grid pad * grid: the solve's memory grows with its square,
 # and a straighten run peaks at about 0.16 GB at 2048 and 0.48 GB at 4096
 MAX_PADDED_GRID = 4096
 
 
-def _load_config(path: str) -> dict[str, Any]:
+def _load_config(path: str) -> Fields:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return Fields(json.load(fh))
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    return data
 
 
-def _take(cfg: dict, key: str, kinds, default=_REQUIRED):
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError("missing config key %r" % key)
-        return default
-    val = cfg.pop(key)
-    # JSON true/false are ints to isinstance, so only a bool key may take them
-    stray_bool = isinstance(val, bool) and kinds is not bool
-    if kinds is not None and (stray_bool or not isinstance(val, kinds)):
-        raise ConfigError("config key %r has wrong type" % key)
-    return val
-
-
-def _finish(cfg: dict):
-    if cfg:
-        raise ConfigError("unknown config keys: %s" % sorted(cfg))
-
-
-def _complex_pair(val, what: str) -> complex:
-    if not (isinstance(val, list) and len(val) == 2):
-        raise ConfigError("%s must be a [re, im] pair" % what)
-    try:
-        return complex(float(val[0]), float(val[1]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("%s must hold numbers" % what) from exc
-
-
-def _germ_from(cfg: dict) -> Germ:
-    data = _take(cfg, "germ", dict)
+def _germ_from(cfg: Fields) -> Germ:
+    data = cfg.take("germ", OBJECT)
     try:
         return Germ.from_json(data)
     except ToolkitError as exc:
         raise ConfigError("bad germ: %s" % exc) from exc
 
 
-def _deformations_from(cfg: dict) -> list[Deformation]:
-    raw = _take(cfg, "deformations", list)
-    if not raw:
-        raise ConfigError("deformations must be a nonempty list")
+def _deformations_from(cfg: Fields) -> list[Deformation]:
     out = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ConfigError("each deformation must be an object")
-        item = dict(item)
-        order = _take(item, "order", int)
-        target = _complex_pair(_take(item, "target", list), "deformation target")
-        idx = _take(item, "cycle_index", int, 0)
-        _finish(item)
+    for raw in cfg.take("deformations", OBJECTS):
+        item = Fields(raw, "deformation")
+        order = item.take("order", INTEGER)
+        target = item.take("target", PAIR)
+        idx = item.take("cycle_index", INTEGER, 0)
+        item.finish()
         out.append(Deformation(order=order, target=target, cycle_index=idx))
     return out
 
 
-def _orders_from(cfg: dict, default=_REQUIRED) -> list[int]:
-    orders = _take(cfg, "orders", list, default)
-    if not orders or not all(type(q) is int and q >= 1 for q in orders):
-        raise ConfigError("orders must be a nonempty list of positive integers")
-    return orders
-
-
-def _solver_settings(cfg: dict, args, grid: int, tol: float) -> tuple[int, float, int]:
+def _solver_settings(cfg: Fields, args, grid: int, tol: float) -> tuple[int, float, int]:
     """grid, solver_tol and pad from the config; --grid and --tol win over it.
     A grid or pad the solver refuses or cannot allocate, or a tolerance the
     sweeps can never reach, is refused before any work."""
-    n = _take(cfg, "grid", int, grid)
-    tol = _take(cfg, "solver_tol", (int, float), tol)
-    pad = _take(cfg, "pad", int, DEFAULT_PAD)
+    n = cfg.take("grid", INTEGER, grid)
+    tol = cfg.take("solver_tol", NUMBER, tol)
+    pad = cfg.take("pad", INTEGER, DEFAULT_PAD)
     if args.grid is not None:
         n = args.grid
     if args.tol is not None:
@@ -181,10 +140,10 @@ def _dump_json(obj) -> str:
 # ---- subcommands ---------------------------------------------------------
 
 
-def _cmd_cycles(cfg: dict, out: Path, args) -> int:
+def _cmd_cycles(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
-    orders = _orders_from(cfg)
-    _finish(cfg)
+    orders = cfg.take("orders", ORDERS)
+    cfg.finish()
     all_cycles = []
     for q in orders:
         all_cycles.extend(find_cycles(germ, q))
@@ -204,12 +163,12 @@ def _cmd_cycles(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_koenigs(cfg: dict, out: Path, args) -> int:
+def _cmd_koenigs(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
-    order = _take(cfg, "order", int)
-    cycle_index = _take(cfg, "cycle_index", int, 0)
-    base_index = _take(cfg, "base_index", int, 0)
-    _finish(cfg)
+    order = cfg.take("order", INTEGER)
+    cycle_index = cfg.take("cycle_index", INTEGER, 0)
+    base_index = cfg.take("base_index", INTEGER, 0)
+    cfg.finish()
     chart = build_chart(germ, repelling_cycle(germ, order, cycle_index), base_index)
     _write(out, "chart.json", _dump_json(chart.to_json()))
     print(
@@ -219,12 +178,12 @@ def _cmd_koenigs(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_deform_local(cfg: dict, out: Path, args) -> int:
+def _cmd_deform_local(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
-    order = _take(cfg, "order", int)
-    cycle_index = _take(cfg, "cycle_index", int, 0)
-    target = _complex_pair(_take(cfg, "target", list), "target")
-    _finish(cfg)
+    order = cfg.take("order", INTEGER)
+    cycle_index = cfg.take("cycle_index", INTEGER, 0)
+    target = cfg.take("target", PAIR)
+    cfg.finish()
     lc = LocalConjugacy.build(germ, repelling_cycle(germ, order, cycle_index), target)
     measured = measure_multiplier(lc)
     rel = abs(measured - target) / abs(target)
@@ -250,11 +209,11 @@ def _cmd_deform_local(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_straighten(cfg: dict, out: Path, args) -> int:
+def _cmd_straighten(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     n, tol, pad = _solver_settings(cfg, args, DEFAULT_GRID, SOLVER_TOL)
-    _finish(cfg)
+    cfg.finish()
     dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     measured = []
     for i, d in enumerate(deformations):
@@ -276,15 +235,13 @@ def _cmd_straighten(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_motion(cfg: dict, out: Path, args) -> int:
+def _cmd_motion(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
-    t_values = [_complex_pair(v, "t value") for v in _take(cfg, "t_values", list)]
-    points = [_complex_pair(v, "sample point") for v in _take(cfg, "points", list)]
-    orders = _orders_from(cfg, [1])
+    t_values = cfg.take("t_values", PAIRS)
+    points = cfg.take("points", PAIRS)
+    orders = cfg.take("orders", ORDERS, [1])
     n, tol, pad = _solver_settings(cfg, args, MOTION_GRID, MOTION_TOL)
-    _finish(cfg)
-    if not t_values or not points:
-        raise ConfigError("t_values and points must be nonempty")
+    cfg.finish()
     rows = motion_sample(germ, t_values, points, orders=orders, n=n, tol=tol, pad=pad)
     lines = ["t_re,t_im,point_re,point_im,image_re,image_im"]
     for t, images in zip(t_values, rows):
@@ -298,15 +255,15 @@ def _cmd_motion(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_cremer(cfg: dict, out: Path, args) -> int:
-    preset = _take(cfg, "preset", str, None)
-    quotients = _take(cfg, "quotients", list, None)
-    degree = _take(cfg, "degree", int)
-    window = _take(cfg, "window", int, None)
-    count = _take(cfg, "count", int, 40)
-    seed = _take(cfg, "seed", int, 2)
-    _finish(cfg)
-    if (preset is None) == (quotients is None):
+def _cmd_cremer(cfg: Fields, out: Path, args) -> int:
+    preset = cfg.take("preset", STRING, None)
+    quots = cfg.take("quotients", INTEGERS, None)
+    degree = cfg.take("degree", INTEGER)
+    window = cfg.take("window", INTEGER, None)
+    count = cfg.take("count", INTEGER, 40)
+    seed = cfg.take("seed", INTEGER, 2)
+    cfg.finish()
+    if (preset is None) == (quots is None):
         raise ConfigError("give exactly one of preset or quotients")
     if preset is not None:
         min_count = 2 if preset == "tower" else 1
@@ -320,10 +277,6 @@ def _cmd_cremer(cfg: dict, out: Path, args) -> int:
             quots = cremer_mod.tower_quotients(seed=seed, count=count)
         else:
             raise ConfigError("unknown preset %r" % preset)
-    else:
-        if not all(isinstance(a, int) for a in quotients):
-            raise ConfigError("quotients must be integers")
-        quots = tuple(quotients)
     ratios = cremer_mod.growth_ratios(cremer_mod.ContinuedFraction(quots))
     margin = cremer_mod.cremer_margin(ratios, degree, window)
     _write(out, "cremer.csv", cremer_mod.margin_rows_csv(ratios, degree))
@@ -344,13 +297,13 @@ def _cmd_cremer(cfg: dict, out: Path, args) -> int:
     return 0
 
 
-def _cmd_render(cfg: dict, out: Path, args) -> int:
+def _cmd_render(cfg: Fields, out: Path, args) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     n, tol, pad = _solver_settings(cfg, args, 512, SOLVER_TOL)
-    lines = _take(cfg, "lines", int, MESH_LINES)
-    with_csv = _take(cfg, "field_csv", bool, False)
-    _finish(cfg)
+    lines = cfg.take("lines", INTEGER, MESH_LINES)
+    with_csv = cfg.take("field_csv", BOOLEAN, False)
+    cfg.finish()
     if lines < 1:
         raise ConfigError("lines must be >= 1 (got %d)" % lines)
     if lines > n:

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DegenerateCycleError, DomainError
-from .germ import Germ
+from .germ import Germ, circle
 
 CYCLE_CLOSE_TOL = 1e-9
 DEDUP_EPS = 1e-9
@@ -119,9 +119,7 @@ def _seeds(germ: Germ):
     pts = pts[np.abs(pts) <= r]
     rings = []
     for i in range(1, SEED_RING_COUNT + 1):
-        rho = r * i / (SEED_RING_COUNT + 1)
-        th = np.linspace(0.0, 2 * np.pi, SEED_RING_POINTS, endpoint=False)
-        rings.append(rho * np.exp(1j * th))
+        rings.append(circle(0.0, r * i / (SEED_RING_COUNT + 1), SEED_RING_POINTS))
     return np.concatenate([pts] + rings)
 
 

@@ -11,12 +11,12 @@ class ToolkitError(Exception):
     """Base class for all deliberate failures."""
 
 
-class ConfigError(ToolkitError):
-    """Malformed or inconsistent configuration input."""
-
-
 class DomainError(ToolkitError):
     """Input outside the valid domain of an operation."""
+
+
+class ConfigError(DomainError):
+    """Malformed or inconsistent configuration input."""
 
 
 class ConvergenceError(ToolkitError):

@@ -15,11 +15,11 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 BOUNDARY_SAMPLES = 64
 BOUNDARY_DERIV_FLOOR = 1e-3
@@ -49,6 +49,11 @@ def horner_derivative(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def circle(center: complex, radius: float, n: int) -> np.ndarray:
+    """n points evenly spaced on the circle, starting at angle 0."""
+    return center + radius * np.exp(2j * math.pi * np.arange(n) / n)
+
+
 def pointwise(method):
     """Let a method written for a 1-d complex array take a scalar or an
     array of any shape; a scalar gets a Python complex back."""
@@ -63,8 +68,7 @@ def pointwise(method):
 
 
 def _min_boundary_derivative(coeffs: Sequence[complex], radius: float) -> float:
-    theta = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_SAMPLES, endpoint=False)
-    ring = radius * np.exp(1j * theta)
+    ring = circle(0.0, radius, BOUNDARY_SAMPLES)
     return float(np.min(np.abs(horner_derivative(coeffs, ring))))
 
 
@@ -80,6 +84,73 @@ def auto_radius(coeffs: Sequence[complex]) -> float:
             return r / 2.0
         r *= RADIUS_SHRINK
     raise DomainError("no working radius found above %g" % RADIUS_MIN)
+
+
+# ---- the JSON input rule, shared by Germ.from_json and the CLI ----------
+
+_REQUIRED = object()
+FLOAT_INT_LIMIT = 2**1024 - 2**970  # the least int on which float() overflows
+
+
+class Kind(NamedTuple):
+    what: str  # completes "<key> must be ..."
+    test: Callable[[Any], bool]
+    read: Callable[[Any], Any] = lambda value: value
+
+
+def _list_of(test: Callable[[Any], bool], min_len: int = 1) -> Callable[[Any], bool]:
+    return lambda x: isinstance(x, list) and len(x) >= min_len and all(map(test, x))
+
+
+INTEGER = Kind("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool))
+NUMBER = Kind(
+    "a number", lambda x: isinstance(x, float) or (INTEGER.test(x) and abs(x) < FLOAT_INT_LIMIT)
+)
+NUMBER_OR_NULL = Kind("a number or null", lambda x: x is None or NUMBER.test(x))
+PAIR = Kind(
+    "a [re, im] pair of numbers",
+    lambda x: isinstance(x, list) and len(x) == 2 and all(map(NUMBER.test, x)),
+    lambda pair: complex(float(pair[0]), float(pair[1])),
+)
+STRING = Kind("a string", lambda x: isinstance(x, str))
+BOOLEAN = Kind("a boolean", lambda x: isinstance(x, bool))
+OBJECT = Kind("an object", lambda x: isinstance(x, dict))
+INTEGERS = Kind("a list of integers", _list_of(INTEGER.test, 0), tuple)
+ORDERS = Kind("a nonempty list of positive integers", _list_of(lambda q: INTEGER.test(q) and q > 0))
+PAIRS = Kind(
+    "a nonempty list of [re, im] pairs", _list_of(PAIR.test), lambda v: list(map(PAIR.read, v))
+)
+OBJECTS = Kind("a nonempty list of objects", _list_of(OBJECT.test))
+
+
+class Fields:
+    """One JSON object, read key by key under the input rule: a number is an
+    int or float that float() takes, an integer is an int, neither is a bool
+    or a string, a pair is a list of exactly two numbers, and a key left
+    unread is refused. A refusal is a ConfigError naming the key, after the
+    object's name in a nested object ("germ coeffs must be ...")."""
+
+    def __init__(self, data: Any, name: str = "config"):
+        if not isinstance(data, dict):
+            raise ConfigError("%s must be an object" % name)
+        self._left, self._name = dict(data), name
+
+    def take(self, key: str, kind: Kind, default: Any = _REQUIRED) -> Any:
+        """The value at key read as kind, or default when key is absent."""
+        if key not in self._left:
+            if default is _REQUIRED:
+                raise ConfigError("missing %s key %r" % (self._name, key))
+            return default
+        value = self._left.pop(key)
+        if not kind.test(value):
+            label = key if self._name == "config" else "%s %s" % (self._name, key)
+            raise ConfigError("%s must be %s" % (label, kind.what))
+        return kind.read(value)
+
+    def finish(self) -> None:
+        """Refuse every key no take has read."""
+        if self._left:
+            raise ConfigError("unknown %s keys: %s" % (self._name, sorted(self._left)))
 
 
 @dataclass(frozen=True)
@@ -197,26 +268,10 @@ class Germ:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Germ":
-        if not isinstance(data, dict):
-            raise DomainError("germ data must be an object")
-        unknown = set(data) - {"coeffs", "radius_U", "alpha"}
-        if unknown:
-            raise DomainError("unknown germ fields: %s" % sorted(unknown))
-        raw = data.get("coeffs")
-        if not isinstance(raw, list) or not raw:
-            raise DomainError("germ coeffs must be a nonempty list")
-        coeffs = []
-        for item in raw:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise DomainError("each coefficient must be a [re, im] pair")
-            # JSON true/false are numbers to float(), so they are refused by name
-            if any(isinstance(x, bool) for x in item):
-                raise DomainError("germ coeffs must hold numbers, not booleans")
-            try:
-                coeffs.append(complex(float(item[0]), float(item[1])))
-            except (TypeError, ValueError) as exc:
-                raise DomainError("each coefficient must be a pair of numbers") from exc
-        for key in ("radius_U", "alpha"):
-            if isinstance(data.get(key), bool):
-                raise DomainError("germ %s must be a number, not a boolean" % key)
-        return cls.create(coeffs, radius_U=data.get("radius_U"), alpha=data.get("alpha"))
+        """The germ of to_json's object; bad JSON raises ConfigError."""
+        fields = Fields(data, "germ")
+        coeffs = fields.take("coeffs", PAIRS)
+        radius_U = fields.take("radius_U", NUMBER_OR_NULL, None)
+        alpha = fields.take("alpha", NUMBER_OR_NULL, None)
+        fields.finish()
+        return cls.create(coeffs, radius_U=radius_U, alpha=alpha)

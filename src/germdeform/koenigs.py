@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChartError, ConvergenceError, DomainError
-from .germ import Germ, horner, horner_derivative, pointwise
+from .germ import Germ, circle, horner, horner_derivative, pointwise
 from .cycles import Cycle
 
 SERIES_ORDER = 24
@@ -138,15 +138,10 @@ class KoenigsChart:
         }
 
 
-def _ring(center: complex, radius: float, n: int = RING_SAMPLES):
-    th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    return center + radius * np.exp(1j * th)
-
-
 def _functional_residual(germ: Germ, chart_coeffs, center, lam, radius, q) -> float:
     # the ring lies in U (radius <= 0.9 * (radius_U - |center|)); its images
     # must stay there too, and a point that is not finite fails that test
-    z = _ring(center, radius)
+    z = circle(center, radius, RING_SAMPLES)
     fz = z
     for _ in range(q):
         fz = germ.eval_raw(fz)
@@ -160,7 +155,7 @@ def _functional_residual(germ: Germ, chart_coeffs, center, lam, radius, q) -> fl
 
 
 def _roundtrip_residual(chart: KoenigsChart) -> float:
-    z = _ring(chart.center, 0.5 * chart.radius)
+    z = circle(chart.center, 0.5 * chart.radius, RING_SAMPLES)
     back = chart.psi(chart.phi(z))
     return float(np.max(np.abs(back - z) / np.maximum(np.abs(z - chart.center), 1e-300)))
 

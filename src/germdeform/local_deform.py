@@ -21,7 +21,7 @@ import numpy as np
 from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
-from .germ import Germ, pointwise
+from .germ import Germ, circle, pointwise
 from .koenigs import KoenigsChart, build_chart
 from .numdiff import wirtinger_pair
 
@@ -130,8 +130,7 @@ def cauchy_cycle_derivative(
     """Derivative of step_fn at its fixed point center, by the Cauchy
     integral on a circle. step_fn maps an array of points elementwise and
     is called once."""
-    theta = np.linspace(0.0, 2.0 * math.pi, MEASURE_POINTS, endpoint=False)
-    w = center + radius * np.exp(1j * theta)
+    w = circle(center, radius, MEASURE_POINTS)
     return contour_multiplier(w, step_fn(w), center)
 
 
@@ -150,10 +149,9 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     chart = lc.charts[0]
     center = chart.center
     rho = chart.radius / 8.0
-    scan = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
     for _ in range(24):
         try:
-            spread = float(np.max(np.abs(lc.k_inverse(center + rho * scan) - center)))
+            spread = float(np.max(np.abs(lc.k_inverse(circle(center, rho, 16)) - center)))
         except DomainError:
             spread = math.inf
         if spread <= chart.radius / 3.0:
@@ -199,8 +197,7 @@ def residual_readings(
     if radius <= 0:
         raise DomainError("residual probe needs a positive radius")
     r = 0.1 + 0.7 * np.arange(RESIDUAL_RADII) / (RESIDUAL_RADII - 1)
-    unit = np.exp(2j * math.pi * np.arange(RESIDUAL_ANGLES) / RESIDUAL_ANGLES)
-    grid = np.outer(r, unit).ravel()
+    grid = np.outer(r, circle(0.0, 1.0, RESIDUAL_ANGLES)).ravel()
     for _ in range(20):
         h = RESIDUAL_STEP_REL * radius * np.array([1.0, 100.0])
         at = center + radius * grid

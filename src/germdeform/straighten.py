@@ -39,7 +39,7 @@ from .errors import (
     SingularDerivativeError,
     UnreliableEstimateError,
 )
-from .germ import Germ
+from .germ import Germ, circle
 from .koenigs import build_chart
 from .local_deform import MEASURE_POINTS, contour_multiplier
 
@@ -138,7 +138,7 @@ def _corner_bins(n: int):
     return ((0, half), (half, 0), (half, half))
 
 
-def _checkerboards(n: int, rows: slice = slice(None), cols: slice = slice(None)):
+def _checkerboards(n: int, rows: slice, cols: slice):
     """The three checkerboards of the n x n grid, on the given rows and
     columns: alternating along x, along y, and both."""
     sign = (-1.0) ** np.arange(n)
@@ -674,8 +674,7 @@ class DeformedGerm:
         there g(w) = h(f^q(z)) and a = h(c)."""
         chart = self.field.entries[entry_index].chart
         a = complex(self.grid_map(chart.center))
-        t = 2.0 * math.pi * np.arange(MEASURE_POINTS) / MEASURE_POINTS
-        z = chart.center + radius * np.exp(1j * t)
+        z = circle(chart.center, radius, MEASURE_POINTS)
         fz = z
         for _ in range(chart.cycle.order):
             fz = self.germ.eval_raw(fz)

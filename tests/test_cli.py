@@ -313,11 +313,27 @@ def test_boolean_germ_field_exits_2(tmp_path, capsys, germ, field):
         ("cremer", {"preset": "golden", "degree": True}),
         ("koenigs", {"germ": QUAD_TIGHT, "order": True}),
         ("straighten", {"germ": QUAD_TIGHT, "deformations": [{"order": 1, "target": [3, 0]}], "grid": True}),
+        # nor is it a number, and neither is a numeric string or an int past the float range
+        ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "target": [3, False]}),
+        ("straighten", {"germ": QUAD_TIGHT, "deformations": [{"order": 1, "target": [True, 0]}], "grid": 32}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [[0.4, True]], "points": [[0.1, 0]], "grid": 32}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [[True, False]], "grid": 32}),
+        ("cremer", {"quotients": [True, 2, 3], "degree": 2}),
+        ("cycles", {"germ": {"coeffs": [["2", "0"], [1, 0]]}, "orders": [1]}),
+        ("cycles", {"germ": {"coeffs": [[2, 0], [1, 0]], "radius_U": "3"}, "orders": [1]}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [["0.4", "0"]], "points": [[0.1, 0]], "grid": 32}),
+        ("motion", {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [["0.1", 0]], "grid": 32}),
+        ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "target": [10**400, 0]}),
+        (
+            "straighten",
+            {"germ": QUAD_TIGHT, "deformations": [{"order": 1, "target": [3, 0]}], "solver_tol": 10**400},
+        ),
     ],
 )
 def test_json_true_is_not_an_integer(tmp_path, command, cfg):
-    rc, _ = run(tmp_path, command, "b.json", cfg)
+    rc, out = run(tmp_path, command, "b.json", cfg)
     assert rc == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,20 @@
 """Config fuzz of the command line: every bounded config, well typed or not,
-ends in exit code 0, 2 or 3 with no traceback."""
+ends in exit code 0, 2 or 3 with no traceback, and a valid config with a
+non-number inside one of its lists ends in 2 before any work."""
 
 import contextlib
+import copy
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germdeform import cli, cremer
 from germdeform.cli import main
 
 MALFORMED = st.one_of(
@@ -112,3 +116,52 @@ def test_configs_keep_the_exit_contract(command, data):
     assert rc in (0, 2, 3), (rc, err)
     assert "Traceback" not in err
     assert (rc == 0) == (err == "")
+
+
+QUAD = {"coeffs": [[2, 0], [1, 0]]}
+TARGET_3 = [{"order": 1, "target": [3.0, 0.0]}]
+VALID = {
+    "cycles": {"germ": dict(QUAD, radius_U=3.0), "orders": [1, 2]},
+    "koenigs": {"germ": QUAD, "order": 1},
+    "deform-local": {"germ": QUAD, "order": 1, "target": [3.0, 0.0]},
+    "straighten": {"germ": QUAD, "deformations": TARGET_3, "grid": 32},
+    "render": {"germ": QUAD, "deformations": TARGET_3, "grid": 32},
+    "motion": {"germ": QUAD, "t_values": [[0.4, 0.0]], "points": [[0.1, 0.0]], "orders": [1], "grid": 32},
+    "cremer": {"quotients": [1, 2, 3], "degree": 2},
+}
+# the first call of each command past its config
+WORK = [(cli, name) for name in ("find_cycles", "repelling_cycle", "global_deform", "motion_sample")]
+WORK.append((cremer, "growth_ratios"))
+
+
+def list_numbers(node, path=()):
+    """Paths to the numbers that sit inside a list: pair entries and list
+    integers, not the numbers under an object key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from list_numbers(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            if isinstance(value, (int, float)):
+                yield path + (i,)
+            else:
+                yield from list_numbers(value, path + (i,))
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_non_number_in_a_list_exits_2_before_any_work(command, data):
+    cfg = copy.deepcopy(VALID[command])
+    path = data.draw(st.sampled_from(list(list_numbers(cfg))))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from([True, False, "", "1", None, [], {}]))
+    with contextlib.ExitStack() as stack:
+        for owner, name in WORK:
+            stack.enter_context(mock.patch.object(owner, name, side_effect=AssertionError("work ran")))
+        rc, err = run_config(command, cfg)
+    assert rc == 2, (path, err)
+    # the message names the innermost key on the path
+    assert [k for k in path if isinstance(k, str)][-1] in err, (path, err)

@@ -69,6 +69,11 @@ def test_tower_margin_positive():
         assert r - math.log(2) > 0
     margin = gd.cremer_margin(cf, 2)
     assert margin == pytest.approx(1.3068528194400546)
+    # from seed 4 on, e^{2 q_1} passes 700, so the second quotient comes from
+    # _ceil_exp_div's big-integer branch; log log q_2 / q_1 is still 2
+    for seed in (4, 5, 6):
+        cf = gd.ContinuedFraction(gd.tower_quotients(seed=seed, count=3))
+        assert gd.cremer_margin(cf, 2) == pytest.approx(2 - math.log(2), abs=1e-12)
 
 
 def test_growth_ratio_contents():

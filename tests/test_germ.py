@@ -100,6 +100,10 @@ def test_non_numeric_fields_raise_domain_error():
         gd.Germ.from_json({"coeffs": [["a", 0], [1, 0]]})
     with pytest.raises(DomainError):
         gd.Germ.from_json({"coeffs": [[2, 0], [1, 0]], "radius_U": "x"})
+    with pytest.raises(DomainError, match="^germ coeffs must"):
+        gd.Germ.from_json({"coeffs": [["2", 0], [1, 0]]})
+    with pytest.raises(DomainError, match="^germ radius_U must"):
+        gd.Germ.from_json({"coeffs": [[2, 0], [1, 0]], "radius_U": "3"})
     with pytest.raises(DomainError):
         gd.Germ.create([2, 1], alpha="x")
     with pytest.raises(DomainError):

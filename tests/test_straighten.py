@@ -664,7 +664,7 @@ def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
         s_mult = np.where(sc == 0, 0, np.conj(sc) / sc)
         c_mult = np.where(sc == 0, 0, -2j / sc)
     corners = st._corner_bins(n)
-    boards = st._checkerboards(n)
+    boards = st._checkerboards(n, np.s_[:], np.s_[:])
     rho = np.zeros((n, n), dtype=complex)
     gam = np.zeros(3, dtype=complex)
     for sweeps in range(1, st.MAX_SWEEPS + 1):
@@ -744,7 +744,7 @@ def full_grid_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: i
     window = np.s_[off : off + n0, off : off + n0]
     z = Box(box.half_width * pad).nodes(n)[window]
     h = z + beta * np.conj(z) + np.fft.ifft2(rho_hat * c_mult)[window]
-    boards = [b[window] for b in st._checkerboards(n)]
+    boards = st._checkerboards(n, *window)
     h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
     raw = gd.GridMap(box, h)
     h0 = raw(0j)
