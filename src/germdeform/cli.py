@@ -5,7 +5,8 @@ only where numbers go, never true/false or numeric strings; unknown keys
 are rejected so typos fail loudly), writes deterministic artifacts into
 --out, and prints a one-line summary. Exit codes: 0 success, 2 bad
 configuration or an --out that cannot be written, 3 numerical or domain
-failure.
+failure. A grid, solver_tol or pad the solve cannot use exits 2 before any
+work, by the check the library makes first (a DomainError there).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,22 +23,14 @@ from typing import BinaryIO, Iterator
 from . import cremer as cremer_mod
 from .beltrami import field_to_csv
 from .cycles import cycles_to_csv, find_cycles, repelling_cycle
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, DomainError, ToolkitError
 from .germ import BOOLEAN, INTEGER, INTEGERS, NUMBER, OBJECT, OBJECTS, ORDERS, PAIR, PAIRS, STRING
 from .germ import Fields, Germ
 from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
-from .straighten import (
-    Deformation,
-    global_deform,
-    motion_sample,
-    DEFAULT_GRID,
-    DEFAULT_PAD,
-    MOTION_GRID,
-    MOTION_TOL,
-    SOLVER_TOL,
-)
+from .straighten import Deformation, check_solver_settings, global_deform, motion_sample
+from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, SOLVER_TOL
 
 # largest padded grid pad * grid: the solve's memory grows with its square,
 # and a straighten run peaks at about 0.16 GB at 2048 and 0.48 GB at 4096
@@ -75,28 +67,20 @@ def _deformations_from(cfg: Fields) -> list[Deformation]:
     return out
 
 
-def _solver_settings(cfg: Fields, args, grid: int, tol: float) -> tuple[int, float, int]:
-    """grid, solver_tol and pad from the config; --grid and --tol win over it.
-    A grid or pad the solver refuses or cannot allocate, or a tolerance the
-    sweeps can never reach, is refused before any work."""
+def _solver_settings(cfg: Fields, grid: int, tol: float) -> tuple[int, float, int]:
+    """grid, solver_tol and pad from the config. The solve's own check
+    (check_solver_settings) and MAX_PADDED_GRID refuse them before any work."""
     n = cfg.take("grid", INTEGER, grid)
-    tol = cfg.take("solver_tol", NUMBER, tol)
+    tol = float(cfg.take("solver_tol", NUMBER, tol))
     pad = cfg.take("pad", INTEGER, DEFAULT_PAD)
-    if args.grid is not None:
-        n = args.grid
-    if args.tol is not None:
-        tol = args.tol
-    tol = float(tol)
-    if n < 16 or n % 2:
-        raise ConfigError("grid must be even and at least 16 (got %d)" % n)
-    if pad < 1:
-        raise ConfigError("pad must be >= 1 (got %d)" % pad)
+    try:
+        check_solver_settings(n, tol, pad)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     if n * pad > MAX_PADDED_GRID:
         raise ConfigError(
             "grid * pad must be at most %d (got grid %d, pad %d)" % (MAX_PADDED_GRID, n, pad)
         )
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("solver_tol must be finite and > 0 (got %r)" % tol)
     return n, tol, pad
 
 
@@ -140,7 +124,7 @@ def _dump_json(obj) -> str:
 # ---- subcommands ---------------------------------------------------------
 
 
-def _cmd_cycles(cfg: Fields, out: Path, args) -> int:
+def _cmd_cycles(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     orders = cfg.take("orders", ORDERS)
     cfg.finish()
@@ -163,7 +147,7 @@ def _cmd_cycles(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_koenigs(cfg: Fields, out: Path, args) -> int:
+def _cmd_koenigs(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     order = cfg.take("order", INTEGER)
     cycle_index = cfg.take("cycle_index", INTEGER, 0)
@@ -178,7 +162,7 @@ def _cmd_koenigs(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_deform_local(cfg: Fields, out: Path, args) -> int:
+def _cmd_deform_local(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     order = cfg.take("order", INTEGER)
     cycle_index = cfg.take("cycle_index", INTEGER, 0)
@@ -209,10 +193,10 @@ def _cmd_deform_local(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_straighten(cfg: Fields, out: Path, args) -> int:
+def _cmd_straighten(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
-    n, tol, pad = _solver_settings(cfg, args, DEFAULT_GRID, SOLVER_TOL)
+    n, tol, pad = _solver_settings(cfg, DEFAULT_GRID, SOLVER_TOL)
     cfg.finish()
     dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     measured = []
@@ -235,12 +219,12 @@ def _cmd_straighten(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_motion(cfg: Fields, out: Path, args) -> int:
+def _cmd_motion(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     t_values = cfg.take("t_values", PAIRS)
     points = cfg.take("points", PAIRS)
     orders = cfg.take("orders", ORDERS, [1])
-    n, tol, pad = _solver_settings(cfg, args, MOTION_GRID, MOTION_TOL)
+    n, tol, pad = _solver_settings(cfg, MOTION_GRID, MOTION_TOL)
     cfg.finish()
     rows = motion_sample(germ, t_values, points, orders=orders, n=n, tol=tol, pad=pad)
     lines = ["t_re,t_im,point_re,point_im,image_re,image_im"]
@@ -255,7 +239,7 @@ def _cmd_motion(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_cremer(cfg: Fields, out: Path, args) -> int:
+def _cmd_cremer(cfg: Fields, out: Path) -> int:
     preset = cfg.take("preset", STRING, None)
     quots = cfg.take("quotients", INTEGERS, None)
     degree = cfg.take("degree", INTEGER)
@@ -297,10 +281,10 @@ def _cmd_cremer(cfg: Fields, out: Path, args) -> int:
     return 0
 
 
-def _cmd_render(cfg: Fields, out: Path, args) -> int:
+def _cmd_render(cfg: Fields, out: Path) -> int:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
-    n, tol, pad = _solver_settings(cfg, args, 512, SOLVER_TOL)
+    n, tol, pad = _solver_settings(cfg, 512, SOLVER_TOL)
     lines = cfg.take("lines", INTEGER, MESH_LINES)
     with_csv = cfg.take("field_csv", BOOLEAN, False)
     cfg.finish()
@@ -317,9 +301,6 @@ def _cmd_render(cfg: Fields, out: Path, args) -> int:
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
     return 0
 
-
-# the subcommands that run the grid solve, and so take --grid and --tol
-_SOLVER_COMMANDS = ("straighten", "motion", "render")
 
 _COMMANDS = {
     "cycles": _cmd_cycles,
@@ -342,9 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        if name in _SOLVER_COMMANDS:
-            p.add_argument("--grid", type=int, default=None, help="override grid size")
-            p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
     return parser
 
 
@@ -354,7 +332,7 @@ def main(argv=None) -> int:
     try:
         _check_out(out)
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, out, args)
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

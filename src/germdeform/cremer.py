@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError
+from .germ import INTEGER
 
 LOGLOG_MIN_Q = 3  # log log q needs q > e; first safe integer is 3
 TOWER_MAX_BITS = 10**7
@@ -30,7 +31,7 @@ class ContinuedFraction:
         if not self.quotients:
             raise DomainError("need at least one partial quotient")
         for a in self.quotients:
-            if not isinstance(a, int) or a < 1:
+            if not (INTEGER.test(a) and a >= 1):
                 raise DomainError("partial quotients must be positive integers")
 
     def convergents(self) -> list[tuple[int, int]]:
@@ -145,8 +146,8 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
     buildable prefix, which is exactly the point: one huge quotient already
     makes the window's ratio land above any fixed log(degree).
     """
-    if seed < 1:
-        raise DomainError("seed quotient must be >= 1")
+    if not (INTEGER.test(seed) and seed >= 1):
+        raise DomainError("seed quotient must be a positive integer")
     if count < 2:
         raise DomainError("tower needs at least two quotients")
     quots = [seed]

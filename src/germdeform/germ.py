@@ -54,6 +54,15 @@ def circle(center: complex, radius: float, n: int) -> np.ndarray:
     return center + radius * np.exp(2j * math.pi * np.arange(n) / n)
 
 
+def is_finite(x) -> bool:
+    """math.isfinite(x), but False where that raises: on a non-number, and
+    on an int past the float range (OverflowError)."""
+    try:
+        return math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def pointwise(method):
     """Let a method written for a 1-d complex array take a scalar or an
     array of any shape; a scalar gets a Python complex back."""
@@ -116,7 +125,10 @@ STRING = Kind("a string", lambda x: isinstance(x, str))
 BOOLEAN = Kind("a boolean", lambda x: isinstance(x, bool))
 OBJECT = Kind("an object", lambda x: isinstance(x, dict))
 INTEGERS = Kind("a list of integers", _list_of(INTEGER.test, 0), tuple)
-ORDERS = Kind("a nonempty list of positive integers", _list_of(lambda q: INTEGER.test(q) and q > 0))
+ORDERS = Kind(
+    "a nonempty list of distinct positive integers",
+    lambda x: _list_of(lambda q: INTEGER.test(q) and q > 0)(x) and len(set(x)) == len(x),
+)
 PAIRS = Kind(
     "a nonempty list of [re, im] pairs", _list_of(PAIR.test), lambda v: list(map(PAIR.read, v))
 )
@@ -168,8 +180,8 @@ class Germ:
     ) -> "Germ":
         try:
             cs = tuple(complex(c) for c in coeffs)
-        except (TypeError, ValueError) as exc:
-            raise DomainError("germ coefficients must be numbers") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError("germ coefficients must be finite numbers") from exc
         if len(cs) < 2:
             raise DomainError("germ needs degree >= 2 (got %d coefficients)" % len(cs))
         if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
@@ -179,8 +191,8 @@ class Germ:
         if cs[-1] == 0:
             raise DomainError("leading coefficient must be nonzero")
         if alpha is not None:
-            if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
-                raise DomainError("rotation number must be a finite real number")
+            if not (isinstance(alpha, numbers.Real) and is_finite(alpha)):
+                raise DomainError("alpha must be a finite real number")
             if abs(cs[0] - cmath.exp(2j * cmath.pi * alpha)) > ALPHA_MATCH_TOL:
                 raise DomainError(
                     "linear coefficient does not match exp(2*pi*i*alpha)"
@@ -190,8 +202,8 @@ class Germ:
         else:
             try:
                 radius_U = float(radius_U)
-            except (TypeError, ValueError) as exc:
-                raise DomainError("radius_U must be a number") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError("radius_U must be a finite number") from exc
             if not (math.isfinite(radius_U) and radius_U > 0):
                 raise DomainError("radius_U must be positive and finite")
             if _min_boundary_derivative(cs, radius_U) <= BOUNDARY_DERIV_FLOOR:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .errors import (
     SingularDerivativeError,
     UnreliableEstimateError,
 )
-from .germ import Germ, circle
+from .germ import Germ, circle, is_finite
 from .koenigs import build_chart
 from .local_deform import MEASURE_POINTS, contour_multiplier
 
@@ -83,7 +84,7 @@ class Box:
     half_width: float = _BOX_MIN_HALF_WIDTH
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width > 0):
+        if not (is_finite(self.half_width) and self.half_width > 0):
             raise DomainError("box half width must be positive and finite")
 
     def spacing(self, n: int) -> float:
@@ -121,6 +122,20 @@ def _node_rows(box: Box, n: int, rows: slice) -> np.ndarray:
     """The given rows of box.nodes(n)."""
     t = -box.half_width + box.spacing(n) * np.arange(n)
     return t[None, :] + 1j * t[rows, None]
+
+
+def check_solver_settings(n: int, tol: float, pad: int) -> None:
+    """Refuse a grid size, pad factor or tolerance the solve cannot use or
+    reach, with a DomainError that names it as its config key does."""
+    for key, value in (("grid", n), ("pad", pad)):
+        if not isinstance(value, numbers.Integral):
+            raise DomainError("%s must be an integer (got %r)" % (key, value))
+    if n < 16 or n % 2:
+        raise DomainError("grid must be even and at least 16 (got %s)" % n)
+    if pad < 1:
+        raise DomainError("pad must be >= 1 (got %s)" % pad)
+    if not (is_finite(tol) and tol > 0):
+        raise DomainError("solver_tol must be finite and > 0 (got %s)" % tol)
 
 
 def _central_symbol(n: int, dx: float) -> np.ndarray:
@@ -524,15 +539,12 @@ def solve_beltrami(
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise DomainError("mu grid must be square")
     n0 = mu.shape[0]
-    if n0 < 16 or n0 % 2:
-        raise DomainError("mu grid size must be even and at least 16")
+    check_solver_settings(n0, tol, pad)
     if not np.isfinite(mu.view(float)).all():
         raise DomainError("mu grid must be finite")
     sup = float(np.max(np.abs(mu)))
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
-    if pad < 1:
-        raise DomainError("pad factor must be >= 1")
     if kernel is None:
         kernel = BeurlingKernel(box, n0, pad)
     elif (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
@@ -707,7 +719,8 @@ def global_deform(
     pad: int = DEFAULT_PAD,
 ) -> DeformedGerm:
     """Full pipeline: census, charts, shears, field sampling, straightening,
-    on the box box_for(germ)."""
+    on the box box_for(germ). The solver settings are checked first."""
+    check_solver_settings(n, tol, pad)
     box = box_for(germ)
     field = build_field(germ, deformations)
     diag: dict[str, Any] = {}
@@ -728,11 +741,15 @@ def motion_sample(
 ) -> list[list[complex]]:
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
-    of images and one straightening per t. Every t, point and shear is
-    checked before the first walk; the census, the charts, the field's
+    of images and one straightening per t. The solver settings and the
+    orders (no repeats) are checked before the census, every t, point and
+    shear before the first walk; the census, the charts, the field's
     backward walk and the Beurling kernel do not depend on t, so they are
     made once and each t only swaps the shears. Each row is bitwise the row
     of a call with that t alone."""
+    check_solver_settings(n, tol, pad)
+    if len(set(orders)) < len(orders):
+        raise DomainError("orders must be distinct (got %s)" % list(orders))
     ts = [complex(t) for t in t_values]
     # a NaN t fails every comparison, so it is refused with the rest
     if any(not 0 < abs(t) < 1.0 for t in ts):

@@ -259,23 +259,6 @@ def test_multiple_fixed_point_exits_3(tmp_path, capsys):
     assert not (out / "cycles.csv").exists()
 
 
-def test_grid_flag_overrides_config(tmp_path):
-    rc, out = run(
-        tmp_path,
-        "straighten",
-        "s2.json",
-        {
-            "germ": QUAD_TIGHT,
-            "deformations": [{"order": 1, "target": [3.0, 0.0]}],
-            "grid": 512,
-        },
-        extra=("--grid", "64"),
-    )
-    assert rc == 0
-    raw = (out / "gridmap.bin").read_bytes()
-    assert struct.unpack("<I", raw[:4])[0] == 64
-
-
 @pytest.mark.parametrize(
     "germ",
     [
@@ -369,7 +352,7 @@ def test_base_index_out_of_range_exits_3(tmp_path, capsys, base_index):
     assert not (out / "chart.json").exists()
 
 
-@pytest.mark.parametrize("orders", [[], [0], [1, "2"]])
+@pytest.mark.parametrize("orders", [[], [0], [1, "2"], [1, 1]])
 @pytest.mark.parametrize(
     "command, cfg",
     [
@@ -381,7 +364,7 @@ def test_bad_orders_exit_2_with_one_message(tmp_path, capsys, command, cfg, orde
     rc, _ = run(tmp_path, command, "o.json", dict(cfg, orders=orders))
     assert rc == 2
     assert capsys.readouterr().err == (
-        "config error: orders must be a nonempty list of positive integers\n"
+        "config error: orders must be a nonempty list of distinct positive integers\n"
     )
 
 
@@ -393,21 +376,20 @@ STRAIGHTEN_64 = {
 
 
 @pytest.mark.parametrize(
-    "cfg, extra",
+    "cfg",
     [
-        (dict(STRAIGHTEN_64, solver_tol=0), ()),
-        (dict(STRAIGHTEN_64, solver_tol=-1), ()),
-        (dict(STRAIGHTEN_64, solver_tol=float("nan")), ()),
-        (STRAIGHTEN_64, ("--tol", "0")),
+        dict(STRAIGHTEN_64, solver_tol=0),
+        dict(STRAIGHTEN_64, solver_tol=-1),
+        dict(STRAIGHTEN_64, solver_tol=float("nan")),
     ],
-    ids=["zero", "negative", "nan", "flag-zero"],
+    ids=["zero", "negative", "nan"],
 )
-def test_unreachable_solver_tol_exits_2_before_the_census(tmp_path, capsys, monkeypatch, cfg, extra):
+def test_unreachable_solver_tol_exits_2_before_the_census(tmp_path, capsys, monkeypatch, cfg):
     def no_census(*args, **kwargs):
         raise AssertionError("census ran before the tolerance was checked")
 
     monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
-    rc, out = run(tmp_path, "straighten", "tol.json", cfg, extra=extra)
+    rc, out = run(tmp_path, "straighten", "tol.json", cfg)
     assert rc == 2
     assert "solver_tol" in capsys.readouterr().err
     assert not out.exists()
@@ -421,24 +403,19 @@ MOTION_64 = {"germ": QUAD_TIGHT, "t_values": [[0.4, 0]], "points": [[0.1, 0]], "
     [("straighten", STRAIGHTEN_64), ("motion", MOTION_64), ("render", STRAIGHTEN_64)],
 )
 @pytest.mark.parametrize(
-    "settings, extra, key",
-    [
-        ({"grid": 17}, (), "grid"),
-        ({"grid": 10}, (), "grid"),
-        ({}, ("--grid", "17"), "grid"),
-        ({"pad": 0}, (), "pad"),
-    ],
-    ids=["odd", "small", "flag-odd", "pad-zero"],
+    "settings, key",
+    [({"grid": 17}, "grid"), ({"grid": 10}, "grid"), ({"pad": 0}, "pad")],
+    ids=["odd", "small", "pad-zero"],
 )
 def test_unsolvable_grid_or_pad_exits_2_before_the_census(
-    tmp_path, capsys, monkeypatch, command, cfg, settings, extra, key
+    tmp_path, capsys, monkeypatch, command, cfg, settings, key
 ):
     def no_census(*args, **kwargs):
         raise AssertionError("census ran before the grid and pad were checked")
 
     monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
     monkeypatch.setattr("germdeform.straighten.repelling_cycles", no_census)
-    rc, out = run(tmp_path, command, "gp.json", dict(cfg, **settings), extra=extra)
+    rc, out = run(tmp_path, command, "gp.json", dict(cfg, **settings))
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: %s must be" % key)
     assert not out.exists()
@@ -449,24 +426,19 @@ def test_unsolvable_grid_or_pad_exits_2_before_the_census(
     [("straighten", STRAIGHTEN_64), ("motion", MOTION_64), ("render", STRAIGHTEN_64)],
 )
 @pytest.mark.parametrize(
-    "settings, extra",
-    [
-        ({"grid": 1048576}, ()),
-        ({"grid": 4096, "pad": 2}, ()),
-        ({"pad": 1000}, ()),
-        ({}, ("--grid", "8192")),
-    ],
-    ids=["huge-grid", "default-pad", "huge-pad", "flag"],
+    "settings",
+    [{"grid": 1048576}, {"grid": 4096, "pad": 2}, {"pad": 1000}],
+    ids=["huge-grid", "default-pad", "huge-pad"],
 )
 def test_unallocatable_grid_exits_2_before_the_census(
-    tmp_path, capsys, monkeypatch, command, cfg, settings, extra
+    tmp_path, capsys, monkeypatch, command, cfg, settings
 ):
     def no_census(*args, **kwargs):
         raise AssertionError("census ran before the grid size was checked")
 
     monkeypatch.setattr("germdeform.straighten.repelling_cycle", no_census)
     monkeypatch.setattr("germdeform.straighten.repelling_cycles", no_census)
-    rc, out = run(tmp_path, command, "big.json", dict(cfg, **settings), extra=extra)
+    rc, out = run(tmp_path, command, "big.json", dict(cfg, **settings))
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error: grid * pad must be at most 4096")
     assert not out.exists()
@@ -516,13 +488,24 @@ def test_render_lines_below_one_exits_2(tmp_path, capsys, lines):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, cfg, extra",
-    [
-        ("cycles", {"germ": QUAD, "orders": [1]}, ("--grid", "64")),
-        ("cremer", {"preset": "golden", "degree": 2}, ("--tol", "1e-3")),
-    ],
-)
+SOLVER_FLAG_RUNS = [
+    ("cycles", {"germ": QUAD, "orders": [1]}, ("--grid", "64")),
+    ("cremer", {"preset": "golden", "degree": 2}, ("--tol", "1e-3")),
+    ("cycles", {"germ": QUAD, "orders": [1]}, ("--tol", "1e-3")),
+    ("cremer", {"preset": "golden", "degree": 2}, ("--grid", "64")),
+    ("koenigs", {"germ": QUAD_TIGHT, "order": 1}, ("--grid", "64")),
+    ("koenigs", {"germ": QUAD_TIGHT, "order": 1}, ("--tol", "1e-3")),
+    ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "target": [3.0, 0.0]}, ("--grid", "64")),
+    ("deform-local", {"germ": QUAD_TIGHT, "order": 1, "target": [3.0, 0.0]}, ("--tol", "1e-3")),
+] + [
+    (command, cfg, extra)
+    for command, cfg in (("straighten", STRAIGHTEN_64), ("motion", MOTION_64), ("render", STRAIGHTEN_64))
+    for extra in (("--grid", "64"), ("--tol", "1e-3"))
+]
+
+
+# grid and solver_tol are config keys only: no subcommand takes --grid or --tol
+@pytest.mark.parametrize("command, cfg, extra", SOLVER_FLAG_RUNS)
 def test_solver_flags_only_on_solver_commands(tmp_path, command, cfg, extra):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, command, "f.json", cfg, extra=extra)
@@ -620,3 +603,35 @@ def test_render_field_csv_matches_per_row_formatting(tmp_path):
     for a, m in zip(dg.grid_map.box.nodes(64).ravel(), dg.mu.ravel()):
         rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
     assert (out / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def readme_cli_examples():
+    """(command, config, artifacts) of each example in README's jsonc block.
+    An example is a run of lines up to a blank one: a `// <command>: ...`
+    comment, the JSON config, and a `// -> a, b, optionally c` line; an
+    optional artifact is expected when the config sets field_csv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for stanza in block.strip().split("\n\n"):
+        lines = stanza.splitlines()
+        command = lines[0].removeprefix("// ").split(":")[0]
+        cfg = json.loads("".join(line for line in lines if not line.startswith("//")))
+        (arrow,) = [line.removeprefix("// -> ") for line in lines if line.startswith("// -> ")]
+        artifacts = [
+            name.removeprefix("optionally ")
+            for name in arrow.split(", ")
+            if not name.startswith("optionally ") or cfg.get("field_csv")
+        ]
+        examples.append((command, cfg, artifacts))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+@pytest.mark.parametrize("command, cfg, artifacts", README_EXAMPLES, ids=[e[0] for e in README_EXAMPLES])
+def test_readme_cli_examples_run(tmp_path, command, cfg, artifacts):
+    rc, out = run(tmp_path, command, "readme.json", cfg)
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(artifacts)

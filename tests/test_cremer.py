@@ -119,6 +119,14 @@ def test_quotients_must_be_positive_integers():
         gd.ContinuedFraction(())
 
 
+def test_a_bool_is_not_a_quotient():
+    # True is an int to isinstance, and would read as the quotient 1
+    with pytest.raises(gd.DomainError, match="partial quotients"):
+        gd.ContinuedFraction((True, 2))
+    with pytest.raises(gd.DomainError, match="seed quotient"):
+        gd.tower_quotients(seed=True, count=2)
+
+
 def test_csv_rows():
     cf = gd.ContinuedFraction(gd.golden_quotients(10))
     text = gd.margin_rows_csv(cf, 2)

@@ -108,6 +108,13 @@ def test_non_numeric_fields_raise_domain_error():
         gd.Germ.create([2, 1], alpha="x")
     with pytest.raises(DomainError):
         gd.Germ.create([2, None])
+    # ints past the float range: a DomainError naming the field, not an OverflowError
+    with pytest.raises(DomainError, match="^germ coefficients must"):
+        gd.Germ.create([10**400, 1])
+    with pytest.raises(DomainError, match="^radius_U must"):
+        gd.Germ.create([2, 1], radius_U=10**400)
+    with pytest.raises(DomainError, match="^alpha must"):
+        gd.Germ.create([2, 1], alpha=10**400)
 
 
 @pytest.mark.parametrize(

@@ -172,7 +172,7 @@ def test_from_bytes_rejects_an_off_center_box(disk_solution):
             gd.GridMap.from_bytes(blob)
 
 
-def test_solver_input_validation():
+def test_solver_input_validation(monkeypatch):
     box = Box(1.5)
     with pytest.raises(gd.DomainError):
         gd.solve_beltrami(np.zeros((31, 31), dtype=complex), box)
@@ -191,6 +191,16 @@ def test_solver_input_validation():
     with pytest.raises(gd.DomainError):
         gd.solve_beltrami(np.zeros((32, 32), dtype=complex), box, pad=0)
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kernel fit or sweep ran before the tolerance was checked")
+
+    # a tolerance the sweeps cannot reach is refused before the kernel and the first sweep
+    monkeypatch.setattr(st.BeurlingKernel, "fit", unreachable)
+    monkeypatch.setattr(st.BeurlingKernel, "apply", unreachable)
+    for tol in (float("nan"), 0.0, -1.0):
+        with pytest.raises(gd.DomainError, match="^solver_tol must be finite and > 0"):
+            gd.solve_beltrami(np.zeros((32, 32), dtype=complex), box, tol=tol)
+
 
 def test_box_validation():
     with pytest.raises(gd.DomainError):
@@ -199,6 +209,8 @@ def test_box_validation():
         Box(-2.0)
     with pytest.raises(gd.DomainError):
         Box(float("nan"))
+    with pytest.raises(gd.DomainError, match="box half width"):
+        Box(10**400)
 
 
 def test_box_for_germ(quad_germ):
@@ -225,6 +237,40 @@ def test_select_cycle_errors(quad_germ_wide):
             [gd.Deformation(order=1, target=3.0 + 0j, cycle_index=5)],
             n=32,
         )
+
+
+def no_census(*args, **kwargs):
+    raise AssertionError("census ran before the inputs were checked")
+
+
+@pytest.mark.parametrize(
+    "settings, key",
+    [
+        ({"n": 17}, "grid"),
+        ({"pad": 0}, "pad"),
+        ({"n": 64.0}, "grid"),
+        ({"pad": 1.5}, "pad"),
+        ({"tol": float("nan")}, "solver_tol"),
+        ({"tol": 0.0}, "solver_tol"),
+        ({"tol": -1.0}, "solver_tol"),
+    ],
+    ids=["odd-grid", "pad-zero", "float-grid", "float-pad", "tol-nan", "tol-zero", "tol-negative"],
+)
+def test_unsolvable_settings_are_refused_before_the_census(monkeypatch, quad_germ, settings, key):
+    monkeypatch.setattr(st, "repelling_cycle", no_census)
+    monkeypatch.setattr(st, "repelling_cycles", no_census)
+    settings = dict({"n": 64}, **settings)
+    deformations = [gd.Deformation(order=1, target=3.0 + 0j)]
+    with pytest.raises(gd.DomainError, match="^%s must be" % key):
+        gd.global_deform(quad_germ, deformations, **settings)
+    with pytest.raises(gd.DomainError, match="^%s must be" % key):
+        gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], **settings)
+
+
+def test_motion_sample_refuses_repeated_orders_before_the_census(monkeypatch, quad_germ):
+    monkeypatch.setattr(st, "repelling_cycles", no_census)
+    with pytest.raises(gd.DomainError, match=r"^orders must be distinct \(got \[1, 1\]\)"):
+        gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], orders=[1, 1], n=64)
 
 
 @pytest.mark.parametrize("bad_t", [0j, 1.5 + 0j], ids=["zero", "outside"])
