@@ -18,6 +18,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
+from .cycles import classify
 from .errors import DomainError, ShearError
 from .germ import DERIVATIVE_FLOOR, Germ
 from .koenigs import KoenigsChart
@@ -26,7 +27,6 @@ TWO_PI = 2.0 * math.pi
 NEAR_DEGENERATE = 1.0 - 1e-9
 PUNCTURE_RADIUS = 1e-8
 TRANSPORT_DEPTH = 200
-REPELLING_FLOOR = 1.0 + 1e-9
 CSV_BLOCK = 8192  # rows field_to_csv formats and writes at a time; its memory grows with this
 
 
@@ -74,7 +74,7 @@ def shear_coefficient(lam: complex, lam_prime: complex) -> TorusShear:
     for name, val in (("lam", lam), ("lam_prime", lam_prime)):
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise DomainError("%s must be finite" % name)
-        if abs(val) <= REPELLING_FLOOR:
+        if classify(val) != "repelling":
             raise ShearError("%s must be repelling, |%s| = %g" % (name, name, abs(val)))
     ell = cmath.log(lam_prime / lam)
     denom = 2.0 * math.log(abs(lam)) + ell

@@ -25,7 +25,7 @@ from .beltrami import field_to_csv
 from .cycles import cycles_to_csv, find_cycles, repelling_cycle
 from .errors import ConfigError, DomainError, ToolkitError
 from .germ import BOOLEAN, INTEGER, INTEGERS, NUMBER, OBJECT, OBJECTS, ORDERS, PAIR, PAIRS, STRING
-from .germ import Fields, Germ
+from .germ import Fields, Germ, csv_table
 from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
@@ -124,7 +124,7 @@ def _dump_json(obj) -> str:
 # ---- subcommands ---------------------------------------------------------
 
 
-def _cmd_cycles(cfg: Fields, out: Path) -> int:
+def _cmd_cycles(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     orders = cfg.take("orders", ORDERS)
     cfg.finish()
@@ -144,10 +144,9 @@ def _cmd_cycles(cfg: Fields, out: Path) -> int:
     }
     _write(out, "cycles.json", _dump_json(summary))
     print("cycles: %d found, wrote cycles.csv" % len(all_cycles))
-    return 0
 
 
-def _cmd_koenigs(cfg: Fields, out: Path) -> int:
+def _cmd_koenigs(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     order = cfg.take("order", INTEGER)
     cycle_index = cfg.take("cycle_index", INTEGER, 0)
@@ -159,10 +158,9 @@ def _cmd_koenigs(cfg: Fields, out: Path) -> int:
         "koenigs: chart at %.6g%+.6gi, radius %.6g"
         % (chart.center.real, chart.center.imag, chart.radius)
     )
-    return 0
 
 
-def _cmd_deform_local(cfg: Fields, out: Path) -> int:
+def _cmd_deform_local(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     order = cfg.take("order", INTEGER)
     cycle_index = cfg.take("cycle_index", INTEGER, 0)
@@ -190,10 +188,9 @@ def _cmd_deform_local(cfg: Fields, out: Path) -> int:
         "deform-local: measured %.12g%+.12gi, relative error %.3g"
         % (measured.real, measured.imag, rel)
     )
-    return 0
 
 
-def _cmd_straighten(cfg: Fields, out: Path) -> int:
+def _cmd_straighten(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     n, tol, pad = _solver_settings(cfg, DEFAULT_GRID, SOLVER_TOL)
@@ -216,10 +213,9 @@ def _cmd_straighten(cfg: Fields, out: Path) -> int:
     _write(out, "gridmap.json", _dump_json(side))
     worst = max(m["relative_error"] for m in measured)
     print("straighten: grid %d, worst multiplier error %.3g" % (n, worst))
-    return 0
 
 
-def _cmd_motion(cfg: Fields, out: Path) -> int:
+def _cmd_motion(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     t_values = cfg.take("t_values", PAIRS)
     points = cfg.take("points", PAIRS)
@@ -227,19 +223,20 @@ def _cmd_motion(cfg: Fields, out: Path) -> int:
     n, tol, pad = _solver_settings(cfg, MOTION_GRID, MOTION_TOL)
     cfg.finish()
     rows = motion_sample(germ, t_values, points, orders=orders, n=n, tol=tol, pad=pad)
-    lines = ["t_re,t_im,point_re,point_im,image_re,image_im"]
-    for t, images in zip(t_values, rows):
-        for p, im in zip(points, images):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (t.real, t.imag, p.real, p.imag, im.real, im.imag)
-            )
-    _write(out, "motion.csv", "\n".join(lines) + "\n")
+    table = csv_table(
+        "t_re,t_im,point_re,point_im,image_re,image_im",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+        (
+            (t.real, t.imag, p.real, p.imag, im.real, im.imag)
+            for t, images in zip(t_values, rows)
+            for p, im in zip(points, images)
+        ),
+    )
+    _write(out, "motion.csv", table)
     print("motion: %d parameter values, %d points" % (len(t_values), len(points)))
-    return 0
 
 
-def _cmd_cremer(cfg: Fields, out: Path) -> int:
+def _cmd_cremer(cfg: Fields, out: Path) -> None:
     preset = cfg.take("preset", STRING, None)
     quots = cfg.take("quotients", INTEGERS, None)
     degree = cfg.take("degree", INTEGER)
@@ -250,6 +247,8 @@ def _cmd_cremer(cfg: Fields, out: Path) -> int:
     if (preset is None) == (quots is None):
         raise ConfigError("give exactly one of preset or quotients")
     if preset is not None:
+        if preset not in ("golden", "pell", "tower"):
+            raise ConfigError("unknown preset %r" % preset)
         min_count = 2 if preset == "tower" else 1
         if count < min_count:
             raise ConfigError("count must be >= %d for preset %r" % (min_count, preset))
@@ -257,10 +256,8 @@ def _cmd_cremer(cfg: Fields, out: Path) -> int:
             quots = cremer_mod.golden_quotients(count)
         elif preset == "pell":
             quots = cremer_mod.pell_quotients(count)
-        elif preset == "tower":
-            quots = cremer_mod.tower_quotients(seed=seed, count=count)
         else:
-            raise ConfigError("unknown preset %r" % preset)
+            quots = cremer_mod.tower_quotients(seed=seed, count=count)
     ratios = cremer_mod.growth_ratios(cremer_mod.ContinuedFraction(quots))
     margin = cremer_mod.cremer_margin(ratios, degree, window)
     _write(out, "cremer.csv", cremer_mod.margin_rows_csv(ratios, degree))
@@ -278,10 +275,9 @@ def _cmd_cremer(cfg: Fields, out: Path) -> int:
         ),
     )
     print("cremer: margin %.6g (%s)" % (margin, "satisfied" if margin > 0 else "not satisfied"))
-    return 0
 
 
-def _cmd_render(cfg: Fields, out: Path) -> int:
+def _cmd_render(cfg: Fields, out: Path) -> None:
     germ = _germ_from(cfg)
     deformations = _deformations_from(cfg)
     n, tol, pad = _solver_settings(cfg, 512, SOLVER_TOL)
@@ -299,7 +295,6 @@ def _cmd_render(cfg: Fields, out: Path) -> int:
         with _artifact(out, "field.csv") as fh:
             field_to_csv(dg.grid_map.box.nodes(n), dg.mu, fh)
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
-    return 0
 
 
 _COMMANDS = {
@@ -332,13 +327,14 @@ def main(argv=None) -> int:
     try:
         _check_out(out)
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, out)
+        _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError
-from .germ import INTEGER
+from .germ import INTEGER, csv_table
 
 LOGLOG_MIN_Q = 3  # log log q needs q > e; first safe integer is 3
 TOWER_MAX_BITS = 10**7
@@ -176,7 +176,6 @@ def margin_rows_csv(cf: ContinuedFraction | GrowthRatios, degree: int) -> str:
             str(q_max)
         except ValueError as exc:  # past Python's int-to-str digit limit
             raise DomainError("q_%d is too long to write in decimal: %s" % (n, exc)) from exc
-    lines = ["n,q_n,ratio,margin"]
-    for n, q_n, r in rows:
-        lines.append("%d,%d,%.17g,%.17g" % (n, q_n, r, r - logd))
-    return "\n".join(lines) + "\n"
+    return csv_table(
+        "n,q_n,ratio,margin", "%d,%d,%.17g,%.17g", ((n, q, r, r - logd) for n, q, r in rows)
+    )

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DegenerateCycleError, DomainError
-from .germ import Germ, circle
+from .germ import Germ, check_integer, circle, csv_table
 
 CYCLE_CLOSE_TOL = 1e-9
 DEDUP_EPS = 1e-9
@@ -156,6 +156,7 @@ def find_cycles(
     lands near a found cycle point (MULTIPLE_ROOT_EPS) without matching it
     (DEDUP_EPS) marks a multiple root, and the census raises DomainError.
     """
+    check_integer("order", order)
     if order < 1:
         raise DomainError("cycle order must be >= 1")
     seeds = _seeds(germ)
@@ -207,6 +208,7 @@ def repelling_cycles(germ: Germ, order: int) -> list[Cycle]:
 def repelling_cycle(germ: Germ, order: int, index: int) -> Cycle:
     """Repelling cycle number index of the given order. The valid range comes
     from the census, so an index past it is a DomainError, not a config error."""
+    check_integer("cycle_index", index)
     reps = repelling_cycles(germ, order)
     if not 0 <= index < len(reps):
         raise DomainError(
@@ -218,11 +220,10 @@ def repelling_cycle(germ: Germ, order: int, index: int) -> Cycle:
 
 def cycles_to_csv(cycles: list[Cycle]) -> str:
     """Deterministic CSV table, one row per cycle point."""
-    lines = ["order,point_index,re,im,mult_re,mult_im,kind"]
-    for c in cycles:
-        for i, p in enumerate(c.points):
-            lines.append(
-                "%d,%d,%.17g,%.17g,%.17g,%.17g,%s"
-                % (c.order, i, p.real, p.imag, c.multiplier.real, c.multiplier.imag, c.kind)
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (c.order, i, p.real, p.imag, c.multiplier.real, c.multiplier.imag, c.kind)
+        for c in cycles
+        for i, p in enumerate(c.points)
+    )
+    header = "order,point_index,re,im,mult_re,mult_im,kind"
+    return csv_table(header, "%d,%d,%.17g,%.17g,%.17g,%.17g,%s", rows)

@@ -63,6 +63,13 @@ def is_finite(x) -> bool:
         return False
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a bool or a non-integral value of the integer argument name,
+    with a DomainError that names it; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError("%s must be an integer (got %r)" % (name, value))
+
+
 def pointwise(method):
     """Let a method written for a 1-d complex array take a scalar or an
     array of any shape; a scalar gets a Python complex back."""
@@ -133,6 +140,11 @@ PAIRS = Kind(
     "a nonempty list of [re, im] pairs", _list_of(PAIR.test), lambda v: list(map(PAIR.read, v))
 )
 OBJECTS = Kind("a nonempty list of objects", _list_of(OBJECT.test))
+
+
+def csv_table(header: str, row_format: str, rows: Iterable[tuple]) -> str:
+    """The header line, then row_format % row for each row, as CSV text."""
+    return "".join([header + "\n"] + [row_format % row + "\n" for row in rows])
 
 
 class Fields:

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ChartError, ConvergenceError, DomainError
-from .germ import Germ, circle, horner, horner_derivative, pointwise
+from .germ import Germ, check_integer, circle, horner, horner_derivative, pointwise
 from .cycles import Cycle
 
 SERIES_ORDER = 24
@@ -167,6 +167,7 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     on resonance (|lambda^k - lambda| below the guard for some series
     degree) or when no radius passes validation.
     """
+    check_integer("base_index", base_index)
     if cycle.kind != "repelling":
         raise ChartError("chart requires a repelling cycle (got %s)" % cycle.kind)
     q = cycle.order

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .errors import (
     SingularDerivativeError,
     UnreliableEstimateError,
 )
-from .germ import Germ, circle, is_finite
+from .germ import Germ, check_integer, circle, is_finite
 from .koenigs import build_chart
 from .local_deform import MEASURE_POINTS, contour_multiplier
 
@@ -127,9 +126,8 @@ def _node_rows(box: Box, n: int, rows: slice) -> np.ndarray:
 def check_solver_settings(n: int, tol: float, pad: int) -> None:
     """Refuse a grid size, pad factor or tolerance the solve cannot use or
     reach, with a DomainError that names it as its config key does."""
-    for key, value in (("grid", n), ("pad", pad)):
-        if not isinstance(value, numbers.Integral):
-            raise DomainError("%s must be an integer (got %r)" % (key, value))
+    check_integer("grid", n)
+    check_integer("pad", pad)
     if n < 16 or n % 2:
         raise DomainError("grid must be even and at least 16 (got %s)" % n)
     if pad < 1:
@@ -506,8 +504,9 @@ def solve_beltrami(
 ) -> GridMap:
     """Normalized solution of dbar h = mu * d h on the box.
 
-    mu is sampled on box.nodes(n). A border frame is zeroed (the field is
-    expected to be compactly supported well inside the box), the problem is
+    mu is sampled on box.nodes(n). A border frame is ignored (the field is
+    expected to be compactly supported well inside the box; frame_clipped
+    counts its nonzero nodes) and mu is never written; the problem is
     embedded in a pad-times larger periodic grid to push wraparound images
     away, and the fixed point iterates x = mu * dh on mu's support block,
     rows r0:r1 and columns c0:c1 (R x C) of the padded grid, with mean and
@@ -535,7 +534,8 @@ def solve_beltrami(
     per sweep is summed by numpy alone, so neither the samples nor the
     diagnostics depend on the CPU or BLAS thread count.
     """
-    mu = np.array(mu, dtype=complex)
+    # contiguous, for the view(float) below; a strided input is copied
+    mu = np.ascontiguousarray(mu, dtype=complex)
     if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
         raise DomainError("mu grid must be square")
     n0 = mu.shape[0]
@@ -551,20 +551,17 @@ def solve_beltrami(
         raise DomainError("Beurling kernel was made for another box, grid or pad")
 
     frame = max(2, int(BORDER_FRACTION * n0))
-    interior = np.zeros_like(mu, dtype=bool)
-    interior[frame:-frame, frame:-frame] = True
-    clipped = int(np.count_nonzero(np.abs(mu[~interior]) > 0))
-    mu[~interior] = 0
+    inside = mu[frame:-frame, frame:-frame] != 0
+    count = int(np.count_nonzero(inside))
+    clipped = int(np.count_nonzero(mu)) - count
 
     n = n0 * pad
     off = (n - n0) // 2
-    r0, r1 = _support_span(mu.any(axis=1), off)
-    c0, c1 = _support_span(mu.any(axis=0), off)
-    # the sweeps read mu on its block alone, so the window-sized copy is
-    # freed before the kernel fit and the correction make their arrays
+    r0, r1 = _support_span(inside.any(axis=1), off + frame)
+    c0, c1 = _support_span(inside.any(axis=0), off + frame)
+    # the sweeps read mu on its block alone, which lies inside the frame
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
-    support = float(np.mean(np.abs(mu) > 0))
-    del mu
+    del mu  # frees the copy made of a strided or non-complex mu
     block = (r0, r1, c0, c1)
     if block != kernel.block:
         kernel.fit(block)
@@ -633,7 +630,7 @@ def solve_beltrami(
         "beta": [beta.real, beta.imag],
         "gammas": [[g.real, g.imag] for g in gam],
         "mu_sup": sup,
-        "support_fraction": support,
+        "support_fraction": count / (n0 * n0),
         "frame_clipped": clipped,
         "pad": pad,
         "tol": tol,
@@ -647,17 +644,25 @@ def solve_beltrami(
 class Deformation:
     """One multiplier retarget: which repelling cycle (by order, and index
     among that order's repelling cycles in canonical sort) and the new
-    multiplier."""
+    multiplier. A bool or non-integral order or cycle_index is refused
+    here, before any census."""
 
     order: int
     target: complex
     cycle_index: int = 0
 
+    def __post_init__(self):
+        check_integer("order", self.order)
+        check_integer("cycle_index", self.cycle_index)
+
 
 def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiField:
-    """Invariant field realizing all requested retargets at once."""
+    """Invariant field realizing all requested retargets at once. Two
+    deformations of one (order, cycle_index) are refused before the census."""
     if not deformations:
         raise DomainError("need at least one deformation")
+    if len({(d.order, d.cycle_index) for d in deformations}) < len(deformations):
+        raise DomainError("field entries must sit on distinct cycles")
     entries = []
     for d in deformations:
         cycle = repelling_cycle(germ, d.order, d.cycle_index)
@@ -675,8 +680,7 @@ class DeformedGerm:
     the grid map was solved from.
     """
 
-    def __init__(self, germ: Germ, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
-        self.germ = germ
+    def __init__(self, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
         self.field = field
         self.grid_map = grid_map
         self.mu = mu
@@ -689,7 +693,7 @@ class DeformedGerm:
         z = circle(chart.center, radius, MEASURE_POINTS)
         fz = z
         for _ in range(chart.cycle.order):
-            fz = self.germ.eval_raw(fz)
+            fz = self.field.germ.eval_raw(fz)
         return contour_multiplier(self.grid_map(z), self.grid_map(fz), a)
 
     def measure_multiplier(self, entry_index: int = 0) -> complex:
@@ -727,7 +731,7 @@ def global_deform(
     mu = field.sample_grid(box.nodes(n), diagnostics=diag)
     gm = solve_beltrami(mu, box, tol=tol, pad=pad)
     gm.diagnostics["field"] = diag
-    return DeformedGerm(germ, field, gm, mu)
+    return DeformedGerm(field, gm, mu)
 
 
 def motion_sample(
@@ -741,16 +745,20 @@ def motion_sample(
 ) -> list[list[complex]]:
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
-    of images and one straightening per t. The solver settings and the
-    orders (no repeats) are checked before the census, every t, point and
-    shear before the first walk; the census, the charts, the field's
-    backward walk and the Beurling kernel do not depend on t, so they are
-    made once and each t only swaps the shears. Each row is bitwise the row
-    of a call with that t alone."""
+    of images and one straightening per t. The solver settings, the orders
+    (integers, no repeats) and t_values (nonempty) are checked before the
+    census, every t, point and shear before the first walk; the census, the
+    charts, the field's backward walk and the Beurling kernel do not depend
+    on t, so they are made once and each t only swaps the shears. Each row
+    is bitwise the row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
+    for k, q in enumerate(orders):
+        check_integer("orders[%d]" % k, q)
     if len(set(orders)) < len(orders):
         raise DomainError("orders must be distinct (got %s)" % list(orders))
     ts = [complex(t) for t in t_values]
+    if not ts:
+        raise DomainError("t_values must be nonempty")
     # a NaN t fails every comparison, so it is refused with the rest
     if any(not 0 < abs(t) < 1.0 for t in ts):
         raise DomainError("motion parameter must satisfy 0 < |t| < 1")

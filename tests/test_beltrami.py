@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import germdeform as gd
+from germdeform.cycles import INDIFFERENT_BAND
 
 MU_2_TO_3 = -0.22629438553091683
 
@@ -75,6 +76,25 @@ def test_shear_rejects_non_repelling():
         gd.shear_coefficient(2.0 + 0j, 1.0 + 0j)
     with pytest.raises(gd.DomainError):
         gd.shear_coefficient(2.0 + 0j, complex("inf"))
+
+
+def test_shear_refuses_exactly_what_classify_calls_non_repelling():
+    # the edge of the repelling band and the floats either side of it, on
+    # and off the real axis
+    edge = 1.0 + INDIFFERENT_BAND
+    moduli = (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0))
+    kinds = set()
+    for lam in [m * cmath.exp(1j * a) for m in moduli for a in (0.0, 0.7)]:
+        kinds.add(gd.classify(lam))
+        # lam' = lam gives mu = 0; a lam of the same argument well inside the
+        # repelling band keeps |mu| away from 1
+        for args, name in (((lam, lam), "lam"), ((1.001 * lam / abs(lam), lam), "lam_prime")):
+            if gd.classify(lam) == "repelling":
+                gd.shear_coefficient(*args)
+            else:
+                with pytest.raises(gd.ShearError, match="^%s must be repelling" % name):
+                    gd.shear_coefficient(*args)
+    assert kinds == {"repelling", "indifferent"}
 
 
 def test_pullback_is_unimodular_twist():

@@ -172,14 +172,18 @@ def test_cremer_computes_growth_ratios_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "preset,count", [("golden", -3), ("golden", 0), ("pell", 0), ("tower", 1)]
+    "preset,count", [("golden", -3), ("golden", 0), ("pell", 0), ("tower", 1), ("foo", 0)]
 )
 def test_cremer_count_too_small_exits_2(tmp_path, capsys, preset, count):
     rc, _ = run(
         tmp_path, "cremer", "cc.json", {"preset": preset, "degree": 2, "count": count}
     )
     assert rc == 2
-    assert "count" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if preset == "foo":  # the preset's name is checked before its count
+        assert err == "config error: unknown preset 'foo'\n"
+    else:
+        assert "count" in err
 
 
 @pytest.mark.parametrize("count", [1500, 21000])
@@ -605,15 +609,19 @@ def test_render_field_csv_matches_per_row_formatting(tmp_path):
     assert (out / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+def readme_block(lang: str) -> str:
+    """The first ```lang block of README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```%s\n" % lang, 1)[1].split("```", 1)[0]
+
+
 def readme_cli_examples():
     """(command, config, artifacts) of each example in README's jsonc block.
     An example is a run of lines up to a blank one: a `// <command>: ...`
     comment, the JSON config, and a `// -> a, b, optionally c` line; an
     optional artifact is expected when the config sets field_csv."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     examples = []
-    for stanza in block.strip().split("\n\n"):
+    for stanza in readme_block("jsonc").strip().split("\n\n"):
         lines = stanza.splitlines()
         command = lines[0].removeprefix("// ").split(":")[0]
         cfg = json.loads("".join(line for line in lines if not line.startswith("//")))
@@ -635,3 +643,12 @@ def test_readme_cli_examples_run(tmp_path, command, cfg, artifacts):
     rc, out = run(tmp_path, command, "readme.json", cfg)
     assert rc == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(artifacts)
+
+
+def test_readme_python_tour_runs(capsys):
+    scope = {}
+    exec(compile(readme_block("python"), "README.md", "exec"), scope)
+    # the local and the global route print ~3.0, then the readback
+    local, global_, _ = capsys.readouterr().out.splitlines()
+    assert abs(complex(local) - 3) < 1e-12 and abs(complex(global_) - 3) < 1e-3
+    assert len(scope["rows"]) == 2

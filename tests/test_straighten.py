@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 import threading
@@ -81,6 +82,33 @@ def test_zero_field_gives_identity():
     z = box.nodes(64)
     inner = (np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0)
     assert np.abs(gm(z[inner]) - z[inner]).max() < 1e-10
+
+
+@pytest.mark.parametrize("n0, pad", [(64, 2), (100, 1), (128, 2)])
+def test_solve_ignores_the_frame_and_leaves_mu_untouched(n0, pad):
+    # a disk field with 8 nonzero nodes on the border frame, below its sup
+    # (which is read on the whole grid), against the same field with the
+    # frame zeroed
+    box = Box(1.5)
+    mu = constant_disk_mu(box, n0, -0.3 + 0.1j, 0.5)
+    frame = max(2, int(st.BORDER_FRACTION * n0))
+    mu[0, 3:9] = 0.25
+    mu[n0 // 3, -1] = 0.2j
+    mu[frame - 1, n0 // 2] = -0.1  # on the frame's inner edge
+    zeroed = np.zeros_like(mu)
+    zeroed[frame:-frame, frame:-frame] = mu[frame:-frame, frame:-frame]
+    kept = mu.copy()
+    gm = gd.solve_beltrami(mu, box, pad=pad)
+    ref = gd.solve_beltrami(zeroed, box, pad=pad)
+    assert np.array_equal(mu, kept)
+    assert ref.diagnostics["frame_clipped"] == 0
+    assert gm.diagnostics["frame_clipped"] == 8
+    assert dict(gm.diagnostics, frame_clipped=0) == ref.diagnostics
+    assert np.array_equal(gm.samples, ref.samples)
+    # a strided view is read as the contiguous field it shows
+    wide = np.zeros((n0, 2 * n0), dtype=complex)
+    wide[:, ::2] = mu
+    assert np.array_equal(gd.solve_beltrami(wide[:, ::2], box, pad=pad).samples, gm.samples)
 
 
 def random_grid_map(box: Box, n: int, seed: int = 0) -> gd.GridMap:
@@ -250,11 +278,16 @@ def no_census(*args, **kwargs):
         ({"pad": 0}, "pad"),
         ({"n": 64.0}, "grid"),
         ({"pad": 1.5}, "pad"),
+        ({"n": True}, "grid"),
+        ({"pad": True}, "pad"),
         ({"tol": float("nan")}, "solver_tol"),
         ({"tol": 0.0}, "solver_tol"),
         ({"tol": -1.0}, "solver_tol"),
     ],
-    ids=["odd-grid", "pad-zero", "float-grid", "float-pad", "tol-nan", "tol-zero", "tol-negative"],
+    ids=[
+        "odd-grid", "pad-zero", "float-grid", "float-pad", "bool-grid", "bool-pad",
+        "tol-nan", "tol-zero", "tol-negative",
+    ],
 )
 def test_unsolvable_settings_are_refused_before_the_census(monkeypatch, quad_germ, settings, key):
     monkeypatch.setattr(st, "repelling_cycle", no_census)
@@ -265,6 +298,66 @@ def test_unsolvable_settings_are_refused_before_the_census(monkeypatch, quad_ger
         gd.global_deform(quad_germ, deformations, **settings)
     with pytest.raises(gd.DomainError, match="^%s must be" % key):
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], **settings)
+
+
+# the repelling fixed point 0 of 2z + z^2, built without a census
+ORIGIN = gd.Cycle((0j,), 1, 2 + 0j, "repelling")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: gd.find_cycles(g, True), "order must be an integer (got True)"),
+        (lambda g: gd.find_cycles(g, 1.0), "order must be an integer (got 1.0)"),
+        (lambda g: gd.repelling_cycle(g, 1, 0.5), "cycle_index must be an integer (got 0.5)"),
+        (lambda g: gd.build_chart(g, ORIGIN, True), "base_index must be an integer (got True)"),
+        (
+            lambda g: gd.global_deform(g, [gd.Deformation(order=True, target=3.0)], n=64),
+            "order must be an integer (got True)",
+        ),
+        (
+            lambda g: gd.global_deform(g, [gd.Deformation(1, 3.0, cycle_index=0.5)], n=64),
+            "cycle_index must be an integer (got 0.5)",
+        ),
+        (
+            lambda g: gd.motion_sample(g, [0.4], [0.1], orders=[True], n=64),
+            "orders[0] must be an integer (got True)",
+        ),
+        (
+            lambda g: gd.motion_sample(g, [0.4], [0.1], orders=[1, 2.0], n=64),
+            "orders[1] must be an integer (got 2.0)",
+        ),
+    ],
+    ids=[
+        "find-cycles-bool", "find-cycles-float", "cycle-index-float", "base-index-bool",
+        "deformation-order-bool", "deformation-cycle-index-float", "motion-orders-bool",
+        "motion-orders-float",
+    ],
+)
+def test_non_integer_arguments_are_refused_before_the_census(monkeypatch, quad_germ, call, message):
+    monkeypatch.setattr(cycles_mod, "_newton_periodic", no_census)
+    with pytest.raises(gd.DomainError, match="^" + re.escape(message)):
+        call(quad_germ)
+
+
+def test_numpy_integer_arguments_are_accepted(quad_germ):
+    st.check_solver_settings(np.int64(64), 1e-8, np.int32(2))
+    assert gd.find_cycles(quad_germ, np.int64(1)) == gd.find_cycles(quad_germ, 1)
+    assert gd.repelling_cycle(quad_germ, np.int64(1), np.int64(0)) == gd.repelling_cycle(quad_germ, 1, 0)
+    assert gd.build_chart(quad_germ, ORIGIN, np.int64(0)).base_index == 0
+
+
+def test_two_deformations_of_one_cycle_are_refused_before_the_census(monkeypatch, quad_germ):
+    monkeypatch.setattr(st, "repelling_cycle", no_census)
+    same = [gd.Deformation(1, 3.0 + 0j), gd.Deformation(np.int64(1), 4.0 + 0j, np.int64(0))]
+    with pytest.raises(gd.DomainError, match="^field entries must sit on distinct cycles"):
+        gd.global_deform(quad_germ, same, n=64)
+
+
+def test_motion_sample_refuses_empty_t_values_before_the_census(monkeypatch, quad_germ):
+    monkeypatch.setattr(st, "repelling_cycles", no_census)
+    with pytest.raises(gd.DomainError, match="^t_values must be nonempty"):
+        gd.motion_sample(quad_germ, [], [0.1 + 0j], n=32)
 
 
 def test_motion_sample_refuses_repeated_orders_before_the_census(monkeypatch, quad_germ):
