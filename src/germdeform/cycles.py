@@ -3,8 +3,9 @@
 Cycles of a given order are located by one batched Newton iteration on
 f^q(z) - z over a deterministic seed cloud. The roots' orbits form one
 (roots x q) array, on which the "inside U" and primitive tests run as
-masks; the survivors are deduplicated in seed order, so the first seed to
-reach a cycle supplies its points.
+masks; the survivors are deduplicated greedily in seed order, one array
+pass per kept cycle, so the first seed to reach a cycle supplies its
+points.
 
 The canonical orientation and order compare re and |base| on a DEDUP_EPS
 grid, so values that are equal up to rounding tie and im (or arg) decides:
@@ -152,9 +153,11 @@ def find_cycles(
     the whole seed cloud at once. The output order is (|base|, arg base)
     with |base| compared on the DEDUP_EPS grid, so a conjugate pair lists
     its im < 0 base first whatever the rounding. A cycle through a
-    critical point is kept, flagged, and given multiplier 0. A root that
-    lands near a found cycle point (MULTIPLE_ROOT_EPS) without matching it
-    (DEDUP_EPS) marks a multiple root, and the census raises DomainError.
+    critical point is kept, flagged, and given multiplier 0. The first root
+    in seed order is kept and every later root within DEDUP_EPS of a point
+    of its orbit is dropped, and so on with the first root left. A kept root
+    within MULTIPLE_ROOT_EPS of an earlier kept orbit marks a multiple root,
+    and the census raises DomainError.
     """
     check_integer("order", order)
     if order < 1:
@@ -171,19 +174,25 @@ def find_cycles(
         if order % qq == 0:
             keep &= np.abs(orbits[:, qq] - orbits[:, 0]) >= CYCLE_CLOSE_TOL
     orbits = _canonical_rotation(orbits[keep])
+    # greedy in seed order, one array pass per kept cycle: rest holds the
+    # roots not yet within DEDUP_EPS of a kept orbit, gap their distance to
+    # the nearest kept orbit point
+    rest = np.arange(len(orbits))
+    gap = np.full(rest.size, math.inf)
     found: list[int] = []
-    for k, base in enumerate(orbits[:, 0]):
-        gap = np.min(np.abs(orbits[found] - base)) if found else math.inf
-        if gap < DEDUP_EPS:
-            continue
-        if gap < MULTIPLE_ROOT_EPS:
+    while rest.size:
+        k, rest = rest[0], rest[1:]
+        if gap[0] < MULTIPLE_ROOT_EPS:
             # Newton converges only linearly to a multiple root, so its
             # stopping points scatter around it instead of repeating
             raise DomainError(
                 "Newton stalls on a multiple root of f^%d(z) - z near %r; "
-                "the census cannot separate its cycles" % (order, complex(base))
+                "the census cannot separate its cycles" % (order, complex(orbits[k, 0]))
             )
         found.append(k)
+        gap = np.minimum(gap[1:], np.min(np.abs(orbits[rest, :1] - orbits[k]), axis=1))
+        apart = gap >= DEDUP_EPS
+        rest, gap = rest[apart], gap[apart]
     cycles = []
     for row in orbits[found]:
         pts = tuple(row.tolist())

@@ -73,11 +73,21 @@ def _return_map_series(germ: Germ, points: tuple[complex, ...], base_index: int,
 
 
 def _reversion(a: np.ndarray) -> np.ndarray:
-    """Series B with A(B(w)) = w for A(u) = u + a2 u^2 + ...; a[1] must be 1."""
+    """Series B with A(B(w)) = w for A(u) = u + a2 u^2 + ...; a[1] must be 1.
+
+    Lagrange inversion: b_k = [u^(k-1)] P^k / k with P = u / A(u), so one
+    series reciprocal and one product per degree (Brent & Kung, J. ACM 25,
+    1978)."""
+    c = a[1:]  # A(u) / u
+    p = np.zeros_like(c)
+    p[0] = 1.0
+    for n in range(1, len(c)):
+        p[n] = -np.sum(c[1 : n + 1] * p[n - 1 :: -1])
     b = np.zeros_like(a)
-    b[1] = 1.0
-    for k in range(2, len(a)):
-        b[k] = -_compose(a[: k + 1], b[: k + 1])[k]
+    pk = p
+    for k in range(1, len(a)):
+        b[k] = pk[k - 1] / k
+        pk = _mul(pk, p)
     return b
 
 

@@ -6,15 +6,15 @@ the cycle, where f1 has the target multiplier. The deformed return map is
 evaluated piecewise, one chart per cycle point, and its multiplier is
 measured by a Cauchy derivative on a small circle, with a two-radius
 agreement gate before the number is trusted. The maps run on numpy arrays
-(a whole measuring circle or residual stencil per call) and take a scalar
-too; a call with any point outside its domain raises DomainError.
+(both measuring circles, or a whole residual stencil, per call) and take a
+scalar too; a call with any point outside its domain raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,13 +125,21 @@ def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:
 def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
-    radius: float,
-) -> complex:
+    radius: float | Sequence[float],
+) -> complex | list[complex]:
     """Derivative of step_fn at its fixed point center, by the Cauchy
     integral on a circle. step_fn maps an array of points elementwise and
-    is called once."""
-    w = circle(center, radius, MEASURE_POINTS)
-    return contour_multiplier(w, step_fn(w), center)
+    is called once. Given a sequence of radii, it is called once on all
+    the circles stacked, and the estimates come back in a list, one per
+    radius."""
+    radii = np.atleast_1d(radius)
+    w = np.concatenate([circle(center, r, MEASURE_POINTS) for r in radii])
+    gw = step_fn(w)
+    est = [
+        contour_multiplier(w[i : i + MEASURE_POINTS], gw[i : i + MEASURE_POINTS], center)
+        for i in range(0, w.size, MEASURE_POINTS)
+    ]
+    return est if np.ndim(radius) else est[0]
 
 
 def measure_multiplier(lc: LocalConjugacy) -> complex:
@@ -143,7 +151,8 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     circle within COLLAPSE_ULPS ulps of the center c is refused: there the
     return map is constant in floating point (the inverse conjugacy
     contracts like |z - c|^(log|lam|/log|target|), so this happens when
-    |target/lam| is small). Estimates at the chosen radius and half of it must agree to 1e-5
+    |target/lam| is small). Estimates at the chosen radius and half of it,
+    read from one return map call on both circles, must agree to 1e-5
     relative; the half-radius estimate is returned.
     """
     chart = lc.charts[0]
@@ -166,12 +175,11 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
             % (rho, spread, abs(lc.target / lc.cycle.multiplier))
         )
 
-    # one return map call per circle: a circle with any point outside a
+    # one return map call on both circles: a point of either outside a
     # chart raises DomainError
     for _ in range(8):
         try:
-            m1 = cauchy_cycle_derivative(lc.deformed_return_map, center, rho)
-            m2 = cauchy_cycle_derivative(lc.deformed_return_map, center, rho / 2.0)
+            m1, m2 = cauchy_cycle_derivative(lc.deformed_return_map, center, (rho, rho / 2.0))
         except DomainError:
             rho *= 0.5
             continue

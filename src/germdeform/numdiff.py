@@ -4,18 +4,24 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 
 def wirtinger_pair(
     fn: Callable[[complex], complex], at: complex, step: float
 ) -> tuple[complex, complex]:
     """(d/dz, d/dzbar) of fn at a point, by 4-point central differences.
 
-    at and step may be arrays of one shape, for an fn that maps arrays
-    elementwise: one stencil per element, four calls of fn in all."""
-    fe = fn(at + step)
-    fw = fn(at - step)
-    fn_ = fn(at + 1j * step)
-    fs = fn(at - 1j * step)
+    With a scalar at and step, fn is called on the four offsets one at a
+    time, so it may be a scalar-only function. at and step may also be
+    arrays of one shape, for an fn that maps 1-d arrays elementwise: one
+    stencil per element, and one call of fn on all four offsets stacked."""
+    offsets = (at + step, at - step, at + 1j * step, at - 1j * step)
+    if np.ndim(offsets[0]) == 0:
+        fe, fw, fn_, fs = map(fn, offsets)
+    else:
+        stacked = np.stack(offsets)
+        fe, fw, fn_, fs = np.asarray(fn(stacked.ravel())).reshape(stacked.shape)
     fx = (fe - fw) / (2.0 * step)
     fy = (fn_ - fs) / (2.0 * step)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)

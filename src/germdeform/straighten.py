@@ -21,8 +21,10 @@ motion probe.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -506,11 +508,12 @@ def solve_beltrami(
 
     mu is sampled on box.nodes(n). A border frame is ignored (the field is
     expected to be compactly supported well inside the box; frame_clipped
-    counts its nonzero nodes) and mu is never written; the problem is
-    embedded in a pad-times larger periodic grid to push wraparound images
-    away, and the fixed point iterates x = mu * dh on mu's support block,
-    rows r0:r1 and columns c0:c1 (R x C) of the padded grid, with mean and
-    Nyquist-corner channels matched explicitly each sweep.
+    counts its nonzero nodes, and sup|mu| is read inside the frame) and mu
+    is never written; the problem is embedded in a pad-times larger
+    periodic grid to push wraparound images away, and the fixed point
+    iterates x = mu * dh on mu's support block, rows r0:r1 and columns
+    c0:c1 (R x C) of the padded grid, with mean and Nyquist-corner channels
+    matched explicitly each sweep.
 
     The Beurling multiplier s_mult vanishes on those four channels, so on
     the block dh = 1 + S(x) + the kernel terms, where S(x) is the periodic
@@ -542,7 +545,9 @@ def solve_beltrami(
     check_solver_settings(n0, tol, pad)
     if not np.isfinite(mu.view(float)).all():
         raise DomainError("mu grid must be finite")
-    sup = float(np.max(np.abs(mu)))
+    frame = max(2, int(BORDER_FRACTION * n0))
+    interior = mu[frame:-frame, frame:-frame]
+    sup = float(np.max(np.abs(interior)))
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
     if kernel is None:
@@ -550,8 +555,7 @@ def solve_beltrami(
     elif (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
         raise DomainError("Beurling kernel was made for another box, grid or pad")
 
-    frame = max(2, int(BORDER_FRACTION * n0))
-    inside = mu[frame:-frame, frame:-frame] != 0
+    inside = interior != 0
     count = int(np.count_nonzero(inside))
     clipped = int(np.count_nonzero(mu)) - count
 
@@ -561,7 +565,7 @@ def solve_beltrami(
     c0, c1 = _support_span(inside.any(axis=0), off + frame)
     # the sweeps read mu on its block alone, which lies inside the frame
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
-    del mu  # frees the copy made of a strided or non-complex mu
+    del mu, interior  # frees the copy made of a strided or non-complex mu, and its view
     block = (r0, r1, c0, c1)
     if block != kernel.block:
         kernel.fit(block)
@@ -644,8 +648,8 @@ def solve_beltrami(
 class Deformation:
     """One multiplier retarget: which repelling cycle (by order, and index
     among that order's repelling cycles in canonical sort) and the new
-    multiplier. A bool or non-integral order or cycle_index is refused
-    here, before any census."""
+    multiplier. A bool or non-integral order or cycle_index, and a target
+    that is not a finite number, are refused here, before any census."""
 
     order: int
     target: complex
@@ -654,6 +658,11 @@ class Deformation:
     def __post_init__(self):
         check_integer("order", self.order)
         check_integer("cycle_index", self.cycle_index)
+        target = self.target
+        if isinstance(target, bool) or not (
+            isinstance(target, numbers.Number) and cmath.isfinite(target)
+        ):
+            raise DomainError("target must be a finite number (got %r)" % (target,))
 
 
 def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiField:

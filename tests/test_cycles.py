@@ -206,6 +206,67 @@ def test_batched_census_matches_scalar_reference(coeffs, radius, alpha, orders):
             assert np.max(np.abs(np.array(c.points) - pts)) <= 1e-12
 
 
+def _greedy_loop_census(germ, order):
+    """find_cycles with the per-root deduplication loop that the array pass
+    replaced: each root in seed order is compared with every kept orbit."""
+    roots = cyc._newton_periodic(germ, cyc._seeds(germ), order)
+    orbits = np.empty((roots.size, order), dtype=complex)
+    orbits[:, 0] = roots
+    for k in range(1, order):
+        orbits[:, k] = germ.eval_raw(orbits[:, k - 1])
+    keep = np.all(np.abs(orbits) <= germ.radius_U, axis=1)
+    for qq in range(1, order):
+        if order % qq == 0:
+            keep &= np.abs(orbits[:, qq] - orbits[:, 0]) >= cyc.CYCLE_CLOSE_TOL
+    orbits = cyc._canonical_rotation(orbits[keep])
+    found = []
+    for k, base in enumerate(orbits[:, 0]):
+        gap = np.min(np.abs(orbits[found] - base)) if found else math.inf
+        if gap < cyc.DEDUP_EPS:
+            continue
+        if gap < cyc.MULTIPLE_ROOT_EPS:
+            raise gd.DomainError(
+                "Newton stalls on a multiple root of f^%d(z) - z near %r; "
+                "the census cannot separate its cycles" % (order, complex(base))
+            )
+        found.append(k)
+    cycles = []
+    for row in orbits[found]:
+        pts = tuple(row.tolist())
+        try:
+            mult, critical = cyc.multiplier_of(germ, pts), False
+        except gd.DegenerateCycleError:
+            mult, critical = 0j, True
+        cycles.append(gd.Cycle(pts, order, mult, gd.classify(mult), critical))
+    cycles.sort(key=lambda c: cyc._order_key(c.base))
+    return cycles
+
+
+@pytest.mark.parametrize(
+    "coeffs, radius, alpha, orders",
+    [
+        ([2, 1], 3.0, None, range(1, 9)),
+        ([2, 1], None, None, range(1, 9)),
+        ([cmath.exp(2j * cmath.pi * ALPHA), 1], None, ALPHA, range(1, 7)),
+        ([1.5, 0.3, 1], 2.0, None, range(1, 9)),
+    ],
+    ids=["quad-radius-3", "quad-auto-disk", "alpha-germ", "cubic-radius-2"],
+)
+def test_array_dedup_equals_the_greedy_loop(coeffs, radius, alpha, orders):
+    germ = gd.Germ.create(coeffs, radius_U=radius, alpha=alpha)
+    for q in orders:
+        assert gd.find_cycles(germ, q) == _greedy_loop_census(germ, q), q
+
+
+def test_array_dedup_names_the_multiple_root_as_the_greedy_loop():
+    germ = gd.Germ.create([1, 1])
+    with pytest.raises(gd.DomainError) as want:
+        _greedy_loop_census(germ, 1)
+    with pytest.raises(gd.DomainError) as got:
+        gd.find_cycles(germ, 1)
+    assert str(got.value) == str(want.value)
+
+
 def test_primitive_filter(quad_germ_wide):
     # fixed points must not reappear as order-2 cycles
     for c in gd.find_cycles(quad_germ_wide, 2):

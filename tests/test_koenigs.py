@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import germdeform as gd
+from germdeform import koenigs
+from germdeform.cremer import ContinuedFraction
 from germdeform.koenigs import critical_points
 
 
@@ -79,6 +82,41 @@ def test_chart_at_cycle_of_order(quad_germ_wide, order):
             for _ in range(order):
                 w = quad_germ_wide.eval(w)
             assert abs(ch.phi_raw(w) - lam * ch.phi(z)) < 1e-7 * abs(ch.phi(z))
+
+
+def _reversion_by_composition(a):
+    # the O(K^2) reversion that Lagrange inversion replaced: the whole
+    # series recomposed once per degree
+    b = np.zeros_like(a)
+    b[1] = 1.0
+    for k in range(2, len(a)):
+        b[k] = -koenigs._compose(a[: k + 1], b[: k + 1])[k]
+    return b
+
+
+def _assert_reversion_matches_composition(chart):
+    a = np.array((0j,) + chart.coeffs)
+    got = koenigs._reversion(a)
+    assert tuple(got[1:].tolist()) == chart.inverse_coeffs
+    want = _reversion_by_composition(a)
+    weight = chart.radius ** np.arange(len(a))
+    # |delta b_k| R^k against the largest |b_j| R^j of the chart disk
+    assert np.max(np.abs(got - want) * weight) <= 1e-15 * np.max(np.abs(want) * weight)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_lagrange_reversion_matches_composition(quad_germ_wide, order):
+    for cycle in gd.repelling_cycles(quad_germ_wide, order):
+        for idx in range(order):
+            _assert_reversion_matches_composition(gd.build_chart(quad_germ_wide, cycle, idx))
+
+
+def test_lagrange_reversion_matches_composition_at_a_convergent_order():
+    # alpha = [0; 3, 20, 50, 1], whose second convergent denominator is 61
+    alpha = ContinuedFraction((3, 20, 50, 1)).value()
+    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    cycle = gd.repelling_cycle(germ, 61, 0)
+    _assert_reversion_matches_composition(gd.build_chart(germ, cycle))
 
 
 def test_iterative_agrees_with_series(chart):

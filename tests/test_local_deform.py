@@ -7,9 +7,10 @@ import pytest
 
 import germdeform as gd
 from germdeform.cli import main
-from germdeform.germ import horner, horner_derivative
+from germdeform.germ import circle, horner, horner_derivative
 from germdeform.koenigs import PSI_DOMAIN_FACTOR
-from germdeform.local_deform import TWO_PI_I, residual_readings
+from germdeform.local_deform import MEASURE_POINTS, TWO_PI_I, contour_multiplier, residual_readings
+from germdeform.numdiff import wirtinger_pair
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,91 @@ def test_cauchy_derivative_exact_for_polynomial():
 
     d = gd.cauchy_cycle_derivative(step, c, 0.1)
     assert abs(d - 3.0) < 1e-12
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(z):
+        calls.append(np.array(z))
+        return fn(z)
+
+    return wrapped, calls
+
+
+def test_wirtinger_pair_on_an_array_calls_fn_once(quad_germ_wide):
+    cycle = gd.repelling_cycle(quad_germ_wide, 4, 0)
+    lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 20.0 + 5j)
+    r = lc.working_radius()
+    at = lc.charts[0].center + 0.1 * r * circle(0.0, 1.0, 16)
+    step = np.full(at.shape, 1e-5 * r)
+    fn, calls = _counted(lc.deformed_return_map)
+    d, dbar = wirtinger_pair(fn, at, step)
+    assert len(calls) == 1 and calls[0].shape == (4 * at.size,)
+    # the four-call stencil it replaced
+    g = lc.deformed_return_map
+    fx = (g(at + step) - g(at - step)) / (2.0 * step)
+    fy = (g(at + 1j * step) - g(at - 1j * step)) / (2.0 * step)
+    assert np.array_equal(d, 0.5 * (fx - 1j * fy))
+    assert np.array_equal(dbar, 0.5 * (fx + 1j * fy))
+
+
+def test_wirtinger_pair_on_a_scalar_takes_a_scalar_only_function():
+    def scalar_only(z):
+        return cmath.exp(complex(z))  # refuses an array
+
+    d, dbar = wirtinger_pair(scalar_only, 0.3 + 0.2j, 1e-5)
+    assert abs(d - cmath.exp(0.3 + 0.2j)) < 1e-9
+    assert abs(dbar) < 1e-9
+
+
+def test_cauchy_derivative_reads_several_radii_in_one_call():
+    c = 0.3 + 0.2j
+
+    def step(z):
+        return c + 3.0 * (z - c) + (z - c) ** 2
+
+    fn, calls = _counted(step)
+    both = gd.cauchy_cycle_derivative(fn, c, (0.1, 0.05))
+    assert len(calls) == 1
+    assert both == [gd.cauchy_cycle_derivative(step, c, r) for r in (0.1, 0.05)]
+
+
+# order 1 places its circles at once; orders 2 and 4 retry at half the
+# radius after a chart refuses a point
+@pytest.mark.parametrize(
+    "order, target, attempts", [(1, 3.0 + 0j, 1), (2, 5.0 + 0j, 2), (4, 20.0 + 5j, 3)]
+)
+def test_measure_multiplier_makes_one_return_map_call_per_attempt(
+    monkeypatch, quad_germ_wide, order, target, attempts
+):
+    cycle = gd.repelling_cycle(quad_germ_wide, order, 0)
+    lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, target)
+    center, n = lc.charts[0].center, MEASURE_POINTS
+    calls = []
+    plain = gd.LocalConjugacy.deformed_return_map
+
+    def counted(self, z):
+        calls.append(np.array(z))
+        return plain(self, z)
+
+    with monkeypatch.context() as m:
+        m.setattr(gd.LocalConjugacy, "deformed_return_map", counted)
+        measured = gd.measure_multiplier(lc)
+    assert len(calls) == attempts
+    rho = lc.charts[0].radius / 8.0
+    while not np.array_equal(calls[0][:n], circle(center, rho, n)):
+        rho *= 0.5
+        assert rho > 1e-12
+    for w in calls:
+        # both circles of the attempt, each as one call would have made it
+        both = np.concatenate([circle(center, rho, n), circle(center, rho / 2.0, n)])
+        assert np.array_equal(w, both)
+        rho *= 0.5
+    # the two-call estimates on the last attempt's circles
+    m1, m2 = [contour_multiplier(c, lc.deformed_return_map(c), center) for c in (w[:n], w[n:])]
+    assert measured == m2
+    assert abs(m1 - m2) <= 1e-5 * abs(m2)
 
 
 def test_two_cycle_deformation(quad_germ_wide):

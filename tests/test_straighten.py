@@ -1,3 +1,4 @@
+import math
 import re
 import struct
 import sys
@@ -86,9 +87,8 @@ def test_zero_field_gives_identity():
 
 @pytest.mark.parametrize("n0, pad", [(64, 2), (100, 1), (128, 2)])
 def test_solve_ignores_the_frame_and_leaves_mu_untouched(n0, pad):
-    # a disk field with 8 nonzero nodes on the border frame, below its sup
-    # (which is read on the whole grid), against the same field with the
-    # frame zeroed
+    # a disk field with 8 nonzero nodes on the border frame, against the
+    # same field with the frame zeroed
     box = Box(1.5)
     mu = constant_disk_mu(box, n0, -0.3 + 0.1j, 0.5)
     frame = max(2, int(st.BORDER_FRACTION * n0))
@@ -338,6 +338,40 @@ def test_non_integer_arguments_are_refused_before_the_census(monkeypatch, quad_g
     monkeypatch.setattr(cycles_mod, "_newton_periodic", no_census)
     with pytest.raises(gd.DomainError, match="^" + re.escape(message)):
         call(quad_germ)
+
+
+@pytest.mark.parametrize("target", ["abc", float("nan"), complex(3.0, math.inf), True, None, [3.0, 0.0]])
+def test_deformation_target_is_refused_before_the_census(monkeypatch, quad_germ, target):
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran on a bad target")
+
+    monkeypatch.setattr(st, "repelling_cycle", no_census)
+    with pytest.raises(gd.DomainError, match="^target must be a finite number"):
+        gd.global_deform(quad_germ, [gd.Deformation(1, target)], n=64)
+
+
+def test_deformation_takes_any_finite_number_as_target():
+    for target in (3, 2.5, 3.0 + 0.5j, np.float64(3.0), np.complex128(3.0 + 0.5j)):
+        assert gd.Deformation(1, target).target == target
+
+
+def test_solve_reads_sup_mu_inside_the_frame():
+    box = Box(1.5)
+    zero = np.zeros((64, 64), dtype=complex)
+    ref = gd.solve_beltrami(zero, box)
+    # a value above the cap on the frame alone is ignored, not refused
+    mu = zero.copy()
+    mu[0, 5] = 0.9999
+    gm = gd.solve_beltrami(mu, box)
+    assert gm.diagnostics["mu_sup"] == 0.0
+    assert gm.diagnostics["frame_clipped"] == 1
+    assert np.array_equal(gm.samples, ref.samples)
+    # a frame value above the interior's sup is not reported as the sup
+    mu = constant_disk_mu(box, 64, -0.3 + 0.1j, 0.5)
+    inner = gd.solve_beltrami(mu, box).diagnostics
+    mu[0, 5] = 0.5
+    diag = gd.solve_beltrami(mu, box).diagnostics
+    assert diag["mu_sup"] == inner["mu_sup"] == abs(-0.3 + 0.1j)
 
 
 def test_numpy_integer_arguments_are_accepted(quad_germ):
