@@ -27,6 +27,7 @@ import math
 import numbers
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -322,22 +323,52 @@ class GridMap:
 
 @functools.cache
 def _pool():
-    """The threads that run all but the caller's chunk of a split line
-    transform, started at the first split."""
+    """The threads that run all but the caller's call of a split, started
+    at the first split."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="germdeform-fft")
+
+
+# set on a thread while it runs a call of a split
+_in_split = threading.local()
+
+
+def _run_in_split(call) -> None:
+    _in_split.active = True
+    try:
+        call()
+    finally:
+        _in_split.active = False
+
+
+def _split(calls: Sequence) -> None:
+    """Run the calls, the first on the caller and the rest on _pool(), and
+    return once every one has finished, raising the first failure in call
+    order. A split asked for from inside a call of another split runs its
+    calls in turn on its own thread, so that no pool thread ever waits on
+    the pool; a single call runs alone on the caller."""
+    if len(calls) == 1 or getattr(_in_split, "active", False):
+        for call in calls:
+            call()
+        return
+    futures = [_pool().submit(_run_in_split, call) for call in calls[1:]]
+    try:
+        _run_in_split(calls[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits until that call is done with its arrays
+    for f in futures:
+        f.result()
 
 
 def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None = None) -> None:
     """transform(src, n, axis, out=out), np.fft.fft or ifft along axis 1 (the
     rows are the lines) or axis 0 (the columns are), into the caller's out,
     which may be src itself. The lines are split into one contiguous chunk
-    per CPU: the caller transforms the first and the pool the rest. numpy's
-    FFT releases the GIL and transforms each line on its own, so the bits are
-    those of the one call, which runs instead on one CPU or below
-    _SPLIT_POINTS points of out. Raises what any chunk raised, once every
-    chunk has finished."""
+    per CPU, run by _split. numpy's FFT releases the GIL and transforms each
+    line on its own, so the bits are those of the one call, which runs
+    instead on one CPU or below _SPLIT_POINTS points of out."""
     lines = out.shape[1 - axis]
     if _CPUS == 1 or out.size < _SPLIT_POINTS:
         transform(src, n, axis, out=out)
@@ -346,14 +377,7 @@ def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None
     step = -(-step // _LINE_ALIGN) * _LINE_ALIGN
     # a cut takes rows when the lines are rows, columns when they are columns
     cuts = [(slice(None),) * (1 - axis) + (slice(a, a + step),) for a in range(0, lines, step)]
-    futures = [_pool().submit(transform, src[c], n, axis, None, out[c]) for c in cuts[1:]]
-    try:
-        transform(src[cuts[0]], n, axis, out=out[cuts[0]])
-    finally:
-        for f in futures:
-            f.exception()  # waits until that chunk is done with the arrays
-    for f in futures:
-        f.result()
+    _split([functools.partial(transform, src[c], n, axis, None, out[c]) for c in cuts])
 
 
 def _residue_offsets(m: int, size: int) -> np.ndarray:
@@ -374,6 +398,11 @@ class BeurlingKernel:
     it (as at pad 1), so one kernel serves every solve on the same grid, and
     a solve whose block it already holds transforms nothing larger than
     those two grids.
+
+    A kernel is fitted once, by the first solve it is passed to; from then
+    on solves only read it, and a solve on another block fits a kernel of
+    its own. So once fitted, one kernel may serve solves on several threads
+    at once.
 
     Every line transform of the fit, apply and correct from _SPLIT_POINTS
     points up is split into one chunk of lines per CPU the process may run
@@ -412,10 +441,10 @@ class BeurlingKernel:
         n0, n = self.n0, self.n0 * self.pad
         off = (n - n0) // 2
         R, C = r1 - r0, c1 - c0
-        self.block = block
         self.boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
         if not R:  # mu == 0: nothing to convolve
             self.corr_hat = self.kernel_hat = None
+            self.block = block
             return
         assert off < r0 and r1 < off + n0 and off < c0 and c1 < off + n0, block
         dx = self.box.spacing(n0)
@@ -451,6 +480,7 @@ class BeurlingKernel:
         _lines(np.fft.fft, kernel, kernel, 1)
         _lines(np.fft.fft, kernel, kernel, 0)
         self.kernel_hat = kernel
+        self.block = block
 
     @staticmethod
     def _convolve(x: np.ndarray, hat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
@@ -528,14 +558,17 @@ def solve_beltrami(
     n0 window: a convolution of x with g = ifft2(c_mult), applied by one
     Mr x Mc transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
     transform of c_mult gives both kernels (BeurlingKernel; pass one to
-    reuse it across solves on the same box, grid and pad). The kernel fit,
+    reuse it across solves on the same box, grid and pad: an unfitted
+    kernel is fitted to this block, and a kernel fitted to another block is
+    left as it is while this solve fits one of its own). The kernel fit,
     the assembly of h and its orientation check run a band of rows at a
-    time, so no stage holds a padded-grid array or more than about eight
-    n0 x n0 ones. Each large line transform is split over the CPUs the
-    process may run on (os.sched_getaffinity, or os.cpu_count() where that
-    is missing), with bits that do not depend on their count, and the change
-    per sweep is summed by numpy alone, so neither the samples nor the
-    diagnostics depend on the CPU or BLAS thread count.
+    time, and the sweep's arrays are freed before the correction, so no
+    stage holds a padded-grid array or more than about seven n0 x n0 ones.
+    Each large line transform is split over the CPUs the process may run on
+    (os.sched_getaffinity, or os.cpu_count() where that is missing), with
+    bits that do not depend on their count, and the change per sweep is
+    summed by numpy alone, so neither the samples nor the diagnostics
+    depend on the CPU or BLAS thread count.
     """
     # contiguous, for the view(float) below; a strided input is copied
     mu = np.ascontiguousarray(mu, dtype=complex)
@@ -550,9 +583,7 @@ def solve_beltrami(
     sup = float(np.max(np.abs(interior)))
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
-    if kernel is None:
-        kernel = BeurlingKernel(box, n0, pad)
-    elif (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
+    if kernel is not None and (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
         raise DomainError("Beurling kernel was made for another box, grid or pad")
 
     inside = interior != 0
@@ -567,7 +598,11 @@ def solve_beltrami(
     work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
     del mu, interior  # frees the copy made of a strided or non-complex mu, and its view
     block = (r0, r1, c0, c1)
-    if block != kernel.block:
+    # a kernel fitted to another block may be serving other solves at once:
+    # leave it as it is and fit one for this solve alone
+    if kernel is None or kernel.block not in (None, block):
+        kernel = BeurlingKernel(box, n0, pad)
+    if kernel.block is None:
         kernel.fit(block)
     boards = kernel.boards
 
@@ -596,9 +631,12 @@ def solve_beltrami(
             "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, MAX_SWEEPS, change)
         )
     beta = sums[0] / (n * n)
+    # the last sweep's spectrum (dh is a view of it) and mu's block
+    del dh, new_x, work
 
     # assemble h on the n0 x n0 window of the padded grid, a band of rows at a time
     corr = kernel.correct(x)
+    del x
     h = np.empty((n0, n0), dtype=complex)
     window = np.s_[off : off + n0]
     for i in range(0, n0, _BAND):
@@ -758,8 +796,14 @@ def motion_sample(
     (integers, no repeats) and t_values (nonempty) are checked before the
     census, every t, point and shear before the first walk; the census, the
     charts, the field's backward walk and the Beurling kernel do not depend
-    on t, so they are made once and each t only swaps the shears. Each row
-    is bitwise the row of a call with that t alone."""
+    on t, so they are made once and each t only swaps the shears. The first
+    t is solved on the caller, which fits the kernel; the caller and the
+    pool's threads then take the other t values in order, each the next one
+    as it finishes its last, one solve per CPU at a time, and the solves
+    only read the shared kernel (a t whose support block differs fits its
+    own). After a failure no further t is taken, and the call raises the
+    failure of the lowest t, as a loop over the t values would. Each row is
+    bitwise the row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -783,9 +827,31 @@ def motion_sample(
         fields.append(BeltramiField(germ, tuple(entries)))
     walk = fields[0].walk(box.nodes(n))
     kernel = BeurlingKernel(box, n, pad)
-    rows = []
-    for field in fields:
-        gm = solve_beltrami(field.assemble(walk), box, tol=tol, pad=pad, kernel=kernel)
-        rows.append(gm(zs).tolist())
-        del gm  # free this grid map before the next solve allocates its own
+    rows: list[Any] = [None] * len(ts)
+
+    def solve(i: int) -> None:
+        gm = solve_beltrami(fields[i].assemble(walk), box, tol=tol, pad=pad, kernel=kernel)
+        rows[i] = gm(zs).tolist()
+
+    solve(0)
+    pending = iter(range(1, len(ts)))
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                solve(i)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    if len(ts) > 1:
+        _split([take] * min(_CPUS, len(ts) - 1))
+    if failures:
+        raise failures[min(failures)]
     return rows

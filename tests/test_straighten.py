@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import struct
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -507,15 +509,21 @@ def test_motion_sample_refuses_a_shear_before_any_walk_or_solve(monkeypatch, qua
         gd.motion_sample(quad_germ, [0.4 + 0j, 1.0 - 1e-10 + 0j], [0.1 + 0j], n=32)
 
 
-def test_kernel_refits_when_the_block_changes_and_refuses_another_grid():
+def test_kernel_keeps_its_first_block_and_refuses_another_grid():
     box = Box(1.5)
     kernel = st.BeurlingKernel(box, 64, 2)
+    fitted = None
     for kind in ("row", "node", "row"):
         mu = _support_mu(kind)
         shared = gd.solve_beltrami(mu, box, kernel=kernel)
         alone = gd.solve_beltrami(mu, box)
         assert shared.samples.tobytes() == alone.samples.tobytes()
         assert shared.diagnostics == alone.diagnostics
+        # the first solve fitted the kernel; the solve on another block
+        # fitted one of its own and left this one as it was
+        fitted = fitted or (kernel.block, kernel.corr_hat, kernel.kernel_hat)
+        block, corr_hat, kernel_hat = fitted
+        assert kernel.block == block and kernel.corr_hat is corr_hat and kernel.kernel_hat is kernel_hat
     for other in (st.BeurlingKernel(Box(2.0), 64, 2), st.BeurlingKernel(box, 32, 2), st.BeurlingKernel(box, 64, 1)):
         with pytest.raises(gd.DomainError, match="another box, grid or pad"):
             gd.solve_beltrami(_support_mu("row"), box, kernel=other)
@@ -1119,6 +1127,129 @@ def test_chunk_exception_reraises_in_the_caller_and_the_next_solve_runs(monkeypa
     got = gd.solve_beltrami(mu, box)
     assert got.samples.tobytes() == want.samples.tobytes()
     assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+def test_split_motion_with_a_degenerate_t_is_bitwise_single_t_calls(monkeypatch, quad_germ_wide, execution):
+    # at t = 1/lambda_1 as the census computes it the fixed point's shear is
+    # exactly 0, and mu's block shrinks to the order-2 cycle's; t = 0.25
+    # sends the order-2 multiplier (4 up to rounding) to 4
+    lam = st.repelling_cycles(quad_germ_wide, 1)[0].multiplier
+    ts = [0.4 + 0j, 0.3 - 0.1j, 1 / lam, 0.35 + 0.05j, 0.25 + 0j, 0.38 + 0.1j]
+    assert st.shear_coefficient(lam, 1.0 / ts[2]).mu == 0
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    settings = {"orders": (1, 2), "n": 128}
+    separate = [gd.motion_sample(quad_germ_wide, [t], points, **settings)[0] for t in ts]
+    fits = []
+    fit = st.BeurlingKernel.fit
+
+    def recorded(self, block):
+        fits.append((self, block))
+        return fit(self, block)
+
+    monkeypatch.setattr(st.BeurlingKernel, "fit", recorded)
+    # the t values split over three CPUs; the transforms of a 128 grid do not
+    rows = run_split(
+        monkeypatch, execution, st._SPLIT_POINTS,
+        lambda: gd.motion_sample(quad_germ_wide, ts, points, **settings),
+    )
+    assert rows == separate
+    # the first t fitted the shared kernel; the degenerate t fitted its own
+    # and left the shared one as it was
+    (shared, block), (own, small) = fits
+    assert own is not shared and small != block
+    assert shared.block == block
+
+
+def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.37 + 0j]
+    points = [0.1 + 0j, 0.05j]
+    solve = st.solve_beltrami
+    order = []
+
+    def recorded(mu, *args, **kwargs):
+        order.append(mu.tobytes())
+        return solve(mu, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 1)
+        m.setattr(st, "solve_beltrami", recorded)
+        want = gd.motion_sample(quad_germ, ts, points, n=64)
+    index = {raw: i for i, raw in enumerate(order)}
+    assert len(index) == len(ts)
+
+    class TFault(Exception):
+        pass
+
+    solved = []
+    higher_failed = threading.Event()
+
+    def faulty(mu, *args, **kwargs):
+        i = index[mu.tobytes()]
+        solved.append(i)
+        if i == 1:
+            # t 1 fails only after t 3 has, on the other thread
+            assert higher_failed.wait(30)
+            raise TFault("t index 1")
+        if i == 3:
+            higher_failed.set()
+            raise TFault("t index 3")
+        return solve(mu, *args, **kwargs)
+
+    monkeypatch.setattr(st, "_CPUS", 2)
+    with monkeypatch.context() as m:
+        m.setattr(st, "solve_beltrami", faulty)
+        with pytest.raises(TFault, match="t index 1"):
+            gd.motion_sample(quad_germ, ts, points, n=64)
+    # t 2 ran on the other thread while t 1 waited, and after the failures
+    # no further t was taken
+    assert sorted(solved) == [0, 1, 2, 3]
+    assert gd.motion_sample(quad_germ, ts, points, n=64) == want
+
+
+def test_split_motion_inside_split_transforms_neither_deadlocks_nor_adds_threads(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j]
+    points = [0.1 + 0j, 0.05j]
+
+    def rows():
+        return gd.motion_sample(quad_germ, ts, points, n=64)
+
+    want = run_one_call(monkeypatch, rows)
+    # a pool of its own from the real factory, so that its threads are counted
+    pool = functools.cache(st._pool.__wrapped__)
+    got = []
+    before = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 2)
+        m.setattr(st, "_SPLIT_POINTS", 1)  # every transform asks to split
+        m.setattr(st, "_pool", pool)
+        watched = threading.Thread(target=lambda: got.append(rows()), daemon=True)
+        watched.start()
+        watched.join(60)
+        assert not watched.is_alive(), "motion_sample did not finish within 60 s"
+        assert threading.active_count() <= before + st._CPUS - 1
+    pool().shutdown()
+    assert got == [want]
+
+
+def test_sweep_spectrum_is_freed_before_the_correction(monkeypatch, quad_germ):
+    box = box_for(quad_germ)
+    mu = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)]).sample_grid(box.nodes(64))
+    apply, correct = st.BeurlingKernel.apply, st.BeurlingKernel.correct
+    last = []
+
+    def kept(self, x):
+        out = apply(self, x)
+        last[:] = [weakref.ref(out.base)]
+        return out
+
+    def checked(self, x):
+        assert last and last[0]() is None, "the last sweep's spectrum is alive at the correction"
+        return correct(self, x)
+
+    monkeypatch.setattr(st.BeurlingKernel, "apply", kept)
+    monkeypatch.setattr(st.BeurlingKernel, "correct", checked)
+    gd.solve_beltrami(mu, box)
 
 
 @pytest.mark.parametrize(
