@@ -260,17 +260,26 @@ class BeltramiField:
             c is not e.chart for c, e in zip(walk.charts, self.entries)
         ):
             raise DomainError("walk was made on other charts than this field's")
-        mu = np.zeros(math.prod(walk.shape), dtype=complex) if out is None else out
-        for e, chunks in zip(self.entries, walk.landings):
-            for idx, g, prod in chunks:
-                mu[idx] = transport_forward(pullback_by_holomorphic(e.shear.mu, g), prod)
+        mu = _assemble(walk, [e.shear.mu for e in self.entries], out)
         if diagnostics is not None:
             diagnostics["escaped"] = walk.escaped
             diagnostics["stalled"] = walk.stalled
             diagnostics["unresolved"] = walk.unresolved
             diagnostics["max_abs"] = float(np.max(np.abs(mu))) if mu.size else 0.0
             diagnostics["support_fraction"] = float(np.mean(np.abs(mu) > 0))
-        return mu.reshape(walk.shape)
+        return mu
+
+
+def _assemble(walk: FieldWalk, coefficients, out: np.ndarray | None = None) -> np.ndarray:
+    """The field on a walk with one constant torus coefficient per chart:
+    pulled back by g and carried forward by the derivative product at each
+    landed point, 0 elsewhere. out, when given, is a flat zero array of the
+    walk's size to write into."""
+    mu = np.zeros(math.prod(walk.shape), dtype=complex) if out is None else out
+    for c, chunks in zip(coefficients, walk.landings):
+        for idx, g, prod in chunks:
+            mu[idx] = transport_forward(pullback_by_holomorphic(c, g), prod)
+    return mu.reshape(walk.shape)
 
 
 def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray, out: BinaryIO) -> None:

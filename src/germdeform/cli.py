@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -308,7 +309,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first main() call; parsing leaves
+    it as it is, so every later call reuses it."""
     parser = argparse.ArgumentParser(
         prog="germdeform",
         description="deform repelling cycle multipliers of polynomial germs",

@@ -33,7 +33,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .beltrami import BeltramiField, FieldEntry, shear_coefficient
+from .beltrami import BeltramiField, FieldEntry, _assemble, shear_coefficient
 from .cycles import repelling_cycle, repelling_cycles
 from .errors import (
     ConvergenceError,
@@ -58,10 +58,14 @@ MOTION_GRID = 256
 MOTION_TOL = 1e-10
 
 _BOX_MIN_HALF_WIDTH = 1.25
-# rows per pass of the kernel fit, the assembly of h and the orientation
-# check, so that none of them makes a temporary of the whole padded grid or
-# window
+# rows per pass of the kernel fit, so that it makes no temporary of the whole
+# padded grid
 _BAND = 64
+# nodes per pass of the assembly of h and of its orientation check. Their
+# temporaries are then small enough for the heap to reuse; at 64 rows of a
+# 256 grid, two t values of a motion finished at once on 2 CPUs raised its
+# peak RSS by about 1.5 MB
+_BAND_POINTS = 1 << 13
 # the CPUs this process may run on; each line transform of the solve is split
 # into one chunk of lines per CPU
 try:
@@ -189,10 +193,16 @@ def _min_jacobian(s: np.ndarray, dx: float) -> float:
     """Smallest |d|^2 - |dbar|^2 of grid samples by central differences, on
     the nodes two in from every edge, over overlapping bands of rows."""
     n = s.shape[0]
+    band = max(1, _BAND_POINTS // n)
     low = math.inf
-    for i in range(2, n - 2, _BAND):
-        d, db = _wirtinger_grid(s[i - 2 : min(i + _BAND, n - 2) + 2], dx)
-        low = min(low, float(np.min((np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1])))
+    for i in range(2, n - 2, band):
+        d, db = _wirtinger_grid(s[i - 2 : min(i + band, n - 2) + 2], dx)
+        # sliced to the inner nodes before abs, then squared and subtracted in place
+        jac, jac_bar = np.abs(d[1:-1, 1:-1]), np.abs(db[1:-1, 1:-1])
+        del d, db
+        np.square(jac, out=jac)
+        jac -= np.square(jac_bar, out=jac_bar)
+        low = min(low, float(np.min(jac)))
     return low
 
 
@@ -516,15 +526,132 @@ class BeurlingKernel:
 
 
 def _add_kernel_terms(dh: np.ndarray, gam: np.ndarray, boards) -> None:
-    """dh += 1 + sum(gam * _KERNEL_D * boards), the identity's and the
-    checkerboards' share of d h on the block. The sum takes one value per row
-    and column parity, so it is made on the block's first 2 x 2 nodes, by
-    the same operations as on the whole block, and added to each parity's
-    nodes: the bits of the whole-block sum without its block-sized
-    temporaries."""
-    terms = 1.0 + sum(g * d * b[:2, :2] for g, d, b in zip(gam, _KERNEL_D, boards))
+    """dh += sum(gam * _KERNEL_D * boards), the checkerboards' share of d h
+    on the block. The sum takes one value per row and column parity, so it
+    is made on the block's first 2 x 2 nodes, by the same operations as on
+    the whole block, and added to each parity's nodes: the bits of the
+    whole-block sum without its block-sized temporaries."""
+    terms = sum(g * d * b[:2, :2] for g, d, b in zip(gam, _KERNEL_D, boards))
     for (p, q), v in np.ndenumerate(terms):
         dh[p::2, q::2] += v
+
+
+def _support_block(mu: np.ndarray, pad: int):
+    """mu's support inside the border frame: the block of the padded grid
+    that holds it, (r0, r1, c0, c1), a copy of mu on that block, sup|mu|
+    there, its nonzero count and the count of nonzero frame nodes."""
+    n0 = mu.shape[0]
+    frame = max(2, int(BORDER_FRACTION * n0))
+    inside = mu[frame:-frame, frame:-frame] != 0
+    count = int(np.count_nonzero(inside))
+    off = (n0 * pad - n0) // 2
+    r0, r1 = _support_span(inside.any(axis=1), off + frame)
+    c0, c1 = _support_span(inside.any(axis=0), off + frame)
+    work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
+    sup = float(np.max(np.abs(work))) if work.size else 0.0
+    return (r0, r1, c0, c1), work, sup, count, int(np.count_nonzero(mu)) - count
+
+
+def _neumann(
+    kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float, done
+) -> None:
+    """Solve x = m u (1 + S x + the checkerboard terms of x) on kernel's
+    block for every scale m at once, by the Neumann series x = sum_j m^(j+1)
+    X_j: X_0 = u and X_(j+1) = u (S X_j + the checkerboard terms of X_j) do
+    not depend on m, so each term costs one Beurling transform for all the
+    scales. At sweep j each scale adds m^j X_(j-1) (the powers built by
+    repeated multiplication) to its x, and likewise to x's sums against 1
+    and the three checkerboards and to its checkerboard coefficients gamma.
+    A term's change figure c is the rms over the padded grid of the term
+    less its projection on the mean and the checkerboards, plus its largest
+    gamma; a scale's change at sweep j is |m|^j c of the term it added, and
+    the scale is done at its first change below tol: done(k, x, sums,
+    gamma, history) is called for the k-th scale then, in sweep order. No
+    transform runs after the last term a scale needs; if a scale is not
+    done after MAX_SWEEPS, ConvergenceError names the first such."""
+    n = kernel.n0 * kernel.pad
+    boards = kernel.boards
+    live = list(range(len(scales)))
+    xs = [np.zeros(u.shape, dtype=complex) for _ in live]
+    sums = [np.zeros(4, dtype=complex) for _ in live]
+    gams = [np.zeros(3, dtype=complex) for _ in live]
+    powers = [1.0 + 0j for _ in live]
+    histories: list[list[float]] = [[] for _ in live]
+    scaled = np.empty(u.shape, dtype=complex)
+    term = u
+    for _ in range(MAX_SWEEPS):
+        term_sums = np.array([term.sum()] + [np.sum(b * term) for b in boards])
+        term_gam = term_sums[1:] / (n * n) / _KERNEL_DBAR
+        # the mean and the checkerboards are orthogonal with norm n on the
+        # padded grid; the squared norm is summed by numpy alone, so its bits
+        # do not depend on BLAS
+        step = float(np.sum(np.square(term.view(float))))
+        step -= float(np.sum(np.abs(term_sums) ** 2)) / (n * n)
+        change = math.sqrt(max(step, 0.0)) / n + float(np.max(np.abs(term_gam)))
+        for k in live:
+            powers[k] *= scales[k]
+            xs[k] += np.multiply(term, powers[k], out=scaled)
+            sums[k] += powers[k] * term_sums
+            gams[k] += powers[k] * term_gam
+            histories[k].append(abs(powers[k]) * change)
+        for k in [k for k in live if histories[k][-1] < tol]:
+            live.remove(k)
+            done(k, xs[k], sums[k], gams[k], histories[k])
+            xs[k] = None
+        if not live:
+            return
+        dh = kernel.apply(term)
+        _add_kernel_terms(dh, term_gam, boards)
+        term = u * dh
+        del dh  # the spectrum dh is a view of
+    raise ConvergenceError(
+        "solver did not reach tol %g in %d sweeps (last change %g)"
+        % (tol, MAX_SWEEPS, histories[live[0]][-1])
+    )
+
+
+def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.ndarray):
+    """The normalized map from a converged iterate x on kernel's block, with
+    its sums against 1 and the checkerboards and its checkerboard
+    coefficients gam: the correction, the assembly of h on the n0 x n0
+    window a band of rows at a time, the normalization that fixes 0 and 1,
+    and the orientation check. h is assembled in place on the correction,
+    a view of the larger array of its last transform, so that no second
+    window is made. Returns the GridMap on that view, with no diagnostics,
+    and beta, the smallest Jacobian, h(0) and the scale h(1) - h(0) of the
+    raw map."""
+    box, n0 = kernel.box, kernel.n0
+    n = n0 * kernel.pad
+    off = (n - n0) // 2
+    beta = sums[0] / (n * n)
+    h = kernel.correct(x)
+    window = np.s_[off : off + n0]
+    band = max(1, _BAND_POINTS // n0)
+    for i in range(0, n0, band):
+        rows = np.s_[i : min(i + band, n0)]
+        z = _node_rows(box, n0, rows)
+        hb = h[rows]
+        np.add(z + beta * np.conj(z), hb, out=hb)
+        boards = _checkerboards(n, np.s_[off + rows.start : off + rows.stop], window)
+        hb += gam[0] * z.real * boards[0]
+        hb += gam[1] * z.imag * boards[1]
+        hb += gam[2] * z.real * boards[2]
+
+    gm = GridMap(box, h)
+    # normalize: send 0 to 0 and 1 to 1 exactly
+    h0 = gm(0j)
+    h1 = gm(1.0 + 0j)
+    scale = h1 - h0
+    if abs(scale) < 1e-12:
+        raise ConvergenceError("normalization points collapsed")
+    h -= h0
+    h /= scale
+
+    # orientation must survive: discrete Jacobian positive at interior nodes
+    min_jac = _min_jacobian(h, box.spacing(n0))
+    if min_jac <= 0:
+        raise ConvergenceError("straightening lost orientation (min Jacobian %g)" % min_jac)
+    return GridMap(box, h), beta, min_jac, h0, scale
 
 
 def solve_beltrami(
@@ -540,23 +667,27 @@ def solve_beltrami(
     expected to be compactly supported well inside the box; frame_clipped
     counts its nonzero nodes, and sup|mu| is read inside the frame) and mu
     is never written; the problem is embedded in a pad-times larger
-    periodic grid to push wraparound images away, and the fixed point
-    iterates x = mu * dh on mu's support block, rows r0:r1 and columns
-    c0:c1 (R x C) of the padded grid, with mean and Nyquist-corner channels
-    matched explicitly each sweep.
+    periodic grid to push wraparound images away, and the fixed point of x
+    = mu * dh is found on mu's support block, rows r0:r1 and columns c0:c1
+    (R x C) of the padded grid, with mean and Nyquist-corner channels
+    matched explicitly.
 
     The Beurling multiplier s_mult vanishes on those four channels, so on
     the block dh = 1 + S(x) + the kernel terms, where S(x) is the periodic
     convolution of x with k = ifft2(s_mult) at offsets in (-R, R) x (-C, C).
     Those offsets, placed at their residues on an Lr x Lc grid (Lr the
     smallest 5-smooth length >= 2R - 1, or n when that is shorter, and
-    likewise Lc), do not overlap, so each sweep applies S by one zero-padded
-    Lr x Lc transform pair. The change per sweep is the rms over the padded
-    grid of the change in rho, x with its mean and checkerboard components
-    removed, plus the largest change in a checkerboard coefficient. The
-    correction is the periodic inverse of dbar applied to rho, read on the
-    n0 window: a convolution of x with g = ifft2(c_mult), applied by one
-    Mr x Mc transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
+    likewise Lc), do not overlap, so S is applied by one zero-padded Lr x Lc
+    transform pair. The fixed point is summed as its Neumann series (_neumann
+    with the one scale 1): sweep j adds the term X_(j-1) = (mu L)^(j-1) mu,
+    where L is S plus the kernel terms, and each term after the first costs
+    one application of S. A sweep's change is the rms over the padded grid
+    of its term less the term's mean and checkerboard components, plus the
+    term's largest checkerboard coefficient; the sweeps stop at the first
+    change below tol. The correction is the periodic inverse of dbar
+    applied to rho (x less those components), read on the n0 window: a
+    convolution of x with g = ifft2(c_mult), applied by one Mr x Mc
+    transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
     transform of c_mult gives both kernels (BeurlingKernel; pass one to
     reuse it across solves on the same box, grid and pad: an unfitted
     kernel is fitted to this block, and a kernel fitted to another block is
@@ -578,96 +709,29 @@ def solve_beltrami(
     check_solver_settings(n0, tol, pad)
     if not np.isfinite(mu.view(float)).all():
         raise DomainError("mu grid must be finite")
-    frame = max(2, int(BORDER_FRACTION * n0))
-    interior = mu[frame:-frame, frame:-frame]
-    sup = float(np.max(np.abs(interior)))
+    # the sweeps read mu on its block alone, which lies inside the frame
+    block, work, sup, count, clipped = _support_block(mu, pad)
+    del mu  # frees the copy made of a strided or non-complex mu
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
     if kernel is not None and (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
         raise DomainError("Beurling kernel was made for another box, grid or pad")
-
-    inside = interior != 0
-    count = int(np.count_nonzero(inside))
-    clipped = int(np.count_nonzero(mu)) - count
-
-    n = n0 * pad
-    off = (n - n0) // 2
-    r0, r1 = _support_span(inside.any(axis=1), off + frame)
-    c0, c1 = _support_span(inside.any(axis=0), off + frame)
-    # the sweeps read mu on its block alone, which lies inside the frame
-    work = mu[r0 - off : r1 - off, c0 - off : c1 - off].copy()
-    del mu, interior  # frees the copy made of a strided or non-complex mu, and its view
-    block = (r0, r1, c0, c1)
     # a kernel fitted to another block may be serving other solves at once:
     # leave it as it is and fit one for this solve alone
     if kernel is None or kernel.block not in (None, block):
         kernel = BeurlingKernel(box, n0, pad)
     if kernel.block is None:
         kernel.fit(block)
-    boards = kernel.boards
 
-    x = np.zeros(work.shape, dtype=complex)
-    sums = np.zeros(4, dtype=complex)  # x against 1 and the three checkerboards
-    gam = np.zeros(3, dtype=complex)
-    history = []
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        dh = kernel.apply(x)
-        _add_kernel_terms(dh, gam, boards)
-        new_x = work * dh
-        new_sums = np.array([new_x.sum()] + [np.sum(b * new_x) for b in boards])
-        new_gam = new_sums[1:] / (n * n) / _KERNEL_DBAR
-        # rho is x less its projection on the mean and the checkerboards,
-        # which are orthogonal with norm n on the padded grid; the squared
-        # step is summed by numpy alone, so its bits do not depend on BLAS
-        step = float(np.sum(np.square((new_x - x).view(float))))
-        step -= float(np.sum(np.abs(new_sums - sums) ** 2)) / (n * n)
-        change = math.sqrt(max(step, 0.0)) / n + float(np.max(np.abs(new_gam - gam)))
-        history.append(change)
-        x, sums, gam = new_x, new_sums, new_gam
-        if change < tol:
-            break
-    else:
-        raise ConvergenceError(
-            "solver did not reach tol %g in %d sweeps (last change %g)" % (tol, MAX_SWEEPS, change)
-        )
-    beta = sums[0] / (n * n)
-    # the last sweep's spectrum (dh is a view of it) and mu's block
-    del dh, new_x, work
-
-    # assemble h on the n0 x n0 window of the padded grid, a band of rows at a time
-    corr = kernel.correct(x)
-    del x
-    h = np.empty((n0, n0), dtype=complex)
-    window = np.s_[off : off + n0]
-    for i in range(0, n0, _BAND):
-        rows = np.s_[i : min(i + _BAND, n0)]
-        z = _node_rows(box, n0, rows)
-        hb = h[rows]
-        np.add(z + beta * np.conj(z), corr[rows], out=hb)
-        boards = _checkerboards(n, np.s_[off + rows.start : off + rows.stop], window)
-        hb += gam[0] * z.real * boards[0]
-        hb += gam[1] * z.imag * boards[1]
-        hb += gam[2] * z.real * boards[2]
-    del corr
-
-    gm = GridMap(box, h)
-    # normalize: send 0 to 0 and 1 to 1 exactly
-    h0 = gm(0j)
-    h1 = gm(1.0 + 0j)
-    scale = h1 - h0
-    if abs(scale) < 1e-12:
-        raise ConvergenceError("normalization points collapsed")
-    h -= h0
-    h /= scale
-
-    # orientation must survive: discrete Jacobian positive at interior nodes
-    min_jac = _min_jacobian(h, box.spacing(n0))
-    if min_jac <= 0:
-        raise ConvergenceError("straightening lost orientation (min Jacobian %g)" % min_jac)
-
-    diag = {
-        "sweeps": sweeps,
-        "final_change": change,
+    solved = []
+    _neumann(kernel, work, [1.0], tol, lambda k, *result: solved.append(result))
+    del work
+    x, sums, gam, history = solved.pop()
+    gm, beta, min_jac, h0, scale = _finish(kernel, x, sums, gam)
+    # a window of its own, so that the map does not keep the transform's array
+    return GridMap(box, gm.samples.copy(), {
+        "sweeps": len(history),
+        "final_change": history[-1],
         "history": history,
         "beta": [beta.real, beta.imag],
         "gammas": [[g.real, g.imag] for g in gam],
@@ -678,8 +742,7 @@ def solve_beltrami(
         "tol": tol,
         "min_jacobian": min_jac,
         "normalization": [[h0.real, h0.imag], [scale.real, scale.imag]],
-    }
-    return GridMap(box, h, diag)
+    })
 
 
 @dataclass(frozen=True)
@@ -781,6 +844,29 @@ def global_deform(
     return DeformedGerm(field, gm, mu)
 
 
+def _take_in_order(indices: range, work, failures: dict[int, BaseException]) -> None:
+    """work(i) for each index in order, split over the CPUs by _split: the
+    caller and the pool's threads each take the next index as they finish
+    their last. Once an index has failed no further one is taken; failures
+    maps each failed index to its error."""
+    pending = iter(indices)
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                work(i)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    _split([take] * max(1, min(_CPUS, len(indices))))
+
+
 def motion_sample(
     germ: Germ,
     t_values: Sequence[complex],
@@ -792,18 +878,27 @@ def motion_sample(
 ) -> list[list[complex]]:
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
-    of images and one straightening per t. The solver settings, the orders
-    (integers, no repeats) and t_values (nonempty) are checked before the
-    census, every t, point and shear before the first walk; the census, the
-    charts, the field's backward walk and the Beurling kernel do not depend
-    on t, so they are made once and each t only swaps the shears. The first
-    t is solved on the caller, which fits the kernel; the caller and the
-    pool's threads then take the other t values in order, each the next one
-    as it finishes its last, one solve per CPU at a time, and the solves
-    only read the shared kernel (a t whose support block differs fits its
-    own). After a failure no further t is taken, and the call raises the
-    failure of the lowest t, as a loop over the t values would. Each row is
-    bitwise the row of a call with that t alone."""
+    of images per t. The solver settings, the orders (integers, no repeats)
+    and t_values (nonempty) are checked before the census, every t, point
+    and shear before the first walk; the census, the charts, the field's
+    backward walk and the Beurling kernel do not depend on t, so they are
+    made once.
+
+    With one chart (orders=(1,) included), mu_t = m_t U: the shear
+    coefficient m_t times the field U of coefficient 1. U is assembled once
+    and every t is summed from one Neumann series of U (_neumann), so each
+    term costs one Beurling transform for all the t values; sup|m_t U| is
+    checked for every t before the first term, a t with m_t = 0 gives the
+    identity, and the sums of at most about four windows' worth of t values
+    are held at once (more t values are summed in groups, each from its own
+    series). With several charts the shears differ per cycle, so each t is
+    solved on its own (solve_beltrami): the first on the caller, which fits
+    the shared kernel, and the others only read it (a t whose support block
+    differs fits its own). Either way each t is finished on its own, the
+    caller and the pool's threads each taking the next t in order as they
+    finish their last. After a failure no further t is taken, and the call
+    raises the failure of the lowest t, as a loop over the t values would.
+    Each row is bitwise the row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -821,37 +916,56 @@ def motion_sample(
     charts = [build_chart(germ, c, 0) for q in orders for c in repelling_cycles(germ, q)]
     if not charts:
         raise InsufficientDataError("no repelling cycles found for the requested orders")
-    fields = []
-    for t in ts:
-        entries = [FieldEntry(c, shear_coefficient(c.cycle.multiplier, 1.0 / t)) for c in charts]
-        fields.append(BeltramiField(germ, tuple(entries)))
-    walk = fields[0].walk(box.nodes(n))
+    shears = [[shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts] for t in ts]
+    walk = BeltramiField(germ, tuple(map(FieldEntry, charts, shears[0]))).walk(box.nodes(n))
     kernel = BeurlingKernel(box, n, pad)
     rows: list[Any] = [None] * len(ts)
-
-    def solve(i: int) -> None:
-        gm = solve_beltrami(fields[i].assemble(walk), box, tol=tol, pad=pad, kernel=kernel)
-        rows[i] = gm(zs).tolist()
-
-    solve(0)
-    pending = iter(range(1, len(ts)))
     failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
 
-    def take() -> None:
-        while True:
-            with lock:
-                i = None if failures else next(pending, None)
-            if i is None:
-                return
-            try:
-                solve(i)
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
+    if len(charts) > 1:
+        def solve(i: int) -> None:
+            # mu is passed on alone, so that the solve frees it with its block
+            coefficients = [s.mu for s in shears[i]]
+            gm = solve_beltrami(_assemble(walk, coefficients), box, tol=tol, pad=pad, kernel=kernel)
+            rows[i] = gm(zs).tolist()
 
-    if len(ts) > 1:
-        _split([take] * min(_CPUS, len(ts) - 1))
-    if failures:
-        raise failures[min(failures)]
+        solve(0)
+        _take_in_order(range(1, len(ts)), solve, failures)
+        if failures:
+            raise failures[min(failures)]
+        return rows
+
+    unit = _assemble(walk, [1.0])
+    del walk
+    block, u, sup, _, _ = _support_block(unit, pad)
+    del unit
+    kernel.fit(block)
+    ms = [s.mu for s, in shears]
+    # the t values from the first one over the cap on are never summed
+    end = next((i for i, m in enumerate(ms) if abs(m) * sup > MU_SUP_CAP), len(ts))
+    late = None
+    if end < len(ts):
+        late = DomainError("sup|mu| = %g exceeds the solvable cap %g" % (abs(ms[end]) * sup, MU_SUP_CAP))
+    group = max(1, 4 * n * n // max(u.size, 1))
+    start = 0
+    while start < end:
+        stop = min(start + group, end)
+        summed: dict[int, tuple] = {}
+        try:
+            _neumann(
+                kernel, u, ms[start:stop], tol,
+                lambda k, x, sums, gam, _: summed.__setitem__(start + k, (x, sums, gam)),
+            )
+        except ConvergenceError as exc:
+            end, late = min(set(range(start, stop)) - summed.keys()), exc
+
+        def finish(i: int) -> None:
+            rows[i] = _finish(kernel, *summed.pop(i))[0](zs).tolist()
+
+        _take_in_order(range(start, min(stop, end)), finish, failures)
+        if failures:
+            raise failures[min(failures)]
+        start = stop
+    if late is not None:
+        raise late
     return rows

@@ -243,6 +243,28 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["cycles", "--config", missing, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    rc, _ = run(tmp_path, "cycles", "c.json", {"germ": QUAD, "orders": [1]}, out="a")
+    assert rc == 0
+    parser = cli._build_parser()
+    rc, out = run(tmp_path, "koenigs", "k.json", {"germ": QUAD_TIGHT, "order": 1}, out="b")
+    assert rc == 0 and (out / "chart.json").is_file()
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+    # a bad subcommand still exits 2 by argparse's usage error, with no traceback
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main(["bogus", "--config", "c.json"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+    rc, out = run(tmp_path, "cycles", "c.json", {"germ": QUAD, "orders": [1]}, out="c")
+    assert rc == 0 and (out / "cycles.csv").is_file()
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # target inside the unit circle cannot be reached by the shear
     rc, _ = run(

@@ -405,7 +405,8 @@ def test_motion_sample_refuses_repeated_orders_before_the_census(monkeypatch, qu
 @pytest.mark.parametrize("bad_t", [0j, 1.5 + 0j], ids=["zero", "outside"])
 def test_motion_sample_rejects_t_before_any_solve(monkeypatch, quad_germ_wide, bad_t):
     solves = []
-    monkeypatch.setattr(st, "solve_beltrami", lambda *a, **k: solves.append(a))
+    for step in ("_neumann", "_finish"):
+        monkeypatch.setattr(st, step, lambda *a, **k: solves.append(a))
     with pytest.raises(gd.DomainError):
         gd.motion_sample(quad_germ_wide, [0.4 + 0j, bad_t], [0.1 + 0j], n=32)
     assert solves == []
@@ -425,8 +426,8 @@ def test_motion_sample_rejects_points_outside_the_box_before_any_solve(monkeypat
     def unreachable(*args, **kwargs):
         raise AssertionError("chart or solve ran before the points were checked")
 
-    monkeypatch.setattr(st, "build_chart", unreachable)
-    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    for step in ("build_chart", "_neumann", "_finish"):
+        monkeypatch.setattr(st, step, unreachable)
     with pytest.raises(gd.DomainError, match="evaluation point outside grid box"):
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, 5.0 + 0j])
 
@@ -503,7 +504,8 @@ def test_motion_sample_refuses_a_shear_before_any_walk_or_solve(monkeypatch, qua
         raise AssertionError("walk or solve ran before every shear was checked")
 
     monkeypatch.setattr(gd.BeltramiField, "walk", unreachable)
-    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    for step in ("_neumann", "_finish"):
+        monkeypatch.setattr(st, step, unreachable)
     # |t| < 1, but 1/t is not repelling enough to shear to
     with pytest.raises(gd.ShearError):
         gd.motion_sample(quad_germ, [0.4 + 0j, 1.0 - 1e-10 + 0j], [0.1 + 0j], n=32)
@@ -672,9 +674,11 @@ def test_banded_assembly_and_check_are_bitwise_the_whole_window(monkeypatch, qua
     corrections = []
     correct = st.BeurlingKernel.correct
 
+    # a copy, since the solve assembles h in place on the correction
     def kept(self, x):
-        corrections.append(correct(self, x).copy())
-        return corrections[-1]
+        out = correct(self, x)
+        corrections.append(out.copy())
+        return out
 
     monkeypatch.setattr(st.BeurlingKernel, "correct", kept)
     box = box_for(quad_germ)
@@ -705,7 +709,7 @@ def test_banded_orientation_check_reads_every_row():
     # pulling one node of the identity left drops the Jacobian to 0.75 at its
     # left neighbour only, so a row the bands skip shows
     box = Box(1.5)
-    n = 100  # 64-row bands do not divide the 96 checked rows
+    n = 100  # 81-row bands (8192 nodes of 100 per band) do not divide the 96 checked rows
     dx = box.spacing(n)
     for p in range(1, n - 1):
         s = box.nodes(n)
@@ -778,13 +782,16 @@ def test_motion_rows_are_pointwise_grid_map_values(monkeypatch, quad_germ):
     ts = [0.4 + 0j, 0.3 - 0.1j]
     points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
     maps = []
-    solve = st.solve_beltrami
+    finish = st._finish
 
     def kept(*args, **kwargs):
-        maps.append(solve(*args, **kwargs))
-        return maps[-1]
+        result = finish(*args, **kwargs)
+        maps.append(result[0])
+        return result
 
-    monkeypatch.setattr(st, "solve_beltrami", kept)
+    monkeypatch.setattr(st, "_finish", kept)
+    # one CPU, so that the maps are kept in t order
+    monkeypatch.setattr(st, "_CPUS", 1)
     calls = []
     evaluate = st.GridMap.__call__
 
@@ -1164,16 +1171,17 @@ def test_split_motion_with_a_degenerate_t_is_bitwise_single_t_calls(monkeypatch,
 def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeypatch, quad_germ):
     ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.37 + 0j]
     points = [0.1 + 0j, 0.05j]
-    solve = st.solve_beltrami
+    finish = st._finish
     order = []
 
-    def recorded(mu, *args, **kwargs):
-        order.append(mu.tobytes())
-        return solve(mu, *args, **kwargs)
+    # each t's sum x tells its finishing step apart
+    def recorded(kernel, x, *args):
+        order.append(x.tobytes())
+        return finish(kernel, x, *args)
 
     with monkeypatch.context() as m:
         m.setattr(st, "_CPUS", 1)
-        m.setattr(st, "solve_beltrami", recorded)
+        m.setattr(st, "_finish", recorded)
         want = gd.motion_sample(quad_germ, ts, points, n=64)
     index = {raw: i for i, raw in enumerate(order)}
     assert len(index) == len(ts)
@@ -1184,8 +1192,8 @@ def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeyp
     solved = []
     higher_failed = threading.Event()
 
-    def faulty(mu, *args, **kwargs):
-        i = index[mu.tobytes()]
+    def faulty(kernel, x, *args):
+        i = index[x.tobytes()]
         solved.append(i)
         if i == 1:
             # t 1 fails only after t 3 has, on the other thread
@@ -1194,11 +1202,11 @@ def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeyp
         if i == 3:
             higher_failed.set()
             raise TFault("t index 3")
-        return solve(mu, *args, **kwargs)
+        return finish(kernel, x, *args)
 
     monkeypatch.setattr(st, "_CPUS", 2)
     with monkeypatch.context() as m:
-        m.setattr(st, "solve_beltrami", faulty)
+        m.setattr(st, "_finish", faulty)
         with pytest.raises(TFault, match="t index 1"):
             gd.motion_sample(quad_germ, ts, points, n=64)
     # t 2 ran on the other thread while t 1 waited, and after the failures
@@ -1258,7 +1266,7 @@ def test_sweep_spectrum_is_freed_before_the_correction(monkeypatch, quad_germ):
         (140, 150, 90, 96, [0.3 - 0.2j, -1.5 + 0.25j, 2e-3 + 7j]),
         (141, 150, 37, 1, [0.3 - 0.2j, -1.5 + 0.25j, 2e-3 + 7j]),
         (140, 151, 1, 2, [1e-9 + 4j, 0.5, -3j]),
-        (3, 5, 2, 3, [0j, 0j, 0j]),  # the first sweep's
+        (3, 5, 2, 3, [0j, 0j, 0j]),  # a term with no checkerboard component
     ],
 )
 def test_kernel_terms_by_parity_are_bitwise_the_whole_block(r0, c0, R, C, gam):
@@ -1266,6 +1274,115 @@ def test_kernel_terms_by_parity_are_bitwise_the_whole_block(r0, c0, R, C, gam):
     boards = st._checkerboards(512, np.s_[r0 : r0 + R], np.s_[c0 : c0 + C])
     gam = np.array(gam, dtype=complex)
     dh = rng.standard_normal((R, C)) + 1j * rng.standard_normal((R, C))
-    want = dh + (1.0 + sum(g * d * b for g, d, b in zip(gam, st._KERNEL_D, boards)))
+    want = dh + sum(g * d * b for g, d, b in zip(gam, st._KERNEL_D, boards))
     st._add_kernel_terms(dh, gam, boards)
     assert dh.tobytes() == want.tobytes()
+
+
+def _sweeps_by_scale(monkeypatch) -> dict:
+    """Patch _neumann so that each scale's sweep count is kept, by scale."""
+    sweeps = {}
+    neumann = st._neumann
+
+    def recorded(kernel, u, scales, tol, done):
+        def kept(k, *result):
+            sweeps[scales[k]] = len(result[-1])
+            done(k, *result)
+
+        neumann(kernel, u, scales, tol, kept)
+
+    monkeypatch.setattr(st, "_neumann", recorded)
+    return sweeps
+
+
+def test_single_chart_rows_match_per_t_solves(monkeypatch, quad_germ):
+    # one series of the unit field U serves every t: each row is within
+    # rounding of a solve of that t's own field, after as many sweeps
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.45 - 0.2j]
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    n = 128
+    with monkeypatch.context() as m:
+        sweeps = _sweeps_by_scale(m)
+        rows = gd.motion_sample(quad_germ, ts, points, n=n)
+    box = box_for(quad_germ)
+    (cycle,) = st.repelling_cycles(quad_germ, 1)
+    chart = st.build_chart(quad_germ, cycle, 0)
+    for t, row in zip(ts, rows):
+        shear = st.shear_coefficient(cycle.multiplier, 1.0 / t)
+        mu = gd.BeltramiField(quad_germ, (gd.FieldEntry(chart, shear),)).sample_grid(box.nodes(n))
+        gm = gd.solve_beltrami(mu, box, tol=st.MOTION_TOL)
+        assert gm.diagnostics["sweeps"] == sweeps[shear.mu]
+        assert np.abs(np.array(row) - gm(np.array(points))).max() <= 1e-13
+
+
+def test_single_chart_motion_makes_one_transform_per_term(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.45 - 0.2j]
+    sweeps = _sweeps_by_scale(monkeypatch)
+    applies = []
+    apply = st.BeurlingKernel.apply
+
+    def counted(self, x):
+        applies.append(x.shape)
+        return apply(self, x)
+
+    monkeypatch.setattr(st.BeurlingKernel, "apply", counted)
+    gd.motion_sample(quad_germ, ts, [0.1 + 0j], n=64)
+    assert len(sweeps) == len(ts) and len(set(sweeps.values())) > 1
+    # no transform after the last term any t needs
+    assert len(applies) == max(sweeps.values()) - 1
+
+
+@pytest.mark.parametrize("execution", EXECUTIONS)
+def test_single_chart_rows_are_bitwise_single_t_calls(monkeypatch, quad_germ, execution):
+    # at t = 1/lambda as the census computes it the shear is exactly 0
+    lam = st.repelling_cycles(quad_germ, 1)[0].multiplier
+    ts = [0.4 + 0j, 1 / lam, 0.3 - 0.1j, 0.35 + 0.05j, 0.42 - 0.05j]
+    assert st.shear_coefficient(lam, 1.0 / ts[1]).mu == 0
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    separate = [gd.motion_sample(quad_germ, [t], points, n=64)[0] for t in ts]
+    rows = run_split(monkeypatch, execution, 1, lambda: gd.motion_sample(quad_germ, ts, points, n=64))
+    assert rows == separate
+    # m = 0 sums to x = 0 on the shared kernel: the identity, up to rounding
+    assert np.abs(np.array(rows[1]) - np.array(points)).max() <= 1e-14
+
+
+def test_single_chart_failures_raise_the_loops_error_and_the_next_call_runs(monkeypatch, quad_germ):
+    points = [0.1 + 0j, 0.05j]
+    # |mu| = 0.971 at t = 0.99, under the cap, but 200 sweeps do not reach
+    # the tolerance; at t = 0.9999, |mu| = 0.9997 is over the cap
+    near, over = 0.99 + 0j, 0.9999 + 0j
+    alone = {}
+    for t in (near, over):
+        with pytest.raises(gd.ToolkitError) as raised:
+            gd.motion_sample(quad_germ, [t], points, n=64)
+        alone[t] = raised.value
+    assert isinstance(alone[near], gd.ConvergenceError)
+    assert re.match(r"sup\|mu\| = 0\.9997\d* exceeds the solvable cap", str(alone[over]))
+    monkeypatch.setattr(st, "_CPUS", 2)
+    good = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j]
+    # the lowest failing t wins, whichever way it fails
+    for ts, first in (([good[0], near, good[1], over], near), ([good[0], over, near, good[1]], over)):
+        with pytest.raises(gd.ToolkitError) as raised:
+            gd.motion_sample(quad_germ, ts, points, n=64)
+        assert type(raised.value) is type(alone[first]) and str(raised.value) == str(alone[first])
+    separate = [gd.motion_sample(quad_germ, [t], points, n=64)[0] for t in good]
+    assert gd.motion_sample(quad_germ, good, points, n=64) == separate
+
+
+@pytest.mark.parametrize("count", [20, 80])
+def test_motion_peak_memory_is_bounded_in_window_arrays(monkeypatch, quad_germ, count):
+    # the kernel (under three window arrays), the per-t sums (at most about
+    # four, in groups past that) and two t values finished at once (about
+    # three each) on two CPUs; summed at once, 80 sums alone take 10.6
+    n = 256
+    ts = [(0.3 + 0.15 * k / (count - 1)) * np.exp(0.6j * np.sin(k)) for k in range(count)]
+    monkeypatch.setattr(st, "_CPUS", 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gd.motion_sample(quad_germ, ts, [0.1 + 0j, 0.05j], n=n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * n * n * 16
