@@ -251,6 +251,8 @@ class GridMap:
         samples = np.asarray(samples, dtype=complex)
         if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
             raise DomainError("grid map samples must be square")
+        if not samples.size:
+            raise DomainError("grid map samples must not be empty")
         if not np.isfinite(samples.view(float)).all():
             raise DomainError("grid map samples must be finite")
         self.box = box
@@ -405,13 +407,8 @@ class BeurlingKernel:
     the offsets the block and the window need, and keeps two spectra of it:
     corr_hat for the correction and kernel_hat for the sweep. Neither is of
     the padded grid's size unless the window and the block together outspan
-    it (as at pad 1), so one kernel serves every solve on the same grid, and
-    a solve whose block it already holds transforms nothing larger than
-    those two grids.
-
-    A kernel is fitted once, by the first solve it is passed to; from then
-    on solves only read it, and a solve on another block fits a kernel of
-    its own. So once fitted, one kernel may serve solves on several threads
+    it (as at pad 1). Once fitted, a kernel is only read, by apply and
+    correct, so it may serve every series on its block, on several threads
     at once.
 
     Every line transform of the fit, apply and correct from _SPLIT_POINTS
@@ -659,7 +656,6 @@ def solve_beltrami(
     box: Box,
     tol: float = SOLVER_TOL,
     pad: int = DEFAULT_PAD,
-    kernel: BeurlingKernel | None = None,
 ) -> GridMap:
     """Normalized solution of dbar h = mu * d h on the box.
 
@@ -688,13 +684,11 @@ def solve_beltrami(
     applied to rho (x less those components), read on the n0 window: a
     convolution of x with g = ifft2(c_mult), applied by one Mr x Mc
     transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
-    transform of c_mult gives both kernels (BeurlingKernel; pass one to
-    reuse it across solves on the same box, grid and pad: an unfitted
-    kernel is fitted to this block, and a kernel fitted to another block is
-    left as it is while this solve fits one of its own). The kernel fit,
-    the assembly of h and its orientation check run a band of rows at a
-    time, and the sweep's arrays are freed before the correction, so no
-    stage holds a padded-grid array or more than about seven n0 x n0 ones.
+    transform of c_mult gives both kernels (BeurlingKernel, which every
+    solve fits to its own block). The kernel fit, the assembly of h and its
+    orientation check run a band of rows at a time, and the sweep's arrays
+    are freed before the correction, so no stage holds a padded-grid array
+    or more than about seven n0 x n0 ones.
     Each large line transform is split over the CPUs the process may run on
     (os.sched_getaffinity, or os.cpu_count() where that is missing), with
     bits that do not depend on their count, and the change per sweep is
@@ -714,14 +708,8 @@ def solve_beltrami(
     del mu  # frees the copy made of a strided or non-complex mu
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
-    if kernel is not None and (kernel.box, kernel.n0, kernel.pad) != (box, n0, pad):
-        raise DomainError("Beurling kernel was made for another box, grid or pad")
-    # a kernel fitted to another block may be serving other solves at once:
-    # leave it as it is and fit one for this solve alone
-    if kernel is None or kernel.block not in (None, block):
-        kernel = BeurlingKernel(box, n0, pad)
-    if kernel.block is None:
-        kernel.fit(block)
+    kernel = BeurlingKernel(box, n0, pad)
+    kernel.fit(block)
 
     solved = []
     _neumann(kernel, work, [1.0], tol, lambda k, *result: solved.append(result))
@@ -810,7 +798,12 @@ class DeformedGerm:
         """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral
         over the h-image of a circle around the chart center c, gated on
         two-radius agreement. The larger-radius estimate wins: the integral
-        damps interpolation noise linearly in the radius."""
+        damps interpolation noise linearly in the radius. A bool, non-integral
+        or out-of-range entry_index is a DomainError."""
+        check_integer("entry_index", entry_index)
+        count = len(self.field.entries)
+        if not 0 <= entry_index < count:
+            raise DomainError("entry_index %d out of range: the field has %d entries" % (entry_index, count))
         radius = GLOBAL_MEASURE_FACTOR * self.field.entries[entry_index].chart.radius
         # discretization error in h scales with grid spacing, so coarse
         # grids get a proportionally looser gate
@@ -844,20 +837,20 @@ def global_deform(
     return DeformedGerm(field, gm, mu)
 
 
-def _take_in_order(indices: range, work, failures: dict[int, BaseException]) -> None:
+def _take_in_order(indices: Sequence[int], work, failures: dict[int, BaseException], lock) -> None:
     """work(i) for each index in order, split over the CPUs by _split: the
     caller and the pool's threads each take the next index as they finish
-    their last. Once an index has failed no further one is taken; failures
-    maps each failed index to its error."""
+    their last. No index at or above the lowest failed one is taken.
+    failures maps each failed index to its error and is read and written
+    under lock, which the caller and takes on other threads may share."""
     pending = iter(indices)
-    lock = threading.Lock()
 
     def take() -> None:
         while True:
             with lock:
-                i = None if failures else next(pending, None)
-            if i is None:
-                return
+                i = next(pending, None)
+                if i is None or i >= min(failures, default=math.inf):
+                    return
             try:
                 work(i)
             except BaseException as exc:
@@ -880,25 +873,26 @@ def motion_sample(
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
     of images per t. The solver settings, the orders (integers, no repeats)
     and t_values (nonempty) are checked before the census, every t, point
-    and shear before the first walk; the census, the charts, the field's
-    backward walk and the Beurling kernel do not depend on t, so they are
-    made once.
+    and shear before the first walk; the census, the charts and the field's
+    backward walk do not depend on t, so they are made once.
 
-    With one chart (orders=(1,) included), mu_t = m_t U: the shear
-    coefficient m_t times the field U of coefficient 1. U is assembled once
-    and every t is summed from one Neumann series of U (_neumann), so each
-    term costs one Beurling transform for all the t values; sup|m_t U| is
-    checked for every t before the first term, a t with m_t = 0 gives the
-    identity, and the sums of at most about four windows' worth of t values
-    are held at once (more t values are summed in groups, each from its own
-    series). With several charts the shears differ per cycle, so each t is
-    solved on its own (solve_beltrami): the first on the caller, which fits
-    the shared kernel, and the others only read it (a t whose support block
-    differs fits its own). Either way each t is finished on its own, the
-    caller and the pool's threads each taking the next t in order as they
-    finish their last. After a failure no further t is taken, and the call
-    raises the failure of the lowest t, as a loop over the t values would.
-    Each row is bitwise the row of a call with that t alone."""
+    The field is linear in the shear coefficients, so mu_t = s_t U_t: s_t is
+    t's first nonzero coefficient (0 when there is none) and U_t the field
+    of its coefficients over s_t (0 before that chart and 1 at it; all 1
+    when s_t = 0). With one chart U_t is the field U of coefficient 1 for
+    every t. The t values with one U_t are summed from one Neumann series
+    of it (_neumann), so each term costs one Beurling transform for all of
+    them; sup|s_t U_t| is checked for each before the first term, a t with
+    s_t = 0 gives the identity, and the sums of at most about four windows'
+    worth of t values are held at once (more t values are summed in groups,
+    each from its own series). The series are taken in order of their
+    first t: the first on the caller, which fits the kernel on its block,
+    and the rest by the caller and the pool's threads at once, a series on
+    that block reading the kernel and one on another block fitting its
+    own. Each t is then finished on its own, on every CPU when its series
+    runs on the caller. No t at or above the lowest failed one is taken,
+    and the call raises the failure of the lowest t, as a loop over the t
+    values would. Each row is bitwise the row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -918,54 +912,57 @@ def motion_sample(
         raise InsufficientDataError("no repelling cycles found for the requested orders")
     shears = [[shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts] for t in ts]
     walk = BeltramiField(germ, tuple(map(FieldEntry, charts, shears[0]))).walk(box.nodes(n))
+    scales: list[complex] = []
+    series: dict[tuple, list[int]] = {}
+    for i, row in enumerate(shears):
+        ms = [s.mu for s in row]
+        k0 = next((k for k, m in enumerate(ms) if m), 0)
+        s = ms[k0]
+        scales.append(s)
+        unit = tuple(1.0 if k == k0 or not s else m / s if k > k0 else 0.0 for k, m in enumerate(ms))
+        series.setdefault(unit, []).append(i)
+    by_first = {indices[0]: (unit, indices) for unit, indices in series.items()}
     kernel = BeurlingKernel(box, n, pad)
     rows: list[Any] = [None] * len(ts)
     failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
 
-    if len(charts) > 1:
-        def solve(i: int) -> None:
-            # mu is passed on alone, so that the solve frees it with its block
-            coefficients = [s.mu for s in shears[i]]
-            gm = solve_beltrami(_assemble(walk, coefficients), box, tol=tol, pad=pad, kernel=kernel)
-            rows[i] = gm(zs).tolist()
+    def run(first: int) -> None:
+        unit, indices = by_first[first]
+        block, u, sup, _, _ = _support_block(_assemble(walk, unit), pad)
+        # the first series runs alone on the caller and fits the shared kernel
+        own = kernel if kernel.block in (None, block) else BeurlingKernel(box, n, pad)
+        if own.block is None:
+            own.fit(block)
+        with lock:
+            for i in indices:
+                if abs(scales[i]) * sup > MU_SUP_CAP:
+                    failures[i] = DomainError(
+                        "sup|mu| = %g exceeds the solvable cap %g" % (abs(scales[i]) * sup, MU_SUP_CAP)
+                    )
+        group = max(1, 4 * n * n // max(u.size, 1))
+        for start in range(0, len(indices), group):
+            with lock:
+                low = min(failures, default=len(ts))
+            todo = [i for i in indices[start : start + group] if i < low]
+            summed: dict[int, tuple] = {}
+            try:
+                _neumann(
+                    own, u, [scales[i] for i in todo], tol,
+                    lambda k, x, sums, gam, _: summed.__setitem__(todo[k], (x, sums, gam)),
+                )
+            except ConvergenceError as exc:
+                with lock:
+                    failures[min(set(todo) - summed.keys())] = exc
 
-        solve(0)
-        _take_in_order(range(1, len(ts)), solve, failures)
-        if failures:
-            raise failures[min(failures)]
-        return rows
+            def finish(i: int) -> None:
+                rows[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
 
-    unit = _assemble(walk, [1.0])
-    del walk
-    block, u, sup, _, _ = _support_block(unit, pad)
-    del unit
-    kernel.fit(block)
-    ms = [s.mu for s, in shears]
-    # the t values from the first one over the cap on are never summed
-    end = next((i for i, m in enumerate(ms) if abs(m) * sup > MU_SUP_CAP), len(ts))
-    late = None
-    if end < len(ts):
-        late = DomainError("sup|mu| = %g exceeds the solvable cap %g" % (abs(ms[end]) * sup, MU_SUP_CAP))
-    group = max(1, 4 * n * n // max(u.size, 1))
-    start = 0
-    while start < end:
-        stop = min(start + group, end)
-        summed: dict[int, tuple] = {}
-        try:
-            _neumann(
-                kernel, u, ms[start:stop], tol,
-                lambda k, x, sums, gam, _: summed.__setitem__(start + k, (x, sums, gam)),
-            )
-        except ConvergenceError as exc:
-            end, late = min(set(range(start, stop)) - summed.keys()), exc
+            _take_in_order(todo, finish, failures, lock)
 
-        def finish(i: int) -> None:
-            rows[i] = _finish(kernel, *summed.pop(i))[0](zs).tolist()
-
-        _take_in_order(range(start, min(stop, end)), finish, failures)
-        if failures:
-            raise failures[min(failures)]
-        start = stop
-    if late is not None:
-        raise late
+    firsts = list(by_first)
+    run(firsts[0])
+    _take_in_order(firsts[1:], run, failures, lock)
+    if failures:
+        raise failures[min(failures)]
     return rows

@@ -202,6 +202,26 @@ def test_from_bytes_rejects_an_off_center_box(disk_solution):
             gd.GridMap.from_bytes(blob)
 
 
+def test_an_empty_grid_map_is_refused():
+    # a well-formed 36-byte header with n = 0 names no map: without the
+    # refusal its first evaluation divided by zero in Box.spacing(0)
+    blob = struct.pack("<I", 0) + struct.pack("<4d", -1.5, 1.5, -1.5, 1.5)
+    with pytest.raises(gd.DomainError, match="must not be empty"):
+        gd.GridMap.from_bytes(blob)
+    with pytest.raises(gd.DomainError, match="must not be empty"):
+        gd.GridMap(Box(1.5), np.zeros((0, 0), dtype=complex))
+
+
+def test_measure_multiplier_refuses_a_bad_entry_index(quad_germ):
+    dg = gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=64)
+    # -1 would measure the last entry, 1 and True would index past the one
+    # entry, and 1.0 is no index
+    for bad in (-1, 1, True, 1.0):
+        with pytest.raises(gd.DomainError, match="^entry_index "):
+            dg.measure_multiplier(bad)
+    assert dg.measure_multiplier(np.int64(0)) == dg.measure_multiplier()
+
+
 def test_solver_input_validation(monkeypatch):
     box = Box(1.5)
     with pytest.raises(gd.DomainError):
@@ -416,8 +436,8 @@ def test_motion_sample_refuses_a_nan_t_before_any_chart(monkeypatch, quad_germ):
     def unreachable(*args, **kwargs):
         raise AssertionError("chart or solve ran before the motion parameter was checked")
 
-    monkeypatch.setattr(st, "build_chart", unreachable)
-    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    for step in ("build_chart", "_neumann", "_finish"):
+        monkeypatch.setattr(st, step, unreachable)
     with pytest.raises(gd.DomainError, match="motion parameter"):
         gd.motion_sample(quad_germ, [0.4 + 0j, complex(np.nan, 0.0)], [0.1 + 0j])
 
@@ -443,8 +463,8 @@ def test_non_finite_points_are_refused_by_name(monkeypatch, quad_germ):
     def unreachable(*args, **kwargs):
         raise AssertionError("chart or solve ran before the points were checked")
 
-    monkeypatch.setattr(st, "build_chart", unreachable)
-    monkeypatch.setattr(st, "solve_beltrami", unreachable)
+    for step in ("build_chart", "_neumann", "_finish"):
+        monkeypatch.setattr(st, step, unreachable)
     with pytest.raises(gd.DomainError, match=r"evaluation point not finite: \(nan\+0j\)"):
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, complex(np.nan, 0.0)])
 
@@ -509,26 +529,6 @@ def test_motion_sample_refuses_a_shear_before_any_walk_or_solve(monkeypatch, qua
     # |t| < 1, but 1/t is not repelling enough to shear to
     with pytest.raises(gd.ShearError):
         gd.motion_sample(quad_germ, [0.4 + 0j, 1.0 - 1e-10 + 0j], [0.1 + 0j], n=32)
-
-
-def test_kernel_keeps_its_first_block_and_refuses_another_grid():
-    box = Box(1.5)
-    kernel = st.BeurlingKernel(box, 64, 2)
-    fitted = None
-    for kind in ("row", "node", "row"):
-        mu = _support_mu(kind)
-        shared = gd.solve_beltrami(mu, box, kernel=kernel)
-        alone = gd.solve_beltrami(mu, box)
-        assert shared.samples.tobytes() == alone.samples.tobytes()
-        assert shared.diagnostics == alone.diagnostics
-        # the first solve fitted the kernel; the solve on another block
-        # fitted one of its own and left this one as it was
-        fitted = fitted or (kernel.block, kernel.corr_hat, kernel.kernel_hat)
-        block, corr_hat, kernel_hat = fitted
-        assert kernel.block == block and kernel.corr_hat is corr_hat and kernel.kernel_hat is kernel_hat
-    for other in (st.BeurlingKernel(Box(2.0), 64, 2), st.BeurlingKernel(box, 32, 2), st.BeurlingKernel(box, 64, 1)):
-        with pytest.raises(gd.DomainError, match="another box, grid or pad"):
-            gd.solve_beltrami(_support_mu("row"), box, kernel=other)
 
 
 def test_pruned_inverse_is_bitwise_ifft2():
@@ -748,14 +748,6 @@ def test_symbols_are_made_once_per_kernel_fit(monkeypatch, quad_germ):
     monkeypatch.setattr(st, "_central_symbol", counted)
     gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j], n=64)
     assert calls == [128]
-    # a solve on a kernel already fitted to its block makes no padded-grid array
-    box = box_for(quad_germ)
-    mu = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)]).sample_grid(box.nodes(64))
-    kernel = st.BeurlingKernel(box, 64, 2)
-    gd.solve_beltrami(mu, box, kernel=kernel)
-    del calls[:]
-    gd.solve_beltrami(mu, box, kernel=kernel)
-    assert calls == []
 
 
 def roll_wirtinger(s: np.ndarray, dx: float):
@@ -1367,6 +1359,101 @@ def test_single_chart_failures_raise_the_loops_error_and_the_next_call_runs(monk
         assert type(raised.value) is type(alone[first]) and str(raised.value) == str(alone[first])
     separate = [gd.motion_sample(quad_germ, [t], points, n=64)[0] for t in good]
     assert gd.motion_sample(quad_germ, good, points, n=64) == separate
+
+
+def test_several_chart_rows_match_per_t_solves(monkeypatch, quad_germ_wide):
+    # each t is summed from the series of its unit field U_t and never
+    # solved on its own: each row is within rounding of a solve of that t's
+    # own field, after as many sweeps
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.45 - 0.2j]
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    n = 128
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("motion ran a solve of its own")
+
+    with monkeypatch.context() as m:
+        sweeps = _sweeps_by_scale(m)
+        m.setattr(st, "solve_beltrami", unreachable)
+        rows = gd.motion_sample(quad_germ_wide, ts, points, orders=(1, 2), n=n)
+    box = box_for(quad_germ_wide)
+    cycles = st.repelling_cycles(quad_germ_wide, 1) + st.repelling_cycles(quad_germ_wide, 2)
+    charts = [st.build_chart(quad_germ_wide, c, 0) for c in cycles]
+    assert len(charts) == 2
+    for t, row in zip(ts, rows):
+        shears = [st.shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts]
+        field = gd.BeltramiField(quad_germ_wide, tuple(map(gd.FieldEntry, charts, shears)))
+        gm = gd.solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=st.MOTION_TOL)
+        # the series' scale is the first chart's coefficient, nonzero here
+        assert gm.diagnostics["sweeps"] == sweeps[shears[0].mu]
+        assert np.abs(np.array(row) - gm(np.array(points))).max() <= 1e-13
+
+
+def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkeypatch, quad_germ_wide):
+    points = [0.1 + 0j, 0.05j]
+    settings = {"orders": (1, 2), "n": 64}
+    # t = 0.99 does not converge in 200 sweeps; t = 0.9999 is over the cap
+    near, over = 0.99 + 0j, 0.9999 + 0j
+    good = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j]
+    alone = {}
+    for t in (near, over):
+        with pytest.raises(gd.ToolkitError) as raised:
+            gd.motion_sample(quad_germ_wide, [t], points, **settings)
+        alone[t] = raised.value
+    assert isinstance(alone[near], gd.ConvergenceError)
+    assert re.match(r"sup\|mu\| = 0\.9997\d* exceeds the solvable cap", str(alone[over]))
+    # each t's sum x tells its finishing step apart
+    finish = st._finish
+    sums = []
+
+    def recorded(kernel, x, *args):
+        sums.append(x.tobytes())
+        return finish(kernel, x, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 1)
+        m.setattr(st, "_finish", recorded)
+        want = gd.motion_sample(quad_germ_wide, good, points, **settings)
+    index = {raw: good[i] for i, raw in enumerate(sums)}
+    assert len(index) == len(good)
+
+    def failure(ts):
+        del sums[:]
+        try:
+            gd.motion_sample(quad_germ_wide, ts, points, **settings)
+        except gd.ToolkitError as exc:
+            return exc, {index.get(raw) for raw in sums}
+        raise AssertionError("no t failed")
+
+    # good[1]'s series waits before its terms until the t over the cap has
+    # run its series, which then has no t to sum: that failure is above
+    # good[1] in the first order, and good[1] is still finished. The wait
+    # is bounded, since that series is not taken if t = 0.99 fails first
+    lam = st.repelling_cycles(quad_germ_wide, 1)[0].multiplier
+    waiting = st.shear_coefficient(lam, 1.0 / good[1]).mu
+    capped = threading.Event()
+    neumann = st._neumann
+
+    def gated(kernel, u, scales, tol, done):
+        if not scales:
+            capped.set()
+        elif scales[0] == waiting:
+            capped.wait(10)
+        neumann(kernel, u, scales, tol, done)
+
+    monkeypatch.setattr(st, "_finish", recorded)
+    monkeypatch.setattr(st, "_neumann", gated)
+    # the lowest failing t wins, whichever way it fails, and every lower t
+    # is finished; the t values run on the pool's real threads
+    for ts, first in (
+        ([good[0], good[1], near, good[2], over], near),
+        ([good[0], over, good[1], near, good[2]], over),
+    ):
+        capped.clear()
+        exc, finished = run_split(monkeypatch, "threads", st._SPLIT_POINTS, lambda: failure(ts))
+        assert type(exc) is type(alone[first]) and str(exc) == str(alone[first])
+        assert set(ts[: ts.index(first)]) <= finished
+    assert gd.motion_sample(quad_germ_wide, good, points, **settings) == want
 
 
 @pytest.mark.parametrize("count", [20, 80])
