@@ -877,22 +877,23 @@ def motion_sample(
     backward walk do not depend on t, so they are made once.
 
     The field is linear in the shear coefficients, so mu_t = s_t U_t: s_t is
-    t's first nonzero coefficient (0 when there is none) and U_t the field
-    of its coefficients over s_t (0 before that chart and 1 at it; all 1
-    when s_t = 0). With one chart U_t is the field U of coefficient 1 for
-    every t. The t values with one U_t are summed from one Neumann series
-    of it (_neumann), so each term costs one Beurling transform for all of
-    them; sup|s_t U_t| is checked for each before the first term, a t with
-    s_t = 0 gives the identity, and the sums of at most about four windows'
-    worth of t values are held at once (more t values are summed in groups,
-    each from its own series). The series are taken in order of their
-    first t: the first on the caller, which fits the kernel on its block,
-    and the rest by the caller and the pool's threads at once, a series on
-    that block reading the kernel and one on another block fitting its
-    own. Each t is then finished on its own, on every CPU when its series
-    runs on the caller. No t at or above the lowest failed one is taken,
-    and the call raises the failure of the lowest t, as a loop over the t
-    values would. Each row is bitwise the row of a call with that t alone."""
+    t's coefficient of largest modulus (the first on ties) and U_t the field
+    of its coefficients over s_t, 1 at that chart and no larger elsewhere
+    (all 1 when s_t = 0), so the series' terms stay bounded. With one chart
+    U_t is the field U of coefficient 1 for every t. The t values with one
+    U_t are summed from one Neumann series of it (_neumann), so each term
+    costs one Beurling transform for all of them; sup|s_t U_t| is checked
+    for each before the first term, a t with s_t = 0 gives the identity,
+    and the sums of at most about four windows' worth of t values are held
+    at once (in groups past that, each from its own series). The series
+    are taken in order of their first t: the first on the caller, which
+    fits the kernel on its block, and the rest by the caller and the pool's
+    threads at once, a series on that block reading the kernel and one on
+    another block fitting its own. Each t is then finished on its own, on
+    every CPU when its series runs on the caller. No t at or above the
+    lowest failed one is taken, and the call raises the failure of the
+    lowest t, as a loop over the t values would. Each row is bitwise the
+    row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -916,10 +917,10 @@ def motion_sample(
     series: dict[tuple, list[int]] = {}
     for i, row in enumerate(shears):
         ms = [s.mu for s in row]
-        k0 = next((k for k, m in enumerate(ms) if m), 0)
+        k0 = max(range(len(ms)), key=lambda k: abs(ms[k]))
         s = ms[k0]
         scales.append(s)
-        unit = tuple(1.0 if k == k0 or not s else m / s if k > k0 else 0.0 for k, m in enumerate(ms))
+        unit = tuple(1.0 if k == k0 or not s else m / s for k, m in enumerate(ms))
         series.setdefault(unit, []).append(i)
     by_first = {indices[0]: (unit, indices) for unit, indices in series.items()}
     kernel = BeurlingKernel(box, n, pad)
@@ -936,15 +937,16 @@ def motion_sample(
             own.fit(block)
         with lock:
             for i in indices:
-                if abs(scales[i]) * sup > MU_SUP_CAP:
-                    failures[i] = DomainError(
-                        "sup|mu| = %g exceeds the solvable cap %g" % (abs(scales[i]) * sup, MU_SUP_CAP)
-                    )
+                size = abs(scales[i]) * sup
+                if size > MU_SUP_CAP:
+                    failures[i] = DomainError("sup|mu| = %g exceeds the solvable cap %g" % (size, MU_SUP_CAP))
         group = max(1, 4 * n * n // max(u.size, 1))
         for start in range(0, len(indices), group):
             with lock:
                 low = min(failures, default=len(ts))
             todo = [i for i in indices[start : start + group] if i < low]
+            if not todo:
+                return
             summed: dict[int, tuple] = {}
             try:
                 _neumann(

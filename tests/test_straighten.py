@@ -1384,9 +1384,32 @@ def test_several_chart_rows_match_per_t_solves(monkeypatch, quad_germ_wide):
         shears = [st.shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts]
         field = gd.BeltramiField(quad_germ_wide, tuple(map(gd.FieldEntry, charts, shears)))
         gm = gd.solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=st.MOTION_TOL)
-        # the series' scale is the first chart's coefficient, nonzero here
-        assert gm.diagnostics["sweeps"] == sweeps[shears[0].mu]
+        # the series' scale is the coefficient of largest modulus
+        assert gm.diagnostics["sweeps"] == sweeps[max((s.mu for s in shears), key=abs)]
         assert np.abs(np.array(row) - gm(np.array(points))).max() <= 1e-13
+
+
+def test_several_chart_rows_near_a_vanishing_coefficient_match_a_solve(monkeypatch):
+    # one rounding-sized step from t = 1/lambda_1 the fixed point's shear is
+    # about 3e-12 and the order-2 cycle's 0.8; the solve takes 42 sweeps at
+    # N=256. Scaled by the small coefficient, the series' terms grew by 3e11
+    # a sweep and overflowed; scaled by the large one, they stay bounded
+    germ = gd.Germ.create([1.2, 1], radius_U=3)
+    cycles = st.repelling_cycles(germ, 1) + st.repelling_cycles(germ, 2)
+    t = (1 / cycles[0].multiplier) * (1 + 1e-12)
+    points = [0.1 + 0j, 0.05j, -0.2 + 0.1j]
+    n = 256
+    with monkeypatch.context() as m:
+        sweeps = _sweeps_by_scale(m)
+        (row,) = gd.motion_sample(germ, [t], points, orders=(1, 2), n=n)
+    charts = [st.build_chart(germ, c, 0) for c in cycles]
+    shears = [st.shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts]
+    assert 0 < abs(shears[0].mu) < 1e-11 < 0.5 < abs(shears[1].mu)
+    box = box_for(germ)
+    field = gd.BeltramiField(germ, tuple(map(gd.FieldEntry, charts, shears)))
+    gm = gd.solve_beltrami(field.sample_grid(box.nodes(n)), box, tol=st.MOTION_TOL)
+    assert gm.diagnostics["sweeps"] == sweeps[shears[1].mu] > 20
+    assert np.abs(np.array(row) - gm(np.array(points))).max() <= 1e-13
 
 
 def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkeypatch, quad_germ_wide):
@@ -1426,23 +1449,34 @@ def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkey
         raise AssertionError("no t failed")
 
     # good[1]'s series waits before its terms until the t over the cap has
-    # run its series, which then has no t to sum: that failure is above
-    # good[1] in the first order, and good[1] is still finished. The wait
-    # is bounded, since that series is not taken if t = 0.99 fails first
-    lam = st.repelling_cycles(quad_germ_wide, 1)[0].multiplier
-    waiting = st.shear_coefficient(lam, 1.0 / good[1]).mu
+    # failed, which its series records before it returns: that failure is
+    # above good[1] in the first order, and good[1] is still finished. The
+    # wait is bounded, since that series is not taken if t = 0.99 fails
+    # first
+    cycles = st.repelling_cycles(quad_germ_wide, 1) + st.repelling_cycles(quad_germ_wide, 2)
+    waiting = max((st.shear_coefficient(c.multiplier, 1.0 / good[1]).mu for c in cycles), key=abs)
     capped = threading.Event()
-    neumann = st._neumann
+    neumann, take_in_order = st._neumann, st._take_in_order
 
     def gated(kernel, u, scales, tol, done):
-        if not scales:
-            capped.set()
-        elif scales[0] == waiting:
+        if scales[0] == waiting:
             capped.wait(10)
         neumann(kernel, u, scales, tol, done)
 
+    def watched(indices, work, failures, lock):
+        def signalled(i):
+            try:
+                work(i)
+            finally:
+                with lock:
+                    if type(failures.get(i)) is type(alone[over]):
+                        capped.set()
+
+        take_in_order(indices, signalled, failures, lock)
+
     monkeypatch.setattr(st, "_finish", recorded)
     monkeypatch.setattr(st, "_neumann", gated)
+    monkeypatch.setattr(st, "_take_in_order", watched)
     # the lowest failing t wins, whichever way it fails, and every lower t
     # is finished; the t values run on the pool's real threads
     for ts, first in (
