@@ -31,7 +31,7 @@ from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
 from .straighten import Deformation, check_solver_settings, global_deform, motion_sample
-from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, SOLVER_TOL
+from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, MOVE_SPREAD, SOLVER_TOL
 
 # largest padded grid pad * grid: the solve's memory grows with its square,
 # and a straighten run peaks at about 0.16 GB at 2048 and 0.48 GB at 4096
@@ -206,6 +206,8 @@ def _cmd_straighten(cfg: Fields, out: Path) -> None:
                 "target": [d.target.real, d.target.imag],
                 "measured": [m.real, m.imag],
                 "relative_error": abs(m - d.target) / abs(d.target),
+                "move_spread": dg.move_spreads[i],
+                "move_spread_budget": MOVE_SPREAD,
             }
         )
     _write(out, "gridmap.bin", dg.grid_map.to_bytes())

@@ -54,6 +54,9 @@ MU_SUP_CAP = 1.0 - 1e-3
 BORDER_FRACTION = 0.05
 GLOBAL_MEASURE_FACTOR = 0.85
 GLOBAL_AGREEMENT = 1e-3
+# largest two-radius spread |m1 - m2| a measurement may show against the
+# move |target - multiplier| it measures, fixed before any germ was measured
+MOVE_SPREAD = 0.1
 MOTION_GRID = 256
 MOTION_TOL = 1e-10
 
@@ -61,10 +64,9 @@ _BOX_MIN_HALF_WIDTH = 1.25
 # rows per pass of the kernel fit, so that it makes no temporary of the whole
 # padded grid
 _BAND = 64
-# nodes per pass of the assembly of h and of its orientation check. Their
-# temporaries are then small enough for the heap to reuse; at 64 rows of a
-# 256 grid, two t values of a motion finished at once on 2 CPUs raised its
-# peak RSS by about 1.5 MB
+# nodes per pass of the orientation check. Its temporaries are then small
+# enough for the heap to reuse; at 64 rows of a 256 grid, two t values of a
+# motion finished at once on 2 CPUs raised its peak RSS by about 1.5 MB
 _BAND_POINTS = 1 << 13
 # the CPUs this process may run on; each line transform of the solve is split
 # into one chunk of lines per CPU
@@ -98,7 +100,8 @@ class Box:
 
     def nodes(self, n: int) -> np.ndarray:
         """The n x n lattice (row i at y, column j at x)."""
-        return _node_rows(self, n, np.s_[:])
+        t = _axis(self, n)
+        return t[None, :] + 1j * t[:, None]
 
     def extents(self) -> tuple[float, float, float, float]:
         w = self.half_width
@@ -124,10 +127,9 @@ def box_for(germ: Germ) -> Box:
     return Box(max(2.0 * germ.radius_U, _BOX_MIN_HALF_WIDTH))
 
 
-def _node_rows(box: Box, n: int, rows: slice) -> np.ndarray:
-    """The given rows of box.nodes(n)."""
-    t = -box.half_width + box.spacing(n) * np.arange(n)
-    return t[None, :] + 1j * t[rows, None]
+def _axis(box: Box, n: int) -> np.ndarray:
+    """The n node coordinates along either axis of box.nodes(n)."""
+    return -box.half_width + box.spacing(n) * np.arange(n)
 
 
 def check_solver_settings(n: int, tol: float, pad: int) -> None:
@@ -190,20 +192,25 @@ def _wirtinger_grid(s: np.ndarray, dx: float):
 
 
 def _min_jacobian(s: np.ndarray, dx: float) -> float:
-    """Smallest |d|^2 - |dbar|^2 of grid samples by central differences, on
-    the nodes two in from every edge, over overlapping bands of rows."""
+    """Smallest Jacobian u_x v_y - u_y v_x of grid samples s = u + iv by
+    central differences, which is |d|^2 - |dbar|^2, on the nodes two in
+    from every edge, over bands of rows. It is read on the real and
+    imaginary planes from unscaled differences, and the minimum is scaled
+    once by 1/(2 dx)^2."""
     n = s.shape[0]
+    u, v = s.real, s.imag
     band = max(1, _BAND_POINTS // n)
     low = math.inf
     for i in range(2, n - 2, band):
-        d, db = _wirtinger_grid(s[i - 2 : min(i + band, n - 2) + 2], dx)
-        # sliced to the inner nodes before abs, then squared and subtracted in place
-        jac, jac_bar = np.abs(d[1:-1, 1:-1]), np.abs(db[1:-1, 1:-1])
-        del d, db
-        np.square(jac, out=jac)
-        jac -= np.square(jac_bar, out=jac_bar)
+        end = min(i + band, n - 2)
+        rows, up, down = np.s_[i:end], np.s_[i + 1 : end + 1], np.s_[i - 1 : end - 1]
+        jac = u[rows, 3:-1] - u[rows, 1:-3]
+        jac *= v[up, 2:-2] - v[down, 2:-2]
+        cross = u[up, 2:-2] - u[down, 2:-2]
+        cross *= v[rows, 3:-1] - v[rows, 1:-3]
+        jac -= cross
         low = min(low, float(np.min(jac)))
-    return low
+    return low / (2.0 * dx) ** 2
 
 
 def _support_span(nonzero: np.ndarray, off: int) -> tuple[int, int]:
@@ -233,6 +240,26 @@ def _keys_stencil(u: np.ndarray, n: int):
     clamped = [np.clip(k, 0, n - 1) for k in idx]
     shortfall = sum(w * (k - c) for w, k, c in zip(weights, idx, clamped))
     return weights, clamped, shortfall
+
+
+def _keys(box: Box, samples: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """GridMap.__call__ on the samples of the box's n x n nodes, at points
+    z of the closed box, without the map's checks."""
+    n = samples.shape[0]
+    x0, _, y0, _ = box.extents()
+    dx = box.spacing(n)
+    wx, cols, short_x = _keys_stencil((z.real - x0) / dx, n)
+    wy, rows, short_y = _keys_stencil((z.imag - y0) / dx, n)
+    h = np.zeros(z.shape, dtype=complex)
+    for w_row, i in zip(wy, rows):
+        row = np.zeros(z.shape, dtype=complex)
+        for w_col, j in zip(wx, cols):
+            row += w_col * samples[i, j]
+        h += w_row * row
+    # the kernel reproduces z, so holding h - z at the clamped nodes adds
+    # back the distance they were moved
+    h += dx * (short_x + 1j * short_y)
+    return h
 
 
 _KERNEL_DBAR = (-0.5, -0.5j, -0.5)
@@ -271,19 +298,7 @@ class GridMap:
         nodes."""
         z = np.asarray(z, dtype=complex)
         self.box.check_inside(z)
-        x0, _, y0, _ = self.box.extents()
-        dx = self.box.spacing(self.n)
-        wx, cols, short_x = _keys_stencil((z.real - x0) / dx, self.n)
-        wy, rows, short_y = _keys_stencil((z.imag - y0) / dx, self.n)
-        h = np.zeros(z.shape, dtype=complex)
-        for w_row, i in zip(wy, rows):
-            row = np.zeros(z.shape, dtype=complex)
-            for w_col, j in zip(wx, cols):
-                row += w_col * self.samples[i, j]
-            h += w_row * row
-        # the kernel reproduces z, so holding h - z at the clamped nodes adds
-        # back the distance they were moved
-        h += dx * (short_x + 1j * short_y)
+        h = _keys(self.box, self.samples, z)
         return complex(h) if z.ndim == 0 else h
 
     def beltrami_at(self, z: complex) -> complex:
@@ -372,6 +387,17 @@ def _split(calls: Sequence) -> None:
             f.exception()  # waits until that call is done with its arrays
     for f in futures:
         f.result()
+
+
+def _submit(call):
+    """Start call on a pool thread as a call of a split, and return its
+    future; or run it at once on the caller and return None, when the
+    process may run on one CPU or the caller itself runs a call of a split,
+    so that no thread ever waits on a pool thread that waits on it."""
+    if _CPUS == 1 or getattr(_in_split, "active", False):
+        call()
+        return None
+    return _pool().submit(_run_in_split, call)
 
 
 def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None = None) -> None:
@@ -611,33 +637,37 @@ def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.nda
     """The normalized map from a converged iterate x on kernel's block, with
     its sums against 1 and the checkerboards and its checkerboard
     coefficients gam: the correction, the assembly of h on the n0 x n0
-    window a band of rows at a time, the normalization that fixes 0 and 1,
-    and the orientation check. h is assembled in place on the correction,
-    a view of the larger array of its last transform, so that no second
-    window is made. Returns the GridMap on that view, with no diagnostics,
-    and beta, the smallest Jacobian, h(0) and the scale h(1) - h(0) of the
-    raw map."""
+    window, the normalization that fixes 0 and 1, and the orientation
+    check. h is assembled in place on the correction, a view of the larger
+    array of its last transform, so that no second window is made: z +
+    beta conj(z) and the three checkerboard terms gam[0] x s_x + gam[1] y
+    s_y + gam[2] x s_x s_y (s the nodes' signs on the padded grid) are, on
+    each of the real and imaginary planes, a vector along y plus, on the
+    rows of each sign s_y, a vector along x, added by broadcasting. h(0)
+    and h(1) are read by GridMap's interpolation before any map is made.
+    Returns the GridMap of the normalized h, with no diagnostics, and beta,
+    the smallest Jacobian, h(0) and the scale h(1) - h(0) of the raw map."""
     box, n0 = kernel.box, kernel.n0
     n = n0 * kernel.pad
     off = (n - n0) // 2
     beta = sums[0] / (n * n)
     h = kernel.correct(x)
-    window = np.s_[off : off + n0]
-    band = max(1, _BAND_POINTS // n0)
-    for i in range(0, n0, band):
-        rows = np.s_[i : min(i + band, n0)]
-        z = _node_rows(box, n0, rows)
-        hb = h[rows]
-        np.add(z + beta * np.conj(z), hb, out=hb)
-        boards = _checkerboards(n, np.s_[off + rows.start : off + rows.stop], window)
-        hb += gam[0] * z.real * boards[0]
-        hb += gam[1] * z.imag * boards[1]
-        hb += gam[2] * z.real * boards[2]
+    t = _axis(box, n0)
+    sign = (-1.0) ** (off + np.arange(n0))
+    ts = t * sign
+    b, g = beta, gam
+    for plane, along_y, along_x, g0, g2 in (
+        (h.real, b.imag * t + g[1].real * ts, (1.0 + b.real) * t, g[0].real, g[2].real),
+        (h.imag, (1.0 - b.real) * t + g[1].imag * ts, b.imag * t, g[0].imag, g[2].imag),
+    ):
+        plane += along_y[:, None]
+        for p in (0, 1):
+            plane[p::2] += along_x + (g0 + sign[p] * g2) * ts
 
-    gm = GridMap(box, h)
     # normalize: send 0 to 0 and 1 to 1 exactly
-    h0 = gm(0j)
-    h1 = gm(1.0 + 0j)
+    ends = np.array([0j, 1.0 + 0j])
+    box.check_inside(ends)
+    h0, h1 = map(complex, _keys(box, h, ends))
     scale = h1 - h0
     if abs(scale) < 1e-12:
         raise ConvergenceError("normalization points collapsed")
@@ -775,13 +805,15 @@ class DeformedGerm:
     g = h o f o h^{-1} is holomorphic; its cycles sit at the h-images of the
     original ones and carry the target multipliers. It is measured from
     forward values of h only and never evaluated. mu is the sampled field
-    the grid map was solved from.
+    the grid map was solved from; move_spreads maps each entry measured so
+    far to its move-relative spread (None for a zero move).
     """
 
     def __init__(self, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
         self.field = field
         self.grid_map = grid_map
         self.mu = mu
+        self.move_spreads: dict[int, float | None] = {}
 
     def _contour_multiplier(self, entry_index: int, radius: float) -> complex:
         """g'(a) by the contour integral over w = h(z), z = c + r e^{it}:
@@ -797,9 +829,13 @@ class DeformedGerm:
     def measure_multiplier(self, entry_index: int = 0) -> complex:
         """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral
         over the h-image of a circle around the chart center c, gated on
-        two-radius agreement. The larger-radius estimate wins: the integral
-        damps interpolation noise linearly in the radius. A bool, non-integral
-        or out-of-range entry_index is a DomainError."""
+        two-radius agreement and on the move: the spread |m1 - m2| of the
+        two estimates over |target - multiplier| must not exceed
+        MOVE_SPREAD, since a spread as large as the move cannot tell the
+        moved multiplier from the old one (a zero move skips this gate; the
+        spread is kept in move_spreads). The larger-radius estimate wins:
+        the integral damps interpolation noise linearly in the radius. A
+        bool, non-integral or out-of-range entry_index is a DomainError."""
         check_integer("entry_index", entry_index)
         count = len(self.field.entries)
         if not 0 <= entry_index < count:
@@ -815,6 +851,15 @@ class DeformedGerm:
             raise UnreliableEstimateError(
                 "global multiplier estimates disagree: %r vs %r" % (m1, m2)
             )
+        shear = self.field.entries[entry_index].shear
+        move = abs(shear.lam_prime - shear.lam)
+        spread = abs(m1 - m2) / move if move else None
+        if spread is not None and spread > MOVE_SPREAD:
+            raise UnreliableEstimateError(
+                "global multiplier estimates %r and %r spread %.3g of the move %.3g, over the budget %g"
+                % (m1, m2, spread, move, MOVE_SPREAD)
+            )
+        self.move_spreads[entry_index] = spread
         return m1
 
 
@@ -871,10 +916,11 @@ def motion_sample(
 ) -> list[list[complex]]:
     """h_t at the given points on the standard parameter slice, where every
     repelling cycle of the listed orders is sent to multiplier 1/t: one row
-    of images per t. The solver settings, the orders (integers, no repeats)
-    and t_values (nonempty) are checked before the census, every t, point
-    and shear before the first walk; the census, the charts and the field's
-    backward walk do not depend on t, so they are made once.
+    of images per t. The solver settings, the orders (integers, no repeats),
+    t_values (nonempty) and points (a sequence) are checked before the
+    census, every t, point and shear before the first walk; the census, the
+    charts and the field's backward walk do not depend on t, so they are
+    made once.
 
     The field is linear in the shear coefficients, so mu_t = s_t U_t: s_t is
     t's coefficient of largest modulus (the first on ties) and U_t the field
@@ -889,9 +935,13 @@ def motion_sample(
     are taken in order of their first t: the first on the caller, which
     fits the kernel on its block, and the rest by the caller and the pool's
     threads at once, a series on that block reading the kernel and one on
-    another block fitting its own. Each t is then finished on its own, on
-    every CPU when its series runs on the caller. No t at or above the
-    lowest failed one is taken, and the call raises the failure of the
+    another block fitting its own. Each t is finished on its own as soon as
+    its series reports it converged: on a pool thread while the caller sums
+    the remaining terms of a series it runs, or at once on one CPU or inside
+    a call of a split; when the series ends, the caller and the pool's
+    threads finish what is left, the lowest t first. No t at or above the
+    lowest failed one is taken, a series that fails is the failure of the
+    lowest t it had not converged, and the call raises the failure of the
     lowest t, as a loop over the t values would. Each row is bitwise the
     row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
@@ -907,6 +957,8 @@ def motion_sample(
         raise DomainError("motion parameter must satisfy 0 < |t| < 1")
     box = box_for(germ)
     zs = np.asarray(points, dtype=complex)
+    if zs.ndim == 0:
+        raise DomainError("points must be a sequence of points (got the one number %r)" % (points,))
     box.check_inside(zs)
     charts = [build_chart(germ, c, 0) for q in orders for c in repelling_cycles(germ, q)]
     if not charts:
@@ -947,20 +999,47 @@ def motion_sample(
             todo = [i for i in indices[start : start + group] if i < low]
             if not todo:
                 return
+            # converged: every t whose sums the series reported; summed: those
+            # of them not yet taken to be finished
+            converged: set[int] = set()
             summed: dict[int, tuple] = {}
-            try:
-                _neumann(
-                    own, u, [scales[i] for i in todo], tol,
-                    lambda k, x, sums, gam, _: summed.__setitem__(todo[k], (x, sums, gam)),
-                )
-            except ConvergenceError as exc:
+            started = []
+
+            def finish() -> bool:
+                """Finish the lowest summed t, unless it is at or above the
+                lowest failed one; False when none was taken."""
                 with lock:
-                    failures[min(set(todo) - summed.keys())] = exc
+                    i = min(summed, default=len(ts))
+                    if i >= min(failures, default=len(ts)):
+                        return False
+                    args = summed.pop(i)
+                try:
+                    rows[i] = _finish(own, *args)[0](zs).tolist()
+                except BaseException as exc:
+                    with lock:
+                        failures[i] = exc
+                return True
 
-            def finish(i: int) -> None:
-                rows[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
+            def hand_over(k: int, x, sums, gam, _) -> None:
+                with lock:
+                    summed[todo[k]] = (x, sums, gam)
+                converged.add(todo[k])
+                started.append(_submit(finish))
 
-            _take_in_order(todo, finish, failures, lock)
+            try:
+                try:
+                    _neumann(own, u, [scales[i] for i in todo], tol, hand_over)
+                except ConvergenceError as exc:
+                    with lock:
+                        failures[min(set(todo) - converged)] = exc
+                while finish():
+                    pass
+            finally:
+                futures = [f for f in started if f is not None]
+                for f in futures:
+                    f.exception()  # waits until that t is done with its arrays
+            for f in futures:
+                f.result()
 
     firsts = list(by_first)
     run(firsts[0])

@@ -89,7 +89,10 @@ def test_straighten_command_and_reload(tmp_path):
     assert gm.samples.shape == (128, 128)
     side = json.loads((out / "gridmap.json").read_text())
     assert side["n"] == 128
-    assert side["deformations"][0]["order"] == 1
+    (entry,) = side["deformations"]
+    assert entry["order"] == 1
+    # the move gate's figure next to its budget
+    assert 0 <= entry["move_spread"] <= entry["move_spread_budget"] == 0.1
 
 
 def test_motion_command(tmp_path):

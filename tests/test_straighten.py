@@ -452,6 +452,12 @@ def test_motion_sample_rejects_points_outside_the_box_before_any_solve(monkeypat
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j, 5.0 + 0j])
 
 
+def test_motion_sample_refuses_a_scalar_points_before_the_census(monkeypatch, quad_germ):
+    monkeypatch.setattr(st, "repelling_cycles", no_census)
+    with pytest.raises(gd.DomainError, match="^points must be a sequence"):
+        gd.motion_sample(quad_germ, [0.4 + 0j], 0.1 + 0j, n=32)
+
+
 def test_non_finite_points_are_refused_by_name(monkeypatch, quad_germ):
     gm = random_grid_map(Box(1.5), 16)
     for z in (complex(np.nan, 0.0), complex(0.1, np.inf)):
@@ -669,40 +675,102 @@ def test_banded_fit_is_bitwise_the_whole_grid_fit(n0, pad, block):
     assert kernel.kernel_hat.tobytes() == kernel_hat.tobytes()
 
 
-@pytest.mark.parametrize("n", [100, 128])
-def test_banded_assembly_and_check_are_bitwise_the_whole_window(monkeypatch, quad_germ, n):
+def solve_with_correction(monkeypatch, germ, n, pad):
+    """A solve of a 2z + z^2 field at grid n and pad, and a copy of its
+    correction (the solve assembles h in place on it)."""
     corrections = []
     correct = st.BeurlingKernel.correct
 
-    # a copy, since the solve assembles h in place on the correction
     def kept(self, x):
         out = correct(self, x)
         corrections.append(out.copy())
         return out
 
-    monkeypatch.setattr(st.BeurlingKernel, "correct", kept)
-    box = box_for(quad_germ)
-    mu = gd.build_field(quad_germ, [gd.Deformation(1, 2.5 + 1.0j)]).sample_grid(box.nodes(n))
-    gm = gd.solve_beltrami(mu, box)
-    diag = gm.diagnostics
-    # h and its orientation check on whole n x n arrays, from the solve's
-    # correction, affine coefficient and checkerboard coefficients; beta is
-    # a numpy scalar as in the solve, since a Python complex on the left of
-    # an array product swaps the operands, which can round differently
-    beta = np.complex128(complex(*diag["beta"]))
-    gam = np.array([complex(*g) for g in diag["gammas"]])
-    window = np.s_[n // 2 : n // 2 + n]  # of the pad-2 grid
+    with monkeypatch.context() as m:
+        m.setattr(st.BeurlingKernel, "correct", kept)
+        box = box_for(germ)
+        mu = gd.build_field(germ, [gd.Deformation(1, 2.5 + 1.0j)]).sample_grid(box.nodes(n))
+        gm = gd.solve_beltrami(mu, box, pad=pad)
+    return box, gm, corrections[0]
+
+
+def real_jacobian(s: np.ndarray) -> np.ndarray:
+    """u_x v_y - u_y v_x of s = u + iv by unscaled central differences, on
+    the whole window's nodes two in from every edge."""
+    u, v = s.real, s.imag
+    ux, vx = (w[2:-2, 3:-1] - w[2:-2, 1:-3] for w in (u, v))
+    uy, vy = (w[3:-1, 2:-2] - w[1:-3, 2:-2] for w in (u, v))
+    return ux * vy - uy * vx
+
+
+def complex_assembly(box: Box, n: int, pad: int, correction, beta: complex, gam) -> np.ndarray:
+    """The raw h as complex arrays on the whole window: z + beta conj(z),
+    the correction and the three checkerboard terms."""
+    off = (n * pad - n) // 2
+    window = np.s_[off : off + n]
     z = box.nodes(n)
-    h = z + beta * np.conj(z) + corrections[0]
-    boards = st._checkerboards(2 * n, window, window)
-    h = h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+    h = z + np.complex128(beta) * np.conj(z) + correction
+    boards = st._checkerboards(n * pad, window, window)
+    return h + gam[0] * z.real * boards[0] + gam[1] * z.imag * boards[1] + gam[2] * z.real * boards[2]
+
+
+def complex_jacobian(s: np.ndarray, dx: float) -> np.ndarray:
+    """|d|^2 - |dbar|^2 of s by the complex Wirtinger differences, on the
+    nodes two in from every edge."""
+    d, db = st._wirtinger_grid(s, dx)
+    return (np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]
+
+
+def normalized(box: Box, h: np.ndarray) -> np.ndarray:
     raw = gd.GridMap(box, h)
     h0 = raw(0j)
-    normalized = (h - h0) / (raw(1.0 + 0j) - h0)
-    d, db = st._wirtinger_grid(normalized, box.spacing(n))
-    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]
-    assert gm.samples.tobytes() == normalized.tobytes()
-    assert diag["min_jacobian"] == float(np.min(jac))
+    return (h - h0) / (raw(1.0 + 0j) - h0)
+
+
+@pytest.mark.parametrize("n", [100, 128])
+def test_banded_assembly_and_check_are_bitwise_the_whole_window(monkeypatch, quad_germ, n):
+    box, gm, correction = solve_with_correction(monkeypatch, quad_germ, n, 2)
+    diag = gm.diagnostics
+    # h on the real and imaginary planes of whole n x n arrays, from the
+    # solve's correction, affine coefficient and checkerboard coefficients:
+    # a vector along y, then a vector along x by the sign of each row
+    beta = complex(*diag["beta"])
+    gam = [complex(*g) for g in diag["gammas"]]
+    t = st._axis(box, n)
+    sign = (-1.0) ** (n // 2 + np.arange(n))  # of the pad-2 grid
+    ts = t * sign
+    rows = sign[:, None]
+    re = correction.real + (beta.imag * t + gam[1].real * ts)[:, None]
+    re = re + ((1.0 + beta.real) * t + (gam[0].real + rows * gam[2].real) * ts)
+    im = correction.imag + ((1.0 - beta.real) * t + gam[1].imag * ts)[:, None]
+    im = im + (beta.imag * t + (gam[0].imag + rows * gam[2].imag) * ts)
+    want = normalized(box, re + 1j * im)
+    assert gm.samples.tobytes() == want.tobytes()
+    assert diag["min_jacobian"] == float(np.min(real_jacobian(want))) / (2 * box.spacing(n)) ** 2
+
+
+@pytest.mark.parametrize(
+    "n, pad, band_points",
+    [
+        (100, 1, st._BAND_POINTS),
+        (128, 2, st._BAND_POINTS),
+        (128, 2, 7 * 128),  # 7-row bands do not divide the 124 checked rows
+    ],
+)
+def test_assembly_and_check_are_within_rounding_of_the_complex_formulas(
+    monkeypatch, quad_germ, n, pad, band_points
+):
+    monkeypatch.setattr(st, "_BAND_POINTS", band_points)
+    box, gm, correction = solve_with_correction(monkeypatch, quad_germ, n, pad)
+    diag = gm.diagnostics
+    gam = np.array([complex(*g) for g in diag["gammas"]])
+    want = normalized(box, complex_assembly(box, n, pad, correction, complex(*diag["beta"]), gam))
+    top = np.abs(want).max()
+    assert np.abs(gm.samples - want).max() <= 4 * np.finfo(float).eps * top
+    dx = box.spacing(n)
+    jac = complex_jacobian(gm.samples, dx)
+    assert np.abs(real_jacobian(gm.samples) / (2 * dx) ** 2 - jac).max() <= 1e-12 * np.abs(jac).max()
+    assert abs(diag["min_jacobian"] - jac.min()) <= 1e-12 * abs(jac.min())
 
 
 def test_banded_orientation_check_reads_every_row():
@@ -714,8 +782,7 @@ def test_banded_orientation_check_reads_every_row():
     for p in range(1, n - 1):
         s = box.nodes(n)
         s[p, n // 2] -= 0.5 * dx
-        d, db = st._wirtinger_grid(s, dx)
-        want = float(np.min((np.abs(d) ** 2 - np.abs(db) ** 2)[1:-1, 1:-1]))
+        want = float(np.min(real_jacobian(s))) / (2 * dx) ** 2
         assert st._min_jacobian(s, dx) == want
         assert (want < 0.8) == (2 <= p < n - 2)
 
@@ -761,9 +828,12 @@ def roll_wirtinger(s: np.ndarray, dx: float):
 def test_interior_differences_are_bitwise_the_wrapped_stencil(disk_solution):
     box, n, _, _, gm = disk_solution
     dx = box.spacing(n)
+    u, v = gm.samples.real, gm.samples.imag
+    ux, vx = (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1) for w in (u, v))
+    uy, vy = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0) for w in (u, v))
+    jac = (ux * vy - uy * vx)[2:-2, 2:-2]
+    assert gm.diagnostics["min_jacobian"] == float(np.min(jac)) / (2 * dx) ** 2
     d, db = roll_wirtinger(gm.samples, dx)
-    jac = (np.abs(d) ** 2 - np.abs(db) ** 2)[2:-2, 2:-2]
-    assert gm.diagnostics["min_jacobian"] == float(np.min(jac))
     z = box.nodes(n)
     for i, j in ((128, 128), (100, 150), (40, 200), (2, 253)):
         want = db[i, j] / d[i, j]
@@ -822,6 +892,54 @@ def test_global_route_matches_local_route(quad_germ, repelling_fixed, target, n)
     local = gd.measure_multiplier(gd.LocalConjugacy.build(quad_germ, repelling_fixed, target))
     dg = gd.global_deform(quad_germ, [gd.Deformation(1, target)], n=n)
     assert abs(dg.measure_multiplier() - local) <= 1e-3
+
+
+def test_the_paper_germ_is_refused_by_its_move_spread():
+    # f = e^(2 pi i alpha) z + z^2, alpha = 1/3 + 1e-3: the target
+    # lambda |lambda|^(1/2) moves the 3-cycle's multiplier by 9.4e-4, and at
+    # N=256 the two estimates spread 0.999 of that, so the route cannot tell
+    # the moved multiplier from the old one. Both pass the two-radius gate
+    alpha = 1 / 3 + 1e-3
+    germ = gd.Germ.create([complex(math.cos(2 * math.pi * alpha), math.sin(2 * math.pi * alpha)), 1])
+    lam = st.repelling_cycle(germ, 3, 0).multiplier
+    dg = gd.global_deform(germ, [gd.Deformation(3, lam * abs(lam) ** 0.5)], n=256)
+    with pytest.raises(gd.UnreliableEstimateError, match=r"spread 0\.999 of the move 0\.000944, over the budget 0\.1$"):
+        dg.measure_multiplier()
+    assert dg.move_spreads == {}
+
+
+def test_a_zero_move_skips_the_move_gate(quad_germ):
+    lam = st.repelling_cycle(quad_germ, 1, 0).multiplier
+    dg = gd.global_deform(quad_germ, [gd.Deformation(1, lam)], n=64)
+    assert abs(dg.measure_multiplier() - lam) < 1e-3
+    assert dg.move_spreads == {0: None}
+
+
+def linear_oracle_mu(box: Box, n: int, radius: float, sigma: complex) -> np.ndarray:
+    """mu = k z / conj(z) on |z| <= radius, k = sigma / (2 + sigma), 0
+    elsewhere: invariant under every f = lambda z, and straightened exactly
+    by h(z) = z (|z| / radius)^sigma inside the disk and z outside, which
+    fixes 0 and 1 and gives h o f o h^-1 the multiplier lambda |lambda|^sigma."""
+    z = box.nodes(n)
+    k = sigma / (2 + sigma)
+    return np.where((np.abs(z) <= radius) & (z != 0), k * z / np.where(z == 0, 1, np.conj(z)), 0j)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=gd.ConvergenceError,
+    reason="ROADMAP item 3: at e = 4.32 the orientation check refuses the exact map (min Jacobian -1.9e-14)",
+)
+def test_linear_oracle_at_target_20_is_measured():
+    # f = 2z, R = 0.5, target 20 = 2 |2|^sigma: h is flat to order 4.32 at 0,
+    # its samples there lose orientation at rounding level, and the solve
+    # refuses; the real and the complex Jacobian read the same -1.869e-14
+    lam, target = 2.0, 20.0
+    sigma = math.log(target / lam) / math.log(lam)
+    box = Box(1.25)
+    gm = gd.solve_beltrami(linear_oracle_mu(box, 512, 0.5, sigma), box)
+    z = st.circle(0j, 0.2, st.MEASURE_POINTS)
+    assert abs(st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j))) - target) <= 1e-3 * target
 
 
 def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
@@ -1160,23 +1278,32 @@ def test_split_motion_with_a_degenerate_t_is_bitwise_single_t_calls(monkeypatch,
     assert shared.block == block
 
 
-def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeypatch, quad_germ):
-    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.37 + 0j]
-    points = [0.1 + 0j, 0.05j]
+def finishing_index(monkeypatch, germ, ts, points, **settings):
+    """The rows of a one-CPU motion call, and the t index of each t's sum x
+    by its bytes, which tell each finishing step apart (the steps run in
+    the order the t values converge, not in t order)."""
     finish = st._finish
-    order = []
+    seen = []
 
-    # each t's sum x tells its finishing step apart
     def recorded(kernel, x, *args):
-        order.append(x.tobytes())
-        return finish(kernel, x, *args)
+        result = finish(kernel, x, *args)
+        seen.append((x.tobytes(), result[0](np.array(points)).tolist()))
+        return result
 
     with monkeypatch.context() as m:
         m.setattr(st, "_CPUS", 1)
         m.setattr(st, "_finish", recorded)
-        want = gd.motion_sample(quad_germ, ts, points, n=64)
-    index = {raw: i for i, raw in enumerate(order)}
-    assert len(index) == len(ts)
+        rows = gd.motion_sample(germ, ts, points, **settings)
+    index = {raw: rows.index(row) for raw, row in seen}
+    assert sorted(index.values()) == list(range(len(ts)))
+    return rows, index
+
+
+def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeypatch, quad_germ):
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.37 + 0j]
+    points = [0.1 + 0j, 0.05j]
+    want, index = finishing_index(monkeypatch, quad_germ, ts, points, n=64)
+    finish, neumann = st._finish, st._neumann
 
     class TFault(Exception):
         pass
@@ -1187,24 +1314,93 @@ def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeyp
     def faulty(kernel, x, *args):
         i = index[x.tobytes()]
         solved.append(i)
-        if i == 1:
-            # t 1 fails only after t 3 has, on the other thread
-            assert higher_failed.wait(30)
-            raise TFault("t index 1")
         if i == 3:
             higher_failed.set()
-            raise TFault("t index 3")
+        if i in (1, 3):
+            raise TFault("t index %d" % i)
         return finish(kernel, x, *args)
 
+    # t 3 converges first (11 sweeps against t 1's 14), and t 1's convergence
+    # is reported only once t 3 has been finished and failed: a higher t
+    # converges and finishes first, and the lower failure still wins
+    lam = st.repelling_cycles(quad_germ, 1)[0].multiplier
+    late = st.shear_coefficient(lam, 1.0 / ts[1]).mu
+
+    def gated(kernel, u, scales, tol, done):
+        def reported(k, *result):
+            if scales[k] == late:
+                assert higher_failed.wait(30)
+            done(k, *result)
+
+        neumann(kernel, u, scales, tol, reported)
+
+    # one pool thread, which takes each t handed over in turn
+    pool = functools.cache(st._pool.__wrapped__)
     monkeypatch.setattr(st, "_CPUS", 2)
     with monkeypatch.context() as m:
+        m.setattr(st, "_pool", pool)
         m.setattr(st, "_finish", faulty)
+        m.setattr(st, "_neumann", gated)
         with pytest.raises(TFault, match="t index 1"):
             gd.motion_sample(quad_germ, ts, points, n=64)
-    # t 2 ran on the other thread while t 1 waited, and after the failures
-    # no further t was taken
-    assert sorted(solved) == [0, 1, 2, 3]
+    pool().shutdown()
+    # t 0 and t 3 converge at sweep 11, t 5 at 12 after t 3 is taken, and no
+    # t is taken at or above a recorded failure: t 5, t 4 and t 2 are not
+    assert solved == [0, 3, 1]
     assert gd.motion_sample(quad_germ, ts, points, n=64) == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_series_failure_names_the_lowest_t_that_did_not_converge(monkeypatch, quad_germ, cpus):
+    # t 0 converges and is finished long before the series gives up on t 2
+    # (t = 0.99 does not converge in 200 sweeps); t 1 fails its finishing.
+    # A finished t is no longer summed, but it did converge: the series
+    # failure belongs to t 2, and the lowest failure, t 1's, is raised
+    good = [0.4 + 0j, 0.35 + 0.05j]
+    points = [0.1 + 0j, 0.05j]
+    _, index = finishing_index(monkeypatch, quad_germ, good, points, n=64)
+    finish = st._finish
+
+    class TFault(Exception):
+        pass
+
+    solved = []
+
+    def faulty(kernel, x, *args):
+        i = index[x.tobytes()]
+        solved.append(i)
+        if i == 1:
+            raise TFault("t index 1")
+        return finish(kernel, x, *args)
+
+    monkeypatch.setattr(st, "_CPUS", cpus)
+    monkeypatch.setattr(st, "_finish", faulty)
+    with pytest.raises(TFault, match="t index 1"):
+        gd.motion_sample(quad_germ, good + [0.99 + 0j], points, n=64)
+    assert sorted(solved) == [0, 1]
+
+
+def test_motion_as_a_call_of_a_split_never_waits_on_itself(monkeypatch, quad_germ):
+    # two motions as the two calls of one split on 2 CPUs: the second runs on
+    # the pool's thread, and a t it handed to the pool would wait behind it
+    ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j]
+    points = [0.1 + 0j, 0.05j]
+
+    def rows():
+        return gd.motion_sample(quad_germ, ts, points, n=64)
+
+    want = run_one_call(monkeypatch, rows)
+    pool = functools.cache(st._pool.__wrapped__)
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 2)
+        m.setattr(st, "_pool", pool)
+        split = threading.Thread(target=lambda: st._split([lambda: got.append(rows())] * 2), daemon=True)
+        split.start()
+        split.join(60)
+        assert not split.is_alive(), "the split of two motions did not finish within 60 s"
+    pool().shutdown()
+    assert got == [want, want]
 
 
 def test_split_motion_inside_split_transforms_neither_deadlocks_nor_adds_threads(monkeypatch, quad_germ):
@@ -1425,20 +1621,14 @@ def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkey
         alone[t] = raised.value
     assert isinstance(alone[near], gd.ConvergenceError)
     assert re.match(r"sup\|mu\| = 0\.9997\d* exceeds the solvable cap", str(alone[over]))
-    # each t's sum x tells its finishing step apart
+    want, index = finishing_index(monkeypatch, quad_germ_wide, good, points, **settings)
+    index = {raw: good[i] for raw, i in index.items()}
     finish = st._finish
     sums = []
 
     def recorded(kernel, x, *args):
         sums.append(x.tobytes())
         return finish(kernel, x, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(st, "_CPUS", 1)
-        m.setattr(st, "_finish", recorded)
-        want = gd.motion_sample(quad_germ_wide, good, points, **settings)
-    index = {raw: good[i] for i, raw in enumerate(sums)}
-    assert len(index) == len(good)
 
     def failure(ts):
         del sums[:]
