@@ -655,10 +655,9 @@ def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.nda
     t = _axis(box, n0)
     sign = (-1.0) ** (off + np.arange(n0))
     ts = t * sign
-    b, g = beta, gam
     for plane, along_y, along_x, g0, g2 in (
-        (h.real, b.imag * t + g[1].real * ts, (1.0 + b.real) * t, g[0].real, g[2].real),
-        (h.imag, (1.0 - b.real) * t + g[1].imag * ts, b.imag * t, g[0].imag, g[2].imag),
+        (h.real, beta.imag * t + gam[1].real * ts, (1.0 + beta.real) * t, gam[0].real, gam[2].real),
+        (h.imag, (1.0 - beta.real) * t + gam[1].imag * ts, beta.imag * t, gam[0].imag, gam[2].imag),
     ):
         plane += along_y[:, None]
         for p in (0, 1):
