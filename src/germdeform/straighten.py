@@ -935,10 +935,10 @@ def motion_sample(
     fits the kernel on its block, and the rest by the caller and the pool's
     threads at once, a series on that block reading the kernel and one on
     another block fitting its own. Each t is finished on its own as soon as
-    its series reports it converged: on a pool thread while the caller sums
-    the remaining terms of a series it runs, or at once on one CPU or inside
-    a call of a split; when the series ends, the caller and the pool's
-    threads finish what is left, the lowest t first. No t at or above the
+    its series reports it converged: on the pool, by at most one thread per
+    other CPU, while the caller sums the remaining terms of a series it
+    runs, or at once on one CPU or inside a call of a split; when the
+    series ends, the caller joins the pool's threads, the lowest t first. No t at or above the
     lowest failed one is taken, a series that fails is the failure of the
     lowest t it had not converged, and the call raises the failure of the
     lowest t, as a loop over the t values would. Each row is bitwise the
@@ -1002,28 +1002,36 @@ def motion_sample(
             # of them not yet taken to be finished
             converged: set[int] = set()
             summed: dict[int, tuple] = {}
+            # the takers running: at most one per other CPU on the pool,
+            # however many threads it has, and the caller after the series
+            takers = [0]
             started = []
 
-            def finish() -> bool:
-                """Finish the lowest summed t, unless it is at or above the
-                lowest failed one; False when none was taken."""
-                with lock:
-                    i = min(summed, default=len(ts))
-                    if i >= min(failures, default=len(ts)):
-                        return False
-                    args = summed.pop(i)
-                try:
-                    rows[i] = _finish(own, *args)[0](zs).tolist()
-                except BaseException as exc:
+            def take() -> None:
+                """Finish summed t values, the lowest first, until none is
+                left below the lowest failed one."""
+                while True:
                     with lock:
-                        failures[i] = exc
-                return True
+                        i = min(summed, default=len(ts))
+                        if i >= min(failures, default=len(ts)):
+                            takers[0] -= 1
+                            return
+                        args = summed.pop(i)
+                    try:
+                        rows[i] = _finish(own, *args)[0](zs).tolist()
+                    except BaseException as exc:
+                        with lock:
+                            failures[i] = exc
 
             def hand_over(k: int, x, sums, gam, _) -> None:
                 with lock:
                     summed[todo[k]] = (x, sums, gam)
+                    more = takers[0] < max(1, _CPUS - 1)
+                    if more:
+                        takers[0] += 1
                 converged.add(todo[k])
-                started.append(_submit(finish))
+                if more:
+                    started.append(_submit(take))
 
             try:
                 try:
@@ -1031,8 +1039,9 @@ def motion_sample(
                 except ConvergenceError as exc:
                     with lock:
                         failures[min(set(todo) - converged)] = exc
-                while finish():
-                    pass
+                with lock:
+                    takers[0] += 1
+                take()
             finally:
                 futures = [f for f in started if f is not None]
                 for f in futures:

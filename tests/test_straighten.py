@@ -1380,6 +1380,40 @@ def test_a_series_failure_names_the_lowest_t_that_did_not_converge(monkeypatch, 
     assert sorted(solved) == [0, 1]
 
 
+def test_motion_finishes_at_most_one_t_per_cpu_at_once(monkeypatch, quad_germ):
+    # a pool of four threads, but two CPUs: one t finished on the pool
+    # while the series runs, and one more on the caller after it
+    ts = [(0.3 + 0.01 * k) * np.exp(0.3j * np.sin(k)) for k in range(12)]
+    points = [0.1 + 0j, 0.05j]
+    finish = st._finish
+    lock = threading.Lock()
+    running, most = [0], [0]
+
+    def slow(*args):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            time.sleep(0.02)
+            return finish(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    want = run_one_call(monkeypatch, lambda: gd.motion_sample(quad_germ, ts, points, n=64))
+    pool = CountedThreads()
+    monkeypatch.setattr(st, "_CPUS", 2)
+    monkeypatch.setattr(st, "_pool", lambda: pool)
+    monkeypatch.setattr(st, "_finish", slow)
+    try:
+        rows = gd.motion_sample(quad_germ, ts, points, n=64)
+    finally:
+        pool.shutdown()
+    assert rows == want
+    # the pool took t values, and never more than the one CPU it stands for
+    assert pool.chunks > 0 and most[0] <= 2
+
+
 def test_motion_as_a_call_of_a_split_never_waits_on_itself(monkeypatch, quad_germ):
     # two motions as the two calls of one split on 2 CPUs: the second runs on
     # the pool's thread, and a t it handed to the pool would wait behind it
