@@ -32,9 +32,11 @@ from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplie
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
 from .straighten import Deformation, check_solver_settings, global_deform, motion_sample
 from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, MOVE_SPREAD, SOLVER_TOL
+from .straighten import FIXED_POINT_DRIFT, GLOBAL_MEASURE_FACTOR
 
 # largest padded grid pad * grid: the solve's memory grows with its square,
-# and a straighten run peaks at about 0.16 GB at 2048 and 0.48 GB at 4096
+# and a straighten run of 2z + z^2 at pad 2 peaks at about 0.12 GB at 2048
+# and 0.31 GB at 4096 (ru_maxrss, 2 CPUs)
 MAX_PADDED_GRID = 4096
 
 
@@ -208,11 +210,17 @@ def _cmd_straighten(cfg: Fields, out: Path) -> None:
                 "relative_error": abs(m - d.target) / abs(d.target),
                 "move_spread": dg.move_spreads[i],
                 "move_spread_budget": MOVE_SPREAD,
+                "depth_frontier": dg.depth_frontier(i),
+                "measure_radius": GLOBAL_MEASURE_FACTOR * dg.field.entries[i].chart.radius,
             }
         )
-    _write(out, "gridmap.bin", dg.grid_map.to_bytes())
+    dg.measure_fixed_point()
+    with _artifact(out, "gridmap.bin") as fh:
+        dg.grid_map.write(fh)
     side = dg.grid_map.sidecar()
     side["deformations"] = measured
+    side["fixed_point_drift"] = dg.fixed_point_drift
+    side["fixed_point_drift_budget"] = FIXED_POINT_DRIFT
     _write(out, "gridmap.json", _dump_json(side))
     worst = max(m["relative_error"] for m in measured)
     print("straighten: grid %d, worst multiplier error %.3g" % (n, worst))

@@ -34,18 +34,25 @@ ALPHA_MATCH_TOL = 1e-12
 
 
 def horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z."""
+    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z. Each
+    step adds in place to its product, so it makes one temporary, not two;
+    the product itself is not taken in place, since numpy rounds a product
+    written over its own one-element operand otherwise than the same
+    product on more elements, and a point's value must not depend on its
+    batch."""
     acc = np.zeros_like(z)
     for c in reversed(coeffs):
-        acc = acc * z + c
+        acc = acc * z
+        acc += c
     return acc * z
 
 
 def horner_derivative(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """Derivative in z of horner(coeffs, z)."""
+    """Derivative in z of horner(coeffs, z), stepped as horner is."""
     acc = np.zeros_like(z)
     for k in range(len(coeffs), 0, -1):
-        acc = acc * z + k * coeffs[k - 1]
+        acc = acc * z
+        acc += k * coeffs[k - 1]
     return acc
 
 

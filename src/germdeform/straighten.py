@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import cmath
 import functools
+import io
 import math
 import numbers
 import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .beltrami import BeltramiField, FieldEntry, _assemble, shear_coefficient
-from .cycles import repelling_cycle, repelling_cycles
+from .beltrami import TRANSPORT_DEPTH, BeltramiField, FieldEntry, _assemble, shear_coefficient
+from .cycles import classify, repelling_cycle, repelling_cycles
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -57,12 +59,16 @@ GLOBAL_AGREEMENT = 1e-3
 # largest two-radius spread |m1 - m2| a measurement may show against the
 # move |target - multiplier| it measures, fixed before any germ was measured
 MOVE_SPREAD = 0.1
+# largest drift |measured - f'(0)| an indifferent fixed point's multiplier may
+# show against the smallest move, read on the h-image of |z| =
+# FIXED_POINT_RADIUS; both fixed before any germ was measured
+FIXED_POINT_DRIFT = 0.1
+FIXED_POINT_RADIUS = 0.02
 MOTION_GRID = 256
 MOTION_TOL = 1e-10
 
 _BOX_MIN_HALF_WIDTH = 1.25
-# rows per pass of the kernel fit, so that it makes no temporary of the whole
-# padded grid
+# rows per pass of the sweep kernel's differences in the kernel fit
 _BAND = 64
 # nodes per pass of the orientation check. Its temporaries are then small
 # enough for the heap to reuse; at 64 rows of a 256 grid, two t values of a
@@ -82,6 +88,12 @@ _SPLIT_POINTS = 1 << 17
 # chunks start on multiples of this many lines, so that numpy's FFT groups
 # the lines for SIMD as it does in one call
 _LINE_ALIGN = 8
+# lines per band of a pass that makes arrays of its own on each CPU: the
+# kernel fit's passes along x and y, and a correction written over its
+# kernel's spectrum; a multiple of _LINE_ALIGN. Heap freed by a pool thread
+# stays resident, and at N=1024 bands of 64 rows raised a straighten's peak
+# RSS by about 4 MB
+_BAND_LINES = 16
 
 
 @dataclass(frozen=True)
@@ -319,12 +331,18 @@ class GridMap:
 
     # ---- serialization ---------------------------------------------------
 
+    def write(self, fh) -> None:
+        """Write the map to a binary file: n as a little-endian uint32, the
+        box extents as four little-endian float64, then the samples in C
+        order as little-endian complex128 (real part first), from their own
+        buffer where it is already laid out so."""
+        fh.write(struct.pack("<I4d", self.n, *self.box.extents()))
+        fh.write(np.ascontiguousarray(self.samples, dtype="<c16").data)
+
     def to_bytes(self) -> bytes:
-        head = struct.pack("<I", self.n) + struct.pack("<4d", *self.box.extents())
-        body = np.empty((self.n, self.n, 2), dtype="<f8")
-        body[:, :, 0] = self.samples.real
-        body[:, :, 1] = self.samples.imag
-        return head + body.tobytes(order="C")
+        buf = io.BytesIO()
+        self.write(buf)
+        return buf.getvalue()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridMap":
@@ -400,22 +418,32 @@ def _submit(call):
     return _pool().submit(_run_in_split, call)
 
 
-def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None = None) -> None:
-    """transform(src, n, axis, out=out), np.fft.fft or ifft along axis 1 (the
-    rows are the lines) or axis 0 (the columns are), into the caller's out,
-    which may be src itself. The lines are split into one contiguous chunk
-    per CPU, run by _split. numpy's FFT releases the GIL and transforms each
-    line on its own, so the bits are those of the one call, which runs
-    instead on one CPU or below _SPLIT_POINTS points of out."""
-    lines = out.shape[1 - axis]
-    if _CPUS == 1 or out.size < _SPLIT_POINTS:
-        transform(src, n, axis, out=out)
+def _split_lines(lines: int, points: int, work) -> None:
+    """work(a, b) on lines a to b - 1 of 0 to lines - 1, in one contiguous
+    chunk per CPU, each starting on a multiple of _LINE_ALIGN, run by
+    _split; or work(0, lines) alone on one CPU or below _SPLIT_POINTS
+    points."""
+    if _CPUS == 1 or points < _SPLIT_POINTS:
+        work(0, lines)
         return
     step = -(-lines // _CPUS)
     step = -(-step // _LINE_ALIGN) * _LINE_ALIGN
-    # a cut takes rows when the lines are rows, columns when they are columns
-    cuts = [(slice(None),) * (1 - axis) + (slice(a, a + step),) for a in range(0, lines, step)]
-    _split([functools.partial(transform, src[c], n, axis, None, out[c]) for c in cuts])
+    _split([functools.partial(work, a, min(a + step, lines)) for a in range(0, lines, step)])
+
+
+def _lines(transform, src: np.ndarray, out: np.ndarray, axis: int, n: int | None = None) -> None:
+    """transform(src, n, axis, out=out), np.fft.fft or ifft along axis 1 (the
+    rows are the lines) or axis 0 (the columns are), into the caller's out,
+    which may be src itself, split by _split_lines on the points of out.
+    numpy's FFT releases the GIL and transforms each line on its own, so the
+    bits are those of the one call."""
+
+    def chunk(a: int, b: int) -> None:
+        # a cut takes rows when the lines are rows, columns when they are columns
+        cut = (slice(None),) * (1 - axis) + (slice(a, b),)
+        transform(src[cut], n, axis, None, out[cut])
+
+    _split_lines(out.shape[1 - axis], out.size, chunk)
 
 
 def _residue_offsets(m: int, size: int) -> np.ndarray:
@@ -429,13 +457,16 @@ class BeurlingKernel:
     block and the n0 x n0 window.
 
     Made for a box, grid size n0 and pad factor; fit(block) takes the
-    inverse transform of the correction multiplier c_mult = -2i/s_c once, at
-    the offsets the block and the window need, and keeps two spectra of it:
-    corr_hat for the correction and kernel_hat for the sweep. Neither is of
-    the padded grid's size unless the window and the block together outspan
-    it (as at pad 1). Once fitted, a kernel is only read, by apply and
-    correct, so it may serve every series on its block, on several threads
-    at once.
+    inverse transform of the correction multiplier c_mult = -2i/s_c once, on
+    the Hermitian half of its symbol, at the offsets the block and the
+    window need, and keeps two spectra of it: corr_hat for the correction
+    and kernel_hat for the sweep. Neither is of the padded grid's size
+    unless the window and the block together outspan it (as at pad 1).
+    Once fitted, a kernel is only read, by apply and correct, so it may
+    serve every series on its block, on several threads at once; but a
+    single_use kernel (a solve's own) writes its correction over corr_hat,
+    so that the correction makes no second spectrum of that size, and is
+    spent after one correction.
 
     Every line transform of the fit, apply and correct from _SPLIT_POINTS
     points up is split into one chunk of lines per CPU the process may run
@@ -444,10 +475,11 @@ class BeurlingKernel:
     do not depend on the count.
     """
 
-    def __init__(self, box: Box, n0: int, pad: int):
+    def __init__(self, box: Box, n0: int, pad: int, single_use: bool = False):
         self.box = box
         self.n0 = n0
         self.pad = pad
+        self.single_use = single_use
         self.block: tuple[int, int, int, int] | None = None
 
     def fit(self, block: tuple[int, int, int, int]) -> None:
@@ -459,20 +491,30 @@ class BeurlingKernel:
         at their residues on an Mr x Mc grid: Mr is the smallest 5-smooth
         length >= n0 + R - 1, which keeps them apart, or n when that is
         shorter, where offsets that share a residue carry the same value of
-        the n-periodic g. c_mult is made and transformed along x a band of
-        rows at a time, keeping Mc columns, then along y in place on those
-        columns, keeping Mr rows: the same line transforms as on the whole
-        n x n grid, without one.
+        the n-periodic g.
+
+        The central symbol is odd to the bit, so c_mult(-kx, ky) = conj
+        c_mult(kx, ky) and c_mult(kx, -ky) = -conj c_mult(kx, ky): the
+        inverse transform of each row along x is real, that of row -ky is
+        that of row ky reflected in x and negated, and only rows 0 to n/2
+        are made, each as the irfft of its first n/2 + 1 symbols, in bands
+        of rows split over the CPUs, keeping the Mc columns and their
+        reflections. The inverse along y of those real columns is, at
+        offset y, conj(F[y]) for y <= n/2 and F[n - y] above, where F is
+        their rfft scaled by 1/n; it is made in bands of columns split over
+        the CPUs, keeping the Mr rows. So no complex array of n rows, and no
+        array of the whole n x n grid, is made.
 
         The sweep's kernel is k = ifft2(conj(s_c)/s_c), and conj(s_c)/s_c =
         (i/2) conj(s_c) c_mult, where (i/2) conj(s_c) is the symbol of the
         central-difference d: so k is d of g, on the offsets (-R, R) x
-        (-C, C), placed on the Lr x Lc grid of apply. The frame of the solve
-        keeps the block off the window's edge, so g is at hand on the
-        offsets [-R, R] x [-C, C] that the differences read."""
+        (-C, C), made in bands of rows and placed on the Lr x Lc grid of
+        apply. The frame of the solve keeps the block off the window's edge,
+        so g is at hand on the offsets [-R, R] x [-C, C] that the
+        differences read."""
         r0, r1, c0, c1 = block
         n0, n = self.n0, self.n0 * self.pad
-        off = (n - n0) // 2
+        off, half = (n - n0) // 2, n // 2
         R, C = r1 - r0, c1 - c0
         self.boards = _checkerboards(n, np.s_[r0:r1], np.s_[c0:c1])
         if not R:  # mu == 0: nothing to convolve
@@ -484,58 +526,108 @@ class BeurlingKernel:
         s = _central_symbol(n, dx)
         Mr = min(n, _smooth_length(n0 + R - 1))
         Mc = min(n, _smooth_length(n0 + C - 1))
-        cols = _residue_offsets(Mc, C) + off - c0
-        rows = _residue_offsets(Mr, R) + off - r0
-        gx = np.empty((n, Mc), dtype=complex)
-        for i in range(0, n, _BAND):
-            band = s[None, :] + 1j * s[i : i + _BAND, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(-2j, band, out=band)
-            # the central symbol vanishes on the mean and the three Nyquist corners
-            for r, c in ((0, 0),) + _corner_bins(n):
-                if i <= r < i + _BAND:
-                    band[r - i, c] = 0
-            _lines(np.fft.ifft, band, band, 1)
-            gx[i : i + _BAND] = np.take(band, cols, axis=1, mode="wrap")
-        _lines(np.fft.ifft, gx, gx, 0)
-        g = np.take(gx, rows, axis=0, mode="wrap")
+        cols = (_residue_offsets(Mc, C) + off - c0) % n
+        mirror = -cols % n
+        rows = (_residue_offsets(Mr, R) + off - r0) % n
+        gx = np.empty((n, Mc))
+
+        def along_x(a: int, b: int) -> None:
+            for i in range(a, b, _BAND_LINES):
+                end = min(i + _BAND_LINES, b)
+                band = s[None, : half + 1] + 1j * s[i:end, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(-2j, band, out=band)
+                # the central symbol vanishes on the mean and the three Nyquist corners
+                for r, c in ((0, 0),) + _corner_bins(n):
+                    if i <= r < end:
+                        band[r - i, c] = 0
+                line = np.fft.irfft(band, n, axis=1)
+                np.take(line, cols, axis=1, out=gx[i:end], mode="wrap")
+                # rows n - lo down to n - hi + 1 are the rows lo to hi - 1 reflected
+                lo, hi = max(i, 1), min(end, half)
+                if lo < hi:
+                    np.negative(line[lo - i : hi - i, mirror][::-1], out=gx[n - hi + 1 : n - lo + 1])
+
+        _split_lines(half + 1, (half + 1) * n, along_x)
+        g = np.empty((Mr, Mc), dtype=complex)
+        low = (rows <= half)[:, None]
+        fold = np.where(rows <= half, rows, n - rows)
+
+        def along_y(a: int, b: int) -> None:
+            for j in range(a, b, _BAND_LINES):
+                part = g[:, j : min(j + _BAND_LINES, b)]
+                part[...] = np.fft.rfft(gx[:, j : j + part.shape[1]], axis=0, norm="forward")[fold]
+                np.conjugate(part, out=part, where=low)
+
+        _split_lines(Mc, n * Mc, along_y)
         del gx
-        near = np.ix_((np.arange(-R, R + 1) + r0 - off) % Mr, (np.arange(-C, C + 1) + c0 - off) % Mc)
-        k = _wirtinger_grid(g[near], dx)[0]
+        self.Lr = min(n, _smooth_length(2 * R - 1))
+        self.Lc = min(n, _smooth_length(2 * C - 1))
+        kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
+        near_r = (np.arange(-R, R + 1) + r0 - off) % Mr
+        near_c = (np.arange(-C, C + 1) + c0 - off) % Mc
+        at_r, at_c = np.arange(1 - R, R) % self.Lr, np.arange(1 - C, C) % self.Lc
+        for i in range(0, 2 * R - 1, _BAND):
+            end = min(i + _BAND, 2 * R - 1)
+            near = g[np.ix_(near_r[i : end + 2], near_c)]
+            kernel[np.ix_(at_r[i:end], at_c)] = _wirtinger_grid(near, dx)[0]
         # fft2 in place, in numpy's axis order
         _lines(np.fft.fft, g, g, 1)
         _lines(np.fft.fft, g, g, 0)
         self.corr_hat = g
-        self.Lr = min(n, _smooth_length(2 * R - 1))
-        self.Lc = min(n, _smooth_length(2 * C - 1))
-        kernel = np.zeros((self.Lr, self.Lc), dtype=complex)
-        kernel[np.ix_(np.arange(1 - R, R) % self.Lr, np.arange(1 - C, C) % self.Lc)] = k
         _lines(np.fft.fft, kernel, kernel, 1)
         _lines(np.fft.fft, kernel, kernel, 0)
         self.kernel_hat = kernel
         self.block = block
 
     @staticmethod
-    def _convolve(x: np.ndarray, hat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
+    def _convolve(
+        x: np.ndarray, hat: np.ndarray | None, rows: int, cols: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The periodic convolution of x, zero-padded to hat's grid, read on
         its first rows x cols. The forward transform runs along rows on x's
-        rows, into hat's grid with the other rows zero, then along columns;
-        the inverse runs along rows on all of hat's rows, then along columns
-        on the first cols columns only. That is numpy's own axis order for
-        fft2 and ifft2, so the bits are those of ifft2(fft2(x, s=hat.shape) *
-        hat)[:rows, :cols]. Every pass writes into one array of hat's shape,
-        and the result is a view of it."""
+        rows, then along columns in bands of columns split over the CPUs,
+        each band zero-padded to hat's rows and its spectrum multiplied by
+        hat there into out; the inverse runs along rows on all of out's
+        rows, then along columns on the first cols columns only. That is
+        numpy's own axis order for fft2 and ifft2, and the spectrum is the
+        first factor of each product, as in spec * hat (numpy's complex
+        product is not bitwise commutative), so the bits are those of
+        ifft2(fft2(x, s=hat.shape) * hat)[:rows, :cols]. out is an array of
+        hat's shape, made here unless the caller names one (hat itself,
+        when the caller gives hat up), and the result is a view of it."""
         if hat is None:
             return np.zeros((rows, cols), dtype=complex)
-        spec = np.empty(hat.shape, dtype=complex)
-        _lines(np.fft.fft, x, spec[: x.shape[0]], 1, hat.shape[1])
-        spec[x.shape[0] :] = 0
-        _lines(np.fft.fft, spec, spec, 0)
-        spec *= hat
-        _lines(np.fft.ifft, spec, spec, 1)
-        head = spec[:, :cols]
-        _lines(np.fft.ifft, head, head, 0)
-        return head[:rows]
+        if out is None:
+            out = np.empty(hat.shape, dtype=complex)
+        Lr, Lc = hat.shape
+        m = x.shape[0]
+        spare = out is hat
+        # the pass along rows goes into out's first rows, or beside them when out is hat
+        head = np.empty((m, Lc), dtype=complex) if spare else out[:m]
+        _lines(np.fft.fft, x, head, 1, Lc)
+
+        def along_y(a: int, b: int) -> None:
+            # each CPU's columns at once in place, or, while hat is still
+            # read, in bands of _BAND_LINES columns with a spectrum of their own
+            width = _BAND_LINES if spare else b - a
+            for j in range(a, b, width):
+                k = min(j + width, b)
+                if spare:
+                    spec = np.empty((Lr, k - j), dtype=complex)
+                    spec[:m] = head[:, j:k]
+                else:
+                    spec = out[:, j:k]
+                spec[m:] = 0
+                np.fft.fft(spec, None, 0, out=spec)
+                np.multiply(spec, hat[:, j:k], out=out[:, j:k])
+
+        _split_lines(Lc, out.size, along_y)
+        del head
+        _lines(np.fft.ifft, out, out, 1)
+        left = out[:, :cols]
+        _lines(np.fft.ifft, left, left, 0)
+        return left[:rows]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """The periodic Beurling transform of x, zero off the block, read on
@@ -544,8 +636,10 @@ class BeurlingKernel:
 
     def correct(self, x: np.ndarray) -> np.ndarray:
         """The periodic inverse of dbar applied to x, zero off the block,
-        read on the n0 x n0 window."""
-        return self._convolve(x, self.corr_hat, self.n0, self.n0)
+        read on the n0 x n0 window; a single-use kernel writes it over
+        corr_hat."""
+        out = self.corr_hat if self.single_use else None
+        return self._convolve(x, self.corr_hat, self.n0, self.n0, out)
 
 
 def _add_kernel_terms(dh: np.ndarray, gam: np.ndarray, boards) -> None:
@@ -576,7 +670,7 @@ def _support_block(mu: np.ndarray, pad: int):
 
 
 def _neumann(
-    kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float, done
+    kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float, done, wanted=None
 ) -> None:
     """Solve x = m u (1 + S x + the checkerboard terms of x) on kernel's
     block for every scale m at once, by the Neumann series x = sum_j m^(j+1)
@@ -589,9 +683,11 @@ def _neumann(
     less its projection on the mean and the checkerboards, plus its largest
     gamma; a scale's change at sweep j is |m|^j c of the term it added, and
     the scale is done at its first change below tol: done(k, x, sums,
-    gamma, history) is called for the k-th scale then, in sweep order. No
-    transform runs after the last term a scale needs; if a scale is not
-    done after MAX_SWEEPS, ConvergenceError names the first such."""
+    gamma, history) is called for the k-th scale then, in sweep order. A
+    scale for which wanted(k), when given, is false after a sweep is
+    dropped unreported. No transform runs after the last term a scale
+    needs; if a scale is neither done nor dropped after MAX_SWEEPS,
+    ConvergenceError names the first such."""
     n = kernel.n0 * kernel.pad
     boards = kernel.boards
     live = list(range(len(scales)))
@@ -621,6 +717,8 @@ def _neumann(
             live.remove(k)
             done(k, xs[k], sums[k], gams[k], histories[k])
             xs[k] = None
+        if wanted is not None:
+            live = [k for k in live if wanted(k)]
         if not live:
             return
         dh = kernel.apply(term)
@@ -714,10 +812,13 @@ def solve_beltrami(
     convolution of x with g = ifft2(c_mult), applied by one Mr x Mc
     transform pair (Mr >= n0 + R - 1). k is d of g, so one inverse
     transform of c_mult gives both kernels (BeurlingKernel, which every
-    solve fits to its own block). The kernel fit, the assembly of h and its
-    orientation check run a band of rows at a time, and the sweep's arrays
-    are freed before the correction, so no stage holds a padded-grid array
-    or more than about seven n0 x n0 ones.
+    solve fits to its own block, on the Hermitian half of c_mult's
+    symbol, and uses once). The kernel fit, the assembly of h and its
+    orientation check run in bands; the sweep's arrays are freed before
+    the correction, and the sweep kernel's spectrum after the sweeps; the
+    correction is written over the kernel's own spectrum, which is freed
+    once the window is copied out of it. So no stage holds a padded-grid
+    array, and the solve's peak is about four n0 x n0 arrays, at the fit.
     Each large line transform is split over the CPUs the process may run on
     (os.sched_getaffinity, or os.cpu_count() where that is missing), with
     bits that do not depend on their count, and the change per sweep is
@@ -737,14 +838,16 @@ def solve_beltrami(
     del mu  # frees the copy made of a strided or non-complex mu
     if sup > MU_SUP_CAP:
         raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
-    kernel = BeurlingKernel(box, n0, pad)
+    kernel = BeurlingKernel(box, n0, pad, single_use=True)
     kernel.fit(block)
 
     solved = []
     _neumann(kernel, work, [1.0], tol, lambda k, *result: solved.append(result))
     del work
+    kernel.kernel_hat = None  # the sweeps are done
     x, sums, gam, history = solved.pop()
     gm, beta, min_jac, h0, scale = _finish(kernel, x, sums, gam)
+    del kernel, x
     # a window of its own, so that the map does not keep the transform's array
     return GridMap(box, gm.samples.copy(), {
         "sweeps": len(history),
@@ -805,7 +908,10 @@ class DeformedGerm:
     original ones and carry the target multipliers. It is measured from
     forward values of h only and never evaluated. mu is the sampled field
     the grid map was solved from; move_spreads maps each entry measured so
-    far to its move-relative spread (None for a zero move).
+    far to its move-relative spread (None for a zero move), and
+    fixed_point_drift is the indifferent fixed point's move-relative drift
+    once measure_fixed_point has read it (None until then, or when it does
+    not apply).
     """
 
     def __init__(self, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
@@ -813,17 +919,27 @@ class DeformedGerm:
         self.grid_map = grid_map
         self.mu = mu
         self.move_spreads: dict[int, float | None] = {}
+        self.fixed_point_drift: float | None = None
 
-    def _contour_multiplier(self, entry_index: int, radius: float) -> complex:
-        """g'(a) by the contour integral over w = h(z), z = c + r e^{it}:
-        there g(w) = h(f^q(z)) and a = h(c)."""
-        chart = self.field.entries[entry_index].chart
-        a = complex(self.grid_map(chart.center))
-        z = circle(chart.center, radius, MEASURE_POINTS)
+    def _contour_multiplier(self, center: complex, radius: float, order: int) -> complex:
+        """g'(a) for g = h o f^order o h^{-1} at a = h(center), center a
+        fixed point of f^order, by the contour integral over w = h(z), z =
+        center + r e^{it}: there g(w) = h(f^order(z))."""
+        a = complex(self.grid_map(center))
+        z = circle(center, radius, MEASURE_POINTS)
         fz = z
-        for _ in range(chart.cycle.order):
+        for _ in range(order):
             fz = self.field.germ.eval_raw(fz)
         return contour_multiplier(self.grid_map(z), self.grid_map(fz), a)
+
+    def _entry(self, entry_index: int) -> FieldEntry:
+        """The field's entry_index-th entry; a bool, non-integral or
+        out-of-range entry_index is a DomainError."""
+        check_integer("entry_index", entry_index)
+        count = len(self.field.entries)
+        if not 0 <= entry_index < count:
+            raise DomainError("entry_index %d out of range: the field has %d entries" % (entry_index, count))
+        return self.field.entries[entry_index]
 
     def measure_multiplier(self, entry_index: int = 0) -> complex:
         """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral
@@ -833,25 +949,21 @@ class DeformedGerm:
         MOVE_SPREAD, since a spread as large as the move cannot tell the
         moved multiplier from the old one (a zero move skips this gate; the
         spread is kept in move_spreads). The larger-radius estimate wins:
-        the integral damps interpolation noise linearly in the radius. A
-        bool, non-integral or out-of-range entry_index is a DomainError."""
-        check_integer("entry_index", entry_index)
-        count = len(self.field.entries)
-        if not 0 <= entry_index < count:
-            raise DomainError("entry_index %d out of range: the field has %d entries" % (entry_index, count))
-        radius = GLOBAL_MEASURE_FACTOR * self.field.entries[entry_index].chart.radius
+        the integral damps interpolation noise linearly in the radius."""
+        entry = self._entry(entry_index)
+        chart = entry.chart
+        radius = GLOBAL_MEASURE_FACTOR * chart.radius
         # discretization error in h scales with grid spacing, so coarse
         # grids get a proportionally looser gate
         spacing = self.grid_map.box.spacing(self.grid_map.n)
         agreement = max(GLOBAL_AGREEMENT, 2.0 * spacing / radius)
-        m1 = self._contour_multiplier(entry_index, radius)
-        m2 = self._contour_multiplier(entry_index, radius / 2.0)
+        m1 = self._contour_multiplier(chart.center, radius, chart.cycle.order)
+        m2 = self._contour_multiplier(chart.center, radius / 2.0, chart.cycle.order)
         if abs(m1 - m2) > agreement * max(abs(m1), 1e-300):
             raise UnreliableEstimateError(
                 "global multiplier estimates disagree: %r vs %r" % (m1, m2)
             )
-        shear = self.field.entries[entry_index].shear
-        move = abs(shear.lam_prime - shear.lam)
+        move = abs(entry.shear.lam_prime - entry.shear.lam)
         spread = abs(m1 - m2) / move if move else None
         if spread is not None and spread > MOVE_SPREAD:
             raise UnreliableEstimateError(
@@ -860,6 +972,46 @@ class DeformedGerm:
             )
         self.move_spreads[entry_index] = spread
         return m1
+
+    def measure_fixed_point(self) -> complex | None:
+        """Multiplier of g at h(0), when the germ's fixed point 0 is
+        indifferent (and so no deformed cycle, as those are repelling), by
+        the Cauchy integral over the h-image of |z| = FIXED_POINT_RADIUS;
+        None when 0 is not indifferent. A topological conjugacy keeps the
+        multiplier of an indifferent fixed point (Naishul 1983), so the
+        drift |measured - f'(0)| over the smallest nonzero move |target -
+        multiplier| of the field's entries must not exceed
+        FIXED_POINT_DRIFT; it is kept in fixed_point_drift (None when every
+        move is zero, which skips the gate)."""
+        lam0 = self.field.germ.coeffs[0]
+        if classify(lam0) != "indifferent":
+            return None
+        measured = self._contour_multiplier(0j, FIXED_POINT_RADIUS, 1)
+        moves = [abs(e.shear.lam_prime - e.shear.lam) for e in self.field.entries]
+        move = min((m for m in moves if m), default=0.0)
+        drift = abs(measured - lam0) / move if move else None
+        if drift is not None and drift > FIXED_POINT_DRIFT:
+            raise UnreliableEstimateError(
+                "indifferent fixed point's multiplier reads %r against %r, a drift of %.3g of the move %.3g,"
+                " over the budget %g" % (measured, lam0, drift, move, FIXED_POINT_DRIFT)
+            )
+        self.fixed_point_drift = drift
+        return measured
+
+    def depth_frontier(self, entry_index: int = 0) -> float:
+        """|lambda|^(TRANSPORT_DEPTH / q) r_c for the entry's q-cycle of
+        multiplier lambda and chart radius r_c (capped at the largest
+        float): each backward return f^-q contracts toward a cycle point by
+        1/|lambda|, so the field's walk reaches the chart disk from within
+        about this distance of the point. A repelling cycle has |lambda| >
+        1, so the frontier is never inside the chart disk, nor inside the
+        measuring circle of GLOBAL_MEASURE_FACTOR r_c."""
+        chart = self._entry(entry_index).chart
+        try:
+            growth = abs(chart.cycle.multiplier) ** (TRANSPORT_DEPTH / chart.cycle.order)
+        except OverflowError:
+            return sys.float_info.max
+        return min(chart.radius * growth, sys.float_info.max)
 
 
 def global_deform(
@@ -938,11 +1090,12 @@ def motion_sample(
     its series reports it converged: on the pool, by at most one thread per
     other CPU, while the caller sums the remaining terms of a series it
     runs, or at once on one CPU or inside a call of a split; when the
-    series ends, the caller joins the pool's threads, the lowest t first. No t at or above the
-    lowest failed one is taken, a series that fails is the failure of the
-    lowest t it had not converged, and the call raises the failure of the
-    lowest t, as a loop over the t values would. Each row is bitwise the
-    row of a call with that t alone."""
+    series ends, the caller joins the pool's threads, the lowest t first.
+    No t at or above the lowest failed one is taken, a series stops once
+    every t it still sums is at or above it, a series that fails is the
+    failure of the lowest t it had not converged, and the call raises the
+    failure of the lowest t, as a loop over the t values would. Each row is
+    bitwise the row of a call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -1023,6 +1176,10 @@ def motion_sample(
                         with lock:
                             failures[i] = exc
 
+            def wanted(k: int) -> bool:
+                with lock:
+                    return todo[k] < min(failures, default=len(ts))
+
             def hand_over(k: int, x, sums, gam, _) -> None:
                 with lock:
                     summed[todo[k]] = (x, sums, gam)
@@ -1035,7 +1192,7 @@ def motion_sample(
 
             try:
                 try:
-                    _neumann(own, u, [scales[i] for i in todo], tol, hand_over)
+                    _neumann(own, u, [scales[i] for i in todo], tol, hand_over, wanted)
                 except ConvergenceError as exc:
                     with lock:
                         failures[min(set(todo) - converged)] = exc
