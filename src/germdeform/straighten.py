@@ -949,7 +949,8 @@ class DeformedGerm:
         MOVE_SPREAD, since a spread as large as the move cannot tell the
         moved multiplier from the old one (a zero move skips this gate; the
         spread is kept in move_spreads). The larger-radius estimate wins:
-        the integral damps interpolation noise linearly in the radius."""
+        the integral damps interpolation noise linearly in the radius. A
+        bool, non-integral or out-of-range entry_index is a DomainError."""
         entry = self._entry(entry_index)
         chart = entry.chart
         radius = GLOBAL_MEASURE_FACTOR * chart.radius
@@ -1005,7 +1006,8 @@ class DeformedGerm:
         1/|lambda|, so the field's walk reaches the chart disk from within
         about this distance of the point. A repelling cycle has |lambda| >
         1, so the frontier is never inside the chart disk, nor inside the
-        measuring circle of GLOBAL_MEASURE_FACTOR r_c."""
+        measuring circle of GLOBAL_MEASURE_FACTOR r_c. entry_index is
+        checked as by measure_multiplier."""
         chart = self._entry(entry_index).chart
         try:
             growth = abs(chart.cycle.multiplier) ** (TRANSPORT_DEPTH / chart.cycle.order)
