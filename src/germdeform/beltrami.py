@@ -165,14 +165,6 @@ class BeltramiField:
                         raise DomainError("field entries must sit on distinct cycles")
             centers.extend(e.chart.cycle.points)
 
-    def value(self, z: complex, diagnostics: dict[str, Any] | None = None) -> complex:
-        """Field coefficient at one point: sample_grid on that point alone,
-        with its diagnostics counting the one walk."""
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError("point must be finite")
-        return complex(self.sample_grid(np.array([z]), diagnostics)[0])
-
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
         """Field over an array of points: the backward walk, then the
         assembly of this field's shears along it."""

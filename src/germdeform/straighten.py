@@ -353,11 +353,11 @@ class GridMap:
         expected = 4 + 32 + n * n * 16
         if len(raw) != expected:
             raise DomainError("grid map blob has wrong length for n = %d" % n)
-        body = np.frombuffer(raw, dtype="<f8", offset=36).reshape(n, n, 2)
-        samples = body[:, :, 0] + 1j * body[:, :, 1]
         if (x0, y0, y1) != (-x1, -x1, x1):
             raise DomainError("grid map blob box is not a square centered at 0")
-        return cls(Box(x1), samples)
+        # the samples as write laid them out, every bit kept (a sum re + 1j *
+        # im would turn a -0.0 real part into +0.0)
+        return cls(Box(x1), np.frombuffer(raw, dtype="<c16", offset=36).reshape(n, n).copy())
 
     def sidecar(self) -> dict[str, Any]:
         x0, x1, y0, y1 = self.box.extents()
@@ -405,17 +405,6 @@ def _split(calls: Sequence) -> None:
             f.exception()  # waits until that call is done with its arrays
     for f in futures:
         f.result()
-
-
-def _submit(call):
-    """Start call on a pool thread as a call of a split, and return its
-    future; or run it at once on the caller and return None, when the
-    process may run on one CPU or the caller itself runs a call of a split,
-    so that no thread ever waits on a pool thread that waits on it."""
-    if _CPUS == 1 or getattr(_in_split, "active", False):
-        call()
-        return None
-    return _pool().submit(_run_in_split, call)
 
 
 def _split_lines(lines: int, points: int, work) -> None:
@@ -669,6 +658,13 @@ def _support_block(mu: np.ndarray, pad: int):
     return (r0, r1, c0, c1), work, sup, count, int(np.count_nonzero(mu)) - count
 
 
+def _cap_refusal(sup: float) -> DomainError | None:
+    """The refusal of a field whose sup|mu| is over MU_SUP_CAP, or None."""
+    if sup > MU_SUP_CAP:
+        return DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
+    return None
+
+
 def _neumann(
     kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float, done, wanted=None
 ) -> None:
@@ -836,8 +832,9 @@ def solve_beltrami(
     # the sweeps read mu on its block alone, which lies inside the frame
     block, work, sup, count, clipped = _support_block(mu, pad)
     del mu  # frees the copy made of a strided or non-complex mu
-    if sup > MU_SUP_CAP:
-        raise DomainError("sup|mu| = %g exceeds the solvable cap %g" % (sup, MU_SUP_CAP))
+    refusal = _cap_refusal(sup)
+    if refusal:
+        raise refusal
     kernel = BeurlingKernel(box, n0, pad, single_use=True)
     kernel.fit(block)
 
@@ -1085,19 +1082,18 @@ def motion_sample(
     for each before the first term, a t with s_t = 0 gives the identity,
     and the sums of at most about four windows' worth of t values are held
     at once (in groups past that, each from its own series). The series
-    are taken in order of their first t: the first on the caller, which
-    fits the kernel on its block, and the rest by the caller and the pool's
-    threads at once, a series on that block reading the kernel and one on
-    another block fitting its own. Each t is finished on its own as soon as
-    its series reports it converged: on the pool, by at most one thread per
-    other CPU, while the caller sums the remaining terms of a series it
-    runs, or at once on one CPU or inside a call of a split; when the
-    series ends, the caller joins the pool's threads, the lowest t first.
-    No t at or above the lowest failed one is taken, a series stops once
-    every t it still sums is at or above it, a series that fails is the
-    failure of the lowest t it had not converged, and the call raises the
-    failure of the lowest t, as a loop over the t values would. Each row is
-    bitwise the row of a call with that t alone."""
+    are taken in order of their first t (_take_in_order): the first on the
+    caller, which fits the kernel on its block, and the rest by the caller
+    and the pool's threads at once, a series on that block reading the
+    kernel and one on another block fitting its own. Once a series or group
+    ends, its converged t values are finished by the same rule, the lowest
+    first: by the caller and the pool's threads, or in turn by the thread
+    that summed them when it runs a call of a split. No t at or above the
+    lowest failed one is taken, a series stops once every t it still sums
+    is at or above it, a series that fails is the failure of the lowest t
+    it had not converged, and the call raises the failure of the lowest t,
+    as a loop over the t values would. Each row is bitwise the row of a
+    call with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -1143,9 +1139,9 @@ def motion_sample(
             own.fit(block)
         with lock:
             for i in indices:
-                size = abs(scales[i]) * sup
-                if size > MU_SUP_CAP:
-                    failures[i] = DomainError("sup|mu| = %g exceeds the solvable cap %g" % (size, MU_SUP_CAP))
+                refusal = _cap_refusal(abs(scales[i]) * sup)
+                if refusal:
+                    failures[i] = refusal
         group = max(1, 4 * n * n // max(u.size, 1))
         for start in range(0, len(indices), group):
             with lock:
@@ -1153,60 +1149,24 @@ def motion_sample(
             todo = [i for i in indices[start : start + group] if i < low]
             if not todo:
                 return
-            # converged: every t whose sums the series reported; summed: those
-            # of them not yet taken to be finished
-            converged: set[int] = set()
             summed: dict[int, tuple] = {}
-            # the takers running: at most one per other CPU on the pool,
-            # however many threads it has, and the caller after the series
-            takers = [0]
-            started = []
-
-            def take() -> None:
-                """Finish summed t values, the lowest first, until none is
-                left below the lowest failed one."""
-                while True:
-                    with lock:
-                        i = min(summed, default=len(ts))
-                        if i >= min(failures, default=len(ts)):
-                            takers[0] -= 1
-                            return
-                        args = summed.pop(i)
-                    try:
-                        rows[i] = _finish(own, *args)[0](zs).tolist()
-                    except BaseException as exc:
-                        with lock:
-                            failures[i] = exc
 
             def wanted(k: int) -> bool:
                 with lock:
                     return todo[k] < min(failures, default=len(ts))
 
-            def hand_over(k: int, x, sums, gam, _) -> None:
-                with lock:
-                    summed[todo[k]] = (x, sums, gam)
-                    more = takers[0] < max(1, _CPUS - 1)
-                    if more:
-                        takers[0] += 1
-                converged.add(todo[k])
-                if more:
-                    started.append(_submit(take))
+            def done(k: int, x, sums, gam, _) -> None:
+                summed[todo[k]] = (x, sums, gam)
+
+            def finish(i: int) -> None:
+                rows[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
 
             try:
-                try:
-                    _neumann(own, u, [scales[i] for i in todo], tol, hand_over, wanted)
-                except ConvergenceError as exc:
-                    with lock:
-                        failures[min(set(todo) - converged)] = exc
+                _neumann(own, u, [scales[i] for i in todo], tol, done, wanted)
+            except ConvergenceError as exc:
                 with lock:
-                    takers[0] += 1
-                take()
-            finally:
-                futures = [f for f in started if f is not None]
-                for f in futures:
-                    f.exception()  # waits until that t is done with its arrays
-            for f in futures:
-                f.result()
+                    failures[min(set(todo) - set(summed))] = exc
+            _take_in_order(sorted(summed), finish, failures, lock)
 
     firsts = list(by_first)
     run(firsts[0])

@@ -130,13 +130,13 @@ def field_one_cycle(quad_germ):
 def test_field_finite_at_cycle_point(field_one_cycle):
     # the seed formula has a puncture at the cycle point; the clamp nudges
     # the evaluation off it so the value stays finite with the right modulus
-    v = field_one_cycle.value(0j)
+    v = field_one_cycle.sample_grid(np.array([0j]))[0]
     assert abs(v) == pytest.approx(abs(MU_2_TO_3), rel=1e-6)
 
 
 def test_field_constant_modulus_inside_chart(field_one_cycle):
     vals = [
-        field_one_cycle.value(complex(0.1 * cmath.exp(1j * t)))
+        field_one_cycle.sample_grid(np.array([0.1 * cmath.exp(1j * t)]))[0]
         for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)
     ]
     mags = [abs(v) for v in vals]
@@ -154,8 +154,8 @@ def test_field_invariance_small_sample(quad_germ, field_one_cycle):
         w = quad_germ.eval(z)
         if abs(w) >= quad_germ.radius_U:
             continue
-        mu_z = field_one_cycle.value(z)
-        mu_w = field_one_cycle.value(w)
+        mu_z = field_one_cycle.sample_grid(np.array([z]))[0]
+        mu_w = field_one_cycle.sample_grid(np.array([w]))[0]
         d = quad_germ.derivative(z)
         assert abs(mu_w - mu_z * d / d.conjugate()) < 1e-8
         count += 1
@@ -165,7 +165,7 @@ def test_field_invariance_small_sample(quad_germ, field_one_cycle):
 def test_field_resolves_across_disk(field_one_cycle):
     # backward walking reaches the chart from anywhere in the working disk,
     # so the coefficient keeps the constant modulus even far from the chart
-    v = field_one_cycle.value(0.42 + 0j)
+    v = field_one_cycle.sample_grid(np.array([0.42 + 0j]))[0]
     assert abs(v) == pytest.approx(abs(MU_2_TO_3), rel=1e-9)
 
 
@@ -177,7 +177,7 @@ def test_field_stalls_at_critical_point(quad_germ_wide):
     conj = gd.LocalConjugacy.build(quad_germ_wide, rep, 3.0 + 0j)
     field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.charts[0], conj.shear),))
     diag = {}
-    v = field.value(-1.0 + 0j, diagnostics=diag)
+    v = field.sample_grid(np.array([-1.0 + 0j]), diagnostics=diag)[0]
     assert v == 0
     assert diag.get("stalled", 0) + diag.get("unresolved", 0) == 1
 
@@ -204,7 +204,7 @@ def test_sample_grid_matches_scalar(field_one_cycle):
     zs = (xs[None, :] + 1j * xs[:, None]).ravel()
     grid = field_one_cycle.sample_grid(zs)
     for z, v in zip(zs, grid):
-        assert abs(v - field_one_cycle.value(complex(z))) < 1e-12
+        assert abs(v - field_one_cycle.sample_grid(np.array([z]))[0]) < 1e-12
 
 
 def test_weakly_repelling_walk_gives_each_point_its_batch_value():
@@ -223,7 +223,7 @@ def test_weakly_repelling_walk_gives_each_point_its_batch_value():
     alone = dict.fromkeys(("escaped", "stalled", "unresolved"), 0)
     for z, v in zip(zs.ravel(), grid.ravel()):
         diag = {}
-        assert field.value(complex(z), diag) == v
+        assert field.sample_grid(np.array([z]), diag)[0] == v
         for key in alone:
             alone[key] += diag[key]
     assert {key: batch[key] for key in alone} == alone
@@ -365,7 +365,7 @@ def test_a_points_value_does_not_depend_on_its_batch():
     landed = np.flatnonzero(grid)
     rng = np.random.default_rng(4)
     for k in rng.choice(landed, 300, replace=False):
-        assert field.value(z[k]) == grid[k]
+        assert field.sample_grid(np.array([z[k]]))[0] == grid[k]
     for size in (1, 100, 20000):
         pick = rng.choice(landed, size, replace=False)
         assert np.array_equal(field.sample_grid(z[pick]).view(np.int64), grid[pick].view(np.int64))

@@ -181,6 +181,17 @@ def test_bytes_round_trip(disk_solution):
     assert np.array_equal(back.samples, gm.samples)
 
 
+def test_bytes_round_trip_keeps_the_sign_of_zero_parts():
+    # a -0.0 real part beside an imaginary part >= 0 came back as +0.0 when
+    # the samples were read as re + 1j * im
+    samples = np.array([[complex(-0.0, 0.5), complex(-0.0, -0.0)], [complex(0.0, -0.0), 1.0]])
+    raw = gd.GridMap(Box(1.5), samples).to_bytes()
+    back = gd.GridMap.from_bytes(raw)
+    assert back.to_bytes() == raw
+    assert np.signbit(back.samples.real).tolist() == [[True, True], [False, False]]
+    assert np.signbit(back.samples.imag).tolist() == [[False, True], [True, False]]
+
+
 def test_from_bytes_rejects_truncation(disk_solution):
     _, _, _, _, gm = disk_solution
     raw = gm.to_bytes()
@@ -1433,65 +1444,48 @@ def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeyp
     ts = [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j, 0.42 - 0.05j, 0.33 + 0.1j, 0.37 + 0j]
     points = [0.1 + 0j, 0.05j]
     want, index = finishing_index(monkeypatch, quad_germ, ts, points, n=64)
-    finish, neumann = st._finish, st._neumann
+    finish, apply = st._finish, st.BeurlingKernel.apply
 
     class TFault(Exception):
         pass
 
-    solved = []
+    solved, applied = [], []
     higher_failed = threading.Event()
 
     def faulty(kernel, x, *args):
         i = index[x.tobytes()]
         solved.append(i)
+        if i == 1:
+            # t 1 fails only once t 3 has been taken, on the other thread,
+            # and failed: a higher t fails first, and the lower failure
+            # still wins
+            assert higher_failed.wait(30)
         if i == 3:
             higher_failed.set()
         if i in (1, 3):
             raise TFault("t index %d" % i)
         return finish(kernel, x, *args)
 
-    # t 3 converges first (11 sweeps against t 1's 14), and t 1's convergence
-    # is reported only once t 3 has been finished and failed: a higher t
-    # converges and finishes first, and the lower failure still wins
-    lam = st.repelling_cycles(quad_germ, 1)[0].multiplier
-    late = st.shear_coefficient(lam, 1.0 / ts[1]).mu
-    submit, apply = st._submit, st.BeurlingKernel.apply
-    takers, applied = [], []
-
-    def gated(kernel, u, scales, tol, done, wanted):
-        def reported(k, *result):
-            if scales[k] == late:
-                assert higher_failed.wait(30)
-            done(k, *result)
-            if scales[k] == late:
-                # t 1 is taken and fails before the series reads its failures again
-                for f in takers:
-                    f.exception(30)
-
-        neumann(kernel, u, scales, tol, reported, wanted)
-
     def counted(self, x):
         applied.append(x.shape)
         return apply(self, x)
 
-    # one pool thread, which takes each t handed over in turn
+    # one pool thread: the t values are taken in order by it and the caller
     pool = functools.cache(st._pool.__wrapped__)
     monkeypatch.setattr(st, "_CPUS", 2)
     with monkeypatch.context() as m:
         m.setattr(st, "_pool", pool)
         m.setattr(st, "_finish", faulty)
-        m.setattr(st, "_neumann", gated)
-        m.setattr(st, "_submit", lambda call: takers.append(submit(call)) or takers[-1])
         m.setattr(st.BeurlingKernel, "apply", counted)
         with pytest.raises(TFault, match="t index 1"):
             gd.motion_sample(quad_germ, ts, points, n=64)
     pool().shutdown()
-    # t 0 and t 3 converge at sweep 11, t 5 at 12 after t 3 is taken, and no
-    # t is taken at or above a recorded failure: t 5, t 4 and t 2 are not
-    assert solved == [0, 3, 1]
-    # once t 1 has failed at sweep 14, t 2 and t 4 are summed for nothing:
-    # the series stops there, after 13 transforms (it ran on to sweep 17)
-    assert len(applied) == 13
+    # no t at or above a recorded failure is taken: t 4 and t 5 are not
+    assert sorted(solved) == [0, 1, 2, 3]
+    # the t values are finished after the series, which sums every t to
+    # its convergence (t 1's at sweep 14, the last at sweep 17): one
+    # transform per sweep after the first
+    assert len(applied) == 16
     assert gd.motion_sample(quad_germ, ts, points, n=64) == want
 
 
@@ -1857,6 +1851,68 @@ def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkey
         assert type(exc) is type(alone[first]) and str(exc) == str(alone[first])
         assert set(ts[: ts.index(first)]) <= finished
     assert gd.motion_sample(quad_germ_wide, good, points, **settings) == want
+
+
+def test_several_chart_series_stops_once_a_lower_t_has_failed(monkeypatch, quad_germ_wide):
+    # each t has a series of its own; t = 0.99 does not converge in 200
+    # sweeps, and its series runs on one thread while t 1's series, on the
+    # other, is finished and fails: once the failure is recorded, the series
+    # of t 2 sums for nothing and stops
+    points = [0.1 + 0j, 0.05j]
+    settings = {"orders": (1, 2), "n": 64}
+    good = [0.4 + 0j, 0.35 + 0.05j]
+    _, index = finishing_index(monkeypatch, quad_germ_wide, good, points, **settings)
+    cycles = st.repelling_cycles(quad_germ_wide, 1) + st.repelling_cycles(quad_germ_wide, 2)
+    slow = max((st.shear_coefficient(c.multiplier, 1.0 / 0.99).mu for c in cycles), key=abs)
+    finish, neumann, take_in_order = st._finish, st._neumann, st._take_in_order
+    apply = st.BeurlingKernel.apply
+    summing, failed = threading.Event(), threading.Event()
+    applied = []
+
+    class TFault(Exception):
+        pass
+
+    def faulty(kernel, x, *args):
+        if index[x.tobytes()] == 1:
+            # t 2's series is taken before t 1 fails, or it would never run
+            assert summing.wait(30)
+            raise TFault("t index 1")
+        return finish(kernel, x, *args)
+
+    def gated(kernel, u, scales, tol, done, wanted):
+        if scales[0] == slow:
+            summing.set()
+            assert failed.wait(30)
+        neumann(kernel, u, scales, tol, done, wanted)
+
+    def watched(indices, work, failures, lock):
+        def signalled(i):
+            try:
+                work(i)
+            finally:
+                with lock:
+                    if isinstance(failures.get(i), TFault):
+                        failed.set()
+
+        take_in_order(indices, signalled, failures, lock)
+
+    def counted(self, x):
+        applied.append(x.shape)
+        return apply(self, x)
+
+    pool = functools.cache(st._pool.__wrapped__)
+    with monkeypatch.context() as m:
+        m.setattr(st, "_CPUS", 2)
+        m.setattr(st, "_pool", pool)
+        m.setattr(st, "_finish", faulty)
+        m.setattr(st, "_neumann", gated)
+        m.setattr(st, "_take_in_order", watched)
+        m.setattr(st.BeurlingKernel, "apply", counted)
+        with pytest.raises(TFault, match="t index 1"):
+            gd.motion_sample(quad_germ_wide, good + [0.99 + 0j], points, **settings)
+    pool().shutdown()
+    # the two good series make 24 transforms, and t 2's would make 199 more
+    assert len(applied) < st.MAX_SWEEPS // 4
 
 
 @pytest.mark.parametrize("count", [20, 80])
