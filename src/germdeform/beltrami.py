@@ -167,7 +167,10 @@ class BeltramiField:
 
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
         """Field over an array of points: the backward walk, then the
-        assembly of this field's shears along it."""
+        assembly of this field's shears along it. Besides the points and the
+        returned field, it holds one real array of the points' size at a
+        time (|z| for the walk, |mu| for the diagnostics) and the walk's
+        arrays, which span only the points in U."""
         z = np.asarray(z_grid, dtype=complex)
         # allocated before the walk's temporaries: after them, a large field
         # array reuses heap memory they freed, which must be zeroed (so all
@@ -177,10 +180,12 @@ class BeltramiField:
         return self.assemble(self.walk(z), diagnostics, out=mu)
 
     def walk(self, z_grid: np.ndarray) -> FieldWalk:
-        """Batched backward walk of every point to the chart disks.
+        """Batched backward walk of the points in U to the chart disks.
 
-        Points that escape, stall in the inverse step (or land on a critical
-        point, where the derivative product vanishes), or run out of depth
+        A finite point outside U escapes at step 0 and is not gathered; a
+        point that is not finite is neither walked nor counted. Points that
+        escape, stall in the inverse step (or land on a critical point,
+        where the derivative product vanishes), or run out of depth
         (unresolved) land nowhere. Each point is classified from its own
         walk. The shears play no part, so one walk serves every field on the
         same charts.
@@ -188,11 +193,15 @@ class BeltramiField:
         germ = self.germ
         z = np.asarray(z_grid, dtype=complex)
         landed = [[] for _ in self.entries]
-        # the live points: flat index, current position, derivative product
-        idx = np.flatnonzero(np.isfinite(z))
-        w = z.ravel()[idx]
+        # the live points: flat index, current position, derivative product;
+        # only the nodes in U start (a node that is not finite fails the
+        # comparison), and the finite nodes outside U escape at step 0
+        zf = z.ravel()
+        idx = np.flatnonzero(np.abs(zf) <= germ.radius_U)
+        w = zf[idx]
         prod = np.ones_like(w)
-        escaped_total = stalled_total = 0
+        escaped_total = int(np.count_nonzero(np.isfinite(zf))) - idx.size
+        stalled_total = 0
         for _ in range(TRANSPORT_DEPTH + 1):
             keep = np.abs(w) <= germ.radius_U
             escaped_total += keep.size - int(np.count_nonzero(keep))

@@ -35,8 +35,8 @@ from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, MOVE
 from .straighten import FIXED_POINT_DRIFT, GLOBAL_MEASURE_FACTOR
 
 # largest padded grid pad * grid: the solve's memory grows with its square,
-# and a straighten run of 2z + z^2 at pad 2 peaks at about 0.12 GB at 2048
-# and 0.31 GB at 4096 (ru_maxrss, 2 CPUs)
+# and a straighten run of 2z + z^2 at pad 2 peaks at about 0.11 GB at 2048
+# and 0.32 GB at 4096 (ru_maxrss, 2 CPUs)
 MAX_PADDED_GRID = 4096
 
 

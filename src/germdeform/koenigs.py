@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -56,19 +56,29 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _return_map_series(germ: Germ, points: tuple[complex, ...], base_index: int, order: int) -> np.ndarray:
-    """Series of f^q(center + u) - center in u, degrees 0..order."""
-    q = len(points)
+def _shifted_series(germ: Germ, points: tuple[complex, ...]) -> list[np.ndarray]:
+    """Series of f(p + u) - f(p) in u, degrees 0..SERIES_ORDER, at each
+    point p."""
     f = np.array((0j,) + germ.coeffs)
-    cur = np.zeros(order + 1, dtype=complex)
+    out = []
+    for p in points:
+        shift = np.zeros(SERIES_ORDER + 1, dtype=complex)
+        shift[:2] = p, 1.0
+        shifted = _compose(f, shift)
+        # the constant term cancelled exactly
+        shifted[0] = 0
+        out.append(shifted)
+    return out
+
+
+def _return_map_series(shifted: list[np.ndarray], base_index: int) -> np.ndarray:
+    """Series of f^q(center + u) - center in u, composed from the shifted
+    series of the cycle's points, starting at the center's."""
+    q = len(shifted)
+    cur = np.zeros(len(shifted[0]), dtype=complex)
     cur[1] = 1.0
     for step in range(q):
-        shift = np.zeros(order + 1, dtype=complex)
-        shift[:2] = points[(base_index + step) % q], 1.0
-        # f(p + u) - f(p), with the constant term cancelled exactly
-        shifted = _compose(f, shift)
-        shifted[0] = 0
-        cur = _compose(shifted, cur)
+        cur = _compose(shifted[(base_index + step) % q], cur)
     return cur
 
 
@@ -178,16 +188,30 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     degree) or when no radius passes validation.
     """
     check_integer("base_index", base_index)
+    return _cycle_charts(germ, cycle, (base_index,))[0]
+
+
+def _cycle_charts(germ: Germ, cycle: Cycle, base_indices: Sequence[int]) -> tuple[KoenigsChart, ...]:
+    """build_chart at each of base_indices, in order, with each cycle
+    point's shifted series and the critical points computed once."""
     if cycle.kind != "repelling":
         raise ChartError("chart requires a repelling cycle (got %s)" % cycle.kind)
     q = cycle.order
-    if not 0 <= base_index < q:
-        raise DomainError(
-            "base_index %d out of range for a cycle of order %d" % (base_index, q)
-        )
+    for base_index in base_indices:
+        if not 0 <= base_index < q:
+            raise DomainError(
+                "base_index %d out of range for a cycle of order %d" % (base_index, q)
+            )
+    shifted = _shifted_series(germ, cycle.points)
+    crit = list(critical_points(germ))
+    return tuple(_chart(germ, cycle, i, shifted, crit) for i in base_indices)
+
+
+def _chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
+    q = cycle.order
     center = cycle.points[base_index]
 
-    fser = _return_map_series(germ, cycle.points, base_index, SERIES_ORDER)
+    fser = _return_map_series(shifted, base_index)
     lam = complex(fser[1])
     if abs(lam - cycle.multiplier) > 1e-6 * max(1.0, abs(lam)):
         raise ChartError("series linear term disagrees with cycle multiplier")
@@ -210,7 +234,6 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
     inverse_coeffs = tuple(_reversion(a)[1:].tolist())
 
     other = [cycle.points[i] for i in range(q) if i != base_index]
-    crit = [c for c in critical_points(germ)]
     dists = [abs(center - p) for p in other + crit if abs(center - p) > 0]
     r0 = 0.9 * (germ.radius_U - abs(center))
     if dists:

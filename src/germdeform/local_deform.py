@@ -22,7 +22,7 @@ from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
 from .germ import Germ, circle, pointwise
-from .koenigs import KoenigsChart, build_chart
+from .koenigs import KoenigsChart, _cycle_charts
 from .numdiff import wirtinger_pair
 
 TWO_PI_I = 2j * math.pi
@@ -48,7 +48,7 @@ class LocalConjugacy:
     @classmethod
     def build(cls, germ: Germ, cycle: Cycle, target: complex) -> "LocalConjugacy":
         shear = shear_coefficient(cycle.multiplier, target)
-        charts = tuple(build_chart(germ, cycle, i) for i in range(cycle.order))
+        charts = _cycle_charts(germ, cycle, range(cycle.order))
         return cls(germ=germ, cycle=cycle, shear=shear, charts=charts)
 
     @property

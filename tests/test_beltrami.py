@@ -355,6 +355,47 @@ def test_walk_then_assembly_is_bitwise_the_single_pass_walk(radius_U, deformatio
     assert np.count_nonzero(got) > 0
 
 
+def test_walk_counts_the_nodes_outside_u_and_skips_the_non_finite():
+    # a finite node outside U escapes at step 0 (1e308 + 1e308j too, whose
+    # modulus overflows); a node that is not finite is neither walked nor
+    # counted
+    germ = gd.Germ.create([2, 1], radius_U=3.0)
+    field = gd.build_field(germ, [gd.Deformation(1, 3.0 + 0j), gd.Deformation(2, 5.0 + 1.0j)])
+    z = gd.box_for(germ).nodes(64)
+    bad = [complex(np.nan, 0.0), complex(0.1, np.nan), complex(np.inf, 0.0), complex(-np.inf, 1.0),
+           complex(0.0, np.inf), complex(0.2, -np.inf), complex(np.nan, np.inf), 1e308 + 1e308j]
+    z.ravel()[np.random.default_rng(6).choice(z.size, len(bad), replace=False)] = bad
+    finite = np.isfinite(z)
+    want_diag, got_diag = {}, {}
+    want = single_pass_sample_grid(field, z, want_diag)
+    got = field.sample_grid(z, diagnostics=got_diag)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert {key: got_diag[key] for key in want_diag} == want_diag
+    assert got_diag["escaped"] == np.count_nonzero(finite & ~(np.abs(z) <= germ.radius_U))
+    assert np.all(got[~finite] == 0)
+    landed = np.count_nonzero(got)
+    assert landed + got_diag["escaped"] + got_diag["stalled"] + got_diag["unresolved"] == np.count_nonzero(finite)
+    assert landed > 0 and got_diag["stalled"] > 0
+
+
+def test_sample_grid_memory_is_the_field_and_the_walk_of_the_nodes_in_u():
+    # on 2z + z^2 at N=512 about 10% of the nodes lie in U; besides the field
+    # array, sampling holds one pass over |z| (half the node array) and, per
+    # node in U, the walk's arrays: at most 8 complex numbers
+    germ = gd.Germ.create([2, 1])
+    field = gd.build_field(germ, [gd.Deformation(1, 3.0 + 0j)])
+    z = gd.box_for(germ).nodes(512)
+    inside = np.count_nonzero(np.abs(z) <= germ.radius_U)
+    assert inside < 0.15 * z.size
+    tracemalloc.start()
+    try:
+        mu = field.sample_grid(z, diagnostics={})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < z.nbytes + mu.nbytes + 8 * 16 * inside
+
+
 def test_a_points_value_does_not_depend_on_its_batch():
     # at N=512 one walk step lands more than 16384 points, where numpy
     # computes a scalar times a temporary array in place, with other rounding

@@ -119,6 +119,51 @@ def test_lagrange_reversion_matches_composition_at_a_convergent_order():
     _assert_reversion_matches_composition(gd.build_chart(germ, cycle))
 
 
+def _return_map_series_by_recomposition(germ, points, base_index):
+    # each chart's own composition, with every point's shifted series
+    # composed again for it
+    q = len(points)
+    f = np.array((0j,) + germ.coeffs)
+    cur = np.zeros(koenigs.SERIES_ORDER + 1, dtype=complex)
+    cur[1] = 1.0
+    for step in range(q):
+        shift = np.zeros(koenigs.SERIES_ORDER + 1, dtype=complex)
+        shift[:2] = points[(base_index + step) % q], 1.0
+        shifted = koenigs._compose(f, shift)
+        shifted[0] = 0
+        cur = koenigs._compose(shifted, cur)
+    return cur
+
+
+def _chart_bits(chart):
+    return np.array((chart.multiplier, chart.radius) + chart.coeffs + chart.inverse_coeffs).tobytes()
+
+
+def _assert_cycle_charts_are_bitwise_one_at_a_time(germ, cycle, target, indices):
+    charts = gd.LocalConjugacy.build(germ, cycle, target).charts
+    shifted = koenigs._shifted_series(germ, cycle.points)
+    for i in indices:
+        want = _return_map_series_by_recomposition(germ, cycle.points, i)
+        assert koenigs._return_map_series(shifted, i).tobytes() == want.tobytes()
+        assert _chart_bits(charts[i]) == _chart_bits(gd.build_chart(germ, cycle, i))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_cycle_charts_are_bitwise_the_charts_built_one_at_a_time(quad_germ_wide, order):
+    for cycle in gd.repelling_cycles(quad_germ_wide, order):
+        _assert_cycle_charts_are_bitwise_one_at_a_time(
+            quad_germ_wide, cycle, 1.5 * cycle.multiplier, range(order)
+        )
+
+
+def test_cycle_charts_are_bitwise_one_at_a_time_at_a_convergent_order():
+    alpha = ContinuedFraction((3, 20, 50, 1)).value()
+    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    cycle = gd.repelling_cycle(germ, 61, 0)
+    lam = cycle.multiplier
+    _assert_cycle_charts_are_bitwise_one_at_a_time(germ, cycle, lam * abs(lam) ** 0.5, (0, 30, 60))
+
+
 def test_iterative_agrees_with_series(chart):
     theta = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
     worst = 0.0

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 import re
@@ -1051,6 +1052,35 @@ def test_linear_oracle_at_target_20_is_measured():
     gm = gd.solve_beltrami(linear_oracle_mu(box, 512, 0.5, sigma), box)
     z = st.circle(0j, 0.2, st.MEASURE_POINTS)
     assert abs(st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j))) - target) <= 1e-3 * target
+
+
+@pytest.mark.parametrize(
+    "target, n",
+    [
+        (1.5 + 0j, 512),
+        (2.5 + 1.5j, 512),
+        (5.0 + 0j, 1024),
+        pytest.param(1.2 + 0j, 512, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP Direction C: the solve misses lambda |lambda|^sigma by 1.5e-3",
+        )),
+        pytest.param(20.0 + 0j, 512, marks=pytest.mark.xfail(
+            strict=True, raises=gd.ConvergenceError,
+            reason="ROADMAP Direction C: the orientation check refuses the exact map at e = 4.32",
+        )),
+    ],
+)
+def test_linear_oracle_matches_its_exact_multiplier(target, n):
+    # the cases of test_global_route_matches_local_route on f = 2z, R = 0.5,
+    # where the exact answer lambda |lambda|^sigma stands in for the local
+    # route, under the same budget
+    lam = 2.0
+    sigma = cmath.log(target / lam) / math.log(lam)
+    box = Box(1.25)
+    gm = gd.solve_beltrami(linear_oracle_mu(box, n, 0.5, sigma), box)
+    z = st.circle(0j, 0.2, st.MEASURE_POINTS)
+    measured = st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j)))
+    assert abs(measured - lam * abs(lam) ** sigma) <= 1e-3
 
 
 def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
