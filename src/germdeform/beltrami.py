@@ -291,9 +291,11 @@ def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray, out: BinaryIO) -> None
     are told apart by their bits, so -0.0 keeps its sign); the rows are
     gathered from those texts into one NUL-padded byte matrix with the
     commas and the newline as their own columns, and the padding is
-    dropped."""
+    dropped. z_grid and mu_grid must hold as many values."""
     zf = np.asarray(z_grid, dtype=complex).ravel()
     mf = np.asarray(mu_grid, dtype=complex).ravel()
+    if zf.size != mf.size:
+        raise DomainError("z and mu grids must have as many nodes (got %d and %d)" % (zf.size, mf.size))
     out.write(b"re,im,mu_re,mu_im\n")
     for start in range(0, zf.size, CSV_BLOCK):
         block = np.s_[start : start + CSV_BLOCK]

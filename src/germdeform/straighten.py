@@ -108,6 +108,10 @@ class Box:
             raise DomainError("box half width must be positive and finite")
 
     def spacing(self, n: int) -> float:
+        """The node spacing of an n x n lattice; n is a positive integer."""
+        check_integer("n", n)
+        if n < 1:
+            raise DomainError("n must be at least 1 (got %s)" % n)
         return 2.0 * self.half_width / n
 
     def nodes(self, n: int) -> np.ndarray:
@@ -315,8 +319,10 @@ class GridMap:
 
     def beltrami_at(self, z: complex) -> complex:
         """mu = dbar h / d h from raw central differences at the nearest
-        interior node. No interpolation, so it is an honest readback."""
+        interior node. No interpolation, so it is an honest readback. z is
+        checked as GridMap.__call__ checks its points."""
         z = complex(z)
+        self.box.check_inside(z)
         x0, _, y0, _ = self.box.extents()
         dx = self.box.spacing(self.n)
         j = int(round((z.real - x0) / dx))
@@ -665,9 +671,7 @@ def _cap_refusal(sup: float) -> DomainError | None:
     return None
 
 
-def _neumann(
-    kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float, done, wanted=None
-) -> None:
+def _neumann(kernel: BeurlingKernel, u: np.ndarray, scales: Sequence[complex], tol: float):
     """Solve x = m u (1 + S x + the checkerboard terms of x) on kernel's
     block for every scale m at once, by the Neumann series x = sum_j m^(j+1)
     X_j: X_0 = u and X_(j+1) = u (S X_j + the checkerboard terms of X_j) do
@@ -678,15 +682,15 @@ def _neumann(
     A term's change figure c is the rms over the padded grid of the term
     less its projection on the mean and the checkerboards, plus its largest
     gamma; a scale's change at sweep j is |m|^j c of the term it added, and
-    the scale is done at its first change below tol: done(k, x, sums,
-    gamma, history) is called for the k-th scale then, in sweep order. A
-    scale for which wanted(k), when given, is false after a sweep is
-    dropped unreported. No transform runs after the last term a scale
-    needs; if a scale is neither done nor dropped after MAX_SWEEPS,
-    ConvergenceError names the first such."""
+    the scale converges at its first change below tol. No transform runs
+    after the last term a scale needs. Returns each scale's (x, sums, gamma,
+    history), or None for a scale that has not converged after MAX_SWEEPS,
+    and the ConvergenceError that names the first such (None when every
+    scale converged)."""
     n = kernel.n0 * kernel.pad
     boards = kernel.boards
     live = list(range(len(scales)))
+    results: list[Any] = [None] * len(scales)
     xs = [np.zeros(u.shape, dtype=complex) for _ in live]
     sums = [np.zeros(4, dtype=complex) for _ in live]
     gams = [np.zeros(3, dtype=complex) for _ in live]
@@ -709,19 +713,16 @@ def _neumann(
             sums[k] += powers[k] * term_sums
             gams[k] += powers[k] * term_gam
             histories[k].append(abs(powers[k]) * change)
-        for k in [k for k in live if histories[k][-1] < tol]:
-            live.remove(k)
-            done(k, xs[k], sums[k], gams[k], histories[k])
-            xs[k] = None
-        if wanted is not None:
-            live = [k for k in live if wanted(k)]
+            if histories[k][-1] < tol:
+                results[k] = (xs[k], sums[k], gams[k], histories[k])
+        live = [k for k in live if results[k] is None]
         if not live:
-            return
+            return results, None
         dh = kernel.apply(term)
         _add_kernel_terms(dh, term_gam, boards)
         term = u * dh
         del dh  # the spectrum dh is a view of
-    raise ConvergenceError(
+    return results, ConvergenceError(
         "solver did not reach tol %g in %d sweeps (last change %g)"
         % (tol, MAX_SWEEPS, histories[live[0]][-1])
     )
@@ -838,8 +839,9 @@ def solve_beltrami(
     kernel = BeurlingKernel(box, n0, pad, single_use=True)
     kernel.fit(block)
 
-    solved = []
-    _neumann(kernel, work, [1.0], tol, lambda k, *result: solved.append(result))
+    solved, error = _neumann(kernel, work, [1.0], tol)
+    if error:
+        raise error
     del work
     kernel.kernel_hat = None  # the sweeps are done
     x, sums, gam, history = solved.pop()
@@ -1032,25 +1034,24 @@ def global_deform(
     return DeformedGerm(field, gm, mu)
 
 
-def _take_in_order(indices: Sequence[int], work, failures: dict[int, BaseException], lock) -> None:
+def _take_in_order(indices: Sequence[int], work, outcomes: list) -> None:
     """work(i) for each index in order, split over the CPUs by _split: the
     caller and the pool's threads each take the next index as they finish
-    their last. No index at or above the lowest failed one is taken.
-    failures maps each failed index to its error and is read and written
-    under lock, which the caller and takes on other threads may share."""
+    their last. When work(i) raises, its error is written to outcomes[i],
+    and the indices after it are still taken."""
     pending = iter(indices)
+    lock = threading.Lock()
 
     def take() -> None:
         while True:
             with lock:
                 i = next(pending, None)
-                if i is None or i >= min(failures, default=math.inf):
-                    return
+            if i is None:
+                return
             try:
                 work(i)
             except BaseException as exc:
-                with lock:
-                    failures[i] = exc
+                outcomes[i] = exc
 
     _split([take] * max(1, min(_CPUS, len(indices))))
 
@@ -1078,22 +1079,25 @@ def motion_sample(
     (all 1 when s_t = 0), so the series' terms stay bounded. With one chart
     U_t is the field U of coefficient 1 for every t. The t values with one
     U_t are summed from one Neumann series of it (_neumann), so each term
-    costs one Beurling transform for all of them; sup|s_t U_t| is checked
-    for each before the first term, a t with s_t = 0 gives the identity,
-    and the sums of at most about four windows' worth of t values are held
-    at once (in groups past that, each from its own series). The series
-    are taken in order of their first t (_take_in_order): the first on the
-    caller, which fits the kernel on its block, and the rest by the caller
-    and the pool's threads at once, a series on that block reading the
-    kernel and one on another block fitting its own. Once a series or group
-    ends, its converged t values are finished by the same rule, the lowest
-    first: by the caller and the pool's threads, or in turn by the thread
-    that summed them when it runs a call of a split. No t at or above the
-    lowest failed one is taken, a series stops once every t it still sums
-    is at or above it, a series that fails is the failure of the lowest t
-    it had not converged, and the call raises the failure of the lowest t,
-    as a loop over the t values would. Each row is bitwise the row of a
-    call with that t alone."""
+    costs one Beurling transform for all of them; a t with s_t = 0 gives
+    the identity, and the sums of at most about four windows' worth of t
+    values are held at once (in groups past that, each from its own
+    series). The series are taken in order of their first t
+    (_take_in_order): the first on the caller, which fits the kernel on its
+    block, and the rest by the caller and the pool's threads at once, a
+    series on that block reading the kernel and one on another block
+    fitting its own. Once a series or group ends, its converged t values are
+    finished by the same rule, the lowest first: by the caller and the
+    pool's threads, or in turn by the thread that summed them when it runs
+    a call of a split.
+
+    Each t has one slot, which holds its row or the error that ended it. A
+    t whose sup|s_t U_t| is over the cap holds its refusal and is left out
+    of its series; a series that fails is the failure of the lowest t it
+    had not converged; every other t is summed and finished. Once every t
+    is done, the call raises the error of the lowest t that holds one, as a
+    loop over the t values would. Each row is bitwise the row of a call
+    with that t alone."""
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
@@ -1126,9 +1130,8 @@ def motion_sample(
         series.setdefault(unit, []).append(i)
     by_first = {indices[0]: (unit, indices) for unit, indices in series.items()}
     kernel = BeurlingKernel(box, n, pad)
-    rows: list[Any] = [None] * len(ts)
-    failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
+    # each t's row, or the error that ended it
+    outcomes: list[Any] = [None] * len(ts)
 
     def run(first: int) -> None:
         unit, indices = by_first[first]
@@ -1137,40 +1140,27 @@ def motion_sample(
         own = kernel if kernel.block in (None, block) else BeurlingKernel(box, n, pad)
         if own.block is None:
             own.fit(block)
-        with lock:
-            for i in indices:
-                refusal = _cap_refusal(abs(scales[i]) * sup)
-                if refusal:
-                    failures[i] = refusal
+        for i in indices:
+            outcomes[i] = _cap_refusal(abs(scales[i]) * sup)
+        todo = [i for i in indices if outcomes[i] is None]
         group = max(1, 4 * n * n // max(u.size, 1))
-        for start in range(0, len(indices), group):
-            with lock:
-                low = min(failures, default=len(ts))
-            todo = [i for i in indices[start : start + group] if i < low]
-            if not todo:
-                return
-            summed: dict[int, tuple] = {}
-
-            def wanted(k: int) -> bool:
-                with lock:
-                    return todo[k] < min(failures, default=len(ts))
-
-            def done(k: int, x, sums, gam, _) -> None:
-                summed[todo[k]] = (x, sums, gam)
+        for start in range(0, len(todo), group):
+            part = todo[start : start + group]
+            results, error = _neumann(own, u, [scales[i] for i in part], tol)
+            if error:
+                outcomes[part[results.index(None)]] = error
+            summed = {i: result[:3] for i, result in zip(part, results) if result}
+            del results  # each sum is freed once its t is finished
 
             def finish(i: int) -> None:
-                rows[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
+                outcomes[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
 
-            try:
-                _neumann(own, u, [scales[i] for i in todo], tol, done, wanted)
-            except ConvergenceError as exc:
-                with lock:
-                    failures[min(set(todo) - set(summed))] = exc
-            _take_in_order(sorted(summed), finish, failures, lock)
+            _take_in_order(list(summed), finish, outcomes)
 
     firsts = list(by_first)
     run(firsts[0])
-    _take_in_order(firsts[1:], run, failures, lock)
-    if failures:
-        raise failures[min(failures)]
-    return rows
+    _take_in_order(firsts[1:], run, outcomes)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes

@@ -258,6 +258,13 @@ def test_field_csv_equals_per_row_formatting(monkeypatch, block):
         assert b"-0," in sink.getvalue()
 
 
+def test_field_csv_refuses_grids_of_different_sizes():
+    sink = io.BytesIO()
+    with pytest.raises(gd.DomainError, match=r"^z and mu grids must have as many nodes \(got 4 and 3\)$"):
+        gd.field_to_csv(np.zeros(4), np.zeros(3), sink)
+    assert sink.getvalue() == b""
+
+
 class CountingSink:
     def __init__(self):
         self.size = 0

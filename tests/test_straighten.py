@@ -174,6 +174,14 @@ def test_beltrami_at_needs_interior_margin(disk_solution):
         gm.beltrami_at(complex(box.half_width, 0))
 
 
+@pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.0, -np.inf), 1e308 + 0j])
+def test_beltrami_at_refuses_a_point_off_the_box_by_name(z):
+    box = Box(1.25)
+    gm = gd.GridMap(box, box.nodes(16))
+    with pytest.raises(gd.DomainError, match="^evaluation point (not finite|outside grid box)"):
+        gm.beltrami_at(z)
+
+
 def test_bytes_round_trip(disk_solution):
     _, _, _, _, gm = disk_solution
     raw = gm.to_bytes()
@@ -290,6 +298,14 @@ def test_box_nodes_layout():
     # row index moves the imaginary part, column the real part
     assert z[0, 1].real > z[0, 0].real
     assert z[1, 0].imag > z[0, 0].imag
+
+
+def test_box_nodes_refuses_a_grid_size_by_name():
+    box = Box(1.25)
+    for n, cause in ((0, r"n must be at least 1 \(got 0\)"), (-4, r"n must be at least 1 \(got -4\)"),
+                     (2.5, r"n must be an integer \(got 2\.5\)")):
+        with pytest.raises(gd.DomainError, match="^%s$" % cause):
+            box.nodes(n)
 
 
 def test_select_cycle_errors(quad_germ_wide):
@@ -960,11 +976,16 @@ def test_global_route_matches_local_route(quad_germ, repelling_fixed, target, n)
     assert abs(dg.measure_multiplier() - local) <= 1e-3
 
 
-def paper_germ_deformed(n: int):
-    """f = e^(2 pi i alpha) z + z^2, alpha = 1/3 + 1e-3, with its 3-cycle
-    sent to lambda |lambda|^(1/2), straightened at grid n."""
+def paper_germ():
+    """f = e^(2 pi i alpha) z + z^2, alpha = 1/3 + 1e-3."""
     alpha = 1 / 3 + 1e-3
-    germ = gd.Germ.create([complex(math.cos(2 * math.pi * alpha), math.sin(2 * math.pi * alpha)), 1])
+    return gd.Germ.create([complex(math.cos(2 * math.pi * alpha), math.sin(2 * math.pi * alpha)), 1])
+
+
+def paper_germ_deformed(n: int):
+    """The paper's germ with its 3-cycle sent to lambda |lambda|^(1/2),
+    straightened at grid n."""
+    germ = paper_germ()
     lam = st.repelling_cycle(germ, 3, 0).multiplier
     return gd.global_deform(germ, [gd.Deformation(3, lam * abs(lam) ** 0.5)], n=n)
 
@@ -1037,23 +1058,6 @@ def linear_oracle_mu(box: Box, n: int, radius: float, sigma: complex) -> np.ndar
     return np.where((np.abs(z) <= radius) & (z != 0), k * z / np.where(z == 0, 1, np.conj(z)), 0j)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=gd.ConvergenceError,
-    reason="ROADMAP item 3: at e = 4.32 the orientation check refuses the exact map (min Jacobian -1.9e-14)",
-)
-def test_linear_oracle_at_target_20_is_measured():
-    # f = 2z, R = 0.5, target 20 = 2 |2|^sigma: h is flat to order 4.32 at 0,
-    # its samples there lose orientation at rounding level, and the solve
-    # refuses; the real and the complex Jacobian read the same -1.869e-14
-    lam, target = 2.0, 20.0
-    sigma = math.log(target / lam) / math.log(lam)
-    box = Box(1.25)
-    gm = gd.solve_beltrami(linear_oracle_mu(box, 512, 0.5, sigma), box)
-    z = st.circle(0j, 0.2, st.MEASURE_POINTS)
-    assert abs(st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j))) - target) <= 1e-3 * target
-
-
 @pytest.mark.parametrize(
     "target, n",
     [
@@ -1064,9 +1068,17 @@ def test_linear_oracle_at_target_20_is_measured():
             strict=True, raises=AssertionError,
             reason="ROADMAP Direction C: the solve misses lambda |lambda|^sigma by 1.5e-3",
         )),
+        # h is flat to order e = 4.32 at 0: its samples there lose
+        # orientation at rounding level, and the solve refuses the exact map
         pytest.param(20.0 + 0j, 512, marks=pytest.mark.xfail(
             strict=True, raises=gd.ConvergenceError,
-            reason="ROADMAP Direction C: the orientation check refuses the exact map at e = 4.32",
+            reason="ROADMAP Direction C: the orientation check refuses the exact map at e = 4.32"
+            " (min Jacobian -1.9e-14)",
+        )),
+        pytest.param(20.0 + 0j, 1024, marks=pytest.mark.xfail(
+            strict=True, raises=gd.ConvergenceError,
+            reason="ROADMAP Direction C: the orientation check refuses the exact map at e = 4.32"
+            " (min Jacobian -8.84e-14)",
         )),
     ],
 )
@@ -1081,6 +1093,27 @@ def test_linear_oracle_matches_its_exact_multiplier(target, n):
     z = st.circle(0j, 0.2, st.MEASURE_POINTS)
     measured = st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j)))
     assert abs(measured - lam * abs(lam) ** sigma) <= 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP Direction C: on a disk of 13.5 spacings the solve misses 0.154 of the move at N=1024",
+)
+def test_linear_oracle_at_paper_scale_moves_its_multiplier():
+    # lambda is the paper germ's 3-cycle multiplier, sigma = 1/2 and R its
+    # chart's radius, as in the global route on that germ; measured on the
+    # circle of 0.85 R, against a budget of a tenth of the move
+    germ = paper_germ()
+    cycle = st.repelling_cycle(germ, 3, 0)
+    lam = cycle.multiplier
+    radius = st.build_chart(germ, cycle, 0).radius
+    target = lam * abs(lam) ** 0.5
+    box = Box(1.25)
+    gm = gd.solve_beltrami(linear_oracle_mu(box, 1024, radius, 0.5), box)
+    z = st.circle(0j, st.GLOBAL_MEASURE_FACTOR * radius, st.MEASURE_POINTS)
+    measured = st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j)))
+    assert abs(measured - target) <= 0.1 * abs(target - lam)
 
 
 def reference_solve(mu: np.ndarray, box: Box, tol: float = st.SOLVER_TOL, pad: int = 2):
@@ -1510,8 +1543,8 @@ def test_split_motion_raises_the_lowest_failing_t_and_the_next_call_runs(monkeyp
         with pytest.raises(TFault, match="t index 1"):
             gd.motion_sample(quad_germ, ts, points, n=64)
     pool().shutdown()
-    # no t at or above a recorded failure is taken: t 4 and t 5 are not
-    assert sorted(solved) == [0, 1, 2, 3]
+    # every t is finished, also those above a failure
+    assert sorted(solved) == [0, 1, 2, 3, 4, 5]
     # the t values are finished after the series, which sums every t to
     # its convergence (t 1's at sweep 14, the last at sweep 17): one
     # transform per sweep after the first
@@ -1671,16 +1704,15 @@ def test_kernel_terms_by_parity_are_bitwise_the_whole_block(r0, c0, R, C, gam):
 
 
 def _sweeps_by_scale(monkeypatch) -> dict:
-    """Patch _neumann so that each scale's sweep count is kept, by scale."""
+    """Patch _neumann so that each converged scale's sweep count is kept,
+    by scale."""
     sweeps = {}
     neumann = st._neumann
 
-    def recorded(kernel, u, scales, tol, done, *wanted):
-        def kept(k, *result):
-            sweeps[scales[k]] = len(result[-1])
-            done(k, *result)
-
-        neumann(kernel, u, scales, tol, kept, *wanted)
+    def recorded(kernel, u, scales, tol):
+        results, error = neumann(kernel, u, scales, tol)
+        sweeps.update((m, len(result[-1])) for m, result in zip(scales, results) if result)
+        return results, error
 
     monkeypatch.setattr(st, "_neumann", recorded)
     return sweeps
@@ -1844,28 +1876,27 @@ def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkey
     # good[1]'s series waits before its terms until the t over the cap has
     # failed, which its series records before it returns: that failure is
     # above good[1] in the first order, and good[1] is still finished. The
-    # wait is bounded, since that series is not taken if t = 0.99 fails
-    # first
+    # wait is bounded, since the series after good[1]'s are taken by the
+    # other threads
     cycles = st.repelling_cycles(quad_germ_wide, 1) + st.repelling_cycles(quad_germ_wide, 2)
     waiting = max((st.shear_coefficient(c.multiplier, 1.0 / good[1]).mu for c in cycles), key=abs)
     capped = threading.Event()
     neumann, take_in_order = st._neumann, st._take_in_order
 
-    def gated(kernel, u, scales, tol, done, *wanted):
+    def gated(kernel, u, scales, tol):
         if scales[0] == waiting:
             capped.wait(10)
-        neumann(kernel, u, scales, tol, done, *wanted)
+        return neumann(kernel, u, scales, tol)
 
-    def watched(indices, work, failures, lock):
+    def watched(indices, work, outcomes):
         def signalled(i):
             try:
                 work(i)
             finally:
-                with lock:
-                    if type(failures.get(i)) is type(alone[over]):
-                        capped.set()
+                if type(outcomes[i]) is type(alone[over]):
+                    capped.set()
 
-        take_in_order(indices, signalled, failures, lock)
+        take_in_order(indices, signalled, outcomes)
 
     monkeypatch.setattr(st, "_finish", recorded)
     monkeypatch.setattr(st, "_neumann", gated)
@@ -1881,68 +1912,6 @@ def test_several_chart_failures_raise_the_lowest_t_and_the_next_call_runs(monkey
         assert type(exc) is type(alone[first]) and str(exc) == str(alone[first])
         assert set(ts[: ts.index(first)]) <= finished
     assert gd.motion_sample(quad_germ_wide, good, points, **settings) == want
-
-
-def test_several_chart_series_stops_once_a_lower_t_has_failed(monkeypatch, quad_germ_wide):
-    # each t has a series of its own; t = 0.99 does not converge in 200
-    # sweeps, and its series runs on one thread while t 1's series, on the
-    # other, is finished and fails: once the failure is recorded, the series
-    # of t 2 sums for nothing and stops
-    points = [0.1 + 0j, 0.05j]
-    settings = {"orders": (1, 2), "n": 64}
-    good = [0.4 + 0j, 0.35 + 0.05j]
-    _, index = finishing_index(monkeypatch, quad_germ_wide, good, points, **settings)
-    cycles = st.repelling_cycles(quad_germ_wide, 1) + st.repelling_cycles(quad_germ_wide, 2)
-    slow = max((st.shear_coefficient(c.multiplier, 1.0 / 0.99).mu for c in cycles), key=abs)
-    finish, neumann, take_in_order = st._finish, st._neumann, st._take_in_order
-    apply = st.BeurlingKernel.apply
-    summing, failed = threading.Event(), threading.Event()
-    applied = []
-
-    class TFault(Exception):
-        pass
-
-    def faulty(kernel, x, *args):
-        if index[x.tobytes()] == 1:
-            # t 2's series is taken before t 1 fails, or it would never run
-            assert summing.wait(30)
-            raise TFault("t index 1")
-        return finish(kernel, x, *args)
-
-    def gated(kernel, u, scales, tol, done, wanted):
-        if scales[0] == slow:
-            summing.set()
-            assert failed.wait(30)
-        neumann(kernel, u, scales, tol, done, wanted)
-
-    def watched(indices, work, failures, lock):
-        def signalled(i):
-            try:
-                work(i)
-            finally:
-                with lock:
-                    if isinstance(failures.get(i), TFault):
-                        failed.set()
-
-        take_in_order(indices, signalled, failures, lock)
-
-    def counted(self, x):
-        applied.append(x.shape)
-        return apply(self, x)
-
-    pool = functools.cache(st._pool.__wrapped__)
-    with monkeypatch.context() as m:
-        m.setattr(st, "_CPUS", 2)
-        m.setattr(st, "_pool", pool)
-        m.setattr(st, "_finish", faulty)
-        m.setattr(st, "_neumann", gated)
-        m.setattr(st, "_take_in_order", watched)
-        m.setattr(st.BeurlingKernel, "apply", counted)
-        with pytest.raises(TFault, match="t index 1"):
-            gd.motion_sample(quad_germ_wide, good + [0.99 + 0j], points, **settings)
-    pool().shutdown()
-    # the two good series make 24 transforms, and t 2's would make 199 more
-    assert len(applied) < st.MAX_SWEEPS // 4
 
 
 @pytest.mark.parametrize("count", [20, 80])
