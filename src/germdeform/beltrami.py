@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any, BinaryIO
+from typing import TYPE_CHECKING, Any, BinaryIO
 
 import numpy as np
 
@@ -23,11 +23,13 @@ from .errors import DomainError, ShearError
 from .germ import DERIVATIVE_FLOOR, Germ
 from .koenigs import KoenigsChart
 
+if TYPE_CHECKING:
+    from .straighten import Box
+
 TWO_PI = 2.0 * math.pi
 NEAR_DEGENERATE = 1.0 - 1e-9
 PUNCTURE_RADIUS = 1e-8
 TRANSPORT_DEPTH = 200
-CSV_BLOCK = 8192  # rows field_to_csv formats and writes at a time; its memory grows with this
 
 
 def tau_of(lam: complex) -> complex:
@@ -283,34 +285,41 @@ def _assemble(walk: FieldWalk, coefficients, out: np.ndarray | None = None) -> n
     return mu.reshape(walk.shape)
 
 
-def field_to_csv(z_grid: np.ndarray, mu_grid: np.ndarray, out: BinaryIO) -> None:
-    """Write the flat table of sampled coefficients, one `%.17g` row
-    `re,im,mu_re,mu_im` per node, to the binary file `out`. The table is
-    streamed CSV_BLOCK rows at a time, so no string or array spans it. In
-    each block each distinct value of a column is formatted once (values
-    are told apart by their bits, so -0.0 keeps its sign); the rows are
-    gathered from those texts into one NUL-padded byte matrix with the
-    commas and the newline as their own columns, and the padding is
-    dropped. z_grid and mu_grid must hold as many values."""
-    zf = np.asarray(z_grid, dtype=complex).ravel()
-    mf = np.asarray(mu_grid, dtype=complex).ravel()
-    if zf.size != mf.size:
-        raise DomainError("z and mu grids must have as many nodes (got %d and %d)" % (zf.size, mf.size))
+def field_to_csv(box: Box, mu_grid: np.ndarray, out: BinaryIO) -> None:
+    """Write the flat table of a field sampled on the n x n nodes of
+    box.nodes(n), n being mu's grid, to the binary file `out`: one `%.17g`
+    row `re,im,mu_re,mu_im` per node, in row-major order. Each axis value
+    is formatted once. A node whose mu bits are all zero is written `0,0`,
+    so a grid row of them is one join of the `re,` texts around its
+    `im,0,0` tail; only the other nodes' mu is formatted, by one `%` per
+    grid row (so -0.0 keeps its sign). Grid rows are joined and written
+    about 256 KiB at a time, so no string or array spans the table. mu
+    must be a square 2-d grid."""
+    mu = np.asarray(mu_grid, dtype=complex, order="C")
+    if mu.ndim != 2 or mu.shape[0] != mu.shape[1]:
+        raise DomainError("mu must be a square 2-d grid (got shape %s)" % (mu.shape,))
+    n = mu.shape[0]
+    axis = [b"%.17g" % v for v in box.axis(n).tolist()]
+    heads = [x + b"," for x in axis]
+    cells = np.empty(2 * n, dtype=object)
+    cells[0::2] = heads
     out.write(b"re,im,mu_re,mu_im\n")
-    for start in range(0, zf.size, CSV_BLOCK):
-        block = np.s_[start : start + CSV_BLOCK]
-        cells = []
-        for col in (zf.real, zf.imag, mf.real, mf.imag):
-            bits = np.ascontiguousarray(col[block]).view(np.int64)
-            distinct = np.sort(bits)
-            distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-            where = np.searchsorted(distinct, bits)
-            text = np.array([b"%.17g" % v for v in distinct.view(np.float64).tolist()])
-            cells.append(text.view(np.uint8).reshape(text.size, text.itemsize)[where])
-        rows = np.zeros((len(cells[0]), sum(c.shape[1] for c in cells) + 4), dtype=np.uint8)
-        at = 0
-        for cell, sep in zip(cells, b",,,\n"):
-            rows[:, at : at + cell.shape[1]] = cell
-            rows[:, at + cell.shape[1]] = sep
-            at += cell.shape[1] + 1
-        out.write(rows[rows != 0].tobytes())
+    chunk, size = [], 0
+    for y, row in zip(axis, mu):
+        tail = y + b",0,0\n"
+        bits = row.view(np.int64)
+        nonzero = np.flatnonzero(bits[0::2] | bits[1::2])
+        if nonzero.size:
+            # the row with a `%.17g,%.17g` slot at each nonzero node (the
+            # axis texts hold no `%`), filled from mu's interleaved parts
+            cells[1::2] = tail
+            cells[2 * nonzero + 1] = y + b",%.17g,%.17g\n"
+            text = b"".join(cells.tolist()) % tuple(row[nonzero].view(np.float64).tolist())
+        else:
+            text = tail.join(heads) + tail
+        chunk.append(text)
+        size += len(text)
+        if size >= 1 << 18:
+            out.write(b"".join(chunk))
+            chunk, size = [], 0
+    out.write(b"".join(chunk))

@@ -304,7 +304,7 @@ def _cmd_render(cfg: Fields, out: Path) -> None:
     _write(out, "mesh.ppm", to_ppm(mesh_raster(dg.grid_map, lines=lines)))
     if with_csv:
         with _artifact(out, "field.csv") as fh:
-            field_to_csv(dg.grid_map.box.nodes(n), dg.mu, fh)
+            field_to_csv(dg.grid_map.box, dg.mu, fh)
     print("render: wrote field.ppm and mesh.ppm at grid %d" % n)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .germ import check_integer
 from .straighten import GridMap
 
 MESH_LINES = 17
@@ -26,8 +27,14 @@ def to_ppm(gray: np.ndarray) -> bytes:
 
 def field_magnitude_raster(mu_grid: np.ndarray) -> np.ndarray:
     """|mu| with the grid's own sup as white; flat zero field stays black.
-    Row order flipped so increasing imaginary part points up."""
-    mag = np.abs(np.asarray(mu_grid))
+    Row order flipped so increasing imaginary part points up. mu must be
+    a nonempty finite 2-d grid."""
+    mu = np.asarray(mu_grid, dtype=complex)
+    if mu.ndim != 2 or not mu.size:
+        raise DomainError("field raster needs a nonempty 2-d grid (got shape %s)" % (mu.shape,))
+    if not np.isfinite(mu).all():
+        raise DomainError("field raster needs a finite field")
+    mag = np.abs(mu)
     top = float(mag.max())
     if top > 0:
         mag = mag / top
@@ -35,8 +42,12 @@ def field_magnitude_raster(mu_grid: np.ndarray) -> np.ndarray:
 
 
 def mesh_raster(gm: GridMap, lines: int = MESH_LINES) -> np.ndarray:
-    """Image of a Cartesian mesh under the grid map, white on black."""
+    """Image of a Cartesian mesh under the grid map, white on black; lines
+    is an integer from 1 to the map's grid size."""
     n = gm.n
+    check_integer("lines", lines)
+    if not 1 <= lines <= n:
+        raise DomainError("lines must be from 1 to the grid size %d (got %d)" % (n, lines))
     canvas = np.zeros((n, n), dtype=float)
     x0, x1, y0, y1 = gm.box.extents()
     span = np.linspace(0.0, 1.0, MESH_SAMPLES)

@@ -114,9 +114,15 @@ class Box:
             raise DomainError("n must be at least 1 (got %s)" % n)
         return 2.0 * self.half_width / n
 
+    def axis(self, n: int) -> np.ndarray:
+        """The n node coordinates along either axis of nodes(n): column j of
+        nodes(n) has real part axis(n)[j] and row i imaginary part
+        axis(n)[i], bit for bit."""
+        return -self.half_width + self.spacing(n) * np.arange(n)
+
     def nodes(self, n: int) -> np.ndarray:
         """The n x n lattice (row i at y, column j at x)."""
-        t = _axis(self, n)
+        t = self.axis(n)
         return t[None, :] + 1j * t[:, None]
 
     def extents(self) -> tuple[float, float, float, float]:
@@ -141,11 +147,6 @@ class Box:
 def box_for(germ: Germ) -> Box:
     # keep the normalization point z = 1 strictly inside
     return Box(max(2.0 * germ.radius_U, _BOX_MIN_HALF_WIDTH))
-
-
-def _axis(box: Box, n: int) -> np.ndarray:
-    """The n node coordinates along either axis of box.nodes(n)."""
-    return -box.half_width + box.spacing(n) * np.arange(n)
 
 
 def check_solver_settings(n: int, tol: float, pad: int) -> None:
@@ -266,11 +267,19 @@ def _keys(box: Box, samples: np.ndarray, z: np.ndarray) -> np.ndarray:
     dx = box.spacing(n)
     wx, cols, short_x = _keys_stencil((z.real - x0) / dx, n)
     wy, rows, short_y = _keys_stencil((z.imag - y0) / dx, n)
+    # each tap is one take at i * step + j from the memory the rows span,
+    # so a window of a wider array (the solve's h) is read where it lies
+    size = samples.itemsize
+    if samples.strides[1] != size or samples.strides[0] % size or samples.strides[0] < n * size:
+        samples = np.ascontiguousarray(samples)
+    step = samples.strides[0] // size
+    flat = np.lib.stride_tricks.as_strided(samples, ((n - 1) * step + n,), (size,), writeable=False)
     h = np.zeros(z.shape, dtype=complex)
     for w_row, i in zip(wy, rows):
+        at = i * step
         row = np.zeros(z.shape, dtype=complex)
         for w_col, j in zip(wx, cols):
-            row += w_col * samples[i, j]
+            row += w_col * flat.take(at + j)
         h += w_row * row
     # the kernel reproduces z, so holding h - z at the clamped nodes adds
     # back the distance they were moved
@@ -747,7 +756,7 @@ def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.nda
     off = (n - n0) // 2
     beta = sums[0] / (n * n)
     h = kernel.correct(x)
-    t = _axis(box, n0)
+    t = box.axis(n0)
     sign = (-1.0) ** (off + np.arange(n0))
     ts = t * sign
     for plane, along_y, along_x, g0, g2 in (

@@ -1,6 +1,7 @@
 import cmath
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,28 +241,44 @@ def test_distinct_cycles_required(quad_germ):
         gd.BeltramiField(quad_germ, (entry, entry))
 
 
-@pytest.mark.parametrize("block", [7, 8192])
-def test_field_csv_equals_per_row_formatting(monkeypatch, block):
-    monkeypatch.setattr(gd.beltrami, "CSV_BLOCK", block)
+def per_row_table(box, mu) -> bytes:
+    """field.csv formatted node by node from box.nodes(n)."""
+    rows = ["re,im,mu_re,mu_im"]
+    for a, m in zip(box.nodes(mu.shape[0]).ravel(), mu.ravel()):
+        rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
+    return ("\n".join(rows) + "\n").encode()
+
+
+# a 7-row table is under one write chunk; at 150 the grid rows run past
+# several chunks, and the last one is cut short
+@pytest.mark.parametrize("n", [7, 150])
+def test_field_csv_equals_per_row_formatting(n):
     rng = np.random.default_rng(3)
-    values = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -2.5e17, math.pi, 5e-324])
-    # 81 rows, and 8193 = 8192 + 1: neither is a multiple of either block
-    for shape in [(9, 9), (3, 2731)]:
-        z = rng.choice(values, shape) + 1j * rng.choice(values, shape)
-        mu = rng.choice(values, shape) * rng.standard_normal(shape) + 1j * rng.choice(values, shape)
-        rows = ["re,im,mu_re,mu_im"]
-        for a, m in zip(z.ravel(), mu.ravel()):
-            rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
-        sink = io.BytesIO()
-        gd.field_to_csv(z, mu, sink)
-        assert sink.getvalue() == ("\n".join(rows) + "\n").encode()
-        assert b"-0," in sink.getvalue()
-
-
-def test_field_csv_refuses_grids_of_different_sizes():
+    values = np.array([0.0, -0.0, 5e-324, 1e-300, -2.5e17, math.pi, math.nan])
+    nonzero = values[[2, 3, 4, 5, 6]]
+    mu = rng.choice(values, (n, n)) + 1j * rng.choice(values, (n, n))
+    mu[1] = 0.0
+    mu[2] = rng.choice(nonzero, n) + 1j * rng.choice(values, n)
+    mu[3] = -0.0 + 0j
+    mu[-1, -1] = 5e-324j
+    box = gd.Box(2.5)
     sink = io.BytesIO()
-    with pytest.raises(gd.DomainError, match=r"^z and mu grids must have as many nodes \(got 4 and 3\)$"):
-        gd.field_to_csv(np.zeros(4), np.zeros(3), sink)
+    gd.field_to_csv(box, mu, sink)
+    table = sink.getvalue()
+    assert table == per_row_table(box, mu)
+    # a Fortran-ordered mu is written as the grid it holds
+    sink = io.BytesIO()
+    gd.field_to_csv(box, np.asfortranarray(mu), sink)
+    assert sink.getvalue() == table
+    assert b",-0,0\n" in table and b",nan," in table and b",0,4.9406564584124654e-324\n" in table
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2), ()], ids=["1-d", "3x4", "3-d", "0-d"])
+def test_field_csv_refuses_a_mu_that_is_not_a_square_grid(shape):
+    sink = io.BytesIO()
+    cause = r"^mu must be a square 2-d grid \(got shape %s\)$" % re.escape(str(shape))
+    with pytest.raises(gd.DomainError, match=cause):
+        gd.field_to_csv(gd.Box(1.25), np.zeros(shape), sink)
     assert sink.getvalue() == b""
 
 
@@ -274,22 +291,25 @@ class CountingSink:
 
 
 def test_field_csv_streams_in_blocks():
-    # a 512 x 512 table of full-precision values is about 20 MB of text;
-    # written a block at a time, the writer holds a few copies of one
-    # block's rows of at most 4 * 24 + 4 bytes each
+    # a 512 x 512 table with mu nonzero at every node is about 17 MB of
+    # text. Written by grid rows joined about 256 KiB at a time, the writer
+    # holds at most two copies of one chunk, each under 256 KiB plus one
+    # grid row of at most 4 * 24 + 4 bytes a node (51,200 bytes), and per
+    # column under 300 bytes: its axis text and that text's `re,` form,
+    # and the row's mu parts as two floats in a tuple. Under
+    # 2 * (262144 + 51200) + 512 * 300 = 780,288 bytes
     rng = np.random.default_rng(5)
     pool = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    z = rng.choice(pool, (512, 512))
     mu = 0.5 * rng.choice(pool, (512, 512))
     sink = CountingSink()
     tracemalloc.start()
     try:
-        gd.field_to_csv(z, mu, sink)
+        gd.field_to_csv(gd.Box(1.25), mu, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert sink.size > 15e6
-    assert peak < 6 * 100 * gd.beltrami.CSV_BLOCK
+    assert peak < 2 * (262144 + 512 * 100) + 512 * 300
 
 
 def single_pass_sample_grid(field, z_grid, diagnostics):

@@ -627,16 +627,18 @@ def test_unwritable_artifact_exits_2(tmp_path, capsys, command, cfg, last):
 
 def test_render_field_csv_matches_per_row_formatting(tmp_path):
     # the CLI's field.csv against the table formatted row by row from the
-    # same solve, not against another run of the CLI
-    cfg = dict(STRAIGHTEN_64, field_csv=True)
-    rc, out = run(tmp_path, "render", "r.json", cfg)
-    assert rc == 0
+    # same solve, not against another run of the CLI. At grid 64 the table
+    # is one write; at 128 the rows where mu is nonzero run past the first
     germ = gd.Germ.from_json(QUAD_TIGHT)
-    dg = gd.global_deform(germ, [gd.Deformation(order=1, target=3.0 + 0j)], n=64)
-    rows = ["re,im,mu_re,mu_im"]
-    for a, m in zip(dg.grid_map.box.nodes(64).ravel(), dg.mu.ravel()):
-        rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
-    assert (out / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+    for n in (64, 128):
+        cfg = dict(STRAIGHTEN_64, grid=n, field_csv=True)
+        rc, out = run(tmp_path, "render", "r%d.json" % n, cfg, out="out%d" % n)
+        assert rc == 0
+        dg = gd.global_deform(germ, [gd.Deformation(order=1, target=3.0 + 0j)], n=n)
+        rows = ["re,im,mu_re,mu_im"]
+        for a, m in zip(dg.grid_map.box.nodes(n).ravel(), dg.mu.ravel()):
+            rows.append("%.17g,%.17g,%.17g,%.17g" % (a.real, a.imag, m.real, m.imag))
+        assert (out / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def readme_block(lang: str) -> str:

@@ -168,6 +168,49 @@ def test_grid_map_holds_the_edge_displacement():
     assert gm(z_edge + dx) == pytest.approx(edge + dx, abs=1e-15)
 
 
+def two_index_keys(box: Box, samples: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Keys' interpolation with each tap gathered as samples[i, j]; the
+    same weights and the same order of sums as st._keys."""
+    n = samples.shape[0]
+    x0, _, y0, _ = box.extents()
+    dx = box.spacing(n)
+    wx, cols, short_x = st._keys_stencil((z.real - x0) / dx, n)
+    wy, rows, short_y = st._keys_stencil((z.imag - y0) / dx, n)
+    h = np.zeros(z.shape, dtype=complex)
+    for w_row, i in zip(wy, rows):
+        row = np.zeros(z.shape, dtype=complex)
+        for w_col, j in zip(wx, cols):
+            row += w_col * samples[i, j]
+        h += w_row * row
+    return h + dx * (short_x + 1j * short_y)
+
+
+def test_keys_flat_taps_are_bitwise_the_two_index_gather():
+    box = Box(1.25)
+    n = 64
+    gm = random_grid_map(box, n, seed=6)
+    rng = np.random.default_rng(7)
+    w = box.half_width
+    # 1e5 points over the closed box: the interior, the strips within two
+    # spacings of each edge (whose stencils are clamped) and the edges,
+    # corners and edge nodes themselves
+    edge = box.axis(n)[[0, 1, n - 2, n - 1]].tolist() + [w]
+    p = rng.uniform(-w, w, (99_000, 2))
+    p[:20_000, 0] = rng.choice([-1.0, 1.0], 20_000) * rng.uniform(w - 2 * box.spacing(n), w, 20_000)
+    p[20_000:40_000, 1] = rng.choice([-1.0, 1.0], 20_000) * rng.uniform(w - 2 * box.spacing(n), w, 20_000)
+    ends = rng.choice(edge, (1_000, 2))
+    z = np.concatenate([p, ends]) @ np.array([1.0, 1j])
+    assert z.size == 100_000
+    wide = np.zeros((2 * n, 2 * n), dtype=complex)
+    wide[:n, :n] = gm.samples
+    wide[n:, ::2] = gm.samples
+    # the samples, a window of a wider array (as the solve's h is), a view
+    # with strided columns and one with its rows reversed
+    for samples in (gm.samples, wide[:n, :n], wide[n:, ::2], gm.samples[::-1]):
+        flat = st._keys(box, samples, z)
+        assert np.array_equal(flat.view(np.int64), two_index_keys(box, samples, z).view(np.int64))
+
+
 def test_beltrami_at_needs_interior_margin(disk_solution):
     box, n, _, _, gm = disk_solution
     with pytest.raises(gd.DomainError):
@@ -298,6 +341,10 @@ def test_box_nodes_layout():
     # row index moves the imaginary part, column the real part
     assert z[0, 1].real > z[0, 0].real
     assert z[1, 0].imag > z[0, 0].imag
+    # the axis is the lattice's coordinates, bit for bit
+    t = box.axis(16)
+    assert np.array_equal(z.real.view(np.int64), np.broadcast_to(t, (16, 16)).view(np.int64))
+    assert np.array_equal(z.imag.view(np.int64), np.broadcast_to(t[:, None], (16, 16)).view(np.int64))
 
 
 def test_box_nodes_refuses_a_grid_size_by_name():
@@ -770,7 +817,7 @@ def test_banded_assembly_and_check_are_bitwise_the_whole_window(monkeypatch, qua
     # a vector along y, then a vector along x by the sign of each row
     beta = complex(*diag["beta"])
     gam = [complex(*g) for g in diag["gammas"]]
-    t = st._axis(box, n)
+    t = box.axis(n)
     sign = (-1.0) ** (n // 2 + np.arange(n))  # of the pad-2 grid
     ts = t * sign
     rows = sign[:, None]
