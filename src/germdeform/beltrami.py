@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, BinaryIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Sequence
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class FieldEntry:
 
 @dataclass(frozen=True)
 class FieldWalk:
-    """The shear-free part of sampling a field: each point's backward walk.
+    """The shear-free part of sampling a field: each point's backward walk (walk_charts).
 
     landings[k] holds, for the k-th chart walked to, one (indices, g, prod)
     chunk per walk step that landed points in its disk: their flat indices,
@@ -136,11 +136,76 @@ class FieldWalk:
     """
 
     shape: tuple[int, ...]
-    charts: tuple[KoenigsChart, ...]
     landings: tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], ...]
     escaped: int
     stalled: int
     unresolved: int
+
+
+def walk_charts(germ: Germ, charts: Sequence[KoenigsChart], z_grid: np.ndarray) -> FieldWalk:
+    """Batched backward walk of the points in U to the charts' disks.
+
+    A finite point outside U escapes at step 0 and is not gathered; a
+    point that is not finite is neither walked nor counted. Points that
+    escape, stall in the inverse step (or land on a critical point, where
+    the derivative product vanishes), or run out of depth (unresolved) land
+    nowhere. Each point is classified from its own walk. No shear plays a
+    part, so one walk serves every field on the same charts (_assemble).
+    """
+    z = np.asarray(z_grid, dtype=complex)
+    landed = [[] for _ in charts]
+    # the live points: flat index, current position, derivative product;
+    # only the nodes in U start (a node that is not finite fails the
+    # comparison), and the finite nodes outside U escape at step 0
+    zf = z.ravel()
+    idx = np.flatnonzero(np.abs(zf) <= germ.radius_U)
+    w = zf[idx]
+    prod = np.ones_like(w)
+    escaped_total = int(np.count_nonzero(np.isfinite(zf))) - idx.size
+    stalled_total = 0
+    for _ in range(TRANSPORT_DEPTH + 1):
+        keep = np.abs(w) <= germ.radius_U
+        escaped_total += keep.size - int(np.count_nonzero(keep))
+        idx, w, prod = idx[keep], w[keep], prod[keep]
+        for chart, chunks in zip(charts, landed):
+            hit = np.abs(w - chart.center) <= chart.radius
+            if hit.any():
+                wh = w[hit]
+                d = wh - chart.center
+                tiny = np.abs(d) < PUNCTURE_RADIUS
+                if tiny.any():
+                    dt = d[tiny]
+                    adt = np.abs(dt)
+                    unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
+                    wh[tiny] = chart.center + PUNCTURE_RADIUS * unit
+                # derivative factor of xi = Log(phi)/(2*pi*i), through
+                # which the constant torus value is pulled back
+                ph = chart.phi_raw(wh)
+                dph = chart.dphi_raw(wh)
+                chunks.append((idx[hit], dph / (2j * math.pi * ph), prod[hit]))
+                keep = ~hit
+                idx, w, prod = idx[keep], w[keep], prod[keep]
+        if not idx.size:
+            break
+        # one batched Newton inverse step from the current position; a
+        # point that ran out of iterations still counts when its residual
+        # is within 1e-10 and it has not stopped on a flat derivative
+        zn, ok = germ.preimages(w, w)
+        dz = germ.derivative_raw(zn)
+        close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
+        ok |= close & np.isfinite(zn) & (np.abs(dz) >= DERIVATIVE_FLOOR)
+        # a preimage on a critical point cannot carry the field forward
+        prod = prod * dz
+        ok &= prod != 0
+        stalled_total += ok.size - int(np.count_nonzero(ok))
+        idx, w, prod = idx[ok], zn[ok], prod[ok]
+    return FieldWalk(
+        shape=z.shape,
+        landings=tuple(tuple(chunks) for chunks in landed),
+        escaped=escaped_total,
+        stalled=stalled_total,
+        unresolved=int(idx.size),
+    )
 
 
 @dataclass(frozen=True)
@@ -168,108 +233,28 @@ class BeltramiField:
             centers.extend(e.chart.cycle.points)
 
     def sample_grid(self, z_grid: np.ndarray, diagnostics: dict[str, Any] | None = None) -> np.ndarray:
-        """Field over an array of points: the backward walk, then the
-        assembly of this field's shears along it. Besides the points and the
-        returned field, it holds one real array of the points' size at a
-        time (|z| for the walk, |mu| for the diagnostics) and the walk's
-        arrays, which span only the points in U."""
+        """Field over an array of points: walk_charts to the entries' charts,
+        then _assemble of their shears. Besides the points and the returned
+        field, it holds one real array of the points' size at a time (|z|
+        for the walk, |mu| for the diagnostics) and the walk's arrays, which
+        span only the points in U."""
         z = np.asarray(z_grid, dtype=complex)
         # allocated before the walk's temporaries: after them, a large field
         # array reuses heap memory they freed, which must be zeroed (so all
         # of it becomes resident) and is kept after the array is freed; at
         # N=1024 that raised peak RSS by about 4 MB
         mu = np.zeros(z.size, dtype=complex)
-        return self.assemble(self.walk(z), diagnostics, out=mu)
-
-    def walk(self, z_grid: np.ndarray) -> FieldWalk:
-        """Batched backward walk of the points in U to the chart disks.
-
-        A finite point outside U escapes at step 0 and is not gathered; a
-        point that is not finite is neither walked nor counted. Points that
-        escape, stall in the inverse step (or land on a critical point,
-        where the derivative product vanishes), or run out of depth
-        (unresolved) land nowhere. Each point is classified from its own
-        walk. The shears play no part, so one walk serves every field on the
-        same charts.
-        """
-        germ = self.germ
-        z = np.asarray(z_grid, dtype=complex)
-        landed = [[] for _ in self.entries]
-        # the live points: flat index, current position, derivative product;
-        # only the nodes in U start (a node that is not finite fails the
-        # comparison), and the finite nodes outside U escape at step 0
-        zf = z.ravel()
-        idx = np.flatnonzero(np.abs(zf) <= germ.radius_U)
-        w = zf[idx]
-        prod = np.ones_like(w)
-        escaped_total = int(np.count_nonzero(np.isfinite(zf))) - idx.size
-        stalled_total = 0
-        for _ in range(TRANSPORT_DEPTH + 1):
-            keep = np.abs(w) <= germ.radius_U
-            escaped_total += keep.size - int(np.count_nonzero(keep))
-            idx, w, prod = idx[keep], w[keep], prod[keep]
-            for e, chunks in zip(self.entries, landed):
-                hit = np.abs(w - e.chart.center) <= e.chart.radius
-                if hit.any():
-                    wh = w[hit]
-                    d = wh - e.chart.center
-                    tiny = np.abs(d) < PUNCTURE_RADIUS
-                    if tiny.any():
-                        dt = d[tiny]
-                        adt = np.abs(dt)
-                        unit = np.where(adt == 0, 1.0 + 0j, dt / np.where(adt == 0, 1.0, adt))
-                        wh[tiny] = e.chart.center + PUNCTURE_RADIUS * unit
-                    # derivative factor of xi = Log(phi)/(2*pi*i), through
-                    # which the constant torus value is pulled back
-                    ph = e.chart.phi_raw(wh)
-                    dph = e.chart.dphi_raw(wh)
-                    chunks.append((idx[hit], dph / (2j * math.pi * ph), prod[hit]))
-                    keep = ~hit
-                    idx, w, prod = idx[keep], w[keep], prod[keep]
-            if not idx.size:
-                break
-            # one batched Newton inverse step from the current position; a
-            # point that ran out of iterations still counts when its residual
-            # is within 1e-10 and it has not stopped on a flat derivative
-            zn, ok = germ.preimages(w, w)
-            dz = germ.derivative_raw(zn)
-            close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
-            ok |= close & np.isfinite(zn) & (np.abs(dz) >= DERIVATIVE_FLOOR)
-            # a preimage on a critical point cannot carry the field forward
-            prod = prod * dz
-            ok &= prod != 0
-            stalled_total += ok.size - int(np.count_nonzero(ok))
-            idx, w, prod = idx[ok], zn[ok], prod[ok]
-        return FieldWalk(
-            shape=z.shape,
-            charts=tuple(e.chart for e in self.entries),
-            landings=tuple(tuple(chunks) for chunks in landed),
-            escaped=escaped_total,
-            stalled=stalled_total,
-            unresolved=int(idx.size),
-        )
-
-    def assemble(
-        self,
-        walk: FieldWalk,
-        diagnostics: dict[str, Any] | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The field on a walk of its own charts: at each landed point, the
-        entry's torus coefficient pulled back by g and carried forward by the
-        derivative product; 0 elsewhere. out, when given, is a flat zero
-        array of the walk's size to write into."""
-        if len(walk.charts) != len(self.entries) or any(
-            c is not e.chart for c, e in zip(walk.charts, self.entries)
-        ):
-            raise DomainError("walk was made on other charts than this field's")
-        mu = _assemble(walk, [e.shear.mu for e in self.entries], out)
+        walk = walk_charts(self.germ, [e.chart for e in self.entries], z)
+        mu = _assemble(walk, [e.shear.mu for e in self.entries], mu)
         if diagnostics is not None:
             diagnostics["escaped"] = walk.escaped
             diagnostics["stalled"] = walk.stalled
             diagnostics["unresolved"] = walk.unresolved
             diagnostics["max_abs"] = float(np.max(np.abs(mu))) if mu.size else 0.0
             diagnostics["support_fraction"] = float(np.mean(np.abs(mu) > 0))
+        # freed before the points: a large points array freed first raises
+        # malloc's trim threshold, and the heap the walk frees stays resident
+        del walk
         return mu
 
 

@@ -34,11 +34,6 @@ from .straighten import Deformation, check_solver_settings, global_deform, motio
 from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, MOVE_SPREAD, SOLVER_TOL
 from .straighten import FIXED_POINT_DRIFT, GLOBAL_MEASURE_FACTOR
 
-# largest padded grid pad * grid: the solve's memory grows with its square,
-# and a straighten run of 2z + z^2 at pad 2 peaks at about 0.11 GB at 2048
-# and 0.32 GB at 4096 (ru_maxrss, 2 CPUs)
-MAX_PADDED_GRID = 4096
-
 
 def _load_config(path: str) -> Fields:
     try:
@@ -72,7 +67,7 @@ def _deformations_from(cfg: Fields) -> list[Deformation]:
 
 def _solver_settings(cfg: Fields, grid: int, tol: float) -> tuple[int, float, int]:
     """grid, solver_tol and pad from the config. The solve's own check
-    (check_solver_settings) and MAX_PADDED_GRID refuse them before any work."""
+    (check_solver_settings) refuses them before any work."""
     n = cfg.take("grid", INTEGER, grid)
     tol = float(cfg.take("solver_tol", NUMBER, tol))
     pad = cfg.take("pad", INTEGER, DEFAULT_PAD)
@@ -80,10 +75,6 @@ def _solver_settings(cfg: Fields, grid: int, tol: float) -> tuple[int, float, in
         check_solver_settings(n, tol, pad)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    if n * pad > MAX_PADDED_GRID:
-        raise ConfigError(
-            "grid * pad must be at most %d (got grid %d, pad %d)" % (MAX_PADDED_GRID, n, pad)
-        )
     return n, tol, pad
 
 

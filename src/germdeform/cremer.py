@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InsufficientDataError
-from .germ import INTEGER, csv_table
+from .germ import check_integer, csv_table
 
 LOGLOG_MIN_Q = 3  # log log q needs q > e; first safe integer is 3
 TOWER_MAX_BITS = 10**7
@@ -30,8 +30,9 @@ class ContinuedFraction:
     def __post_init__(self):
         if not self.quotients:
             raise DomainError("need at least one partial quotient")
-        for a in self.quotients:
-            if not (INTEGER.test(a) and a >= 1):
+        for k, a in enumerate(self.quotients):
+            check_integer("partial quotients[%d]" % k, a)
+            if a < 1:
                 raise DomainError("partial quotients must be positive integers")
 
     def convergents(self) -> list[tuple[int, int]]:
@@ -39,7 +40,8 @@ class ContinuedFraction:
         p_prev, p = 1, 0
         q_prev, q = 0, 1
         out = []
-        for a in self.quotients:
+        # as Python ints, numpy quotients do not wrap at 64 bits
+        for a in map(int, self.quotients):
             p_prev, p = p, a * p + p_prev
             q_prev, q = q, a * q + q_prev
             out.append((p, q))
@@ -51,10 +53,12 @@ class ContinuedFraction:
 
 
 def golden_quotients(count: int) -> tuple[int, ...]:
+    check_integer("count", count)
     return (1,) * count
 
 
 def pell_quotients(count: int) -> tuple[int, ...]:
+    check_integer("count", count)
     return (2,) * count
 
 
@@ -95,6 +99,12 @@ def _ratio(x: float, q: int) -> float:
         return num / (den * q)
 
 
+def _check_degree(degree: int) -> None:
+    check_integer("degree", degree)
+    if degree < 2:
+        raise DomainError("degree must be >= 2")
+
+
 def cremer_margin(
     cf: ContinuedFraction | GrowthRatios, degree: int, window: int | None = None
 ) -> float:
@@ -105,10 +115,10 @@ def cremer_margin(
     cf may also be given as its growth_ratios, computed once by a caller
     that needs them again.
     """
-    if degree < 2:
-        raise DomainError("degree must be >= 2")
+    _check_degree(degree)
     ratios = _ratios_of(cf)
     if window is not None:
+        check_integer("window", window)
         if window < 1:
             raise DomainError("window must be >= 1")
         ratios = ratios[-window:]
@@ -146,12 +156,14 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
     buildable prefix, which is exactly the point: one huge quotient already
     makes the window's ratio land above any fixed log(degree).
     """
-    if not (INTEGER.test(seed) and seed >= 1):
+    check_integer("seed quotient", seed)
+    if seed < 1:
         raise DomainError("seed quotient must be a positive integer")
+    check_integer("count", count)
     if count < 2:
         raise DomainError("tower needs at least two quotients")
     quots = [seed]
-    q_prev, q = 1, seed  # q_0 and q_1 of [0; seed]
+    q_prev, q = 1, int(seed)  # q_0 and q_1 of [0; seed], exact past 64 bits
     while len(quots) < count:
         try:
             x = math.exp(2.0 * float(q))  # OverflowError once q is large
@@ -167,7 +179,8 @@ def tower_quotients(seed: int = 2, count: int = 8) -> tuple[int, ...]:
 
 def margin_rows_csv(cf: ContinuedFraction | GrowthRatios, degree: int) -> str:
     """Deterministic per-index table: n, q_n, ratio, margin. cf may also be
-    given as its growth_ratios."""
+    given as its growth_ratios. degree is checked as by cremer_margin."""
+    _check_degree(degree)
     rows = _ratios_of(cf)
     logd = math.log(degree)
     if rows:

@@ -21,7 +21,7 @@ import numpy as np
 from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
-from .germ import Germ, circle, pointwise
+from .germ import Germ, circle, is_finite, pointwise
 from .koenigs import KoenigsChart, _cycle_charts
 from .numdiff import wirtinger_pair
 
@@ -122,6 +122,11 @@ def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:
     return complex(np.sum((gw - a) / (w - a) ** 2 * dw) / (1j * n))
 
 
+def _check_radius(radius: float) -> None:
+    if not (is_finite(radius) and radius > 0):
+        raise DomainError("radius must be positive and finite (got %r)" % (radius,))
+
+
 def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
@@ -131,8 +136,10 @@ def cauchy_cycle_derivative(
     integral on a circle. step_fn maps an array of points elementwise and
     is called once. Given a sequence of radii, it is called once on all
     the circles stacked, and the estimates come back in a list, one per
-    radius."""
+    radius. Each radius must be positive and finite."""
     radii = np.atleast_1d(radius)
+    for r in radii.tolist():
+        _check_radius(r)
     w = np.concatenate([circle(center, r, MEASURE_POINTS) for r in radii])
     gw = step_fn(w)
     est = [
@@ -201,9 +208,9 @@ def residual_readings(
     The disk is halved until every probe point is inside fn's domain (fn
     raises DomainError on an array with any point outside it); the ratio
     itself does not depend on the disk size for the maps probed here.
+    radius must be positive and finite.
     """
-    if radius <= 0:
-        raise DomainError("residual probe needs a positive radius")
+    _check_radius(radius)
     r = 0.1 + 0.7 * np.arange(RESIDUAL_RADII) / (RESIDUAL_RADII - 1)
     grid = np.outer(r, circle(0.0, 1.0, RESIDUAL_ANGLES)).ravel()
     for _ in range(20):

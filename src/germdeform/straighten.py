@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .beltrami import TRANSPORT_DEPTH, BeltramiField, FieldEntry, _assemble, shear_coefficient
+from .beltrami import TRANSPORT_DEPTH, BeltramiField, FieldEntry, _assemble, shear_coefficient, walk_charts
 from .cycles import classify, repelling_cycle, repelling_cycles
 from .errors import (
     ConvergenceError,
@@ -66,6 +66,10 @@ FIXED_POINT_DRIFT = 0.1
 FIXED_POINT_RADIUS = 0.02
 MOTION_GRID = 256
 MOTION_TOL = 1e-10
+# largest padded grid pad * grid: the solve's memory grows with its square,
+# and a straighten run of 2z + z^2 at pad 2 peaks at about 0.11 GB at 2048
+# and 0.32 GB at 4096 (ru_maxrss, 2 CPUs)
+MAX_PADDED_GRID = 4096
 
 _BOX_MIN_HALF_WIDTH = 1.25
 # rows per pass of the sweep kernel's differences in the kernel fit
@@ -151,7 +155,8 @@ def box_for(germ: Germ) -> Box:
 
 def check_solver_settings(n: int, tol: float, pad: int) -> None:
     """Refuse a grid size, pad factor or tolerance the solve cannot use or
-    reach, with a DomainError that names it as its config key does."""
+    reach, or a padded grid pad * grid over MAX_PADDED_GRID, with a
+    DomainError that names it as its config key does."""
     check_integer("grid", n)
     check_integer("pad", pad)
     if n < 16 or n % 2:
@@ -160,6 +165,8 @@ def check_solver_settings(n: int, tol: float, pad: int) -> None:
         raise DomainError("pad must be >= 1 (got %s)" % pad)
     if not (is_finite(tol) and tol > 0):
         raise DomainError("solver_tol must be finite and > 0 (got %s)" % tol)
+    if n * pad > MAX_PADDED_GRID:
+        raise DomainError("grid * pad must be at most %d (got grid %d, pad %d)" % (MAX_PADDED_GRID, n, pad))
 
 
 def _central_symbol(n: int, dx: float) -> np.ndarray:
@@ -1079,8 +1086,8 @@ def motion_sample(
     of images per t. The solver settings, the orders (integers, no repeats),
     t_values (nonempty) and points (a sequence) are checked before the
     census, every t, point and shear before the first walk; the census, the
-    charts and the field's backward walk do not depend on t, so they are
-    made once.
+    charts and the backward walk to them (walk_charts) do not depend on t,
+    so they are made once.
 
     The field is linear in the shear coefficients, so mu_t = s_t U_t: s_t is
     t's coefficient of largest modulus (the first on ties) and U_t the field
@@ -1127,7 +1134,7 @@ def motion_sample(
     if not charts:
         raise InsufficientDataError("no repelling cycles found for the requested orders")
     shears = [[shear_coefficient(c.cycle.multiplier, 1.0 / t) for c in charts] for t in ts]
-    walk = BeltramiField(germ, tuple(map(FieldEntry, charts, shears[0]))).walk(box.nodes(n))
+    walk = walk_charts(germ, charts, box.nodes(n))
     scales: list[complex] = []
     series: dict[tuple, list[int]] = {}
     for i, row in enumerate(shears):

@@ -438,11 +438,3 @@ def test_a_points_value_does_not_depend_on_its_batch():
         pick = rng.choice(landed, size, replace=False)
         assert np.array_equal(field.sample_grid(z[pick]).view(np.int64), grid[pick].view(np.int64))
 
-
-def test_assembly_refuses_a_walk_on_other_charts(quad_germ):
-    field = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
-    other = gd.build_field(quad_germ, [gd.Deformation(1, 3.0 + 0j)])
-    walk = field.walk(np.array([0.01 + 0j]))
-    assert other.assemble(other.walk(np.array([0.01 + 0j]))) == field.assemble(walk)
-    with pytest.raises(gd.DomainError, match="other charts"):
-        other.assemble(walk)

@@ -58,3 +58,22 @@ def test_sample_grid_keeps_the_size(quad_germ):
     field = gd.build_field(quad_germ, [gd.Deformation(order=1, target=3.0 + 0j)])
     z = gd.Box(1.25).nodes(16)[:5, :7]
     assert np.size(field.sample_grid(z)) == z.size
+
+
+def test_global_deform_samples_its_field_by_one_sample_grid_call(monkeypatch, quad_germ):
+    # the span beltrami.sample_grid and its hook read the points, the
+    # positional argument after the field, and the returned field
+    calls = []
+    sample_grid = gd.BeltramiField.sample_grid
+
+    def recorded(*args, **kwargs):
+        out = sample_grid(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(gd.BeltramiField, "sample_grid", recorded)
+    deformed = gd.global_deform(quad_germ, [gd.Deformation(order=1, target=3.0 + 0j)], n=64)
+    assert len(calls) == 1
+    (args, out), = calls
+    assert np.size(args[1]) == 64 * 64
+    assert out is deformed.mu

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +126,45 @@ def test_a_bool_is_not_a_quotient():
         gd.ContinuedFraction((True, 2))
     with pytest.raises(gd.DomainError, match="seed quotient"):
         gd.tower_quotients(seed=True, count=2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cf: gd.ContinuedFraction((1, 2.0)), r"partial quotients\[1\] must be an integer"),
+        (lambda cf: gd.golden_quotients(2.5), "count must be an integer"),
+        (lambda cf: gd.pell_quotients(True), "count must be an integer"),
+        (lambda cf: gd.tower_quotients(seed=2.0), "seed quotient must be an integer"),
+        (lambda cf: gd.tower_quotients(count=2.5), "count must be an integer"),
+        (lambda cf: gd.cremer_margin(cf, 2.5), "degree must be an integer"),
+        (lambda cf: gd.cremer_margin(cf, True), "degree must be an integer"),
+        (lambda cf: gd.cremer_margin(cf, 2, window=2.5), "window must be an integer"),
+        (lambda cf: gd.margin_rows_csv(cf, 2.0), "degree must be an integer"),
+        (lambda cf: gd.margin_rows_csv(cf, 0), "degree must be >= 2"),
+        (lambda cf: gd.margin_rows_csv(cf, 1), "degree must be >= 2"),
+    ],
+    ids=[
+        "float-quotient", "golden-float-count", "pell-bool-count", "float-seed", "tower-float-count",
+        "float-degree", "bool-degree", "float-window", "rows-float-degree", "rows-degree-0",
+        "rows-degree-1",
+    ],
+)
+def test_integer_arguments_are_refused_by_name(call, message):
+    cf = gd.ContinuedFraction(gd.golden_quotients(10))
+    with pytest.raises(gd.DomainError, match="^" + message):
+        call(cf)
+
+
+def test_numpy_integers_are_integers():
+    quotients = np.array([1, 2] * 50, dtype=np.int64)
+    cf = gd.ContinuedFraction(tuple(quotients))
+    # the convergents stay exact past 64 bits
+    assert cf.convergents() == gd.ContinuedFraction(tuple(quotients.tolist())).convergents()
+    assert cf.convergents()[-1][1] > 2**64
+    assert gd.golden_quotients(np.int64(3)) == (1, 1, 1)
+    assert gd.tower_quotients(seed=np.int64(2), count=np.int32(3)) == gd.tower_quotients(2, 3)
+    assert gd.cremer_margin(cf, np.int64(2), window=np.int64(5)) == gd.cremer_margin(cf, 2, window=5)
+    assert gd.margin_rows_csv(cf, np.int64(3)) == gd.margin_rows_csv(cf, 3)
 
 
 def test_csv_rows():

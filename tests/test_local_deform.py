@@ -181,6 +181,24 @@ def test_residual_requires_positive_radius(conj3):
         gd.holomorphy_residual(conj3.k_eval, 0j, 0.0)
 
 
+@pytest.mark.parametrize(
+    "radius", [0.0, -0.1, math.nan, math.inf, (0.1, math.nan)], ids=["zero", "negative", "nan", "inf", "nan-pair"]
+)
+def test_a_radius_that_is_not_positive_and_finite_is_refused_by_name(conj3, radius):
+    # a zero radius read nan+nanj after a RuntimeWarning, and a NaN one
+    # passed `radius <= 0` on to a misleading "derivative vanished"
+    def unreachable(z):
+        raise AssertionError("the map ran on a radius that was not positive and finite")
+
+    with pytest.raises(gd.DomainError, match="^radius must be positive and finite"):
+        gd.cauchy_cycle_derivative(unreachable, 0j, radius)
+    if np.ndim(radius) == 0:
+        with pytest.raises(gd.DomainError, match="^radius must be positive and finite"):
+            residual_readings(unreachable, 0j, radius)
+        with pytest.raises(gd.DomainError, match="^radius must be positive and finite"):
+            gd.holomorphy_residual(conj3.k_eval, 0j, radius)
+
+
 # seed 1, job local-20 of the local-census benchmark: |target/lambda| = 0.099
 COLLAPSE_TARGET = 0.8292629230822784 - 1.3502956612035348j
 

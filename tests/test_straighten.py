@@ -380,10 +380,12 @@ def no_census(*args, **kwargs):
         ({"tol": float("nan")}, "solver_tol"),
         ({"tol": 0.0}, "solver_tol"),
         ({"tol": -1.0}, "solver_tol"),
+        ({"n": 2**20}, r"grid \* pad"),
+        ({"n": 2048, "pad": 3}, r"grid \* pad"),
     ],
     ids=[
         "odd-grid", "pad-zero", "float-grid", "float-pad", "bool-grid", "bool-pad",
-        "tol-nan", "tol-zero", "tol-negative",
+        "tol-nan", "tol-zero", "tol-negative", "huge-grid", "huge-padded-grid",
     ],
 )
 def test_unsolvable_settings_are_refused_before_the_census(monkeypatch, quad_germ, settings, key):
@@ -582,29 +584,42 @@ def test_motion_sample_runs_one_census_per_order(monkeypatch, quad_germ):
 
 def test_motion_sample_walks_once_and_builds_one_kernel(monkeypatch, quad_germ):
     walks, fits = [], []
-    walk = gd.BeltramiField.walk
+    walk = st.walk_charts
     fit = st.BeurlingKernel.fit
 
-    def counted_walk(self, z):
+    def counted_walk(germ, charts, z):
         walks.append(z.shape)
-        return walk(self, z)
+        return walk(germ, charts, z)
 
     def counted_fit(self, block):
         fits.append(block)
         return fit(self, block)
 
-    monkeypatch.setattr(gd.BeltramiField, "walk", counted_walk)
+    monkeypatch.setattr(st, "walk_charts", counted_walk)
     monkeypatch.setattr(st.BeurlingKernel, "fit", counted_fit)
     gd.motion_sample(quad_germ, [0.4 + 0j, 0.35 + 0.05j, 0.3 - 0.1j], [0.1 + 0j], n=64)
     assert walks == [(64, 64)]
     assert len(fits) == 1
 
 
+def test_motion_sample_builds_no_field(monkeypatch, quad_germ):
+    # motion walks its charts directly and assembles each series' unit
+    # field on that walk; no BeltramiField of some t's shears is made
+    ts, points = [0.4 + 0j, 0.3 - 0.1j], [0.1 + 0j, 0.05j]
+    want = gd.motion_sample(quad_germ, ts, points, orders=(1, 2), n=32)
+
+    def no_field(self):
+        raise AssertionError("motion built a BeltramiField")
+
+    monkeypatch.setattr(gd.BeltramiField, "__post_init__", no_field)
+    assert gd.motion_sample(quad_germ, ts, points, orders=(1, 2), n=32) == want
+
+
 def test_motion_sample_refuses_a_shear_before_any_walk_or_solve(monkeypatch, quad_germ):
     def unreachable(*args, **kwargs):
         raise AssertionError("walk or solve ran before every shear was checked")
 
-    monkeypatch.setattr(gd.BeltramiField, "walk", unreachable)
+    monkeypatch.setattr(st, "walk_charts", unreachable)
     for step in ("_neumann", "_finish"):
         monkeypatch.setattr(st, step, unreachable)
     # |t| < 1, but 1/t is not repelling enough to shear to
