@@ -30,9 +30,8 @@ from .germ import Fields, Germ, csv_table
 from .koenigs import build_chart
 from .local_deform import LocalConjugacy, holomorphy_residual, measure_multiplier
 from .render import field_magnitude_raster, mesh_raster, to_ppm, MESH_LINES
-from .straighten import Deformation, check_solver_settings, global_deform, motion_sample
+from .straighten import FIXED_POINT_DRIFT, Deformation, check_solver_settings, global_deform, motion_sample
 from .straighten import DEFAULT_GRID, DEFAULT_PAD, MOTION_GRID, MOTION_TOL, MOVE_SPREAD, SOLVER_TOL
-from .straighten import FIXED_POINT_DRIFT, GLOBAL_MEASURE_FACTOR
 
 
 def _load_config(path: str) -> Fields:
@@ -202,7 +201,7 @@ def _cmd_straighten(cfg: Fields, out: Path) -> None:
                 "move_spread": dg.move_spreads[i],
                 "move_spread_budget": MOVE_SPREAD,
                 "depth_frontier": dg.depth_frontier(i),
-                "measure_radius": GLOBAL_MEASURE_FACTOR * dg.field.entries[i].chart.radius,
+                "measure_radius": dg.measure_radius(i),
             }
         )
     dg.measure_fixed_point()

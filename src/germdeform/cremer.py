@@ -23,25 +23,29 @@ TOWER_MAX_BITS = 10**7
 
 @dataclass(frozen=True)
 class ContinuedFraction:
-    """Quotients [0; a1, a2, ...] of a number in (0, 1)."""
+    """Quotients [0; a1, a2, ...] of a number in (0, 1), kept as Python ints."""
 
     quotients: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.quotients:
+        try:
+            quotients = tuple(self.quotients)
+        except TypeError:
+            raise DomainError("partial quotients must be an iterable (got %r)" % (self.quotients,)) from None
+        if not quotients:
             raise DomainError("need at least one partial quotient")
-        for k, a in enumerate(self.quotients):
+        for k, a in enumerate(quotients):
             check_integer("partial quotients[%d]" % k, a)
             if a < 1:
                 raise DomainError("partial quotients must be positive integers")
+        object.__setattr__(self, "quotients", tuple(map(int, quotients)))
 
     def convergents(self) -> list[tuple[int, int]]:
         """(p_n, q_n) for n = 1..len, exact integers."""
         p_prev, p = 1, 0
         q_prev, q = 0, 1
         out = []
-        # as Python ints, numpy quotients do not wrap at 64 bits
-        for a in map(int, self.quotients):
+        for a in self.quotients:
             p_prev, p = p, a * p + p_prev
             q_prev, q = q, a * q + q_prev
             out.append((p, q))

@@ -131,17 +131,25 @@ def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
     radius: float | Sequence[float],
+    h: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> complex | list[complex]:
     """Derivative of step_fn at its fixed point center, by the Cauchy
     integral on a circle. step_fn maps an array of points elementwise and
     is called once. Given a sequence of radii, it is called once on all
     the circles stacked, and the estimates come back in a list, one per
-    radius. Each radius must be positive and finite."""
+    radius. Each radius must be positive and finite, and a sequence not
+    empty. Given a map h, elementwise too, it returns g'(h(center)) for g =
+    h o step_fn o h^{-1} from the h-images of the circles and of their
+    step_fn images, h called once on these and the center."""
     radii = np.atleast_1d(radius)
+    if not radii.size:
+        raise DomainError("need at least one radius (got %r)" % (radius,))
     for r in radii.tolist():
         _check_radius(r)
     w = np.concatenate([circle(center, r, MEASURE_POINTS) for r in radii])
     gw = step_fn(w)
+    if h is not None:
+        (center,), w, gw = np.split(h(np.concatenate(([center], w, gw))), [1, w.size + 1])
     est = [
         contour_multiplier(w[i : i + MEASURE_POINTS], gw[i : i + MEASURE_POINTS], center)
         for i in range(0, w.size, MEASURE_POINTS)

@@ -42,8 +42,8 @@ def field_magnitude_raster(mu_grid: np.ndarray) -> np.ndarray:
 
 
 def mesh_raster(gm: GridMap, lines: int = MESH_LINES) -> np.ndarray:
-    """Image of a Cartesian mesh under the grid map, white on black; lines
-    is an integer from 1 to the map's grid size."""
+    """Image of a Cartesian mesh under the grid map, all read in one call,
+    white on black; lines is an integer from 1 to the map's grid size."""
     n = gm.n
     check_integer("lines", lines)
     if not 1 <= lines <= n:
@@ -51,16 +51,12 @@ def mesh_raster(gm: GridMap, lines: int = MESH_LINES) -> np.ndarray:
     canvas = np.zeros((n, n), dtype=float)
     x0, x1, y0, y1 = gm.box.extents()
     span = np.linspace(0.0, 1.0, MESH_SAMPLES)
-    levels = np.linspace(0.05, 0.95, lines)
-    segs = []
-    for lv in levels:
-        x = x0 + (x1 - x0) * lv
-        segs.append(x + 1j * (y0 + (y1 - y0) * span))          # vertical line
-        segs.append((x0 + (x1 - x0) * span) + 1j * (y0 + (y1 - y0) * lv))  # horizontal
-    for seg in segs:
-        w = gm(seg)
-        cols = np.rint((w.real - x0) / (x1 - x0) * (n - 1)).astype(int)
-        rows = np.rint((w.imag - y0) / (y1 - y0) * (n - 1)).astype(int)
-        keep = (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-        canvas[rows[keep], cols[keep]] = 1.0
+    levels = np.linspace(0.05, 0.95, lines)[:, None]
+    vertical = (x0 + (x1 - x0) * levels) + 1j * (y0 + (y1 - y0) * span)
+    horizontal = (x0 + (x1 - x0) * span) + 1j * (y0 + (y1 - y0) * levels)
+    w = gm(np.concatenate((vertical, horizontal)).ravel())
+    cols = np.rint((w.real - x0) / (x1 - x0) * (n - 1)).astype(int)
+    rows = np.rint((w.imag - y0) / (y1 - y0) * (n - 1)).astype(int)
+    keep = (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
+    canvas[rows[keep], cols[keep]] = 1.0
     return canvas[::-1, :]

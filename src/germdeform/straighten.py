@@ -44,9 +44,9 @@ from .errors import (
     SingularDerivativeError,
     UnreliableEstimateError,
 )
-from .germ import Germ, check_integer, circle, is_finite
+from .germ import Germ, check_integer, is_finite
 from .koenigs import build_chart
-from .local_deform import MEASURE_POINTS, contour_multiplier
+from .local_deform import cauchy_cycle_derivative
 
 SOLVER_TOL = 1e-8
 MAX_SWEEPS = 200
@@ -916,17 +916,28 @@ def build_field(germ: Germ, deformations: Sequence[Deformation]) -> BeltramiFiel
     return BeltramiField(germ=germ, entries=tuple(entries))
 
 
+def _move_ratio(gap: float, entries: Sequence[FieldEntry], budget: float, reading: str) -> float | None:
+    """gap over the entries' smallest nonzero move |target - multiplier|, or
+    None when every move is zero (no gate); over budget it raises, naming the reading."""
+    move = min((m for m in (abs(e.shear.lam_prime - e.shear.lam) for e in entries) if m), default=0.0)
+    if move and gap / move > budget:
+        raise UnreliableEstimateError(
+            "%s %.3g of the move %.3g, over the budget %g" % (reading, gap / move, move, budget)
+        )
+    return gap / move if move else None
+
+
 class DeformedGerm:
     """The germ conjugated by the straightening of its invariant field.
 
     g = h o f o h^{-1} is holomorphic; its cycles sit at the h-images of the
-    original ones and carry the target multipliers. It is measured from
-    forward values of h only and never evaluated. mu is the sampled field
-    the grid map was solved from; move_spreads maps each entry measured so
-    far to its move-relative spread (None for a zero move), and
-    fixed_point_drift is the indifferent fixed point's move-relative drift
-    once measure_fixed_point has read it (None until then, or when it does
-    not apply).
+    original ones and carry the target multipliers. It is never evaluated:
+    each measurement is one cauchy_cycle_derivative reading with h the grid
+    map. mu is the sampled field the grid map was solved from; move_spreads
+    maps each entry measured so far to its move-relative spread (None for a
+    zero move), and fixed_point_drift is the indifferent fixed point's
+    move-relative drift once measure_fixed_point has read it (None until
+    then, or when it does not apply).
     """
 
     def __init__(self, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
@@ -935,17 +946,6 @@ class DeformedGerm:
         self.mu = mu
         self.move_spreads: dict[int, float | None] = {}
         self.fixed_point_drift: float | None = None
-
-    def _contour_multiplier(self, center: complex, radius: float, order: int) -> complex:
-        """g'(a) for g = h o f^order o h^{-1} at a = h(center), center a
-        fixed point of f^order, by the contour integral over w = h(z), z =
-        center + r e^{it}: there g(w) = h(f^order(z))."""
-        a = complex(self.grid_map(center))
-        z = circle(center, radius, MEASURE_POINTS)
-        fz = z
-        for _ in range(order):
-            fz = self.field.germ.eval_raw(fz)
-        return contour_multiplier(self.grid_map(z), self.grid_map(fz), a)
 
     def _entry(self, entry_index: int) -> FieldEntry:
         """The field's entry_index-th entry; a bool, non-integral or
@@ -956,37 +956,41 @@ class DeformedGerm:
             raise DomainError("entry_index %d out of range: the field has %d entries" % (entry_index, count))
         return self.field.entries[entry_index]
 
+    def measure_radius(self, entry_index: int = 0) -> float:
+        """GLOBAL_MEASURE_FACTOR r_c for the chart radius r_c of a checked entry."""
+        return GLOBAL_MEASURE_FACTOR * self._entry(entry_index).chart.radius
+
     def measure_multiplier(self, entry_index: int = 0) -> complex:
-        """Multiplier of the deformed cycle at a = h(c), by a Cauchy integral
-        over the h-image of a circle around the chart center c, gated on
-        two-radius agreement and on the move: the spread |m1 - m2| of the
-        two estimates over |target - multiplier| must not exceed
-        MOVE_SPREAD, since a spread as large as the move cannot tell the
-        moved multiplier from the old one (a zero move skips this gate; the
-        spread is kept in move_spreads). The larger-radius estimate wins:
-        the integral damps interpolation noise linearly in the radius. A
-        bool, non-integral or out-of-range entry_index is a DomainError."""
-        entry = self._entry(entry_index)
-        chart = entry.chart
-        radius = GLOBAL_MEASURE_FACTOR * chart.radius
+        """Multiplier of the deformed cycle at a = h(c), by one Cauchy reading
+        on the h-images of the circles of measure_radius and half of it
+        around the chart center c, gated on two-radius agreement and on the
+        move: the spread |m1 - m2| of the two estimates over |target -
+        multiplier| must not exceed MOVE_SPREAD, since a spread as large as
+        the move cannot tell the moved multiplier from the old one (a zero
+        move skips this gate; the spread is kept in move_spreads). The
+        larger-radius estimate wins: the integral damps interpolation noise
+        linearly in the radius. A bool, non-integral or out-of-range
+        entry_index is a DomainError."""
+        radius = self.measure_radius(entry_index)
+        entry = self.field.entries[entry_index]
         # discretization error in h scales with grid spacing, so coarse
         # grids get a proportionally looser gate
         spacing = self.grid_map.box.spacing(self.grid_map.n)
         agreement = max(GLOBAL_AGREEMENT, 2.0 * spacing / radius)
-        m1 = self._contour_multiplier(chart.center, radius, chart.cycle.order)
-        m2 = self._contour_multiplier(chart.center, radius / 2.0, chart.cycle.order)
+
+        def return_map(z: np.ndarray) -> np.ndarray:
+            for _ in range(entry.chart.cycle.order):
+                z = self.field.germ.eval_raw(z)
+            return z
+
+        m1, m2 = cauchy_cycle_derivative(return_map, entry.chart.center, (radius, radius / 2), self.grid_map)
         if abs(m1 - m2) > agreement * max(abs(m1), 1e-300):
             raise UnreliableEstimateError(
                 "global multiplier estimates disagree: %r vs %r" % (m1, m2)
             )
-        move = abs(entry.shear.lam_prime - entry.shear.lam)
-        spread = abs(m1 - m2) / move if move else None
-        if spread is not None and spread > MOVE_SPREAD:
-            raise UnreliableEstimateError(
-                "global multiplier estimates %r and %r spread %.3g of the move %.3g, over the budget %g"
-                % (m1, m2, spread, move, MOVE_SPREAD)
-            )
-        self.move_spreads[entry_index] = spread
+        self.move_spreads[entry_index] = _move_ratio(
+            abs(m1 - m2), [entry], MOVE_SPREAD, "global multiplier estimates %r and %r spread" % (m1, m2)
+        )
         return m1
 
     def measure_fixed_point(self) -> complex | None:
@@ -1002,16 +1006,11 @@ class DeformedGerm:
         lam0 = self.field.germ.coeffs[0]
         if classify(lam0) != "indifferent":
             return None
-        measured = self._contour_multiplier(0j, FIXED_POINT_RADIUS, 1)
-        moves = [abs(e.shear.lam_prime - e.shear.lam) for e in self.field.entries]
-        move = min((m for m in moves if m), default=0.0)
-        drift = abs(measured - lam0) / move if move else None
-        if drift is not None and drift > FIXED_POINT_DRIFT:
-            raise UnreliableEstimateError(
-                "indifferent fixed point's multiplier reads %r against %r, a drift of %.3g of the move %.3g,"
-                " over the budget %g" % (measured, lam0, drift, move, FIXED_POINT_DRIFT)
-            )
-        self.fixed_point_drift = drift
+        measured = cauchy_cycle_derivative(self.field.germ.eval_raw, 0j, FIXED_POINT_RADIUS, self.grid_map)
+        self.fixed_point_drift = _move_ratio(
+            abs(measured - lam0), self.field.entries, FIXED_POINT_DRIFT,
+            "indifferent fixed point's multiplier reads %r against %r, a drift of" % (measured, lam0),
+        )
         return measured
 
     def depth_frontier(self, entry_index: int = 0) -> float:

@@ -506,6 +506,35 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout == "[]\n"
 
 
+PIPELINE_WITHOUT_SCIPY = """
+import math, sys
+import germdeform as gd
+import germdeform.cli
+dg = gd.global_deform(gd.Germ.create([2, 1]), [gd.Deformation(1, 3.0)], n=64)
+dg.measure_multiplier()
+alpha = 1 / 3 + 1e-3
+germ = gd.Germ.create([complex(math.cos(2 * math.pi * alpha), math.sin(2 * math.pi * alpha)), 1], radius_U=3.0)
+assert gd.global_deform(germ, [gd.Deformation(1, 4.0)], n=64).measure_fixed_point() is not None
+gd.motion_sample(gd.Germ.create([2, 1]), [0.4], [0.1])
+print([m for m in sys.modules if m.startswith("scipy")])
+"""
+
+
+def test_the_pipeline_loads_no_scipy():
+    # pyproject.toml promises numpy alone: the CLI import, both global
+    # measurements and a motion run import no scipy module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", PIPELINE_WITHOUT_SCIPY],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_box_is_not_a_config_key(tmp_path, capsys):
     # every solve runs on the germ's own box, which holds z = 1
     rc, out = run(tmp_path, "straighten", "box.json", dict(STRAIGHTEN_64, box={"half_width": 0.5}))

@@ -167,6 +167,24 @@ def test_numpy_integers_are_integers():
     assert gd.margin_rows_csv(cf, np.int64(3)) == gd.margin_rows_csv(cf, 3)
 
 
+def test_quotients_are_kept_as_a_tuple_of_python_ints():
+    # an array of two quotients ended in numpy's ambiguous truth value, and
+    # a list was kept as a list, so the frozen fraction was unhashable
+    forms = [[1, 2, 3], (1, 2, 3), np.array([1, 2, 3]), iter([1, 2, 3])]
+    fractions = [gd.ContinuedFraction(q) for q in forms]
+    assert all(cf == fractions[0] for cf in fractions)
+    assert len({hash(cf) for cf in fractions}) == 1
+    for cf in fractions:
+        assert cf.quotients == (1, 2, 3)
+        assert all(type(a) is int for a in cf.quotients)
+
+
+@pytest.mark.parametrize("quotients", [3, 2.5, None, np.int64(3)], ids=["int", "float", "none", "numpy-int"])
+def test_quotients_that_are_not_iterable_are_refused(quotients):
+    with pytest.raises(gd.DomainError, match=r"^partial quotients must be an iterable \(got "):
+        gd.ContinuedFraction(quotients)
+
+
 def test_csv_rows():
     cf = gd.ContinuedFraction(gd.golden_quotients(10))
     text = gd.margin_rows_csv(cf, 2)

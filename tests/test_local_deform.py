@@ -199,6 +199,16 @@ def test_a_radius_that_is_not_positive_and_finite_is_refused_by_name(conj3, radi
             gd.holomorphy_residual(conj3.k_eval, 0j, radius)
 
 
+def test_an_empty_sequence_of_radii_is_refused_by_name():
+    # it ended in numpy's "need at least one array to concatenate"
+    def unreachable(z):
+        raise AssertionError("the map ran on no circle")
+
+    for empty in ((), [], np.array([])):
+        with pytest.raises(gd.DomainError, match=r"^need at least one radius \(got "):
+            gd.cauchy_cycle_derivative(unreachable, 0j, empty)
+
+
 # seed 1, job local-20 of the local-census benchmark: |target/lambda| = 0.099
 COLLAPSE_TARGET = 0.8292629230822784 - 1.3502956612035348j
 

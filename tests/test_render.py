@@ -53,3 +53,39 @@ def test_field_raster_scales_by_the_sup_and_flips_the_rows():
     mu[2, 0] = -0.25
     assert np.array_equal(gd.field_magnitude_raster(mu), [[0.5, 0, 0], [0, 0, 0], [0, 1.0, 0]])
     assert not gd.field_magnitude_raster(np.zeros((2, 2))).any()
+
+
+def test_mesh_raster_reads_every_line_in_one_call(monkeypatch):
+    # against the lines read one call each; the samples bend the mesh and
+    # push part of it off the canvas
+    box = gd.Box(1.25)
+    z = box.nodes(32)
+    gm = gd.GridMap(box, z + 0.4 * np.sin(3 * z) + 0.3j * z.real ** 2)
+    n, lines = gm.n, 7
+    x0, x1, y0, y1 = box.extents()
+    span = np.linspace(0.0, 1.0, gd.render.MESH_SAMPLES)
+    expected = np.zeros((n, n))
+    dropped = 0
+    for lv in np.linspace(0.05, 0.95, lines):
+        for seg in (
+            x0 + (x1 - x0) * lv + 1j * (y0 + (y1 - y0) * span),
+            (x0 + (x1 - x0) * span) + 1j * (y0 + (y1 - y0) * lv),
+        ):
+            w = gm(seg)
+            cols = np.rint((w.real - x0) / (x1 - x0) * (n - 1)).astype(int)
+            rows = np.rint((w.imag - y0) / (y1 - y0) * (n - 1)).astype(int)
+            keep = (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
+            dropped += np.count_nonzero(~keep)
+            expected[rows[keep], cols[keep]] = 1.0
+    assert dropped
+    calls = []
+    evaluate = gd.GridMap.__call__
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(gd.GridMap, "__call__", counted)
+    canvas = gd.mesh_raster(gm, lines=lines)
+    assert calls == [(2 * lines * gd.render.MESH_SAMPLES,)]
+    assert np.array_equal(canvas, expected[::-1, :])

@@ -16,6 +16,8 @@ import pytest
 import germdeform as gd
 from germdeform import cycles as cycles_mod
 from germdeform import straighten as st
+from germdeform.germ import circle
+from germdeform.local_deform import MEASURE_POINTS, contour_multiplier
 from germdeform.straighten import Box, box_for
 
 
@@ -1103,6 +1105,55 @@ def test_the_depth_frontier_lies_outside_the_measuring_circle(quad_germ):
         dg.depth_frontier(1)
 
 
+def test_each_global_measurement_reads_h_once(monkeypatch, quad_germ):
+    # one GridMap call per measurement, bitwise the contour integral of each
+    # circle read on its own: h at the center, on the circle and on its
+    # image under the cycle's return map
+    def per_circle(gm, center, radius, order):
+        z = circle(center, radius, MEASURE_POINTS)
+        fz = z
+        for _ in range(order):
+            fz = germ.eval_raw(fz)
+        return contour_multiplier(gm(z), gm(fz), complex(gm(center)))
+
+    calls = []
+    evaluate = st.GridMap.__call__
+
+    def counted(self, z):
+        calls.append(np.shape(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(st.GridMap, "__call__", counted)
+    germ = quad_germ
+    dg = gd.global_deform(germ, [gd.Deformation(1, 3.0 + 0j)], n=64)
+    calls.clear()
+    measured = dg.measure_multiplier()
+    assert calls == [(1 + 4 * MEASURE_POINTS,)]
+    chart = dg.field.entries[0].chart
+    m1 = per_circle(dg.grid_map, chart.center, dg.measure_radius(), 1)
+    m2 = per_circle(dg.grid_map, chart.center, dg.measure_radius() / 2.0, 1)
+    assert measured == m1
+    assert dg.move_spreads == {0: abs(m1 - m2) / abs(3.0 - chart.cycle.multiplier)}
+
+    # the paper's fixed point, indifferent, with the other fixed point moved
+    alpha = 1 / 3 + 1e-3
+    germ = gd.Germ.create([complex(math.cos(2 * math.pi * alpha), math.sin(2 * math.pi * alpha)), 1], radius_U=3.0)
+    dg = gd.global_deform(germ, [gd.Deformation(1, 4.0 + 0j)], n=64)
+    calls.clear()
+    measured = dg.measure_fixed_point()
+    assert calls == [(1 + 2 * MEASURE_POINTS,)]
+    assert measured == per_circle(dg.grid_map, 0j, st.FIXED_POINT_RADIUS, 1)
+    assert dg.fixed_point_drift is not None
+
+
+def test_the_measuring_radius_checks_its_entry_as_the_measurement_does(quad_germ):
+    dg = gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=64)
+    for bad in (-1, 1, True, 1.0):
+        with pytest.raises(gd.DomainError, match="^entry_index "):
+            dg.measure_radius(bad)
+    assert dg.measure_radius(np.int64(0)) == dg.measure_radius() == 0.85 * dg.field.entries[0].chart.radius
+
+
 def test_a_zero_move_skips_the_move_gate(quad_germ):
     lam = st.repelling_cycle(quad_germ, 1, 0).multiplier
     dg = gd.global_deform(quad_germ, [gd.Deformation(1, lam)], n=64)
@@ -1152,8 +1203,7 @@ def test_linear_oracle_matches_its_exact_multiplier(target, n):
     sigma = cmath.log(target / lam) / math.log(lam)
     box = Box(1.25)
     gm = gd.solve_beltrami(linear_oracle_mu(box, n, 0.5, sigma), box)
-    z = st.circle(0j, 0.2, st.MEASURE_POINTS)
-    measured = st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j)))
+    measured = gd.cauchy_cycle_derivative(lambda z: lam * z, 0j, 0.2, gm)
     assert abs(measured - lam * abs(lam) ** sigma) <= 1e-3
 
 
@@ -1173,8 +1223,7 @@ def test_linear_oracle_at_paper_scale_moves_its_multiplier():
     target = lam * abs(lam) ** 0.5
     box = Box(1.25)
     gm = gd.solve_beltrami(linear_oracle_mu(box, 1024, radius, 0.5), box)
-    z = st.circle(0j, st.GLOBAL_MEASURE_FACTOR * radius, st.MEASURE_POINTS)
-    measured = st.contour_multiplier(gm(z), gm(lam * z), complex(gm(0j)))
+    measured = gd.cauchy_cycle_derivative(lambda z: lam * z, 0j, st.GLOBAL_MEASURE_FACTOR * radius, gm)
     assert abs(measured - target) <= 0.1 * abs(target - lam)
 
 
