@@ -34,12 +34,13 @@ ALPHA_MATCH_TOL = 1e-12
 
 
 def horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z. Each
-    step adds in place to its product, so it makes one temporary, not two;
-    the product itself is not taken in place, since numpy rounds a product
-    written over its own one-element operand otherwise than the same
-    product on more elements, and a point's value must not depend on its
-    batch."""
+    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z. Each c
+    is a number or an array that broadcasts against z (one coefficient per
+    stacked row of points). Each step adds in place to its product, so it
+    makes one temporary, not two; the product itself is not taken in place,
+    since numpy rounds a product written over its own one-element operand
+    otherwise than the same product on more elements, and a point's value
+    must not depend on its batch."""
     acc = np.zeros_like(z)
     for c in reversed(coeffs):
         acc = acc * z
@@ -57,7 +58,10 @@ def horner_derivative(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
 
 
 def circle(center: complex, radius: float, n: int) -> np.ndarray:
-    """n points evenly spaced on the circle, starting at angle 0."""
+    """n points evenly spaced on the circle, starting at angle 0. center
+    and radius may be arrays that broadcast against the last axis of n
+    points, giving one circle per entry, each with the bits of its own
+    call."""
     return center + radius * np.exp(2j * math.pi * np.arange(n) / n)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 import germdeform as gd
 from germdeform import koenigs
 from germdeform.cremer import ContinuedFraction
+from germdeform.cycles import Cycle
 from germdeform.koenigs import critical_points
 
 
@@ -162,6 +164,139 @@ def test_cycle_charts_are_bitwise_one_at_a_time_at_a_convergent_order():
     cycle = gd.repelling_cycle(germ, 61, 0)
     lam = cycle.multiplier
     _assert_cycle_charts_are_bitwise_one_at_a_time(germ, cycle, lam * abs(lam) ** 0.5, (0, 30, 60))
+
+
+def _compose_by_full_horner(outer, inner):
+    # Horner over every coefficient of outer, its zero tail included
+    acc = np.zeros(len(inner), dtype=complex)
+    for c in outer[::-1]:
+        acc = np.convolve(acc, inner)[: len(inner)]
+        acc[0] += c
+    return acc
+
+
+def _cubic_germ():
+    return gd.Germ.create([1.7 + 0.9j, 0.3 - 0.5j, 0.8 + 0.2j], radius_U=2.0)
+
+
+def test_compose_is_bitwise_the_full_horner():
+    rng = np.random.default_rng(7)
+    n = koenigs.SERIES_ORDER + 1
+    inners = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+    inners[1][0] = 0
+    inners[2][5:] = complex(-0.0, -0.0)
+    for d in range(n):
+        for tail in (0.0, -0.0):
+            outer = np.zeros(n, dtype=complex)
+            outer[: d + 1] = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            outer[d + 1 :] = complex(0.0, tail)
+            outer[-1] = complex(tail, tail)
+            # a signed zero in the last nonzero coefficient itself
+            outer[d] = complex(outer[d].real, tail)
+            for inner in inners:
+                want = _compose_by_full_horner(outer, inner)
+                assert koenigs._compose(outer, inner).tobytes() == want.tobytes()
+    for tail in (0.0, -0.0):
+        outer = np.full(n, complex(tail, tail))
+        want = _compose_by_full_horner(outer, inners[0])
+        assert koenigs._compose(outer, inners[0]).tobytes() == want.tobytes()
+    # the compositions of a cycle's return map: shifted series of a cubic
+    # germ with complex coefficients, zero beyond degree 3
+    germ = _cubic_germ()
+    cycle = gd.repelling_cycles(germ, 3)[0]
+    shifted = koenigs._shifted_series(germ, cycle.points)
+    cur = np.zeros(n, dtype=complex)
+    cur[1] = 1.0
+    for outer in shifted + shifted:
+        want = _compose_by_full_horner(outer, cur)
+        cur = koenigs._compose(outer, cur)
+        assert cur.tobytes() == want.tobytes()
+
+
+def test_cycle_charts_evaluate_f_at_most_q_times_per_block_of_rungs(monkeypatch, quad_germ_wide):
+    cycle = gd.repelling_cycle(quad_germ_wide, 4, 0)
+    calls = []
+    eval_raw = gd.Germ.eval_raw
+
+    def counting(self, z):
+        calls.append(z)
+        return eval_raw(self, z)
+
+    monkeypatch.setattr(gd.Germ, "eval_raw", counting)
+    gd.LocalConjugacy.build(quad_germ_wide, cycle, 20.0)
+    # f^q is taken once per block of rungs for all the charts together;
+    # one ring at a time took 78 steps here
+    blocks = -(-(koenigs.MAX_HALVINGS + 1) // koenigs.LADDER_BLOCK)
+    assert 0 < len(calls) <= cycle.order * blocks
+
+
+def _functional_residual_one_ring(germ, chart, radius):
+    # the validation ring of one chart and one radius, alone through f^q
+    z = gd.germ.circle(chart.center, radius, koenigs.RING_SAMPLES)
+    fz = z
+    for _ in range(chart.cycle.order):
+        fz = germ.eval_raw(fz)
+        if not np.all(np.abs(fz) <= germ.radius_U):
+            return math.inf
+    if np.any(np.abs(fz - chart.center) > 4.0 * radius * max(1.0, abs(chart.multiplier))):
+        return math.inf
+    lhs = gd.germ.horner(chart.coeffs, fz - chart.center)
+    rhs = chart.multiplier * gd.germ.horner(chart.coeffs, z - chart.center)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
+
+
+def _radius_by_sequential_halving(germ, top):
+    # one rung at a time from the chart's top radius: the functional check,
+    # then the round trip
+    radius = top.radius
+    for _ in range(koenigs.MAX_HALVINGS + 1):
+        if _functional_residual_one_ring(germ, top, radius) < koenigs.CHART_RESIDUAL_TOL:
+            chart = dataclasses.replace(top, radius=radius)
+            z = gd.germ.circle(chart.center, 0.5 * radius, koenigs.RING_SAMPLES)
+            back = chart.psi(chart.phi(z))
+            rel = np.abs(back - z) / np.maximum(np.abs(z - chart.center), 1e-300)
+            if float(np.max(rel)) < koenigs.CHART_RESIDUAL_TOL:
+                return radius
+        radius *= 0.5
+    return None
+
+
+def _assert_ladder_radii_are_sequential_halving(germ, cycle):
+    shifted = koenigs._shifted_series(germ, cycle.points)
+    crit = list(critical_points(germ))
+    charts = koenigs._cycle_charts(germ, cycle, range(cycle.order))
+    for chart in charts:
+        top = koenigs._series_chart(germ, cycle, chart.base_index, shifted, crit)
+        assert chart.radius == _radius_by_sequential_halving(germ, top)
+        assert chart == dataclasses.replace(top, radius=chart.radius)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_ladder_radii_are_those_of_sequential_halving(quad_germ_wide, order):
+    for cycle in gd.repelling_cycles(quad_germ_wide, order):
+        _assert_ladder_radii_are_sequential_halving(quad_germ_wide, cycle)
+
+
+def test_ladder_radii_are_those_of_sequential_halving_off_the_real_axis():
+    alpha = 1 / 3 + 1e-3
+    paper = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    cubic = _cubic_germ()
+    for germ, order in ((paper, 3), (cubic, 2), (cubic, 3)):
+        for cycle in gd.repelling_cycles(germ, order):
+            _assert_ladder_radii_are_sequential_halving(germ, cycle)
+
+
+def test_cycle_charts_raise_the_first_failing_chart_in_base_order(quad_germ_wide):
+    # not a cycle: the first point's rings never close up under f^2, and the
+    # second point lies outside U
+    p = gd.repelling_cycle(quad_germ_wide, 2, 0).points[0]
+    points = (p, 3.5 + 0j)
+    lam = complex(np.prod(quad_germ_wide.derivative_raw(np.array(points))))
+    fake = Cycle(points, 2, lam, "repelling")
+    with pytest.raises(gd.ChartError, match="no chart radius passed validation after 20 halvings"):
+        koenigs._cycle_charts(quad_germ_wide, fake, (0, 1))
+    with pytest.raises(gd.ChartError, match="cycle point leaves no room for a chart disk"):
+        koenigs._cycle_charts(quad_germ_wide, fake, (1, 0))
 
 
 def test_iterative_agrees_with_series(chart):
