@@ -81,6 +81,14 @@ def check_integer(name: str, value) -> None:
         raise DomainError("%s must be an integer (got %r)" % (name, value))
 
 
+def check_positive(name: str, value) -> None:
+    """Refuse a value of the argument name, scalar or array, that is not a
+    positive finite real number throughout, with a DomainError naming it."""
+    a = np.asarray(value)
+    if not (a.dtype.kind in "iuf" and np.all(np.isfinite(a) & (a > 0))):
+        raise DomainError("%s must be positive and finite (got %r)" % (name, value))
+
+
 def pointwise(method):
     """Let a method written for a 1-d complex array take a scalar or an
     array of any shape; a scalar gets a Python complex back."""
@@ -227,8 +235,7 @@ class Germ:
                 radius_U = float(radius_U)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DomainError("radius_U must be a finite number") from exc
-            if not (math.isfinite(radius_U) and radius_U > 0):
-                raise DomainError("radius_U must be positive and finite")
+            check_positive("radius_U", radius_U)
             if _min_boundary_derivative(cs, radius_U) <= BOUNDARY_DERIV_FLOOR:
                 raise DomainError(
                     "derivative dips below %g on the boundary ring of radius %g"

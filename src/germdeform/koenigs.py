@@ -6,14 +6,15 @@ phi' = 1 at the point) is computed as a truncated power series from the
 functional equation, inverted by series reversion, and trusted only on a
 disk whose radius is the first of the ladder r0, r0/2, r0/4, ... at which
 the functional residual on a validation ring passes, and then the round
-trip psi(phi(z)) = z. The rings of all the charts of a cycle go through
-f^q together, a block of rungs at a time.
+trip psi(phi(z)) = z. A cycle's charts walk their ladders together, a
+block of rungs at a time, every chart still without a radius in one stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Any, Sequence
 
 import numpy as np
@@ -110,10 +111,11 @@ def _reversion(a: np.ndarray) -> np.ndarray:
     for n in range(1, len(c)):
         p[n] = -np.sum(c[1 : n + 1] * p[n - 1 :: -1])
     b = np.zeros_like(a)
+    b[1] = 1.0
     pk = p
-    for k in range(1, len(a)):
-        b[k] = pk[k - 1] / k
+    for k in range(2, len(a)):
         pk = _mul(pk, p)
+        b[k] = pk[k - 1] / k
     return b
 
 
@@ -194,9 +196,9 @@ def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
 def _cycle_charts(germ: Germ, cycle: Cycle, base_indices: Sequence[int]) -> tuple[KoenigsChart, ...]:
     """build_chart at each of base_indices, in order, with each cycle
     point's shifted series and the critical points computed once and the
-    radius ladders of all the charts validated together (_validate). The
-    first chart in base order that build_chart would refuse raises its
-    error."""
+    charts validated together, a block of rungs of every chart still
+    without a radius at a time (_validate). The first chart in base order
+    that build_chart would refuse raises its error."""
     if cycle.kind != "repelling":
         raise ChartError("chart requires a repelling cycle (got %s)" % cycle.kind)
     q = cycle.order
@@ -234,17 +236,14 @@ def _series_chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
     # phi coefficients from phi(F(u)) = lambda * phi(u), a1 = 1
     a = np.zeros(SERIES_ORDER + 1, dtype=complex)
     a[1] = 1.0
-    powers = [None, fser]  # powers[j] = series of F^j, truncated
-    for j in range(2, SERIES_ORDER + 1):
+    powers = [None, fser]  # powers[j] = series of F^j, truncated, j < SERIES_ORDER
+    for j in range(2, SERIES_ORDER):
         powers.append(_mul(powers[j - 1], fser))
     for k in range(2, SERIES_ORDER + 1):
         denom = lam ** k - lam
         if abs(denom) < RESONANCE_TOL:
             raise ChartError("resonance at series degree %d" % k)
-        s = 0j
-        for j in range(1, k):
-            s += a[j] * powers[j][k]
-        a[k] = -s / denom
+        a[k] = -sum(a[j] * powers[j][k] for j in range(1, k)) / denom
 
     other = [cycle.points[i] for i in range(q) if i != base_index]
     dists = [abs(center - p) for p in other + crit if abs(center - p) > 0]
@@ -268,32 +267,26 @@ def _series_chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
 def _validate(germ: Germ, tops: Sequence[KoenigsChart]) -> tuple[KoenigsChart, ...]:
     """Each chart at the first radius of its ladder r0, r0/2, ... (r0 its
     top radius, MAX_HALVINGS halvings) that passes the functional check and
-    then the round-trip check, in order; ChartError for the first chart
-    with none.
-
-    The functional checks run LADDER_BLOCK rungs at a time: a chart's next
-    block is tested, when it needs one, together with that of every later
-    chart that has reached the same rung without a passing one."""
-    ladders = [[top.radius * 0.5 ** k for k in range(MAX_HALVINGS + 1)] for top in tops]
-    passed = [[] for _ in tops]
-    charts = []
-    for i, top in enumerate(tops):
-        for k, radius in enumerate(ladders[i]):
-            if k == len(passed[i]):
-                batch = [
-                    j for j in range(i, len(tops))
-                    if len(passed[j]) == k and (j == i or not any(passed[j]))
-                ]
-                rungs = [ladders[j][k : k + LADDER_BLOCK] for j in batch]
-                for j, row in zip(batch, _functional_checks(germ, [tops[j] for j in batch], rungs)):
-                    passed[j].extend(row.tolist())
-            if passed[i][k]:
-                chart = replace(top, radius=radius)
+    then the round-trip check; ChartError for the first chart in base order
+    with none. The ladders are walked LADDER_BLOCK rungs at a time, the
+    block of every chart still without a radius in one _functional_checks."""
+    charts = [None] * len(tops)
+    ladder = range(MAX_HALVINGS + 1)
+    for start in ladder[::LADDER_BLOCK]:
+        pending = [i for i, chart in enumerate(charts) if chart is None]
+        if not pending:
+            break
+        block = ladder[start : start + LADDER_BLOCK]
+        rungs = [[tops[i].radius * 0.5 ** k for k in block] for i in pending]
+        checks = _functional_checks(germ, [tops[i] for i in pending], rungs)
+        for i, row, passed in zip(pending, rungs, checks):
+            for radius in compress(row, passed):
+                chart = replace(tops[i], radius=radius)
                 if _roundtrip_residual(chart) < CHART_RESIDUAL_TOL:
-                    charts.append(chart)
+                    charts[i] = chart
                     break
-        else:
-            raise ChartError("no chart radius passed validation after %d halvings" % MAX_HALVINGS)
+    if any(chart is None for chart in charts):
+        raise ChartError("no chart radius passed validation after %d halvings" % MAX_HALVINGS)
     return tuple(charts)
 
 

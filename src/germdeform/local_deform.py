@@ -21,7 +21,7 @@ import numpy as np
 from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
-from .germ import Germ, circle, is_finite, pointwise
+from .germ import Germ, check_positive, circle, pointwise
 from .koenigs import KoenigsChart, _cycle_charts
 from .numdiff import wirtinger_pair
 
@@ -122,11 +122,6 @@ def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:
     return complex(np.sum((gw - a) / (w - a) ** 2 * dw) / (1j * n))
 
 
-def _check_radius(radius: float) -> None:
-    if not (is_finite(radius) and radius > 0):
-        raise DomainError("radius must be positive and finite (got %r)" % (radius,))
-
-
 def cauchy_cycle_derivative(
     step_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
@@ -144,8 +139,7 @@ def cauchy_cycle_derivative(
     radii = np.atleast_1d(radius)
     if not radii.size:
         raise DomainError("need at least one radius (got %r)" % (radius,))
-    for r in radii.tolist():
-        _check_radius(r)
+    check_positive("radius", radius)
     w = np.concatenate([circle(center, r, MEASURE_POINTS) for r in radii])
     gw = step_fn(w)
     if h is not None:
@@ -218,7 +212,7 @@ def residual_readings(
     itself does not depend on the disk size for the maps probed here.
     radius must be positive and finite.
     """
-    _check_radius(radius)
+    check_positive("radius", radius)
     r = 0.1 + 0.7 * np.arange(RESIDUAL_RADII) / (RESIDUAL_RADII - 1)
     grid = np.outer(r, circle(0.0, 1.0, RESIDUAL_ANGLES)).ravel()
     for _ in range(20):

@@ -6,6 +6,8 @@ from typing import Callable
 
 import numpy as np
 
+from .germ import check_positive
+
 
 def wirtinger_pair(
     fn: Callable[[complex], complex], at: complex, step: float
@@ -15,7 +17,9 @@ def wirtinger_pair(
     With a scalar at and step, fn is called on the four offsets one at a
     time, so it may be a scalar-only function. at and step may also be
     arrays of one shape, for an fn that maps 1-d arrays elementwise: one
-    stencil per element, and one call of fn on all four offsets stacked."""
+    stencil per element, and one call of fn on all four offsets stacked.
+    A step not positive and finite throughout is refused before fn runs."""
+    check_positive("step", step)
     offsets = (at + step, at - step, at + 1j * step, at - 1j * step)
     if np.ndim(offsets[0]) == 0:
         fe, fw, fn_, fs = map(fn, offsets)

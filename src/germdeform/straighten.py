@@ -44,7 +44,7 @@ from .errors import (
     SingularDerivativeError,
     UnreliableEstimateError,
 )
-from .germ import Germ, check_integer, is_finite
+from .germ import Germ, check_integer, check_positive, is_finite
 from .koenigs import build_chart
 from .local_deform import cauchy_cycle_derivative
 
@@ -108,8 +108,7 @@ class Box:
     half_width: float = _BOX_MIN_HALF_WIDTH
 
     def __post_init__(self):
-        if not (is_finite(self.half_width) and self.half_width > 0):
-            raise DomainError("box half width must be positive and finite")
+        check_positive("box half width", self.half_width)
 
     def spacing(self, n: int) -> float:
         """The node spacing of an n x n lattice; n is a positive integer."""
@@ -1116,6 +1115,8 @@ def motion_sample(
     check_solver_settings(n, tol, pad)
     for k, q in enumerate(orders):
         check_integer("orders[%d]" % k, q)
+    if not len(orders):
+        raise DomainError("orders must be nonempty")
     if len(set(orders)) < len(orders):
         raise DomainError("orders must be distinct (got %s)" % list(orders))
     ts = [complex(t) for t in t_values]

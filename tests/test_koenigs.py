@@ -214,7 +214,6 @@ def test_compose_is_bitwise_the_full_horner():
 
 
 def test_cycle_charts_evaluate_f_at_most_q_times_per_block_of_rungs(monkeypatch, quad_germ_wide):
-    cycle = gd.repelling_cycle(quad_germ_wide, 4, 0)
     calls = []
     eval_raw = gd.Germ.eval_raw
 
@@ -223,11 +222,15 @@ def test_cycle_charts_evaluate_f_at_most_q_times_per_block_of_rungs(monkeypatch,
         return eval_raw(self, z)
 
     monkeypatch.setattr(gd.Germ, "eval_raw", counting)
-    gd.LocalConjugacy.build(quad_germ_wide, cycle, 20.0)
-    # f^q is taken once per block of rungs for all the charts together;
-    # one ring at a time took 78 steps here
-    blocks = -(-(koenigs.MAX_HALVINGS + 1) // koenigs.LADDER_BLOCK)
-    assert 0 < len(calls) <= cycle.order * blocks
+    # f^q is taken once per block of rungs for all the charts together, as
+    # many blocks as the slowest chart needs: the charts of this order-4
+    # cycle pass at rung 5, and some of the order-8 one's at rung 8, the
+    # first of the second block (one ring at a time took 78 steps at order 4)
+    for order, blocks in ((4, 1), (8, 2)):
+        cycle = gd.repelling_cycle(quad_germ_wide, order, 0)
+        calls.clear()
+        gd.LocalConjugacy.build(quad_germ_wide, cycle, 20.0)
+        assert len(calls) == order * blocks
 
 
 def _functional_residual_one_ring(germ, chart, radius):
@@ -271,7 +274,7 @@ def _assert_ladder_radii_are_sequential_halving(germ, cycle):
         assert chart == dataclasses.replace(top, radius=chart.radius)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_ladder_radii_are_those_of_sequential_halving(quad_germ_wide, order):
     for cycle in gd.repelling_cycles(quad_germ_wide, order):
         _assert_ladder_radii_are_sequential_halving(quad_germ_wide, cycle)

@@ -109,6 +109,22 @@ def test_wirtinger_pair_on_a_scalar_takes_a_scalar_only_function():
     assert abs(dbar) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "step", [0.0, -1e-3, math.nan, math.inf, np.array([1e-5, 0.0])],
+    ids=["zero", "negative", "nan", "inf", "array-with-zero"],
+)
+def test_wirtinger_pair_refuses_a_step_that_is_not_positive_and_finite(step):
+    # a zero step ended in ZeroDivisionError, a NaN or infinite one read
+    # nan+nanj, and an array holding a zero read NaN after a RuntimeWarning
+    def unreachable(z):
+        raise AssertionError("fn ran on a step that was not positive and finite")
+
+    at = np.full(np.shape(step), 0.3 + 0.2j) if np.ndim(step) else 0.3 + 0.2j
+    for derivative in (wirtinger_pair, gd.wirtinger_dbar):
+        with pytest.raises(gd.DomainError, match=r"^step must be positive and finite \(got "):
+            derivative(unreachable, at, step)
+
+
 def test_cauchy_derivative_reads_several_radii_in_one_call():
     c = 0.3 + 0.2j
 

@@ -501,6 +501,13 @@ def test_motion_sample_refuses_repeated_orders_before_the_census(monkeypatch, qu
         gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], orders=[1, 1], n=64)
 
 
+def test_motion_sample_refuses_empty_orders_before_the_census(monkeypatch, quad_germ):
+    # it ended in "no repelling cycles found for the requested orders"
+    monkeypatch.setattr(st, "repelling_cycles", no_census)
+    with pytest.raises(gd.DomainError, match="^orders must be nonempty$"):
+        gd.motion_sample(quad_germ, [0.4 + 0j], [0.1 + 0j], orders=(), n=64)
+
+
 @pytest.mark.parametrize("bad_t", [0j, 1.5 + 0j], ids=["zero", "outside"])
 def test_motion_sample_rejects_t_before_any_solve(monkeypatch, quad_germ_wide, bad_t):
     solves = []
