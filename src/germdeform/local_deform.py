@@ -2,8 +2,9 @@
 
 Conjugating the torus shear back through the linearizing chart gives an
 explicit (non-holomorphic) local conjugacy k with k(f(z)) = f1(k(z)) near
-the cycle, where f1 has the target multiplier. The deformed return map is
-evaluated piecewise, one chart per cycle point, and its multiplier is
+the cycle, where f1 has the target multiplier. k takes one chart per cycle
+point. A chart disk is at most half the distance to the other cycle points,
+so f1^q = k o f^q o k^{-1} needs one chart per call. Its multiplier is
 measured by a Cauchy derivative on a small circle, with a two-radius
 agreement gate before the number is trusted. The maps run on numpy arrays
 (both measuring circles, or a whole residual stencil, per call) and take a
@@ -89,25 +90,24 @@ class LocalConjugacy:
     def k_inverse(self, z: np.ndarray) -> np.ndarray:
         return self._shear_in_chart(z, self._nearest_index(z), inverse=True)
 
-    def _step(self, z: np.ndarray) -> np.ndarray:
-        i = self._nearest_index(z)
-        u = self._shear_in_chart(z, i, inverse=True)
-        # refuses a pulled-back point that is not finite or leaves U
-        v = self.germ.eval(u)
-        return self._shear_in_chart(v, (i + 1) % self.cycle.order, inverse=False)
-
     @pointwise
     def deformed_eval(self, z: np.ndarray) -> np.ndarray:
         """One step of the deformed map f1 = k o f o k^{-1}, using the chart
         at the nearest cycle point on the way in and the next chart on the
-        way out."""
-        return self._step(z)
+        way out. f refuses a point that is not finite or leaves U."""
+        i = self._nearest_index(z)
+        v = self.germ.eval(self._shear_in_chart(z, i, inverse=True))
+        return self._shear_in_chart(v, (i + 1) % self.cycle.order, inverse=False)
 
     @pointwise
     def deformed_return_map(self, z: np.ndarray) -> np.ndarray:
+        """k_i o f^q o k_i^{-1}, i the nearest cycle point, which is q steps of
+        deformed_eval: a step's way out is undone by the next step's way in."""
+        i = self._nearest_index(z)
+        u = self._shear_in_chart(z, i, inverse=True)
         for _ in range(self.cycle.order):
-            z = self._step(z)
-        return z
+            u = self.germ.eval(u)
+        return self._shear_in_chart(u, i, inverse=False)
 
 
 def contour_multiplier(w: np.ndarray, gw: np.ndarray, a: complex) -> complex:

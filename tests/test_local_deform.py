@@ -259,8 +259,11 @@ def test_collapsed_measuring_circle_exits_3_naming_it(tmp_path, capsys):
     assert "disagree" not in err
 
 
-# The parent's scalar route, kept here as the reference for the array route:
-# one Python complex at a time, through the chart series directly.
+# The chart-by-chart scalar route, kept here as the reference for the array
+# route: one Python complex at a time, through the chart series directly,
+# and each step of the return map leaving its chart and entering the next,
+# so it also checks that the array route's return map, which enters and
+# leaves one chart per call, is the same map.
 def scalar_shear_in_chart(lc, z, index, inverse):
     chart = lc.charts[index]
     z = complex(z)
@@ -294,13 +297,38 @@ def scalar_return_map(lc, z):
     return w
 
 
-ROUTE_CASES = [(1, 3.0 + 0.5j), (2, 6.0 - 1.0j), (3, 5.0 + 7.0j), (4, 20.0 - 3.0j)]
+# cycles of 2z + z^2 on the radius-3 disk, by order and target
+QUAD_CASES = {
+    "order1": (1, 3.0 + 0.5j),
+    "order2": (2, 6.0 - 1.0j),
+    "order3": (3, 5.0 + 7.0j),
+    "order4": (4, 20.0 - 3.0j),
+}
+# cycles of the paper's germ e^(2 pi i alpha) z + z^2, by alpha and order:
+# alpha = 1/3 + 1e-3 and its 3-cycle, and alpha = [0; 3, 20, 50, 1], whose
+# second convergent denominator is 61
+PAPER_CASES = {
+    "paper3": (1 / 3 + 1e-3, 3),
+    "paper61": (gd.ContinuedFraction((3, 20, 50, 1)).value(), 61),
+}
 
 
-@pytest.fixture(scope="module", params=ROUTE_CASES, ids=["order1", "order2", "order3", "order4"])
+def case_conjugacy(name, quad_germ):
+    """The LocalConjugacy of a named case; a paper case sends its cycle to
+    the paper's target lambda |lambda|^(1/2)."""
+    if name in QUAD_CASES:
+        order, target = QUAD_CASES[name]
+        return gd.LocalConjugacy.build(quad_germ, gd.repelling_cycle(quad_germ, order, 0), target)
+    alpha, order = PAPER_CASES[name]
+    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    cycle = gd.repelling_cycle(germ, order, 0)
+    lam = cycle.multiplier
+    return gd.LocalConjugacy.build(germ, cycle, lam * abs(lam) ** 0.5)
+
+
+@pytest.fixture(scope="module", params=[*QUAD_CASES, "paper3"])
 def route_case(request, quad_germ_wide):
-    order, target = request.param
-    return gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, order, 0), target)
+    return case_conjugacy(request.param, quad_germ_wide)
 
 
 def measuring_circle(lc, rho):
@@ -320,6 +348,40 @@ def test_array_route_matches_the_scalar_route_on_measuring_circles(route_case, f
     inv = lc.k_inverse(z)
     want = np.array([scalar_shear_in_chart(lc, v, 0, inverse=True) for v in z])
     assert np.max(np.abs(inv - want) / np.abs(want - center)) < 1e-12
+
+
+@pytest.mark.parametrize("name", [*QUAD_CASES, "paper61"])
+def test_return_map_enters_and_leaves_one_chart_per_call(monkeypatch, quad_germ_wide, name):
+    # q steps of the germ between one pass into the chart and one out of it;
+    # a chain of q deformed steps makes 2q chart passes
+    lc = case_conjugacy(name, quad_germ_wide)
+    z = measuring_circle(lc, lc.charts[0].radius / 64)
+    calls = []
+    plain_psi, plain_eval = gd.KoenigsChart.psi, gd.Germ.eval
+
+    def counted_psi(self, w):
+        calls.append("psi")
+        return plain_psi(self, w)
+
+    def counted_eval(self, w):
+        calls.append("eval")
+        return plain_eval(self, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(gd.KoenigsChart, "psi", counted_psi)
+        m.setattr(gd.Germ, "eval", counted_eval)
+        lc.deformed_return_map(z)
+    assert calls == ["psi"] + ["eval"] * lc.cycle.order + ["psi"]
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_CASES))
+def test_the_paper_cycles_reach_their_target_through_the_local_route(quad_germ_wide, name):
+    # budgets set before measuring: 1e-8 of the move (the chart-by-chart
+    # route read 3.5e-10 and 2.7e-10 of it), and the CLI's 1e-5 residual
+    lc = case_conjugacy(name, quad_germ_wide)
+    move = abs(lc.target - lc.cycle.multiplier)
+    assert abs(gd.measure_multiplier(lc) - lc.target) <= 1e-8 * move
+    assert gd.holomorphy_residual(lc.deformed_return_map, lc.cycle.base, lc.working_radius()) <= 1e-5
 
 
 def test_scalar_calls_return_python_complex_matching_the_array_route(route_case):
