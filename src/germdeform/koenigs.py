@@ -31,8 +31,9 @@ MAX_HALVINGS = 20
 # Rungs of the radius ladder whose rings go through f^q in one stack. The
 # charts of 2z + z^2 on the radius-3 disk pass at rungs 2-5 for orders 1-4
 # and 3-8 for orders 5-8; at q = 61 (alpha = [0; 3, 20, 50, 1]) at 1-2.
-# Building every LocalConjugacy of orders 1-4, of orders 5-8 and the q = 61
-# one took, in process, median of 9 on 2 CPUs, with blocks of
+# Building every chart of each cycle of orders 1-4, of orders 5-8 and of the
+# q = 61 one (what reading LocalConjugacy.charts does) took, in process,
+# median of 9 on 2 CPUs, with blocks of
 #   4: 17.4, 81.2, 94 ms    6: 16.4, 84.8, 99 ms    8: 16.3, 80.2, 110 ms
 #   12: 17.8, 80.3, 126 ms  21: 19.3, 92.8, 184 ms
 LADDER_BLOCK = 8

@@ -3,18 +3,20 @@
 Conjugating the torus shear back through the linearizing chart gives an
 explicit (non-holomorphic) local conjugacy k with k(f(z)) = f1(k(z)) near
 the cycle, where f1 has the target multiplier. k takes one chart per cycle
-point. A chart disk is at most half the distance to the other cycle points,
-so f1^q = k o f^q o k^{-1} needs one chart per call. Its multiplier is
-measured by a Cauchy derivative on a small circle, with a two-radius
-agreement gate before the number is trusted. The maps run on numpy arrays
-(both measuring circles, or a whole residual stencil, per call) and take a
-scalar too; a call with any point outside its domain raises DomainError.
+point, made when a call first reads it. A chart disk is at most half the
+distance to the other cycle points, so f1^q = k o f^q o k^{-1} needs one
+chart per call, and a measurement, around the base point, makes one chart.
+Its multiplier is measured by a Cauchy derivative on a small circle, with a
+two-radius agreement gate before the number is trusted. The maps run on
+numpy arrays (both measuring circles, or a whole residual stencil, per
+call) and take a scalar too; a call with any point outside its domain
+raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,26 +40,44 @@ COLLAPSE_ULPS = 4
 
 @dataclass(frozen=True)
 class LocalConjugacy:
-    """Charts at every point of one repelling cycle plus the shear that
-    retargets its multiplier."""
+    """Charts at the points of one repelling cycle plus the shear that
+    retargets its multiplier. build makes the base chart; the chart at
+    another cycle point is made by the first call that reads it, and its
+    ChartError, if it has none, is raised there."""
 
     germ: Germ
     cycle: Cycle
     shear: TorusShear
-    charts: tuple[KoenigsChart, ...]
+    _built: dict[int, KoenigsChart] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def build(cls, germ: Germ, cycle: Cycle, target: complex) -> "LocalConjugacy":
-        shear = shear_coefficient(cycle.multiplier, target)
-        charts = _cycle_charts(germ, cycle, range(cycle.order))
-        return cls(germ=germ, cycle=cycle, shear=shear, charts=charts)
+        lc = cls(germ=germ, cycle=cycle, shear=shear_coefficient(cycle.multiplier, target))
+        lc._chart(0)
+        return lc
+
+    def _chart(self, index: int) -> KoenigsChart:
+        """The chart at cycle point index, made on its first read."""
+        if index not in self._built:
+            self._built[index] = _cycle_charts(self.germ, self.cycle, (index,))[0]
+        return self._built[index]
+
+    @property
+    def charts(self) -> tuple[KoenigsChart, ...]:
+        """The chart at every cycle point; the missing ones are made together."""
+        missing = [i for i in range(self.cycle.order) if i not in self._built]
+        if missing:
+            self._built.update(zip(missing, _cycle_charts(self.germ, self.cycle, missing)))
+        return tuple(self._built[i] for i in range(self.cycle.order))
 
     @property
     def target(self) -> complex:
         return self.shear.lam_prime
 
     def working_radius(self) -> float:
-        return WORKING_FACTOR * self.charts[0].radius
+        return WORKING_FACTOR * self._chart(0).radius
 
     def _nearest_index(self, z: np.ndarray) -> np.ndarray:
         pts = np.asarray(self.cycle.points)
@@ -68,8 +88,8 @@ class LocalConjugacy:
         in the chart of its index; a point at the center (phi = 0) stays there
         exactly."""
         out = np.empty_like(z)
-        for i in np.unique(index):
-            chart = self.charts[i]
+        for i in np.unique(index).tolist():
+            chart = self._chart(i)
             sel = index == i
             ph = chart.phi(z[sel])
             moved = ph != 0
@@ -164,7 +184,7 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     read from one return map call on both circles, must agree to 1e-5
     relative; the half-radius estimate is returned.
     """
-    chart = lc.charts[0]
+    chart = lc._chart(0)
     center = chart.center
     rho = chart.radius / 8.0
     for _ in range(24):

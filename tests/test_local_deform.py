@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import germdeform as gd
+from germdeform import koenigs
 from germdeform.cli import main
 from germdeform.germ import circle, horner, horner_derivative
 from germdeform.koenigs import PSI_DOMAIN_FACTOR
@@ -382,6 +383,60 @@ def test_the_paper_cycles_reach_their_target_through_the_local_route(quad_germ_w
     move = abs(lc.target - lc.cycle.multiplier)
     assert abs(gd.measure_multiplier(lc) - lc.target) <= 1e-8 * move
     assert gd.holomorphy_residual(lc.deformed_return_map, lc.cycle.base, lc.working_radius()) <= 1e-5
+
+
+@pytest.mark.parametrize("name", [*QUAD_CASES, "paper61"])
+def test_a_measurement_makes_the_base_chart_alone(monkeypatch, quad_germ_wide, name):
+    # the measuring circles, the return map and the residual stencil all
+    # sit around the base point, so no other chart is read
+    built = []
+    series_chart = koenigs._series_chart
+
+    def counted(germ, cycle, base_index, shifted, crit):
+        built.append(base_index)
+        return series_chart(germ, cycle, base_index, shifted, crit)
+
+    monkeypatch.setattr(koenigs, "_series_chart", counted)
+    lc = case_conjugacy(name, quad_germ_wide)
+    gd.measure_multiplier(lc)
+    gd.holomorphy_residual(lc.deformed_return_map, lc.cycle.base, lc.working_radius())
+    assert built == [0]
+    gd.measure_multiplier(lc)
+    assert built == [0]
+
+
+def test_a_chart_elsewhere_is_made_when_read_and_refused_there(monkeypatch, quad_germ_wide):
+    cycle = gd.repelling_cycle(quad_germ_wide, 2, 0)
+    plain = gd.measure_multiplier(gd.LocalConjugacy.build(quad_germ_wide, cycle, 6.0 + 0j))
+    series_chart = koenigs._series_chart
+
+    def refusing(germ, cycle, base_index, shifted, crit):
+        if base_index == 1:
+            raise gd.ChartError("no chart at cycle point 1")
+        return series_chart(germ, cycle, base_index, shifted, crit)
+
+    with monkeypatch.context() as m:
+        m.setattr(koenigs, "_series_chart", refusing)
+        lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 6.0 + 0j)
+        m2 = gd.measure_multiplier(lc)
+        assert np.array(m2).tobytes() == np.array(plain).tobytes()
+        near = cycle.points[1] + 1e-3 * lc.working_radius()
+        with pytest.raises(gd.ChartError, match="no chart at cycle point 1"):
+            lc.k_eval(near)
+        with pytest.raises(gd.ChartError, match="no chart at cycle point 1"):
+            lc.charts
+    # unpatched, every chart is the one build_chart makes, in any order of
+    # reads: its JSON holds every number by repr, so equal text is equal bits
+    cycle = gd.repelling_cycle(quad_germ_wide, 3, 0)
+    want = [json.dumps(gd.build_chart(quad_germ_wide, cycle, i).to_json()) for i in range(3)]
+    for first in ((), (1,), (2,), (2, 1)):
+        lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 5.0 + 7.0j)
+        for i in first:
+            lc.k_eval(cycle.points[i] + 1e-3 * lc.working_radius())
+        assert [json.dumps(chart.to_json()) for chart in lc.charts] == want
+    # the charts made so far take no part in ==, hash or repr
+    fresh = gd.LocalConjugacy.build(quad_germ_wide, cycle, 5.0 + 7.0j)
+    assert (fresh, hash(fresh), repr(fresh)) == (lc, hash(lc), repr(lc))
 
 
 def test_scalar_calls_return_python_complex_matching_the_array_route(route_case):
