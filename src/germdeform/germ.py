@@ -34,13 +34,12 @@ ALPHA_MATCH_TOL = 1e-12
 
 
 def horner(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    """c1*z + ... + cd*z^d for coeffs (c1, ..., cd), on an array z. Each c
-    is a number or an array that broadcasts against z (one coefficient per
-    stacked row of points). Each step adds in place to its product, so it
-    makes one temporary, not two; the product itself is not taken in place,
-    since numpy rounds a product written over its own one-element operand
-    otherwise than the same product on more elements, and a point's value
-    must not depend on its batch."""
+    """c1*z + ... + cd*z^d for the numbers coeffs (c1, ..., cd), on an array
+    z. Each step adds in place to its product, so it makes one temporary,
+    not two; the product itself is not taken in place, since numpy rounds a
+    product written over its own one-element operand otherwise than the same
+    product on more elements, and a point's value must not depend on its
+    batch."""
     acc = np.zeros_like(z)
     for c in reversed(coeffs):
         acc = acc * z

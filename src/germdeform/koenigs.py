@@ -6,8 +6,8 @@ phi' = 1 at the point) is computed as a truncated power series from the
 functional equation, inverted by series reversion, and trusted only on a
 disk whose radius is the first of the ladder r0, r0/2, r0/4, ... at which
 the functional residual on a validation ring passes, and then the round
-trip psi(phi(z)) = z. A cycle's charts walk their ladders together, a
-block of rungs at a time, every chart still without a radius in one stack.
+trip psi(phi(z)) = z. Each chart is built alone, and its ladder is walked
+a block of rungs at a time, the block's rings through f^q in one stack.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -31,11 +31,11 @@ MAX_HALVINGS = 20
 # Rungs of the radius ladder whose rings go through f^q in one stack. The
 # charts of 2z + z^2 on the radius-3 disk pass at rungs 2-5 for orders 1-4
 # and 3-8 for orders 5-8; at q = 61 (alpha = [0; 3, 20, 50, 1]) at 1-2.
-# Building every chart of each cycle of orders 1-4, of orders 5-8 and of the
-# q = 61 one (what reading LocalConjugacy.charts does) took, in process,
-# median of 9 on 2 CPUs, with blocks of
-#   4: 17.4, 81.2, 94 ms    6: 16.4, 84.8, 99 ms    8: 16.3, 80.2, 110 ms
-#   12: 17.8, 80.3, 126 ms  21: 19.3, 92.8, 184 ms
+# Building the base chart of each cycle of orders 1-4, of orders 5-8 and of
+# the q = 61 one took, in process, median of 21 on 2 CPUs (range of 3
+# rounds), with blocks of
+#   4: 5.7-11.5, 18.0-25.1, 3.0-6.1 ms    8: 5.5-6.1, 15.3-17.5, 3.1-3.4 ms
+#   21 (the whole ladder in one pass): 6.2-6.8, 16.2-19.2, 3.5-3.7 ms
 LADDER_BLOCK = 8
 PSI_DOMAIN_FACTOR = 0.9
 ITERATIVE_DEPTH = 40
@@ -74,29 +74,21 @@ def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _shifted_series(germ: Germ, points: tuple[complex, ...]) -> list[np.ndarray]:
-    """Series of f(p + u) - f(p) in u, degrees 0..SERIES_ORDER, at each
-    point p."""
+def _return_map_series(germ: Germ, cycle: Cycle, base_index: int) -> np.ndarray:
+    """Series of f^q(center + u) - center in u, degrees 0..SERIES_ORDER: the
+    series f(p + u) - f(p) of each cycle point p, from the center on, each
+    made as it is composed, since the chart reads it once."""
+    q = cycle.order
     f = np.array((0j,) + germ.coeffs)
-    out = []
-    for p in points:
+    cur = np.zeros(SERIES_ORDER + 1, dtype=complex)
+    cur[1] = 1.0
+    for step in range(q):
         shift = np.zeros(SERIES_ORDER + 1, dtype=complex)
-        shift[:2] = p, 1.0
+        shift[:2] = cycle.points[(base_index + step) % q], 1.0
         shifted = _compose(f, shift)
         # the constant term cancelled exactly
         shifted[0] = 0
-        out.append(shifted)
-    return out
-
-
-def _return_map_series(shifted: list[np.ndarray], base_index: int) -> np.ndarray:
-    """Series of f^q(center + u) - center in u, composed from the shifted
-    series of the cycle's points, starting at the center's."""
-    q = len(shifted)
-    cur = np.zeros(len(shifted[0]), dtype=complex)
-    cur[1] = 1.0
-    for step in range(q):
-        cur = _compose(shifted[(base_index + step) % q], cur)
+        cur = _compose(shifted, cur)
     return cur
 
 
@@ -184,52 +176,31 @@ def _roundtrip_residual(chart: KoenigsChart) -> float:
 
 
 def build_chart(germ: Germ, cycle: Cycle, base_index: int = 0) -> KoenigsChart:
-    """Koenigs chart at one point of a repelling cycle.
+    """Koenigs chart at one point of a repelling cycle, at the first radius
+    of its ladder that passes validation (_validate).
 
-    Raises DomainError when base_index is not in [0, order), and ChartError
-    on resonance (|lambda^k - lambda| below the guard for some series
-    degree) or when no radius passes validation.
+    Raises DomainError when base_index is not an integer in [0, order), and
+    ChartError when the cycle is not repelling, when the series' linear term
+    disagrees with the cycle multiplier, on resonance (|lambda^k - lambda|
+    below the guard for some series degree), when the cycle point leaves no
+    room for a chart disk, or when no radius passes validation.
     """
     check_integer("base_index", base_index)
-    return _cycle_charts(germ, cycle, (base_index,))[0]
-
-
-def _cycle_charts(germ: Germ, cycle: Cycle, base_indices: Sequence[int]) -> tuple[KoenigsChart, ...]:
-    """build_chart at each of base_indices, in order, with each cycle
-    point's shifted series and the critical points computed once and the
-    charts validated together, a block of rungs of every chart still
-    without a radius at a time (_validate). The first chart in base order
-    that build_chart would refuse raises its error."""
     if cycle.kind != "repelling":
         raise ChartError("chart requires a repelling cycle (got %s)" % cycle.kind)
-    q = cycle.order
-    for base_index in base_indices:
-        if not 0 <= base_index < q:
-            raise DomainError(
-                "base_index %d out of range for a cycle of order %d" % (base_index, q)
-            )
-    shifted = _shifted_series(germ, cycle.points)
-    crit = list(critical_points(germ))
-    tops, failure = [], None
-    for i in base_indices:
-        try:
-            tops.append(_series_chart(germ, cycle, i, shifted, crit))
-        except ChartError as exc:
-            # the charts before it are still validated first
-            failure = exc
-            break
-    charts = _validate(germ, tops)
-    if failure is not None:
-        raise failure
-    return charts
+    if not 0 <= base_index < cycle.order:
+        raise DomainError(
+            "base_index %d out of range for a cycle of order %d" % (base_index, cycle.order)
+        )
+    return _validate(germ, _series_chart(germ, cycle, base_index))
 
 
-def _series_chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
+def _series_chart(germ: Germ, cycle: Cycle, base_index: int) -> KoenigsChart:
     """The chart's series, at the top radius of its ladder, not validated."""
     q = cycle.order
     center = cycle.points[base_index]
 
-    fser = _return_map_series(shifted, base_index)
+    fser = _return_map_series(germ, cycle, base_index)
     lam = complex(fser[1])
     if abs(lam - cycle.multiplier) > 1e-6 * max(1.0, abs(lam)):
         raise ChartError("series linear term disagrees with cycle multiplier")
@@ -247,7 +218,7 @@ def _series_chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
         a[k] = -sum(a[j] * powers[j][k] for j in range(1, k)) / denom
 
     other = [cycle.points[i] for i in range(q) if i != base_index]
-    dists = [abs(center - p) for p in other + crit if abs(center - p) > 0]
+    dists = [abs(center - p) for p in other + list(critical_points(germ)) if abs(center - p) > 0]
     r0 = 0.9 * (germ.radius_U - abs(center))
     if dists:
         r0 = min(r0, 0.5 * min(dists))
@@ -265,57 +236,43 @@ def _series_chart(germ, cycle, base_index, shifted, crit) -> KoenigsChart:
     )
 
 
-def _validate(germ: Germ, tops: Sequence[KoenigsChart]) -> tuple[KoenigsChart, ...]:
-    """Each chart at the first radius of its ladder r0, r0/2, ... (r0 its
-    top radius, MAX_HALVINGS halvings) that passes the functional check and
-    then the round-trip check; ChartError for the first chart in base order
-    with none. The ladders are walked LADDER_BLOCK rungs at a time, the
-    block of every chart still without a radius in one _functional_checks."""
-    charts = [None] * len(tops)
+def _validate(germ: Germ, top: KoenigsChart) -> KoenigsChart:
+    """The chart at the first radius of its ladder r0, r0/2, ... (r0 its top
+    radius, MAX_HALVINGS halvings) that passes the functional check and then
+    the round-trip check; ChartError when none does. The ladder is walked
+    LADDER_BLOCK rungs at a time, each block's rings through f^q in one
+    _functional_checks call."""
     ladder = range(MAX_HALVINGS + 1)
     for start in ladder[::LADDER_BLOCK]:
-        pending = [i for i, chart in enumerate(charts) if chart is None]
-        if not pending:
-            break
-        block = ladder[start : start + LADDER_BLOCK]
-        rungs = [[tops[i].radius * 0.5 ** k for k in block] for i in pending]
-        checks = _functional_checks(germ, [tops[i] for i in pending], rungs)
-        for i, row, passed in zip(pending, rungs, checks):
-            for radius in compress(row, passed):
-                chart = replace(tops[i], radius=radius)
-                if _roundtrip_residual(chart) < CHART_RESIDUAL_TOL:
-                    charts[i] = chart
-                    break
-    if any(chart is None for chart in charts):
-        raise ChartError("no chart radius passed validation after %d halvings" % MAX_HALVINGS)
-    return tuple(charts)
+        radii = [top.radius * 0.5 ** k for k in ladder[start : start + LADDER_BLOCK]]
+        for radius in compress(radii, _functional_checks(germ, top, radii)):
+            chart = replace(top, radius=radius)
+            if _roundtrip_residual(chart) < CHART_RESIDUAL_TOL:
+                return chart
+    raise ChartError("no chart radius passed validation after %d halvings" % MAX_HALVINGS)
 
 
-def _functional_checks(germ: Germ, charts: Sequence[KoenigsChart], radii) -> np.ndarray:
+def _functional_checks(germ: Germ, chart: KoenigsChart, radii) -> np.ndarray:
     """Whether phi(f^q(z)) = lambda * phi(z) holds to CHART_RESIDUAL_TOL on
-    the ring circle(center, r, RING_SAMPLES) of each chart and each radius
-    r of its row of radii: one bool per ring, all rings stacked through f^q
-    at once. A ring fails when an image leaves U (a point that is not
-    finite fails that test too) or strays past 4 r max(1, |lambda|) from
-    the center. The rings lie in U (r <= 0.9 * (radius_U - |center|))."""
-    rows = np.array(radii)
-    center = np.array([c.center for c in charts])[:, None, None]
-    lam = np.array([c.multiplier for c in charts])[:, None, None]
-    bound = np.array(
-        [[4.0 * r * max(1.0, abs(c.multiplier)) for r in row] for c, row in zip(charts, radii)]
-    )
-    coeffs = np.array([c.coeffs for c in charts]).T[..., None, None]
-    z = circle(center, rows[..., None], RING_SAMPLES)
-    ok = np.ones(rows.shape, dtype=bool)
+    the ring circle(center, r, RING_SAMPLES) of each radius r: one bool per
+    ring, all rings stacked through f^q at once. A ring fails when an image
+    leaves U (a point that is not finite fails that test too) or strays past
+    4 r max(1, |lambda|) from the center. The rings lie in U
+    (r <= 0.9 * (radius_U - |center|))."""
+    r = np.array(radii)
+    center, lam = chart.center, chart.multiplier
+    bound = 4.0 * r * max(1.0, abs(lam))
+    z = circle(center, r[:, None], RING_SAMPLES)
+    ok = np.ones(r.shape, dtype=bool)
     # a failed ring runs on to the end with the rest, overflow and all
     with np.errstate(all="ignore"):
         fz = z
-        for _ in range(charts[0].cycle.order):
+        for _ in range(chart.cycle.order):
             fz = germ.eval_raw(fz)
             ok &= np.all(np.abs(fz) <= germ.radius_U, axis=-1)
-        ok &= ~np.any(np.abs(fz - center) > bound[..., None], axis=-1)
-        lhs = horner(coeffs, fz - center)
-        rhs = lam * horner(coeffs, z - center)
+        ok &= ~np.any(np.abs(fz - center) > bound[:, None], axis=-1)
+        lhs = horner(chart.coeffs, fz - center)
+        rhs = lam * horner(chart.coeffs, z - center)
         residual = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), axis=-1)
         return ok & (residual < CHART_RESIDUAL_TOL)
 

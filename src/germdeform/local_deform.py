@@ -25,7 +25,7 @@ from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
 from .germ import Germ, check_positive, circle, pointwise
-from .koenigs import KoenigsChart, _cycle_charts
+from .koenigs import KoenigsChart, build_chart
 from .numdiff import wirtinger_pair
 
 TWO_PI_I = 2j * math.pi
@@ -61,16 +61,13 @@ class LocalConjugacy:
     def _chart(self, index: int) -> KoenigsChart:
         """The chart at cycle point index, made on its first read."""
         if index not in self._built:
-            self._built[index] = _cycle_charts(self.germ, self.cycle, (index,))[0]
+            self._built[index] = build_chart(self.germ, self.cycle, index)
         return self._built[index]
 
     @property
     def charts(self) -> tuple[KoenigsChart, ...]:
-        """The chart at every cycle point; the missing ones are made together."""
-        missing = [i for i in range(self.cycle.order) if i not in self._built]
-        if missing:
-            self._built.update(zip(missing, _cycle_charts(self.germ, self.cycle, missing)))
-        return tuple(self._built[i] for i in range(self.cycle.order))
+        """The chart at every cycle point, the missing ones made in base order."""
+        return tuple(self._chart(i) for i in range(self.cycle.order))
 
     @property
     def target(self) -> complex:

@@ -121,49 +121,6 @@ def test_lagrange_reversion_matches_composition_at_a_convergent_order():
     _assert_reversion_matches_composition(gd.build_chart(germ, cycle))
 
 
-def _return_map_series_by_recomposition(germ, points, base_index):
-    # each chart's own composition, with every point's shifted series
-    # composed again for it
-    q = len(points)
-    f = np.array((0j,) + germ.coeffs)
-    cur = np.zeros(koenigs.SERIES_ORDER + 1, dtype=complex)
-    cur[1] = 1.0
-    for step in range(q):
-        shift = np.zeros(koenigs.SERIES_ORDER + 1, dtype=complex)
-        shift[:2] = points[(base_index + step) % q], 1.0
-        shifted = koenigs._compose(f, shift)
-        shifted[0] = 0
-        cur = koenigs._compose(shifted, cur)
-    return cur
-
-
-def _chart_bits(chart):
-    return np.array((chart.multiplier, chart.radius) + chart.coeffs + chart.inverse_coeffs).tobytes()
-
-
-def _assert_cycle_charts_are_bitwise_one_at_a_time(germ, cycle, indices):
-    # every chart of the cycle in one stack, as reading LocalConjugacy.charts makes them
-    charts = koenigs._cycle_charts(germ, cycle, range(cycle.order))
-    shifted = koenigs._shifted_series(germ, cycle.points)
-    for i in indices:
-        want = _return_map_series_by_recomposition(germ, cycle.points, i)
-        assert koenigs._return_map_series(shifted, i).tobytes() == want.tobytes()
-        assert _chart_bits(charts[i]) == _chart_bits(gd.build_chart(germ, cycle, i))
-
-
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_cycle_charts_are_bitwise_the_charts_built_one_at_a_time(quad_germ_wide, order):
-    for cycle in gd.repelling_cycles(quad_germ_wide, order):
-        _assert_cycle_charts_are_bitwise_one_at_a_time(quad_germ_wide, cycle, range(order))
-
-
-def test_cycle_charts_are_bitwise_one_at_a_time_at_a_convergent_order():
-    alpha = ContinuedFraction((3, 20, 50, 1)).value()
-    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
-    cycle = gd.repelling_cycle(germ, 61, 0)
-    _assert_cycle_charts_are_bitwise_one_at_a_time(germ, cycle, (0, 30, 60))
-
-
 def _compose_by_full_horner(outer, inner):
     # Horner over every coefficient of outer, its zero tail included
     acc = np.zeros(len(inner), dtype=complex)
@@ -202,7 +159,13 @@ def test_compose_is_bitwise_the_full_horner():
     # germ with complex coefficients, zero beyond degree 3
     germ = _cubic_germ()
     cycle = gd.repelling_cycles(germ, 3)[0]
-    shifted = koenigs._shifted_series(germ, cycle.points)
+    f = np.array((0j,) + germ.coeffs)
+    shifted = []
+    for p in cycle.points:
+        shift = np.zeros(n, dtype=complex)
+        shift[:2] = p, 1.0
+        shifted.append(koenigs._compose(f, shift))
+        shifted[-1][0] = 0
     cur = np.zeros(n, dtype=complex)
     cur[1] = 1.0
     for outer in shifted + shifted:
@@ -220,15 +183,22 @@ def test_cycle_charts_evaluate_f_at_most_q_times_per_block_of_rungs(monkeypatch,
         return eval_raw(self, z)
 
     monkeypatch.setattr(gd.Germ, "eval_raw", counting)
-    # f^q is taken once per block of rungs for all the charts together, as
-    # many blocks as the slowest chart needs: the charts of this order-4
-    # cycle pass at rung 5, and some of the order-8 one's at rung 8, the
-    # first of the second block (one ring at a time took 78 steps at order 4)
-    for order, blocks in ((4, 1), (8, 2)):
-        cycle = gd.repelling_cycle(quad_germ_wide, order, 0)
-        calls.clear()
-        koenigs._cycle_charts(quad_germ_wide, cycle, range(order))
-        assert len(calls) == order * blocks
+    # f^q is taken once per block of rungs up to the chart's rung k: the
+    # charts of the order-4 cycles pass at rungs 4-5, and 6 of the 16
+    # order-8 charts at rung 8, the first of the second block (one ring at a
+    # time took 78 steps at order 4)
+    rungs = []
+    for order in (4, 8):
+        for cycle in gd.repelling_cycles(quad_germ_wide, order):
+            for i in range(order):
+                top = koenigs._series_chart(quad_germ_wide, cycle, i)
+                calls.clear()
+                chart = gd.build_chart(quad_germ_wide, cycle, i)
+                k = int(math.log2(top.radius / chart.radius))
+                assert chart.radius == top.radius * 0.5 ** k
+                assert len(calls) == order * (k // koenigs.LADDER_BLOCK + 1)
+                rungs.append(k)
+    assert max(rungs) == koenigs.LADDER_BLOCK
 
 
 def _functional_residual_one_ring(germ, chart, radius):
@@ -263,11 +233,9 @@ def _radius_by_sequential_halving(germ, top):
 
 
 def _assert_ladder_radii_are_sequential_halving(germ, cycle):
-    shifted = koenigs._shifted_series(germ, cycle.points)
-    crit = list(critical_points(germ))
-    charts = koenigs._cycle_charts(germ, cycle, range(cycle.order))
-    for chart in charts:
-        top = koenigs._series_chart(germ, cycle, chart.base_index, shifted, crit)
+    for i in range(cycle.order):
+        chart = gd.build_chart(germ, cycle, i)
+        top = koenigs._series_chart(germ, cycle, i)
         assert chart.radius == _radius_by_sequential_halving(germ, top)
         assert chart == dataclasses.replace(top, radius=chart.radius)
 
@@ -295,9 +263,13 @@ def test_cycle_charts_raise_the_first_failing_chart_in_base_order(quad_germ_wide
     lam = complex(np.prod(quad_germ_wide.derivative_raw(np.array(points))))
     fake = Cycle(points, 2, lam, "repelling")
     with pytest.raises(gd.ChartError, match="no chart radius passed validation after 20 halvings"):
-        koenigs._cycle_charts(quad_germ_wide, fake, (0, 1))
+        gd.build_chart(quad_germ_wide, fake, 0)
     with pytest.raises(gd.ChartError, match="cycle point leaves no room for a chart disk"):
-        koenigs._cycle_charts(quad_germ_wide, fake, (1, 0))
+        gd.build_chart(quad_germ_wide, fake, 1)
+    # reading every chart raises the first refusal in base order
+    lc = gd.LocalConjugacy(quad_germ_wide, fake, gd.shear_coefficient(lam, 2 * lam))
+    with pytest.raises(gd.ChartError, match="no chart radius passed validation after 20 halvings"):
+        lc.charts
 
 
 def test_iterative_agrees_with_series(chart):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import germdeform as gd
-from germdeform import koenigs
+from germdeform import local_deform
 from germdeform.cli import main
 from germdeform.germ import circle, horner, horner_derivative
 from germdeform.koenigs import PSI_DOMAIN_FACTOR
@@ -390,13 +390,12 @@ def test_a_measurement_makes_the_base_chart_alone(monkeypatch, quad_germ_wide, n
     # the measuring circles, the return map and the residual stencil all
     # sit around the base point, so no other chart is read
     built = []
-    series_chart = koenigs._series_chart
 
-    def counted(germ, cycle, base_index, shifted, crit):
+    def counted(germ, cycle, base_index):
         built.append(base_index)
-        return series_chart(germ, cycle, base_index, shifted, crit)
+        return gd.build_chart(germ, cycle, base_index)
 
-    monkeypatch.setattr(koenigs, "_series_chart", counted)
+    monkeypatch.setattr(local_deform, "build_chart", counted)
     lc = case_conjugacy(name, quad_germ_wide)
     gd.measure_multiplier(lc)
     gd.holomorphy_residual(lc.deformed_return_map, lc.cycle.base, lc.working_radius())
@@ -408,15 +407,14 @@ def test_a_measurement_makes_the_base_chart_alone(monkeypatch, quad_germ_wide, n
 def test_a_chart_elsewhere_is_made_when_read_and_refused_there(monkeypatch, quad_germ_wide):
     cycle = gd.repelling_cycle(quad_germ_wide, 2, 0)
     plain = gd.measure_multiplier(gd.LocalConjugacy.build(quad_germ_wide, cycle, 6.0 + 0j))
-    series_chart = koenigs._series_chart
 
-    def refusing(germ, cycle, base_index, shifted, crit):
+    def refusing(germ, cycle, base_index):
         if base_index == 1:
             raise gd.ChartError("no chart at cycle point 1")
-        return series_chart(germ, cycle, base_index, shifted, crit)
+        return gd.build_chart(germ, cycle, base_index)
 
     with monkeypatch.context() as m:
-        m.setattr(koenigs, "_series_chart", refusing)
+        m.setattr(local_deform, "build_chart", refusing)
         lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 6.0 + 0j)
         m2 = gd.measure_multiplier(lc)
         assert np.array(m2).tobytes() == np.array(plain).tobytes()
