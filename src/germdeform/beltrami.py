@@ -163,6 +163,7 @@ def walk_charts(germ: Germ, charts: Sequence[KoenigsChart], z_grid: np.ndarray) 
     prod = np.ones_like(w)
     escaped_total = int(np.count_nonzero(np.isfinite(zf))) - idx.size
     stalled_total = 0
+    c1, c2 = germ.coeffs[0], germ.coeffs[1]
     for _ in range(TRANSPORT_DEPTH + 1):
         keep = np.abs(w) <= germ.radius_U
         escaped_total += keep.size - int(np.count_nonzero(keep))
@@ -187,10 +188,15 @@ def walk_charts(germ: Germ, charts: Sequence[KoenigsChart], z_grid: np.ndarray) 
                 idx, w, prod = idx[keep], w[keep], prod[keep]
         if not idx.size:
             break
-        # one batched Newton inverse step from the current position; a
-        # point that ran out of iterations still counts when its residual
-        # is within 1e-10 and it has not stopped on a flat derivative
-        zn, ok = germ.preimages(w, w)
+        # one batched Newton inverse step, seeded at the root nearer 0 of
+        # c1 z + c2 z^2 = w, the preimage in U: 2w / (c1 + s) with s =
+        # sqrt(c1^2 + 4 c2 w) on c1's side (w / c1 when c2 = 0); seeded at
+        # w, Newton can reach the preimage outside U. A point that ran out
+        # of iterations still counts when its residual is within 1e-10 and
+        # it has not stopped on a flat derivative
+        s = np.sqrt(c1 * c1 + 4 * c2 * w)
+        s[(s * c1.conjugate()).real < 0] *= -1
+        zn, ok = germ.preimages(w, 2 * w / (c1 + s))
         dz = germ.derivative_raw(zn)
         close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
         ok |= close & np.isfinite(zn) & (np.abs(dz) >= DERIVATIVE_FLOOR)

@@ -200,7 +200,6 @@ def _cmd_straighten(cfg: Fields, out: Path) -> None:
                 "relative_error": abs(m - d.target) / abs(d.target),
                 "move_spread": dg.move_spreads[i],
                 "move_spread_budget": MOVE_SPREAD,
-                "depth_frontier": dg.depth_frontier(i),
                 "measure_radius": dg.measure_radius(i),
             }
         )

@@ -3,9 +3,10 @@
 Conjugating the torus shear back through the linearizing chart gives an
 explicit (non-holomorphic) local conjugacy k with k(f(z)) = f1(k(z)) near
 the cycle, where f1 has the target multiplier. k takes one chart per cycle
-point, made when a call first reads it. A chart disk is at most half the
-distance to the other cycle points, so f1^q = k o f^q o k^{-1} needs one
-chart per call, and a measurement, around the base point, makes one chart.
+point, made when a call first reads it through LocalConjugacy.chart, the
+one read of a chart. A chart disk is at most half the distance to the
+other cycle points, so f1^q = k o f^q o k^{-1} needs one chart per call,
+and a measurement, around the base point, makes one chart.
 Its multiplier is measured by a Cauchy derivative on a small circle, with a
 two-radius agreement gate before the number is trusted. The maps run on
 numpy arrays (both measuring circles, or a whole residual stencil, per
@@ -24,7 +25,7 @@ import numpy as np
 from .beltrami import TorusShear, shear_coefficient
 from .cycles import Cycle
 from .errors import DomainError, UnreliableEstimateError
-from .germ import Germ, check_positive, circle, pointwise
+from .germ import Germ, check_integer, check_positive, circle, pointwise
 from .koenigs import KoenigsChart, build_chart
 from .numdiff import wirtinger_pair
 
@@ -41,9 +42,10 @@ COLLAPSE_ULPS = 4
 @dataclass(frozen=True)
 class LocalConjugacy:
     """Charts at the points of one repelling cycle plus the shear that
-    retargets its multiplier. build makes the base chart; the chart at
-    another cycle point is made by the first call that reads it, and its
-    ChartError, if it has none, is raised there."""
+    retargets its multiplier. chart(i) is the one read of the chart at cycle
+    point i. build makes the base chart; the chart at another cycle point is
+    made by the first call that reads it, and its ChartError, if it has
+    none, is raised there."""
 
     germ: Germ
     cycle: Cycle
@@ -55,26 +57,23 @@ class LocalConjugacy:
     @classmethod
     def build(cls, germ: Germ, cycle: Cycle, target: complex) -> "LocalConjugacy":
         lc = cls(germ=germ, cycle=cycle, shear=shear_coefficient(cycle.multiplier, target))
-        lc._chart(0)
+        lc.chart(0)
         return lc
 
-    def _chart(self, index: int) -> KoenigsChart:
-        """The chart at cycle point index, made on its first read."""
+    def chart(self, index: int) -> KoenigsChart:
+        """The chart at cycle point index, made on its first read; an index
+        that is not an integer in [0, order) raises DomainError."""
+        check_integer("index", index)
         if index not in self._built:
             self._built[index] = build_chart(self.germ, self.cycle, index)
         return self._built[index]
-
-    @property
-    def charts(self) -> tuple[KoenigsChart, ...]:
-        """The chart at every cycle point, the missing ones made in base order."""
-        return tuple(self._chart(i) for i in range(self.cycle.order))
 
     @property
     def target(self) -> complex:
         return self.shear.lam_prime
 
     def working_radius(self) -> float:
-        return WORKING_FACTOR * self._chart(0).radius
+        return WORKING_FACTOR * self.chart(0).radius
 
     def _nearest_index(self, z: np.ndarray) -> np.ndarray:
         pts = np.asarray(self.cycle.points)
@@ -86,7 +85,7 @@ class LocalConjugacy:
         exactly."""
         out = np.empty_like(z)
         for i in np.unique(index).tolist():
-            chart = self._chart(i)
+            chart = self.chart(i)
             sel = index == i
             ph = chart.phi(z[sel])
             moved = ph != 0
@@ -181,7 +180,7 @@ def measure_multiplier(lc: LocalConjugacy) -> complex:
     read from one return map call on both circles, must agree to 1e-5
     relative; the half-radius estimate is returned.
     """
-    chart = lc._chart(0)
+    chart = lc.chart(0)
     center = chart.center
     rho = chart.radius / 8.0
     for _ in range(24):

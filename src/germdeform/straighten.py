@@ -28,14 +28,13 @@ import math
 import numbers
 import os
 import struct
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .beltrami import TRANSPORT_DEPTH, BeltramiField, FieldEntry, _assemble, shear_coefficient, walk_charts
+from .beltrami import BeltramiField, FieldEntry, _assemble, shear_coefficient, walk_charts
 from .cycles import classify, repelling_cycle, repelling_cycles
 from .errors import (
     ConvergenceError,
@@ -1011,22 +1010,6 @@ class DeformedGerm:
             "indifferent fixed point's multiplier reads %r against %r, a drift of" % (measured, lam0),
         )
         return measured
-
-    def depth_frontier(self, entry_index: int = 0) -> float:
-        """|lambda|^(TRANSPORT_DEPTH / q) r_c for the entry's q-cycle of
-        multiplier lambda and chart radius r_c (capped at the largest
-        float): each backward return f^-q contracts toward a cycle point by
-        1/|lambda|, so the field's walk reaches the chart disk from within
-        about this distance of the point. A repelling cycle has |lambda| >
-        1, so the frontier is never inside the chart disk, nor inside the
-        measuring circle of GLOBAL_MEASURE_FACTOR r_c. entry_index is
-        checked as by measure_multiplier."""
-        chart = self._entry(entry_index).chart
-        try:
-            growth = abs(chart.cycle.multiplier) ** (TRANSPORT_DEPTH / chart.cycle.order)
-        except OverflowError:
-            return sys.float_info.max
-        return min(chart.radius * growth, sys.float_info.max)
 
 
 def global_deform(

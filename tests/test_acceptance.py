@@ -110,10 +110,10 @@ def test_criterion_04_holomorphy_controls(capsys):
     conj = gd.LocalConjugacy.build(germ, rep, 3.0 + 0j)
     r = conj.working_radius()
     res_deformed = gd.holomorphy_residual(
-        conj.deformed_return_map, conj.charts[0].center, r
+        conj.deformed_return_map, conj.chart(0).center, r
     )
     res_k = gd.holomorphy_residual(
-        conj.k_eval, conj.charts[0].center, r
+        conj.k_eval, conj.chart(0).center, r
     )
     floor = abs(conj.shear.mu) / 2
     dt = time.perf_counter() - t0
@@ -131,7 +131,7 @@ def test_criterion_05_field_invariance(capsys):
     germ = gd.Germ.create([2, 1])
     rep = [c for c in gd.find_cycles(germ, 1) if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(germ, rep, 3.0 + 0j)
-    field = gd.BeltramiField(germ, (gd.FieldEntry(conj.charts[0], conj.shear),))
+    field = gd.BeltramiField(germ, (gd.FieldEntry(conj.chart(0), conj.shear),))
 
     rng = np.random.default_rng(11)
     worst = 0.0

@@ -125,7 +125,7 @@ def field_one_cycle(quad_germ):
     rep = [c for c in cycles if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(quad_germ, rep, 3.0 + 0j)
     sh = gd.shear_coefficient(2.0 + 0j, 3.0 + 0j)
-    return gd.BeltramiField(quad_germ, (gd.FieldEntry(conj.charts[0], sh),))
+    return gd.BeltramiField(quad_germ, (gd.FieldEntry(conj.chart(0), sh),))
 
 
 def test_field_finite_at_cycle_point(field_one_cycle):
@@ -176,7 +176,7 @@ def test_field_stalls_at_critical_point(quad_germ_wide):
     cycles = gd.find_cycles(quad_germ_wide, 1)
     rep = [c for c in cycles if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(quad_germ_wide, rep, 3.0 + 0j)
-    field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.charts[0], conj.shear),))
+    field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.chart(0), conj.shear),))
     diag = {}
     v = field.sample_grid(np.array([-1.0 + 0j]), diagnostics=diag)[0]
     assert v == 0
@@ -189,7 +189,7 @@ def test_critical_point_counts_do_not_depend_on_batch(quad_germ_wide):
     cycles = gd.find_cycles(quad_germ_wide, 1)
     rep = [c for c in cycles if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(quad_germ_wide, rep, 3.0 + 0j)
-    field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.charts[0], conj.shear),))
+    field = gd.BeltramiField(quad_germ_wide, (gd.FieldEntry(conj.chart(0), conj.shear),))
     alone, batch = {}, {}
     field.sample_grid(np.array([-1.0 + 0j]), diagnostics=alone)
     field.sample_grid(np.array([-1.0 + 0j, 0.3 + 0.2j]), diagnostics=batch)
@@ -236,7 +236,7 @@ def test_distinct_cycles_required(quad_germ):
     rep = [c for c in cycles if c.kind == "repelling"][0]
     conj = gd.LocalConjugacy.build(quad_germ, rep, 3.0 + 0j)
     sh = conj.shear
-    entry = gd.FieldEntry(conj.charts[0], sh)
+    entry = gd.FieldEntry(conj.chart(0), sh)
     with pytest.raises(gd.DomainError):
         gd.BeltramiField(quad_germ, (entry, entry))
 
@@ -323,6 +323,7 @@ def single_pass_sample_grid(field, z_grid, diagnostics):
     w = z.ravel()[idx]
     prod = np.ones_like(w)
     escaped_total = stalled_total = 0
+    c1, c2 = germ.coeffs[0], germ.coeffs[1]
     for _ in range(gd.beltrami.TRANSPORT_DEPTH + 1):
         keep = np.abs(w) <= germ.radius_U
         escaped_total += keep.size - int(np.count_nonzero(keep))
@@ -347,7 +348,9 @@ def single_pass_sample_grid(field, z_grid, diagnostics):
                 idx, w, prod = idx[keep], w[keep], prod[keep]
         if not idx.size:
             break
-        zn, ok = germ.preimages(w, w)
+        s = np.sqrt(c1 * c1 + 4 * c2 * w)
+        s[(s * c1.conjugate()).real < 0] *= -1
+        zn, ok = germ.preimages(w, 2 * w / (c1 + s))
         dz = germ.derivative_raw(zn)
         close = np.abs(germ.eval_raw(zn) - w) <= 1e-10 * np.maximum(1.0, np.abs(w))
         ok |= close & np.isfinite(zn) & (np.abs(dz) >= gd.germ.DERIVATIVE_FLOOR)
@@ -385,12 +388,13 @@ def test_walk_then_assembly_is_bitwise_the_single_pass_walk(radius_U, deformatio
 def test_walk_counts_the_nodes_outside_u_and_skips_the_non_finite():
     # a finite node outside U escapes at step 0 (1e308 + 1e308j too, whose
     # modulus overflows); a node that is not finite is neither walked nor
-    # counted
+    # counted; the critical point -1 is a fixed point, so a node there is its
+    # own preimage and stalls on the vanishing derivative
     germ = gd.Germ.create([2, 1], radius_U=3.0)
     field = gd.build_field(germ, [gd.Deformation(1, 3.0 + 0j), gd.Deformation(2, 5.0 + 1.0j)])
     z = gd.box_for(germ).nodes(64)
     bad = [complex(np.nan, 0.0), complex(0.1, np.nan), complex(np.inf, 0.0), complex(-np.inf, 1.0),
-           complex(0.0, np.inf), complex(0.2, -np.inf), complex(np.nan, np.inf), 1e308 + 1e308j]
+           complex(0.0, np.inf), complex(0.2, -np.inf), complex(np.nan, np.inf), 1e308 + 1e308j, -1 + 0j]
     z.ravel()[np.random.default_rng(6).choice(z.size, len(bad), replace=False)] = bad
     finite = np.isfinite(z)
     want_diag, got_diag = {}, {}

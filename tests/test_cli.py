@@ -93,10 +93,12 @@ def test_straighten_command_and_reload(tmp_path):
     assert entry["order"] == 1
     # the move gate's figure next to its budget
     assert 0 <= entry["move_spread"] <= entry["move_spread_budget"] == 0.1
-    # the walk's depth frontier lies outside the measuring circle (2^200 r_c
-    # on the order-1 cycle), and the fixed point 0 is repelling, so its gate
-    # does not apply
-    assert entry["depth_frontier"] > entry["measure_radius"] > 0
+    # the walk's record of the nodes that never landed is the field's
+    # unresolved count, and the fixed point 0 is repelling, so its gate does
+    # not apply
+    assert entry["measure_radius"] > 0
+    assert all("depth_frontier" not in d for d in side["deformations"])
+    assert side["field"]["unresolved"] >= 0
     assert side["fixed_point_drift"] is None and side["fixed_point_drift_budget"] == 0.1
 
 

@@ -110,6 +110,28 @@ def test_cycles_are_exact_cycles_of_the_squaring_map(quad_germ_wide):
                     assert np.min(np.abs(np.roll(pts, -d) - pts)) > 1e-6
 
 
+def _exact_cycle_count(order):
+    # through w = z + 1, the points of period dividing q >= 2 are the
+    # (2^q - 1)-th roots of unity e^(2 pi i k / m), and squaring doubles k
+    # mod m: a point has exact period q when no proper divisor d of q has
+    # k 2^d = k mod m
+    m = 2**order - 1
+    divisors = [d for d in range(1, order) if order % d == 0]
+    return sum(all(k * 2**d % m != k for d in divisors) for k in range(m)) // order
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP G.1: the Newton census finds 4, 4 and 2 of the 9, 18 and 30 cycles",
+)
+def test_the_census_finds_every_cycle_of_orders_6_to_8(quad_germ_wide):
+    orders = (6, 7, 8)
+    want = [_exact_cycle_count(q) for q in orders]
+    assert want == [9, 18, 30]
+    assert [len(gd.find_cycles(quad_germ_wide, q)) for q in orders] == want
+
+
 def _f(coeffs, z):
     acc = 0j
     for c in reversed(coeffs):

@@ -266,10 +266,12 @@ def test_cycle_charts_raise_the_first_failing_chart_in_base_order(quad_germ_wide
         gd.build_chart(quad_germ_wide, fake, 0)
     with pytest.raises(gd.ChartError, match="cycle point leaves no room for a chart disk"):
         gd.build_chart(quad_germ_wide, fake, 1)
-    # reading every chart raises the first refusal in base order
+    # reading the charts in base order raises each refusal at its own read
     lc = gd.LocalConjugacy(quad_germ_wide, fake, gd.shear_coefficient(lam, 2 * lam))
     with pytest.raises(gd.ChartError, match="no chart radius passed validation after 20 halvings"):
-        lc.charts
+        lc.chart(0)
+    with pytest.raises(gd.ChartError, match="cycle point leaves no room for a chart disk"):
+        lc.chart(1)
 
 
 def test_iterative_agrees_with_series(chart):

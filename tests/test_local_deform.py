@@ -25,7 +25,7 @@ def test_target_property(conj3):
 
 
 def test_identity_at_center(conj3):
-    c = conj3.charts[0].center
+    c = conj3.chart(0).center
     assert conj3.k_eval(c) == c
     assert conj3.k_inverse(c) == c
     assert abs(conj3.deformed_eval(c) - c) < 1e-15
@@ -88,7 +88,7 @@ def test_wirtinger_pair_on_an_array_calls_fn_once(quad_germ_wide):
     cycle = gd.repelling_cycle(quad_germ_wide, 4, 0)
     lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 20.0 + 5j)
     r = lc.working_radius()
-    at = lc.charts[0].center + 0.1 * r * circle(0.0, 1.0, 16)
+    at = lc.chart(0).center + 0.1 * r * circle(0.0, 1.0, 16)
     step = np.full(at.shape, 1e-5 * r)
     fn, calls = _counted(lc.deformed_return_map)
     d, dbar = wirtinger_pair(fn, at, step)
@@ -148,7 +148,7 @@ def test_measure_multiplier_makes_one_return_map_call_per_attempt(
 ):
     cycle = gd.repelling_cycle(quad_germ_wide, order, 0)
     lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, target)
-    center, n = lc.charts[0].center, MEASURE_POINTS
+    center, n = lc.chart(0).center, MEASURE_POINTS
     calls = []
     plain = gd.LocalConjugacy.deformed_return_map
 
@@ -160,7 +160,7 @@ def test_measure_multiplier_makes_one_return_map_call_per_attempt(
         m.setattr(gd.LocalConjugacy, "deformed_return_map", counted)
         measured = gd.measure_multiplier(lc)
     assert len(calls) == attempts
-    rho = lc.charts[0].radius / 8.0
+    rho = lc.chart(0).radius / 8.0
     while not np.array_equal(calls[0][:n], circle(center, rho, n)):
         rho *= 0.5
         assert rho > 1e-12
@@ -232,9 +232,9 @@ COLLAPSE_TARGET = 0.8292629230822784 - 1.3502956612035348j
 
 def test_collapsed_measuring_circle_is_named_before_the_two_radius_check(monkeypatch, quad_germ_wide):
     lc = gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, 4, 0), COLLAPSE_TARGET)
-    center = lc.charts[0].center
+    center = lc.chart(0).center
     # the inverse conjugacy rounds the measuring circle onto the center
-    assert lc.k_inverse(center + lc.charts[0].radius / 8.0) == center
+    assert lc.k_inverse(center + lc.chart(0).radius / 8.0) == center
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a contour estimate ran on a collapsed circle")
@@ -266,7 +266,7 @@ def test_collapsed_measuring_circle_exits_3_naming_it(tmp_path, capsys):
 # so it also checks that the array route's return map, which enters and
 # leaves one chart per call, is the same map.
 def scalar_shear_in_chart(lc, z, index, inverse):
-    chart = lc.charts[index]
+    chart = lc.chart(index)
     z = complex(z)
     if z == chart.center:
         return chart.center
@@ -334,14 +334,14 @@ def route_case(request, quad_germ_wide):
 
 def measuring_circle(lc, rho):
     theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    return lc.charts[0].center + rho * np.exp(1j * theta)
+    return lc.chart(0).center + rho * np.exp(1j * theta)
 
 
 @pytest.mark.parametrize("fraction", [1.0 / 32, 1.0 / 128, 1.0 / 512])
 def test_array_route_matches_the_scalar_route_on_measuring_circles(route_case, fraction):
     lc = route_case
-    center = lc.charts[0].center
-    z = measuring_circle(lc, fraction * lc.charts[0].radius)
+    center = lc.chart(0).center
+    z = measuring_circle(lc, fraction * lc.chart(0).radius)
     got = lc.deformed_return_map(z)
     want = np.array([scalar_return_map(lc, v) for v in z])
     assert got.shape == z.shape
@@ -356,7 +356,7 @@ def test_return_map_enters_and_leaves_one_chart_per_call(monkeypatch, quad_germ_
     # q steps of the germ between one pass into the chart and one out of it;
     # a chain of q deformed steps makes 2q chart passes
     lc = case_conjugacy(name, quad_germ_wide)
-    z = measuring_circle(lc, lc.charts[0].radius / 64)
+    z = measuring_circle(lc, lc.chart(0).radius / 64)
     calls = []
     plain_psi, plain_eval = gd.KoenigsChart.psi, gd.Germ.eval
 
@@ -422,7 +422,8 @@ def test_a_chart_elsewhere_is_made_when_read_and_refused_there(monkeypatch, quad
         with pytest.raises(gd.ChartError, match="no chart at cycle point 1"):
             lc.k_eval(near)
         with pytest.raises(gd.ChartError, match="no chart at cycle point 1"):
-            lc.charts
+            for i in range(cycle.order):
+                lc.chart(i)
     # unpatched, every chart is the one build_chart makes, in any order of
     # reads: its JSON holds every number by repr, so equal text is equal bits
     cycle = gd.repelling_cycle(quad_germ_wide, 3, 0)
@@ -431,7 +432,12 @@ def test_a_chart_elsewhere_is_made_when_read_and_refused_there(monkeypatch, quad
         lc = gd.LocalConjugacy.build(quad_germ_wide, cycle, 5.0 + 7.0j)
         for i in first:
             lc.k_eval(cycle.points[i] + 1e-3 * lc.working_radius())
-        assert [json.dumps(chart.to_json()) for chart in lc.charts] == want
+        assert [json.dumps(lc.chart(i).to_json()) for i in range(3)] == want
+    # a read that names no cycle point is refused, a cached one included
+    for bad, match in ((True, "index must be an integer"), (1.0, "index must be an integer"),
+                       (-1, "base_index -1 out of range"), (3, "base_index 3 out of range")):
+        with pytest.raises(gd.DomainError, match=match):
+            lc.chart(bad)
     # the charts made so far take no part in ==, hash or repr
     fresh = gd.LocalConjugacy.build(quad_germ_wide, cycle, 5.0 + 7.0j)
     assert (fresh, hash(fresh), repr(fresh)) == (lc, hash(lc), repr(lc))
@@ -439,19 +445,19 @@ def test_a_chart_elsewhere_is_made_when_read_and_refused_there(monkeypatch, quad
 
 def test_scalar_calls_return_python_complex_matching_the_array_route(route_case):
     lc = route_case
-    z = measuring_circle(lc, lc.charts[0].radius / 64)[:8]
+    z = measuring_circle(lc, lc.chart(0).radius / 64)[:8]
     for method in (lc.k_eval, lc.k_inverse, lc.deformed_eval, lc.deformed_return_map):
         arr = method(z)
         for v, a in zip(z, arr):
             s = method(complex(v))
             assert type(s) is complex
-            assert abs(s - a) <= 1e-14 * abs(a - lc.charts[0].center)
+            assert abs(s - a) <= 1e-14 * abs(a - lc.chart(0).center)
 
 
 def test_center_maps_exactly_to_itself(route_case):
     lc = route_case
-    c = lc.charts[0].center
-    z = measuring_circle(lc, lc.charts[0].radius / 64)
+    c = lc.chart(0).center
+    z = measuring_circle(lc, lc.chart(0).radius / 64)
     z[5] = c
     for method in (lc.k_eval, lc.k_inverse):
         assert method(z)[5] == c
@@ -462,7 +468,7 @@ def test_center_maps_exactly_to_itself(route_case):
 
 def test_a_circle_with_one_point_outside_the_chart_is_refused(quad_germ_wide):
     lc = gd.LocalConjugacy.build(quad_germ_wide, gd.repelling_cycle(quad_germ_wide, 2, 0), 6.0 + 0j)
-    chart = lc.charts[0]
+    chart = lc.chart(0)
     away = chart.center - lc.cycle.points[1]
     bad = chart.center + 1.01 * chart.radius * away / abs(away)
     with pytest.raises(gd.DomainError):
@@ -475,7 +481,7 @@ def test_a_circle_with_one_point_outside_the_chart_is_refused(quad_germ_wide):
 
 
 def test_a_nan_point_is_refused(conj3):
-    c = conj3.charts[0].center
+    c = conj3.chart(0).center
     nan = complex(np.nan, 0.0)
     for method in (conj3.k_eval, conj3.k_inverse, conj3.deformed_eval, conj3.deformed_return_map):
         with pytest.raises(gd.DomainError):
@@ -483,7 +489,7 @@ def test_a_nan_point_is_refused(conj3):
         with pytest.raises(gd.DomainError):
             method(np.array([c + 0.001, nan]))
     with pytest.raises(gd.DomainError):
-        conj3.charts[0].psi(nan)
+        conj3.chart(0).psi(nan)
 
 
 def test_known_dbar_reads_its_coefficient_at_both_steps():

@@ -1071,27 +1071,45 @@ def paper_germ_deformed(n: int):
 
 def test_the_paper_germ_is_refused_by_its_move_spread():
     # the target lambda |lambda|^(1/2) moves the 3-cycle's multiplier by
-    # 9.4e-4, and at N=256 the two estimates spread 0.999 of that, so the
+    # 9.4e-4, and at N=256 the two estimates spread 1.8 of that, so the
     # route cannot tell the moved multiplier from the old one. Both pass the
     # two-radius gate
     dg = paper_germ_deformed(256)
-    with pytest.raises(gd.UnreliableEstimateError, match=r"spread 0\.999 of the move 0\.000944, over the budget 0\.1$"):
+    with pytest.raises(gd.UnreliableEstimateError, match=r"spread 1\.8 of the move 0\.000944, over the budget 0\.1$"):
         dg.measure_multiplier()
     assert dg.move_spreads == {}
 
 
+def test_the_paper_germ_field_is_invariant_where_f_stays_in_u():
+    # mu(f(z)) = mu(z) f'(z) / conj f'(z) at every N=256 node z with z and
+    # f(z) in U: the walk's inverse step takes the preimage in U, the root
+    # of c1 z + c2 z^2 = w nearer 0 (seeded at w, Newton reached the other
+    # one, outside U, from 154 of these nodes)
+    germ = paper_germ()
+    lam = st.repelling_cycle(germ, 3, 0).multiplier
+    field = gd.build_field(germ, [gd.Deformation(3, lam * abs(lam) ** 0.5)])
+    z = gd.box_for(germ).nodes(256).ravel()
+    w = germ.eval_raw(z)
+    inside = (np.abs(z) <= germ.radius_U) & (np.abs(w) <= germ.radius_U)
+    z, w = z[inside], w[inside]
+    d = germ.derivative_raw(z)
+    defect = np.abs(field.sample_grid(w) - field.sample_grid(z) * d / np.conj(d))
+    assert z.size == 6612
+    assert np.count_nonzero(defect > 1e-8) == 0
+
+
 def test_the_paper_germ_fixed_point_drift_is_gated():
     # the indifferent fixed point keeps its multiplier under the conjugacy;
-    # at N=256 the measured one drifts 1.23 of the 3-cycle's move, and at
-    # N=512 0.012, against the budget 0.1
+    # at N=256 the measured one drifts 1.58 of the 3-cycle's move, and at
+    # N=512 0.049, against the budget 0.1
     dg = paper_germ_deformed(256)
-    with pytest.raises(gd.UnreliableEstimateError, match=r"a drift of 1\.23 of the move 0\.000944, over the budget 0\.1$"):
+    with pytest.raises(gd.UnreliableEstimateError, match=r"a drift of 1\.58 of the move 0\.000944, over the budget 0\.1$"):
         dg.measure_fixed_point()
     assert dg.fixed_point_drift is None
     dg = paper_germ_deformed(512)
     lam0 = dg.field.germ.coeffs[0]
     measured = dg.measure_fixed_point()
-    assert 0.01 < dg.fixed_point_drift < 0.013
+    assert 0.048 < dg.fixed_point_drift < 0.05
     shear = dg.field.entries[0].shear
     assert dg.fixed_point_drift == abs(measured - lam0) / abs(shear.lam_prime - shear.lam)
 
@@ -1100,24 +1118,6 @@ def test_a_repelling_fixed_point_skips_the_fixed_point_gate(quad_germ):
     dg = gd.global_deform(quad_germ, [gd.Deformation(1, 3.0 + 0j)], n=64)
     assert dg.measure_fixed_point() is None
     assert dg.fixed_point_drift is None
-
-
-def test_the_depth_frontier_lies_outside_the_measuring_circle(quad_germ):
-    # on the paper germ's 3-cycle, |lambda| = 1.0019 and 200 walk steps
-    # reach 1.13 r_c; every repelling cycle's frontier is past r_c
-    dg = paper_germ_deformed(64)
-    radius = dg.field.entries[0].chart.radius
-    assert 1.13 < dg.depth_frontier() / radius < 1.14
-    for q in (1, 2, 3):
-        for k, cycle in enumerate(st.repelling_cycles(quad_germ, q)):
-            dg = gd.global_deform(quad_germ, [gd.Deformation(q, 3.0 ** q, k)], n=64)
-            assert dg.depth_frontier() > dg.field.entries[0].chart.radius > 0
-    # 60^200 is past the float range
-    wide = gd.Germ.create([60, 1])
-    dg = gd.global_deform(wide, [gd.Deformation(1, 70.0)], n=32)
-    assert dg.depth_frontier() == sys.float_info.max
-    with pytest.raises(gd.DomainError, match="entry_index 1 out of range"):
-        dg.depth_frontier(1)
 
 
 def test_each_global_measurement_reads_h_once(monkeypatch, quad_germ):
