@@ -191,24 +191,24 @@ def _cmd_straighten(cfg: Fields, out: Path) -> None:
     dg = global_deform(germ, deformations, n=n, tol=tol, pad=pad)
     measured = []
     for i, d in enumerate(deformations):
-        m = dg.measure_multiplier(i)
+        m, spread = dg.measure_multiplier(i)
         measured.append(
             {
                 "order": d.order,
                 "target": [d.target.real, d.target.imag],
                 "measured": [m.real, m.imag],
                 "relative_error": abs(m - d.target) / abs(d.target),
-                "move_spread": dg.move_spreads[i],
+                "move_spread": spread,
                 "move_spread_budget": MOVE_SPREAD,
                 "measure_radius": dg.measure_radius(i),
             }
         )
-    dg.measure_fixed_point()
+    fixed_point = dg.measure_fixed_point()
     with _artifact(out, "gridmap.bin") as fh:
         dg.grid_map.write(fh)
     side = dg.grid_map.sidecar()
     side["deformations"] = measured
-    side["fixed_point_drift"] = dg.fixed_point_drift
+    side["fixed_point_drift"] = fixed_point[1] if fixed_point else None
     side["fixed_point_drift_budget"] = FIXED_POINT_DRIFT
     _write(out, "gridmap.json", _dump_json(side))
     worst = max(m["relative_error"] for m in measured)

@@ -753,9 +753,10 @@ def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.nda
     s_y + gam[2] x s_x s_y (s the nodes' signs on the padded grid) are, on
     each of the real and imaginary planes, a vector along y plus, on the
     rows of each sign s_y, a vector along x, added by broadcasting. h(0)
-    and h(1) are read by GridMap's interpolation before any map is made.
-    Returns the GridMap of the normalized h, with no diagnostics, and beta,
-    the smallest Jacobian, h(0) and the scale h(1) - h(0) of the raw map."""
+    and h(1) are read by GridMap's interpolation. Returns the normalized h,
+    still a view of the transform's array, which the caller wraps in its
+    GridMap, and beta, the smallest Jacobian, h(0) and the scale h(1) - h(0)
+    of the raw map."""
     box, n0 = kernel.box, kernel.n0
     n = n0 * kernel.pad
     off = (n - n0) // 2
@@ -786,7 +787,7 @@ def _finish(kernel: BeurlingKernel, x: np.ndarray, sums: np.ndarray, gam: np.nda
     min_jac = _min_jacobian(h, box.spacing(n0))
     if min_jac <= 0:
         raise ConvergenceError("straightening lost orientation (min Jacobian %g)" % min_jac)
-    return GridMap(box, h), beta, min_jac, h0, scale
+    return h, beta, min_jac, h0, scale
 
 
 def solve_beltrami(
@@ -828,8 +829,9 @@ def solve_beltrami(
     orientation check run in bands; the sweep's arrays are freed before
     the correction, and the sweep kernel's spectrum after the sweeps; the
     correction is written over the kernel's own spectrum, which is freed
-    once the window is copied out of it. So no stage holds a padded-grid
-    array, and the solve's peak is about four n0 x n0 arrays, at the fit.
+    once the window is copied out of it; the one GridMap returned is built
+    on that copy. So no stage holds a padded-grid array, and the solve's
+    peak is about four n0 x n0 arrays, at the fit.
     Each large line transform is split over the CPUs the process may run on
     (os.sched_getaffinity, or os.cpu_count() where that is missing), with
     bits that do not depend on their count, and the change per sweep is
@@ -859,10 +861,10 @@ def solve_beltrami(
     del work
     kernel.kernel_hat = None  # the sweeps are done
     x, sums, gam, history = solved.pop()
-    gm, beta, min_jac, h0, scale = _finish(kernel, x, sums, gam)
+    h, beta, min_jac, h0, scale = _finish(kernel, x, sums, gam)
     del kernel, x
     # a window of its own, so that the map does not keep the transform's array
-    return GridMap(box, gm.samples.copy(), {
+    return GridMap(box, h.copy(), {
         "sweeps": len(history),
         "final_change": history[-1],
         "history": history,
@@ -931,19 +933,14 @@ class DeformedGerm:
     g = h o f o h^{-1} is holomorphic; its cycles sit at the h-images of the
     original ones and carry the target multipliers. It is never evaluated:
     each measurement is one cauchy_cycle_derivative reading with h the grid
-    map. mu is the sampled field the grid map was solved from; move_spreads
-    maps each entry measured so far to its move-relative spread (None for a
-    zero move), and fixed_point_drift is the indifferent fixed point's
-    move-relative drift once measure_fixed_point has read it (None until
-    then, or when it does not apply).
+    map, and returns its value beside its gate, so a reading keeps no
+    state. mu is the sampled field the grid map was solved from.
     """
 
     def __init__(self, field: BeltramiField, grid_map: GridMap, mu: np.ndarray):
         self.field = field
         self.grid_map = grid_map
         self.mu = mu
-        self.move_spreads: dict[int, float | None] = {}
-        self.fixed_point_drift: float | None = None
 
     def _entry(self, entry_index: int) -> FieldEntry:
         """The field's entry_index-th entry; a bool, non-integral or
@@ -958,17 +955,17 @@ class DeformedGerm:
         """GLOBAL_MEASURE_FACTOR r_c for the chart radius r_c of a checked entry."""
         return GLOBAL_MEASURE_FACTOR * self._entry(entry_index).chart.radius
 
-    def measure_multiplier(self, entry_index: int = 0) -> complex:
+    def measure_multiplier(self, entry_index: int = 0) -> tuple[complex, float | None]:
         """Multiplier of the deformed cycle at a = h(c), by one Cauchy reading
         on the h-images of the circles of measure_radius and half of it
         around the chart center c, gated on two-radius agreement and on the
         move: the spread |m1 - m2| of the two estimates over |target -
         multiplier| must not exceed MOVE_SPREAD, since a spread as large as
         the move cannot tell the moved multiplier from the old one (a zero
-        move skips this gate; the spread is kept in move_spreads). The
-        larger-radius estimate wins: the integral damps interpolation noise
-        linearly in the radius. A bool, non-integral or out-of-range
-        entry_index is a DomainError."""
+        move skips this gate). The larger-radius estimate wins: the integral
+        damps interpolation noise linearly in the radius. Returns that
+        estimate and its move-relative spread (None for a zero move). A bool,
+        non-integral or out-of-range entry_index is a DomainError."""
         radius = self.measure_radius(entry_index)
         entry = self.field.entries[entry_index]
         # discretization error in h scales with grid spacing, so coarse
@@ -986,12 +983,11 @@ class DeformedGerm:
             raise UnreliableEstimateError(
                 "global multiplier estimates disagree: %r vs %r" % (m1, m2)
             )
-        self.move_spreads[entry_index] = _move_ratio(
+        return m1, _move_ratio(
             abs(m1 - m2), [entry], MOVE_SPREAD, "global multiplier estimates %r and %r spread" % (m1, m2)
         )
-        return m1
 
-    def measure_fixed_point(self) -> complex | None:
+    def measure_fixed_point(self) -> tuple[complex, float | None] | None:
         """Multiplier of g at h(0), when the germ's fixed point 0 is
         indifferent (and so no deformed cycle, as those are repelling), by
         the Cauchy integral over the h-image of |z| = FIXED_POINT_RADIUS;
@@ -999,17 +995,16 @@ class DeformedGerm:
         multiplier of an indifferent fixed point (Naishul 1983), so the
         drift |measured - f'(0)| over the smallest nonzero move |target -
         multiplier| of the field's entries must not exceed
-        FIXED_POINT_DRIFT; it is kept in fixed_point_drift (None when every
-        move is zero, which skips the gate)."""
+        FIXED_POINT_DRIFT. Returns the measured multiplier and that drift
+        (None when every move is zero, which skips the gate)."""
         lam0 = self.field.germ.coeffs[0]
         if classify(lam0) != "indifferent":
             return None
         measured = cauchy_cycle_derivative(self.field.germ.eval_raw, 0j, FIXED_POINT_RADIUS, self.grid_map)
-        self.fixed_point_drift = _move_ratio(
+        return measured, _move_ratio(
             abs(measured - lam0), self.field.entries, FIXED_POINT_DRIFT,
             "indifferent fixed point's multiplier reads %r against %r, a drift of" % (measured, lam0),
         )
-        return measured
 
 
 def global_deform(
@@ -1152,7 +1147,7 @@ def motion_sample(
             del results  # each sum is freed once its t is finished
 
             def finish(i: int) -> None:
-                outcomes[i] = _finish(own, *summed.pop(i))[0](zs).tolist()
+                outcomes[i] = GridMap(box, _finish(own, *summed.pop(i))[0])(zs).tolist()
 
             _take_in_order(list(summed), finish, outcomes)
 

@@ -203,7 +203,7 @@ def test_criterion_07_local_global_consistency(capsys):
     rep = [c for c in gd.find_cycles(germ, 1) if c.kind == "repelling"][0]
     local = gd.measure_multiplier(gd.LocalConjugacy.build(germ, rep, 3.0 + 0j))
     dg = gd.global_deform(germ, [gd.Deformation(1, 3.0 + 0j)], n=1024)
-    global_m = dg.measure_multiplier()
+    global_m, _ = dg.measure_multiplier()
     diff = abs(global_m - local)
     dt = time.perf_counter() - t0
 

@@ -132,6 +132,25 @@ def test_the_census_finds_every_cycle_of_orders_6_to_8(quad_germ_wide):
     assert [len(gd.find_cycles(quad_germ_wide, q)) for q in orders] == want
 
 
+def test_the_cremer_germ_cycles_close_in_at_its_convergent_orders():
+    # ROADMAP G.2's hypothesis at the orders the census reaches: on
+    # e^(2 pi i alpha) z + z^2, alpha = [0; 3, 20, 50, 1], the cycle at each
+    # convergent denominator 3 and 61 comes nearer 0, and its |lambda| - 1
+    # stays positive and falls
+    cf = gd.ContinuedFraction((3, 20, 50, 1))
+    alpha = cf.value()
+    assert [q for _, q in cf.convergents()][:2] == [3, 61]
+    germ = gd.Germ.create([cmath.exp(2j * math.pi * alpha), 1], alpha=alpha)
+    assert germ.radius_U == 0.5
+    found = [gd.repelling_cycles(germ, q) for q in (3, 61)]
+    assert [len(cycles) for cycles in found] == [1, 1]
+    distances = [min(abs(p) for p in cycles[0].points) for cycles in found]
+    moduli = [abs(cycles[0].multiplier) for cycles in found]
+    assert [round(d, 4) for d in distances] == [0.2510, 0.1934]
+    assert [round(m, 4) for m in moduli] == [1.0551, 1.0072]
+    assert 0 < moduli[1] - 1 < moduli[0] - 1
+
+
 def _f(coeffs, z):
     acc = 0j
     for c in reversed(coeffs):
